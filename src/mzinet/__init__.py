@@ -78,6 +78,7 @@ from .tracelab import (
     band_power,
     joint_noise_analysis,
     read_trace,
+    simulate_joint_noise,
     synthesize,
     write_trace,
 )

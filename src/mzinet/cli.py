@@ -160,12 +160,10 @@ def _cmd_trace(args):
     scenario = scenarios.load_scenario(args.config)
     cfg = scenario.base_config()
     params = scenarios._trace_params(scenario.trace)
-    delta = float(scenario.trace.get("delta_theta", 1e-7))
-    signs = np.sign(np.asarray(cfg.weights))
-    signs[signs == 0] = 1.0
     if args.trace_command == "synth":
         seed = args.seed if args.seed is not None else scenario.seed
-        traces = tracelab.synthesize(cfg, signs * delta, params, seed=seed)
+        traces = tracelab.synthesize(
+            cfg, scenarios._signed_drive(cfg, scenario.trace), params, seed=seed)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = tracelab.write_trace(out_dir / f"{scenario.name}.mztr", traces)

@@ -38,7 +38,18 @@ from pathlib import Path
 import numpy as np
 
 from . import laws, optimize, tracelab
-from .errors import ConfigError, ScenarioParseError
+from .errors import (
+    AllocationError,
+    AnalysisError,
+    ConfigError,
+    DarkResponseError,
+    InfeasibleSplitError,
+    RegularizationError,
+    ResourceLimitError,
+    ScenarioParseError,
+    TruncationError,
+    VerificationError,
+)
 from .fock import oracle_sensitivity
 from .network import (
     NetworkConfig,
@@ -230,8 +241,13 @@ def _validate_scenario(scenario: Scenario):
                 raise ConfigError("engines", "oracle refuses d > 3")
             if float(cfg.r) > 0.4:
                 raise ConfigError("engines", "oracle refuses r > 0.4")
-        if "trace" in spec.engines and not scenario.trace:
-            raise ConfigError("trace", "trace engine needs a trace block")
+        if "trace" in spec.engines:
+            if not scenario.trace:
+                raise ConfigError("trace", "trace engine needs a trace block")
+            try:
+                _trace_params(scenario.trace)
+            except ValueError as exc:
+                raise ConfigError("trace", str(exc)) from exc
 
 
 def _trace_params(trace_doc: dict) -> tracelab.TraceParams:
@@ -244,15 +260,36 @@ def _trace_params(trace_doc: dict) -> tracelab.TraceParams:
     )
 
 
-def _run_trace_point(cfg, scenario, row_seed):
-    params = _trace_params(scenario.trace)
-    delta = float(scenario.trace.get("delta_theta", 1e-7))
-    rbw = float(scenario.trace.get("rbw", 100e3))
-    signs = np.sign(np.asarray(cfg.weights))
+def _signed_drive(cfg: NetworkConfig, trace_doc: dict) -> np.ndarray:
+    """Per-channel drive amplitudes sign(nu_j) * delta_theta, so every
+    channel adds to the weighted sum; zero weights are driven as +1."""
+    signs = np.sign(np.asarray(cfg.weights, dtype=float))
     signs[signs == 0] = 1.0
-    traces = tracelab.synthesize(cfg, signs * delta, params, seed=row_seed)
-    result = tracelab.joint_noise_analysis(traces, cfg.weights, cfg, rbw=rbw)
+    return signs * float(trace_doc.get("delta_theta", 1e-7))
+
+
+def _run_trace_point(cfg, scenario, row_seed):
+    result = tracelab.simulate_joint_noise(
+        cfg, cfg.weights, _signed_drive(cfg, scenario.trace),
+        _trace_params(scenario.trace), seed=row_seed,
+        rbw=float(scenario.trace.get("rbw", 100e3)))
     return result.db_below_sql, result.snr_db
+
+
+# Failures of one trace point that become its row status; anything else is
+# a programming error and propagates.
+_TRACE_POINT_ERRORS = (
+    ConfigError,
+    InfeasibleSplitError,
+    DarkResponseError,
+    AllocationError,
+    TruncationError,
+    ResourceLimitError,
+    AnalysisError,
+    RegularizationError,
+    VerificationError,
+    np.linalg.LinAlgError,
+)
 
 
 def _format_value(value):
@@ -313,7 +350,7 @@ def run_scenario(path_or_scenario, out_dir, seed=None, max_workers=None):
                                 + row_index) % 2**63
                     row.db_below_sql_mc, row.snr_db_mc = _run_trace_point(
                         cfg, scenario, row_seed)
-                except Exception as exc:
+                except _TRACE_POINT_ERRORS as exc:
                     row.status = f"error:{type(exc).__name__}: {exc}"
         csv_path = out_dir / f"{scenario.name}_{spec.label}.csv"
         _write_csv(csv_path, spec.axis, rows)

@@ -7,8 +7,14 @@ and band powers around the drive frequency are compared between the gated
 (signal) and idle (noise) portions.
 
 The dB-below-SQL reference is the ideal lossless coherent single-pass run
-with the same photon budget, synthesized through the identical pipeline so
-that the spectral calibration cancels in the ratio.
+with the same photon budget; both sides of the ratio go through the identical
+band-power code, so the spectral calibration cancels.
+
+Trace files keep per-channel traces (`synthesize`, `joint_noise_analysis`).
+A scan point only reads the joint estimator y = sum_j nu_j x_j / C_jj, which
+is one white stream of standard deviation |L^T w| (L L^T = Gamma,
+w_j = nu_j / C_jj) plus the weighted tone, so `simulate_joint_noise`
+synthesizes that single series for the signal and the reference run.
 
 Trace file layout (little endian): magic "MZTR", version u32, d u32,
 sample_rate f64, duration f64, gate 2*f64, seed u64, then channel-major f64
@@ -19,7 +25,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +44,7 @@ __all__ = [
     "band_power",
     "JointNoiseResult",
     "joint_noise_analysis",
+    "simulate_joint_noise",
     "write_trace",
     "read_trace",
 ]
@@ -114,6 +123,34 @@ def _noise_factor(gamma: np.ndarray) -> np.ndarray:
         return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
 
+def _reference_seed(seed: int) -> int:
+    return (seed ^ 0x9E3779B97F4A7C15) & (2**64 - 1)
+
+
+def _n_samples(params: TraceParams) -> int:
+    return int(round(params.cycle * params.sample_rate)) * params.n_cycles
+
+
+def _gated_tone(params: TraceParams, n_total: int):
+    """Indices of the samples inside the per-cycle gate window, by the rule
+    t % cycle in [t_on, t_off), and the unit drive tone sin(2 pi f t) at
+    those samples only.
+
+    The rule is evaluated only within two samples of each cycle's window:
+    rounding in t and t % cycle is far below one sample period, so no sample
+    beyond that margin can pass it."""
+    fs = params.sample_rate
+    near = np.zeros(n_total, dtype=bool)
+    for start in np.arange(int(n_total / (fs * params.cycle)) + 1) * params.cycle:
+        lo = max(math.floor((start + params.gate[0]) * fs) - 2, 0)
+        near[lo: math.ceil((start + params.gate[1]) * fs) + 2] = True
+    index = np.flatnonzero(near)
+    t = index / fs
+    in_cycle = t % params.cycle
+    inside = (in_cycle >= params.gate[0]) & (in_cycle < params.gate[1])
+    return index[inside], np.sin(2.0 * math.pi * params.drive_freq * t[inside])
+
+
 def synthesize(config: NetworkConfig, delta_thetas, params: TraceParams,
                seed: int) -> TraceSet:
     """Gaussian noise floor with the network's cross-covariance plus a gated
@@ -124,8 +161,7 @@ def synthesize(config: NetworkConfig, delta_thetas, params: TraceParams,
     """
     d = config.d
     delta = np.broadcast_to(np.asarray(delta_thetas, dtype=float), (d,))
-    n_per_cycle = int(round(params.cycle * params.sample_rate))
-    n_total = n_per_cycle * params.n_cycles
+    n_total = _n_samples(params)
     factor = _noise_factor(noise_matrix(config))
 
     z = np.empty((d, n_total))
@@ -135,11 +171,8 @@ def synthesize(config: NetworkConfig, delta_thetas, params: TraceParams,
 
     amps = np.diag(response_matrix(config)) * delta
     if np.any(amps != 0.0):
-        t = np.arange(n_total) / params.sample_rate
-        tone = np.sin(2.0 * math.pi * params.drive_freq * t)
-        in_cycle = t % params.cycle
-        gate_mask = (in_cycle >= params.gate[0]) & (in_cycle < params.gate[1])
-        samples += np.outer(amps, tone * gate_mask)
+        index, tone = _gated_tone(params, n_total)
+        samples[:, index] += np.outer(amps, tone)
 
     return TraceSet(
         d=d,
@@ -162,7 +195,11 @@ def _hann(length: int) -> np.ndarray:
 def segment_band_powers(series, sample_rate, center, rbw):
     """Per-segment linear band power at `center` from Hann periodograms of
     length round(sample_rate/rbw).  Calibrated so unit-variance white noise
-    averages to rbw/(sample_rate/2)."""
+    averages to rbw/(sample_rate/2).
+
+    Only the bin at `center` is read, so each segment takes a single-bin
+    Hann-weighted DFT (Goertzel, Am. Math. Monthly 65, 34 (1958)) in place
+    of a full FFT."""
     series = np.asarray(series, dtype=float)
     length = int(round(sample_rate / rbw))
     if rbw > sample_rate / 4.0:
@@ -174,10 +211,14 @@ def segment_band_powers(series, sample_rate, center, rbw):
     n_segments = series.size // length
     segments = series[: n_segments * length].reshape(n_segments, length)
     window = _hann(length)
-    spectra = np.fft.rfft(segments * window, axis=1)
     bin_index = int(round(center / sample_rate * length))
+    # exp(-2 pi i k n / L) as real and imaginary columns; k n is reduced
+    # mod L first so the phase stays exact for long segments
+    phase = 2.0 * math.pi * (bin_index * np.arange(length) % length) / length
+    kernel = np.stack((window * np.cos(phase), -window * np.sin(phase)), axis=1)
+    parts = segments @ kernel
     # one-sided PSD at the bin, times rbw
-    psd = 2.0 * np.abs(spectra[:, bin_index]) ** 2 / (sample_rate * np.sum(window**2))
+    psd = 2.0 * (parts[:, 0] ** 2 + parts[:, 1] ** 2) / (sample_rate * np.sum(window**2))
     return psd * rbw
 
 
@@ -237,44 +278,26 @@ class JointNoiseResult:
     reference_power: float
 
 
-def joint_noise_analysis(traces: TraceSet, nu, config: NetworkConfig,
-                         rbw=100e3, reference: TraceSet | None = None) -> JointNoiseResult:
-    """Joint processing of the channel traces for the weighted phase sum.
-
-    Forms the estimator y[n] = sum_j nu_j x_j[n] / C_jj (phase units),
-    measures the drive-band power in the gated (signal) and idle (noise)
-    windows, and references the idle noise to the ideal shot-noise run.
-    """
+def _joint_weights(config: NetworkConfig, nu) -> np.ndarray:
+    """Estimator weights w_j = nu_j / C_jj, zero on unweighted dark channels."""
     nu = np.asarray(nu, dtype=float)
     c_diag = np.diag(response_matrix(config))
     if np.any((c_diag == 0) & (nu != 0)):
         raise AnalysisError("weighted channel without phase response")
-    weights = np.where(c_diag != 0, nu / np.where(c_diag == 0, 1.0, c_diag), 0.0)
-    joint = weights @ traces.samples
+    return np.where(c_diag != 0, nu / np.where(c_diag == 0, 1.0, c_diag), 0.0)
 
-    if reference is None:
-        ref_cfg = sql_reference_config(config)
-        params = TraceParams(
-            sample_rate=traces.sample_rate,
-            cycle=traces.cycle,
-            gate=traces.gate,
-            n_cycles=traces.n_cycles,
-            drive_freq=traces.drive_freq,
-        )
-        reference = synthesize(ref_cfg, 0.0, params,
-                               seed=(traces.seed ^ 0x9E3779B97F4A7C15) & (2**64 - 1))
-    ref_c = np.diag(response_matrix(sql_reference_config(config)))
-    ref_weights = np.where(ref_c != 0, nu / np.where(ref_c == 0, 1.0, ref_c), 0.0)
-    ref_joint = ref_weights @ reference.samples
 
-    center = traces.drive_freq
-    signal = _window_segment_powers(joint, traces.sample_rate, traces.cycle,
-                                    traces.gate, center, rbw)
-    noise = _window_segment_powers(joint, traces.sample_rate, traces.cycle,
-                                   traces.gate, center, rbw, invert=True)
-    ref_noise = _window_segment_powers(ref_joint, reference.sample_rate,
-                                       reference.cycle, reference.gate,
-                                       center, rbw, invert=True)
+def _joint_result(joint, ref_joint, nu, params: TraceParams, rbw) -> JointNoiseResult:
+    """dB below the SQL, SNR and drive estimate from the joint series and the
+    reference run's joint series, both read through the same band powers."""
+    def powers(series, invert):
+        return _window_segment_powers(series, params.sample_rate, params.cycle,
+                                      params.gate, params.drive_freq, rbw,
+                                      invert=invert)
+
+    signal = powers(joint, False)
+    noise = powers(joint, True)
+    ref_noise = powers(ref_joint, True)
     tone = max(signal - noise, 0.0)
     amp = math.sqrt(SINE_POWER_FACTOR * tone)
     return JointNoiseResult(
@@ -287,10 +310,84 @@ def joint_noise_analysis(traces: TraceSet, nu, config: NetworkConfig,
     )
 
 
+def joint_noise_analysis(traces: TraceSet, nu, config: NetworkConfig,
+                         rbw=100e3, reference: TraceSet | None = None) -> JointNoiseResult:
+    """Joint processing of the channel traces for the weighted phase sum.
+
+    Forms the estimator y[n] = sum_j nu_j x_j[n] / C_jj (phase units),
+    measures the drive-band power in the gated (signal) and idle (noise)
+    windows, and references the idle noise to the ideal shot-noise run,
+    synthesized per channel unless given (it must share the traces' timing).
+    """
+    joint = _joint_weights(config, nu) @ traces.samples
+    params = TraceParams(
+        sample_rate=traces.sample_rate,
+        cycle=traces.cycle,
+        gate=traces.gate,
+        n_cycles=traces.n_cycles,
+        drive_freq=traces.drive_freq,
+    )
+    ref_cfg = sql_reference_config(config)
+    if reference is None:
+        reference = synthesize(ref_cfg, 0.0, params, seed=_reference_seed(traces.seed))
+    elif ((reference.sample_rate, reference.cycle, tuple(reference.gate))
+          != (traces.sample_rate, traces.cycle, tuple(traces.gate))):
+        raise AnalysisError("reference run must share the traces' timing")
+    ref_joint = _joint_weights(ref_cfg, nu) @ reference.samples
+    return _joint_result(joint, ref_joint, nu, params, rbw)
+
+
+def _joint_series(config: NetworkConfig, weights, delta_thetas,
+                  params: TraceParams, seed: int) -> np.ndarray:
+    """The joint estimator series w @ synthesize(...).samples drawn directly:
+    one white stream (Philox channel 0 of `seed`) scaled by |L^T w|, plus the
+    weighted tone sum_j w_j C_jj delta_j at the gate samples."""
+    sigma = float(np.linalg.norm(_noise_factor(noise_matrix(config)).T @ weights))
+    n_total = _n_samples(params)
+    series = _channel_rng(seed, 0).standard_normal(n_total)
+    series *= sigma
+    delta = np.broadcast_to(np.asarray(delta_thetas, dtype=float), (config.d,))
+    amp = float(weights @ (np.diag(response_matrix(config)) * delta))
+    if amp != 0.0:
+        index, tone = _gated_tone(params, n_total)
+        series[index] += amp * tone
+    return series
+
+
+def simulate_joint_noise(config: NetworkConfig, nu, delta_thetas,
+                         params: TraceParams, seed: int,
+                         rbw=100e3) -> JointNoiseResult:
+    """Monte Carlo joint-noise run of one operating point.
+
+    Same statistics as ``joint_noise_analysis(synthesize(config,
+    delta_thetas, params, seed), nu, config, rbw)``, but synthesizes only the
+    joint series of the signal and of the shot-noise reference run, not d
+    channels of each.
+    """
+    joint = _joint_series(config, _joint_weights(config, nu), delta_thetas,
+                          params, seed)
+    ref_cfg = sql_reference_config(config)
+    ref_joint = _joint_series(ref_cfg, _joint_weights(ref_cfg, nu), 0.0,
+                              params, _reference_seed(seed))
+    return _joint_result(joint, ref_joint, nu, params, rbw)
+
+
 # ---------------------------------------------------------------------------
 # trace files
 
 _HEADER = struct.Struct("<4sII d d d d Q")
+
+
+@contextmanager
+def _replacing(path: Path):
+    """Yield a temporary sibling of `path` to write; it replaces `path` only
+    if the block completes, and is removed otherwise."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_trace(path, traces: TraceSet, sidecar=True):
@@ -299,7 +396,7 @@ def write_trace(path, traces: TraceSet, sidecar=True):
         MAGIC, VERSION, traces.d, traces.sample_rate, traces.duration,
         traces.gate[0], traces.gate[1], traces.seed,
     )
-    with open(path, "wb") as fh:
+    with _replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(traces.samples, dtype="<f8").tobytes())
     if sidecar:
@@ -308,9 +405,8 @@ def write_trace(path, traces: TraceSet, sidecar=True):
             "drive_freq": traces.drive_freq,
             "n_cycles": traces.n_cycles,
         }
-        Path(str(path) + ".meta.json").write_text(
-            json.dumps(meta, sort_keys=True) + "\n"
-        )
+        with _replacing(Path(str(path) + ".meta.json")) as tmp:
+            tmp.write_text(json.dumps(meta, sort_keys=True) + "\n")
     return path
 
 

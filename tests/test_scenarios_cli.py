@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from mzinet import cli
-from mzinet.errors import ConfigError, ScenarioParseError
+from mzinet import cli, scenarios
+from mzinet.errors import AnalysisError, ConfigError, ScenarioParseError
 from mzinet.scenarios import (
     FIGURES,
     bundled_scenario_path,
@@ -122,6 +122,46 @@ def test_run_scenario_oracle_engine_column(tmp_path):
         assert row["status"] == "ok"
         oracle = float(row["variance_oracle"])
         assert oracle == pytest.approx(float(row["variance_numeric"]), rel=1e-6)
+
+
+TRACE_BLOCK = {
+    "sample_rate": 2e7, "cycle": 4e-3, "gate": [1.2e-3, 2.0e-3],
+    "n_cycles": 4, "drive_freq": 4e6, "delta_theta": 2e-4, "rbw": 1e5,
+}
+
+
+def _trace_scenario(tmp_path, **trace):
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["scans"] = [{"label": "mc", "axis": "eta_dis", "grid": [0.9, 1.0],
+                     "engines": ["analytic", "trace"]}]
+    doc["trace"] = dict(TRACE_BLOCK, **trace)
+    return _write_scenario(tmp_path, doc)
+
+
+def test_trace_row_status_only_for_typed_errors(tmp_path, monkeypatch):
+    path = _trace_scenario(tmp_path)
+
+    def analysis_failure(cfg, scenario, row_seed):
+        raise AnalysisError("no complete analysis segment in the window")
+
+    monkeypatch.setattr(scenarios, "_run_trace_point", analysis_failure)
+    (csv_path,) = run_scenario(path, tmp_path / "out")
+    _, rows = _read_csv(csv_path)
+    assert all(row["status"].startswith("error:AnalysisError") for row in rows)
+
+    def programming_error(cfg, scenario, row_seed):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(scenarios, "_run_trace_point", programming_error)
+    with pytest.raises(TypeError):
+        run_scenario(path, tmp_path / "out")
+
+
+def test_scenario_rejects_bad_trace_block_at_load(tmp_path):
+    path = _trace_scenario(tmp_path, sample_rate=1e6)
+    with pytest.raises(ConfigError) as info:
+        load_scenario(path)
+    assert info.value.field == "trace"
 
 
 def test_bundled_scenarios_exist_and_parse():

@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from mzinet import laws
-from mzinet.errors import AnalysisError
-from mzinet.network import weight_pattern
+from mzinet import laws, tracelab
+from mzinet.errors import AnalysisError, RegularizationError
+from mzinet.network import NetworkConfig, noise_matrix, weight_pattern
 from mzinet.optimize import configure_optimal
 from mzinet.tracelab import (
     TraceParams,
+    TraceSet,
     band_power,
     joint_noise_analysis,
     read_trace,
     segment_band_powers,
+    simulate_joint_noise,
     synthesize,
     write_trace,
 )
@@ -75,6 +77,25 @@ def test_synthesize_gated_drive_only_inside_window():
     assert np.max(np.abs(diff[:, in_gate])) > 0.0
 
 
+@pytest.mark.parametrize("params", [
+    FAST,
+    TraceParams(sample_rate=2e7, cycle=1e-3, gate=(0.0, 1e-3), n_cycles=3,
+                drive_freq=4e6),
+    TraceParams(sample_rate=3.3e7, cycle=7.77e-4, gate=(0.0, 2.5e-4),
+                n_cycles=7, drive_freq=4e6),
+    TraceParams(sample_rate=3.3e7, cycle=7.77e-4, gate=(1e-4, 7.77e-4),
+                n_cycles=7, drive_freq=4e6),
+])
+def test_gated_tone_matches_full_mask_rule(params):
+    n_total = tracelab._n_samples(params)
+    t = np.arange(n_total) / params.sample_rate
+    in_cycle = t % params.cycle
+    mask = (in_cycle >= params.gate[0]) & (in_cycle < params.gate[1])
+    index, tone = tracelab._gated_tone(params, n_total)
+    assert np.array_equal(index, np.flatnonzero(mask))
+    assert np.array_equal(tone, np.sin(2.0 * math.pi * params.drive_freq * t)[mask])
+
+
 def test_band_power_sinusoid_calibration():
     # amplitude A at a bin center reads A^2/3 with the Hann calibration
     fs, rbw = 2e7, 1e5
@@ -105,6 +126,21 @@ def test_band_power_off_band_rejection():
     shifted = np.sin(2 * math.pi * (4e6 + 10.3 * rbw) * t)
     off = segment_band_powers(shifted, fs, 4e6, rbw).mean()
     assert 10 * math.log10(on / off) >= 30.0
+
+
+def test_single_bin_dft_matches_full_fft_bin():
+    fs, rbw, center = 2e7, 1e5, 4e6
+    rng = np.random.default_rng(4)
+    t = np.arange(int(fs * 1e-3)) / fs
+    series = rng.normal(0.0, 1.0, t.size) + 0.3 * np.sin(2 * math.pi * 4.02e6 * t)
+    length = int(round(fs / rbw))
+    segments = series[: series.size // length * length].reshape(-1, length)
+    window = tracelab._hann(length)
+    spectra = np.fft.rfft(segments * window, axis=1)
+    k = int(round(center / fs * length))
+    expected = 2.0 * np.abs(spectra[:, k]) ** 2 / (fs * np.sum(window**2)) * rbw
+    np.testing.assert_allclose(segment_band_powers(series, fs, center, rbw),
+                               expected, rtol=1e-9, atol=0.0)
 
 
 def test_band_power_window_guards():
@@ -169,6 +205,64 @@ def test_joint_noise_analysis_needs_idle_window():
         joint_noise_analysis(traces, cfg.weights, cfg)
 
 
+def test_joint_series_tone_is_weighted_channel_drive(monkeypatch):
+    cfg = configure_optimal(weight_pattern("asym", 3), 1e8, 0.3, eta_dis=0.95)
+    delta = np.array([2e-4, -1e-4, 3e-4])
+    w = tracelab._joint_weights(cfg, cfg.weights)
+    # zero noise factor: only the gated drive is left in either path
+    monkeypatch.setattr(tracelab, "_noise_factor", lambda gamma: np.zeros_like(gamma))
+    joint = tracelab._joint_series(cfg, w, delta, FAST, seed=8)
+    channels = (synthesize(cfg, delta, FAST, seed=8).samples
+                - synthesize(cfg, 0.0, FAST, seed=8).samples)
+    np.testing.assert_allclose(joint, w @ channels, rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(joint)) > 1e-5
+
+
+def test_joint_series_noise_is_one_scaled_channel_zero_stream():
+    cfg = configure_optimal(weight_pattern("stag", 4), 1e10, 0.75,
+                            eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
+    w = tracelab._joint_weights(cfg, cfg.weights)
+    factor = tracelab._noise_factor(noise_matrix(cfg))
+    joint = tracelab._joint_series(cfg, w, 0.0, FAST, seed=31)
+    white = tracelab._channel_rng(31, 0).standard_normal(joint.size)
+    sigma = joint[0] / white[0]
+    assert sigma**2 == pytest.approx(w @ factor @ factor.T @ w, rel=1e-12)
+    np.testing.assert_allclose(joint, sigma * white, rtol=1e-15, atol=0.0)
+
+
+def test_simulate_joint_noise_recovers_model_over_seeds():
+    cfg = configure_optimal(weight_pattern("asym", 4), 1e10, 0.75,
+                            eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
+    model = laws.db_below_sql(0.75, cfg.Lambda)
+    errors = np.array([
+        simulate_joint_noise(cfg, cfg.weights, 0.0, FAST, seed=seed).db_below_sql - model
+        for seed in range(16)
+    ])
+    std_error = errors.std(ddof=1) / math.sqrt(errors.size)
+    assert abs(errors.mean()) < 4.0 * std_error
+
+
+def test_simulate_joint_noise_estimates_drive_amplitude():
+    cfg = configure_optimal(weight_pattern("ave", 2), 1e8, 0.3)
+    delta = 2e-4
+    result = simulate_joint_noise(cfg, cfg.weights, np.sign(cfg.weights) * delta,
+                                  FAST, seed=21)
+    assert result.snr_db > 20.0
+    assert result.delta_theta_hat == pytest.approx(delta, rel=0.02)
+
+
+def test_simulate_joint_noise_guards(monkeypatch):
+    dark = NetworkConfig(d=2, r=0.3, alphas=((1.0, 0.0), (0.0, 0.0)),
+                         weights=(0.5, 0.5), P=(0.5, 0.5))
+    with pytest.raises(AnalysisError):
+        simulate_joint_noise(dark, dark.weights, 0.0, FAST, seed=1)
+    cfg = _ideal_config()
+    monkeypatch.setattr(tracelab, "noise_matrix",
+                        lambda config: np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(RegularizationError):
+        simulate_joint_noise(cfg, cfg.weights, 0.0, FAST, seed=1)
+
+
 def test_noise_factor_rejects_indefinite_matrix():
     from mzinet.errors import RegularizationError
     from mzinet.tracelab import _noise_factor
@@ -192,6 +286,22 @@ def test_trace_file_round_trip(tmp_path):
     assert loaded.cycle == traces.cycle
     assert loaded.drive_freq == traces.drive_freq
     assert np.array_equal(loaded.samples, traces.samples)
+
+
+def test_failed_trace_write_leaves_no_partial_file(tmp_path):
+    cfg = _ideal_config()
+    good = synthesize(cfg, 0.0, FAST, seed=3)
+    path = write_trace(tmp_path / "run.mztr", good)
+    # the header packs, then the samples fail to convert mid-write
+    bad = TraceSet(d=1, sample_rate=2e7, duration=1e-3,
+                   samples=np.array([["x"]], dtype=object), gate=(0.0, 1e-4),
+                   drive_freq=4e6, seed=1, cycle=1e-3)
+    with pytest.raises(ValueError):
+        write_trace(path, bad)
+    with pytest.raises(ValueError):
+        write_trace(tmp_path / "fresh.mztr", bad)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.mztr", "run.mztr.meta.json"]
+    assert np.array_equal(read_trace(path).samples, good.samples)
 
 
 def test_trace_file_magic_guard(tmp_path):
