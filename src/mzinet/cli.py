@@ -2,7 +2,7 @@
 
 Subcommands: sensitivity, optimize, scan, reproduce, verify, trace, flux.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 verification failure.  MZINET_THREADS caps scan parallelism.
+4 verification failure.
 """
 
 from __future__ import annotations

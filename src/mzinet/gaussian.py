@@ -5,8 +5,10 @@ Quadrature convention: q = b + b†, p = (b − b†)/i, stored interleaved as
 in every quadrature, so the vacuum covariance matrix is the identity and a
 squeezed vacuum has Var(q) = e^{−2r}, Var(p) = e^{+2r}.
 
-Every operation is pure: it returns a new state and never mutates its input,
-so states can be evaluated concurrently without synchronization.
+Every operation is pure by default: it returns a new state and never mutates
+its input.  A caller that owns a state (``build_network`` on the vacuum it
+creates) passes ``inplace=True`` to update it where it stands instead; the
+arithmetic is the same, only the copy of the whole state is skipped.
 """
 
 from __future__ import annotations
@@ -95,16 +97,18 @@ def vacuum_state(n_modes: int) -> GaussianState:
     )
 
 
-def apply_squeezer(state: GaussianState, mode: int, r: float) -> GaussianState:
+def apply_squeezer(state: GaussianState, mode: int, r: float, *,
+                   inplace: bool = False) -> GaussianState:
     """Squeeze one mode: q -> e^{-r} q, p -> e^{+r} p.
 
     The squeezing phase is fixed to zero (q is the squeezed quadrature);
     r < 0 is rejected rather than interpreted as anti-squeezing.
+    Pure unless a caller that owns the state passes inplace=True.
     """
     _check_mode(state, mode)
     if r < 0:
         raise ValueError("squeezing strength r must be >= 0")
-    out = state.copy()
+    out = state if inplace else state.copy()
     iq, ip = out.q_index(mode), out.p_index(mode)
     sq, sp = math.exp(-r), math.exp(r)
     out.mean[iq] *= sq
@@ -116,28 +120,28 @@ def apply_squeezer(state: GaussianState, mode: int, r: float) -> GaussianState:
     return out
 
 
-def apply_displacement(
-    state: GaussianState, mode: int, amplitude: float, phase: float = 0.0
-) -> GaussianState:
+def apply_displacement(state: GaussianState, mode: int, amplitude: float,
+                       phase: float = 0.0, *, inplace=False) -> GaussianState:
     """Displace one mode by alpha = amplitude * e^{i*phase}.
 
     With q = b + b† the means shift by (2|a|cos(phi), 2|a|sin(phi)); the
     covariance is untouched.
+    Pure unless a caller that owns the state passes inplace=True.
     """
     _check_mode(state, mode)
     if amplitude < 0:
         raise ValueError("amplitude must be >= 0 (carry signs in the phase)")
-    out = state.copy()
+    out = state if inplace else state.copy()
     out.mean[out.q_index(mode)] += 2.0 * amplitude * math.cos(phase)
     out.mean[out.p_index(mode)] += 2.0 * amplitude * math.sin(phase)
     return out
 
 
 def _apply_two_mode_orthogonal(
-    state: GaussianState, mode_i: int, mode_j: int, o11, o12, o21, o22
+    state: GaussianState, mode_i: int, mode_j: int, o11, o12, o21, o22, inplace
 ) -> GaussianState:
     """Apply the same 2x2 orthogonal map to the q and p blocks of two modes."""
-    out = state.copy()
+    out = state if inplace else state.copy()
     idx = [2 * mode_i, 2 * mode_i + 1, 2 * mode_j, 2 * mode_j + 1]
     s4 = np.array(
         [
@@ -153,13 +157,13 @@ def _apply_two_mode_orthogonal(
     return out
 
 
-def apply_beam_splitter(
-    state: GaussianState, mode_i: int, mode_j: int, transmissivity: float
-) -> GaussianState:
+def apply_beam_splitter(state: GaussianState, mode_i: int, mode_j: int,
+                        transmissivity: float, *, inplace=False) -> GaussianState:
     """Mix two modes: b_i -> sqrt(T) b_i + sqrt(1-T) b_j.
 
     Sign convention: the reflected path picks up the minus sign on mode_j,
     i.e. b_j -> -sqrt(1-T) b_i + sqrt(T) b_j.
+    Pure unless a caller that owns the state passes inplace=True.
     """
     _check_mode(state, mode_i)
     _check_mode(state, mode_j)
@@ -169,18 +173,18 @@ def apply_beam_splitter(
         raise ValueError("transmissivity must lie in [0, 1]")
     t = math.sqrt(transmissivity)
     rfl = math.sqrt(1.0 - transmissivity)
-    return _apply_two_mode_orthogonal(state, mode_i, mode_j, t, rfl, -rfl, t)
+    return _apply_two_mode_orthogonal(state, mode_i, mode_j, t, rfl, -rfl, t, inplace)
 
 
-def apply_mzi(
-    state: GaussianState, mode_a: int, mode_b: int, theta: float
-) -> GaussianState:
+def apply_mzi(state: GaussianState, mode_a: int, mode_b: int, theta: float, *,
+              inplace: bool = False) -> GaussianState:
     """Mach-Zehnder transfer on two modes: rotation by theta/2.
 
     Output mode operators in terms of inputs:
         b~ = b cos(theta/2) + a sin(theta/2)
         a~ = a cos(theta/2) - b sin(theta/2)
     so the measured quadrature obeys q~_b = q_b cos(theta/2) + q_a sin(theta/2).
+    Pure unless a caller that owns the state passes inplace=True.
     """
     _check_mode(state, mode_a)
     _check_mode(state, mode_b)
@@ -189,19 +193,21 @@ def apply_mzi(
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
     # ordering (a, b): a' = c*a - s*b ; b' = s*a + c*b
-    return _apply_two_mode_orthogonal(state, mode_a, mode_b, c, -s, s, c)
+    return _apply_two_mode_orthogonal(state, mode_a, mode_b, c, -s, s, c, inplace)
 
 
-def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
+def apply_loss(state: GaussianState, mode: int, eta: float, *,
+               inplace: bool = False) -> GaussianState:
     """Pure-loss channel of transmission eta on one mode.
 
     Mean scales by sqrt(eta); the mode's covariance block maps to
     eta*V + (1-eta)*I and cross covariances scale by sqrt(eta).
+    Pure unless a caller that owns the state passes inplace=True.
     """
     _check_mode(state, mode)
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    out = state.copy()
+    out = state if inplace else state.copy()
     idx = [out.q_index(mode), out.p_index(mode)]
     root = math.sqrt(eta)
     out.mean[idx] *= root

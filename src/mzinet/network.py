@@ -245,19 +245,19 @@ def build_network(config: NetworkConfig) -> g.GaussianState:
     """
     _require_entangled(config)
     d = config.d
-    state = g.vacuum_state(2 * d)
-    state = g.apply_squeezer(state, 0, float(config.r))
+    state = g.vacuum_state(2 * d)  # owned here, so every op updates it in place
+    g.apply_squeezer(state, 0, float(config.r), inplace=True)
     for (i, j), t in qc_cascade(config.P):
-        state = g.apply_beam_splitter(state, i, j, t)
+        g.apply_beam_splitter(state, i, j, t, inplace=True)
     gain = config.signal_gain
     eta_out = config.eta_mzi * config.eta_m ** (2 * config.K - 1)
     for j in range(d):
         mag, phi = config.alphas[j]
-        state = g.apply_displacement(state, d + j, mag, phi)
-        state = g.apply_loss(state, j, config.eta_dis)
-        state = g.apply_loss(state, d + j, config.eta_dis)
-        state = g.apply_mzi(state, d + j, j, gain * config.thetas[j])
-        state = g.apply_loss(state, j, eta_out)
+        g.apply_displacement(state, d + j, mag, phi, inplace=True)
+        g.apply_loss(state, j, config.eta_dis, inplace=True)
+        g.apply_loss(state, d + j, config.eta_dis, inplace=True)
+        g.apply_mzi(state, d + j, j, gain * config.thetas[j], inplace=True)
+        g.apply_loss(state, j, eta_out, inplace=True)
     return state
 
 

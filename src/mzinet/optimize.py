@@ -9,8 +9,6 @@ plain smooth simplex-constrained problem.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +31,6 @@ __all__ = [
     "separable_min_variance",
     "ScanRow",
     "scan",
-    "thread_budget",
 ]
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -269,17 +266,6 @@ class ScanRow:
 SCAN_AXES = ("n_c", "eta_dis", "K", "d", "n_T", "weights")
 
 
-def thread_budget() -> int:
-    """Worker cap for scans; MZINET_THREADS wins over the CPU count."""
-    env = os.environ.get("MZINET_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError("MZINET_THREADS", f"not an integer: {env!r}")
-    return max(1, os.cpu_count() or 1)
-
-
 def _config_for_point(axis, value, base: NetworkConfig, nu):
     """Derive the operating point for one grid value.
 
@@ -354,12 +340,12 @@ def _evaluate_point(axis, value, base, nu, engines):
     return row
 
 
-def scan(axis, grid, base: NetworkConfig, nu=None, engines=("analytic", "numeric"),
-         max_workers=None) -> list:
+def scan(axis, grid, base: NetworkConfig, nu=None,
+         engines=("analytic", "numeric")) -> list:
     """Evaluate a grid of operating points; one ScanRow per grid value.
 
-    Rows are always returned in grid order regardless of worker scheduling,
-    and per-point failures are recorded in the row status.
+    Rows are evaluated and returned in grid order, and per-point failures
+    are recorded in the row status.
     """
     grid = list(grid)
     if not grid:
@@ -370,12 +356,4 @@ def scan(axis, grid, base: NetworkConfig, nu=None, engines=("analytic", "numeric
         if not (np.all(diffs >= 0) or np.all(diffs <= 0)):
             raise ConfigError("grid", "grid must be monotone")
     nu = tuple(base.weights if nu is None else nu)
-    workers = max_workers if max_workers is not None else thread_budget()
-    if workers > 1 and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(lambda v: _evaluate_point(axis, v, base, nu, engines), grid)
-            )
-    else:
-        rows = [_evaluate_point(axis, v, base, nu, engines) for v in grid]
-    return rows
+    return [_evaluate_point(axis, v, base, nu, engines) for v in grid]

@@ -124,9 +124,16 @@ class Scenario:
         return _config_from_spec(spec)
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; anything but a whole number raises ConfigError(name)."""
+    if not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise ConfigError(name, f"must be an integer, got {value!r}")
+    return int(value)
+
+
 def _config_from_spec(spec: dict) -> NetworkConfig:
     spec = dict(spec)
-    d = int(spec.pop("d"))
+    d = _integer("d", spec.pop("d"))
     weights = spec.pop("weights", "ave")
     if isinstance(weights, str):
         weights = weight_pattern(weights, d)
@@ -136,7 +143,7 @@ def _config_from_spec(spec: dict) -> NetworkConfig:
             raise ConfigError("weights", f"need {d} weights")
     r = spec.pop("r", 0.0)
     kwargs = {
-        "K": int(spec.pop("K", 1)),
+        "K": _integer("K", spec.pop("K", 1)),
         "mu": spec.pop("mu", None),
         "eta_dis": float(spec.pop("eta_dis", 1.0)),
         "eta_mzi": float(spec.pop("eta_mzi", 1.0)),
@@ -178,8 +185,12 @@ def _expand_grid(grid):
             values = np.linspace(float(grid["start"]), float(grid["stop"]), num)
         else:
             raise ScenarioParseError(f"unknown grid spacing {spacing!r}")
+        # round off last-digit noise, unless that moves a point by more than
+        # 1e-9 relative (values below 1e-12 would collapse to 0)
+        rounded = np.round(values, 12)
+        values = np.where(abs(rounded - values) <= 1e-9 * abs(values), rounded, values)
         extra = [float(x) for x in grid.get("include", [])]
-        return sorted(set(np.round(values, 12).tolist()) | set(extra))
+        return sorted(set(values.tolist()) | set(extra))
     if not isinstance(grid, list) or not grid:
         raise ScenarioParseError("grid must be a nonempty list or range spec")
     return list(grid)
@@ -236,6 +247,9 @@ def _scenario_from_doc(doc: dict) -> Scenario:
 def _validate_scenario(scenario: Scenario):
     for spec in scenario.scans:
         cfg = scenario.base_config(spec.overrides)
+        if spec.axis in ("K", "d"):
+            for value in spec.grid:
+                _integer(spec.axis, value)
         if "oracle" in spec.engines:
             if cfg.d > 3:
                 raise ConfigError("engines", "oracle refuses d > 3")
@@ -318,7 +332,7 @@ def _write_csv(path: Path, axis: str, rows):
     os.replace(tmp, path)
 
 
-def run_scenario(path_or_scenario, out_dir, seed=None, max_workers=None):
+def run_scenario(path_or_scenario, out_dir, seed=None):
     """Run every scan of a scenario; returns the list of CSV paths written.
 
     Per-point engine errors land in the row status column and the run
@@ -337,8 +351,7 @@ def run_scenario(path_or_scenario, out_dir, seed=None, max_workers=None):
                   f"schema: {SCHEMA_VERSION}"]
     for scan_index, spec in enumerate(scenario.scans):
         base = scenario.base_config(spec.overrides)
-        rows = optimize.scan(spec.axis, spec.grid, base, engines=spec.engines,
-                             max_workers=max_workers)
+        rows = optimize.scan(spec.axis, spec.grid, base, engines=spec.engines)
         if "trace" in spec.engines:
             for row_index, row in enumerate(rows):
                 if row.status != "ok":
@@ -377,10 +390,9 @@ def bundled_scenario_path(name: str) -> Path:
     return Path(str(resource))
 
 
-def reproduce(figure: str, out_dir, seed=None, max_workers=None):
+def reproduce(figure: str, out_dir, seed=None):
     """Run the bundled scenario for one figure panel family."""
-    return run_scenario(bundled_scenario_path(figure), out_dir, seed=seed,
-                        max_workers=max_workers)
+    return run_scenario(bundled_scenario_path(figure), out_dir, seed=seed)
 
 
 def photon_flux(power: float, wavelength: float) -> float:

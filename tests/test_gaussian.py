@@ -275,9 +275,41 @@ def test_operations_are_pure():
     apply_squeezer(state, 0, 0.3)
     apply_displacement(state, 0, 1.0, 0.0)
     apply_beam_splitter(state, 0, 1, 0.5)
+    apply_mzi(state, 0, 1, 0.7)
     apply_loss(state, 0, 0.5)
     assert np.array_equal(state.cov, snapshot)
     assert np.array_equal(state.mean, np.zeros(4))
+
+
+INPLACE_OPS = [
+    pytest.param(apply_squeezer, (1, 0.4), id="squeezer"),
+    pytest.param(apply_displacement, (2, 1.3, 0.6), id="displacement"),
+    pytest.param(apply_beam_splitter, (0, 2, 0.3), id="beam_splitter"),
+    pytest.param(apply_mzi, (2, 1, 0.9), id="mzi"),
+    pytest.param(apply_loss, (1, 0.7), id="loss"),
+]
+
+
+def _correlated_state():
+    state = vacuum_state(3)
+    state = apply_squeezer(state, 0, 0.8)
+    state = apply_displacement(state, 1, 0.5, 1.1)
+    state = apply_beam_splitter(state, 0, 1, 0.4)
+    return apply_mzi(state, 1, 2, 0.3)
+
+
+@pytest.mark.parametrize("op, args", INPLACE_OPS)
+def test_inplace_op_updates_its_argument_to_the_pure_result(op, args):
+    given_state = _correlated_state()
+    mean, cov = given_state.mean.copy(), given_state.cov.copy()
+    pure = op(given_state, *args)
+    assert pure is not given_state
+    assert given_state.mean.tobytes() == mean.tobytes()
+    assert given_state.cov.tobytes() == cov.tobytes()
+    same = op(given_state, *args, inplace=True)
+    assert same is given_state
+    assert same.mean.tobytes() == pure.mean.tobytes()
+    assert same.cov.tobytes() == pure.cov.tobytes()
 
 
 def test_state_check_valid_flags_asymmetry():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_config
+from mzinet import gaussian as g
 from mzinet.errors import ConfigError, DarkResponseError, InfeasibleSplitError
 from mzinet.gaussian import homodyne_moments
 from mzinet.network import (
@@ -135,6 +136,36 @@ def test_build_network_mean_response():
         assert mean[0] == pytest.approx(expected, rel=1e-12)
 
 
+def _pure_build(config):
+    """build_network written out with the pure ops, one fresh state per op."""
+    d = config.d
+    state = g.vacuum_state(2 * d)
+    state = g.apply_squeezer(state, 0, float(config.r))
+    for (i, j), t in qc_cascade(config.P):
+        state = g.apply_beam_splitter(state, i, j, t)
+    gain = config.signal_gain
+    eta_out = config.eta_mzi * config.eta_m ** (2 * config.K - 1)
+    for j in range(d):
+        mag, phi = config.alphas[j]
+        state = g.apply_displacement(state, d + j, mag, phi)
+        state = g.apply_loss(state, j, config.eta_dis)
+        state = g.apply_loss(state, d + j, config.eta_dis)
+        state = g.apply_mzi(state, d + j, j, gain * config.thetas[j])
+        state = g.apply_loss(state, j, eta_out)
+    return state
+
+
+def test_build_network_equals_the_pure_op_sequence(rng):
+    for _ in range(40):
+        cfg = random_config(rng, d_max=6, optimal_p=bool(rng.integers(0, 2)))
+        if rng.integers(0, 2):
+            cfg = cfg.with_updates(thetas=tuple(rng.uniform(-0.5, 0.5, cfg.d)))
+        built = build_network(cfg)
+        expected = _pure_build(cfg)
+        assert built.mean.tobytes() == expected.mean.tobytes()
+        assert built.cov.tobytes() == expected.cov.tobytes()
+
+
 def test_build_network_rejects_separable_topology():
     cfg = configure_optimal((1.0, 1.0), 10.0, 0.1, topology="separable")
     with pytest.raises(ConfigError):
@@ -252,6 +283,20 @@ def test_engine_matches_closed_form_on_random_configs(rng):
         closed = closed_form_variance(cfg)
         worst = max(worst, abs(num - closed) / closed)
     assert worst < 1e-9
+
+
+def _large_network(d):
+    # fixed coherent intensity per node, as on the scan's d axis
+    return configure_optimal(weight_pattern("ave", d), 4.5e15 * d, 0.75,
+                             eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
+
+
+def test_engine_matches_closed_form_and_one_over_d_law_at_d_512():
+    large = _large_network(512)
+    numeric = sensitivity_numeric(large)
+    assert numeric == pytest.approx(closed_form_variance(large), rel=1e-9, abs=0)
+    scaled = sensitivity_numeric(_large_network(128)) * 128
+    assert numeric * 512 == pytest.approx(scaled, rel=1e-9, abs=0)
 
 
 def test_multipass_enhancement_scaling():

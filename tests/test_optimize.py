@@ -259,13 +259,3 @@ def test_scan_weights_axis():
     values = [row.variance_closed_form for row in rows]
     assert values[0] == pytest.approx(values[1], rel=1e-12)
     assert values[0] == pytest.approx(values[2], rel=1e-12)
-
-
-def test_scan_threads_do_not_change_results():
-    base = configure_optimal(weight_pattern("ave", 3), 1e4, 0.75)
-    grid = np.linspace(0.2, 1.0, 9)
-    serial = scan("eta_dis", grid, base, max_workers=1)
-    threaded = scan("eta_dis", grid, base, max_workers=4)
-    for a, b in zip(serial, threaded):
-        assert a.variance_closed_form == b.variance_closed_form
-        assert a.variance_numeric == b.variance_numeric

@@ -164,6 +164,36 @@ def test_scenario_rejects_bad_trace_block_at_load(tmp_path):
     assert info.value.field == "trace"
 
 
+def test_expand_grid_keeps_points_below_the_rounding_quantum():
+    tiny = {"start": 1e-14, "stop": 1e-12, "num": 3, "spacing": "log"}
+    assert scenarios._expand_grid(tiny) == pytest.approx(
+        [1e-14, 1e-13, 1e-12], rel=1e-12, abs=0)
+    # last-digit noise on ordinary grids is still rounded away
+    assert scenarios._expand_grid({"start": 0.2, "stop": 1.0, "num": 9}) == [
+        0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+
+
+@pytest.mark.parametrize("network, axis, grid", [
+    ({"K": 2.7}, "K", [1, 5]),
+    ({}, "K", [1, 2.7]),
+    ({}, "d", [2, 2.5]),
+], ids=["network_K", "grid_K", "grid_d"])
+def test_cli_rejects_fractional_counts_at_load(tmp_path, capsys, network, axis, grid):
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["network"].update(network)
+    doc["scans"] = [{"label": axis, "axis": axis, "grid": grid,
+                     "engines": ["analytic"]}]
+    path = _write_scenario(tmp_path, doc)
+    out = tmp_path / "o"
+    code = cli.main(["scan", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert f"configuration error: {axis}:" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError) as info:
+        load_scenario(path)
+    assert info.value.field == axis
+
+
 def test_bundled_scenarios_exist_and_parse():
     for figure in FIGURES:
         scenario = load_scenario(bundled_scenario_path(figure))
@@ -335,13 +365,3 @@ def test_cli_verify_exit_codes(capsys, monkeypatch):
     code = cli.main(["verify"])
     assert code == 4
     assert "FAIL" in capsys.readouterr().out
-
-
-def test_cli_thread_env_is_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("MZINET_THREADS", "2")
-    from mzinet.optimize import thread_budget
-
-    assert thread_budget() == 2
-    monkeypatch.setenv("MZINET_THREADS", "oops")
-    with pytest.raises(ConfigError):
-        thread_budget()

@@ -1,0 +1,38 @@
+"""Smoke tests: the scripts under scripts/ run end to end and exit 0."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from mzinet.scenarios import FIGURES
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_script(name, *args, cwd):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_reproduce_all_writes_every_figure(tmp_path):
+    out = tmp_path / "out"
+    result = _run_script("reproduce_all.py", out, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    for figure in FIGURES:
+        assert list((out / figure).glob(f"{figure}_*.csv")), figure
+        assert (out / figure / f"{figure}_meta.txt").exists()
+
+
+def test_crossover_study_writes_its_table(tmp_path):
+    table = tmp_path / "study.csv"
+    result = _run_script("crossover_study.py", table, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = table.read_text().splitlines()
+    assert lines[0].startswith("Lambda,n_T,n_s_opt")
+    assert len(lines) == 1 + 2 * 51
