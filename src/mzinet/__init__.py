@@ -30,9 +30,7 @@ from .gaussian import (
     vacuum_state,
 )
 from .laws import (
-    LossModel,
     SensitivityReport,
-    SqueezedResource,
     db_below_sql,
     gain,
     min_variance_over_r,
@@ -45,7 +43,6 @@ from .laws import (
     variance_vs_ns,
 )
 from .network import (
-    MomentData,
     NetworkConfig,
     build_network,
     closed_form_variance,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ResourceLimitError, TruncationError
-from .network import NetworkConfig
+from .network import NetworkConfig, active_channels
 
 __all__ = [
     "FockStateVector",
@@ -205,13 +205,6 @@ def oracle_sensitivity(config: NetworkConfig, nu=None) -> float:
     gamma[np.diag_indices(d)] += eta * sin**2 + (1.0 - eta)
     c_diag = math.sqrt(eta) * gain * mags * signs * cos
 
-    full_response = math.sqrt(eta) * gain * float(mags.max())
-    scale = full_response if full_response > 0 else 1.0
-    dark = np.abs(c_diag) <= 1e-12 * scale
-    if np.any(dark & (nu != 0)):
-        from .errors import DarkResponseError
-
-        raise DarkResponseError(np.nonzero(dark & (nu != 0))[0].tolist())
-    keep = ~dark
+    keep = active_channels(config, c_diag, nu)
     x = nu[keep] / c_diag[keep]
     return float(x @ gamma[np.ix_(keep, keep)] @ x)

@@ -27,12 +27,8 @@ __all__ = [
     "apply_mzi",
     "apply_loss",
     "homodyne_moments",
-    "symplectic_form",
     "mode_photon_number",
-    "total_photon_number",
 ]
-
-SYMMETRY_TOL = 1e-12
 
 
 @dataclass
@@ -57,28 +53,6 @@ class GaussianState:
 
     def p_index(self, mode: int) -> int:
         return 2 * mode + 1
-
-    def check_valid(self):
-        """Raise if shapes are inconsistent or cov is visibly unphysical."""
-        n = self.n_modes
-        if self.mean.shape != (2 * n,):
-            raise ValueError(f"mean must have length {2 * n}")
-        if self.cov.shape != (2 * n, 2 * n):
-            raise ValueError(f"cov must be {2 * n}x{2 * n}")
-        if not np.all(np.isfinite(self.mean)) or not np.all(np.isfinite(self.cov)):
-            raise ValueError("state contains non-finite entries")
-        asym = np.max(np.abs(self.cov - self.cov.T))
-        if asym > SYMMETRY_TOL:
-            raise ValueError(f"cov asymmetric by {asym:.3e} (tol {SYMMETRY_TOL})")
-
-
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form Omega for the (q1,p1,...) ordering."""
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for m in range(n_modes):
-        omega[2 * m, 2 * m + 1] = 1.0
-        omega[2 * m + 1, 2 * m] = -1.0
-    return omega
 
 
 def _check_mode(state: GaussianState, mode: int):
@@ -262,6 +236,3 @@ def mode_photon_number(state: GaussianState, mode: int) -> float:
         - 2.0
     ) / 4.0
 
-
-def total_photon_number(state: GaussianState) -> float:
-    return sum(mode_photon_number(state, m) for m in range(state.n_modes))

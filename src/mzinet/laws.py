@@ -25,8 +25,6 @@ import numpy as np
 from .errors import AllocationError
 
 __all__ = [
-    "LossModel",
-    "SqueezedResource",
     "SensitivityReport",
     "SqueezingOptimum",
     "RegimeLimits",
@@ -51,59 +49,6 @@ REGIME_FLOOR = "loss-floor"
 
 # label thresholds only; the underlying limits are asymptotic, not sharp
 _LOW_N_EDGE = 0.1
-
-
-@dataclass(frozen=True)
-class LossModel:
-    """Transmission budget eta = eta_dis * eta_mzi * eta_m^(2K-1)."""
-
-    eta_dis: float = 1.0
-    eta_mzi: float = 1.0
-    eta_m: float = 1.0
-    K: int = 1
-
-    def __post_init__(self):
-        for name in ("eta_dis", "eta_mzi", "eta_m"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {value}")
-        if self.K < 1:
-            raise ValueError("K must be a positive integer")
-
-    @property
-    def eta_total(self) -> float:
-        return self.eta_dis * self.eta_mzi * self.eta_m ** (2 * self.K - 1)
-
-    @property
-    def Lambda(self) -> float:
-        return 1.0 / self.eta_total - 1.0
-
-
-@dataclass(frozen=True)
-class SqueezedResource:
-    """Single squeezed-vacuum resource of strength r (phase fixed to zero)."""
-
-    r: float
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("squeezing strength r must be >= 0")
-
-    @property
-    def n_s(self) -> float:
-        return math.sinh(self.r) ** 2
-
-    @property
-    def var_q(self) -> float:
-        return math.exp(-2.0 * self.r)
-
-    @property
-    def var_p(self) -> float:
-        return math.exp(2.0 * self.r)
-
-    @classmethod
-    def from_photons(cls, n_s: float) -> "SqueezedResource":
-        return cls(ns_to_r(n_s))
 
 
 @dataclass
@@ -253,13 +198,6 @@ class RegimeLimits:
     heisenberg: float
     loss_floor: float
     active: str
-
-    def value(self, regime: str) -> float:
-        return {
-            REGIME_LOW: self.low_n,
-            REGIME_HL: self.heisenberg,
-            REGIME_FLOOR: self.loss_floor,
-        }[regime]
 
 
 def regime_limits(n_T, Lambda=0.0, K=1.0) -> RegimeLimits:

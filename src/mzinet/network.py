@@ -36,12 +36,11 @@ from .errors import ConfigError, DarkResponseError, InfeasibleSplitError
 
 __all__ = [
     "NetworkConfig",
-    "MomentData",
     "qc_cascade",
     "build_network",
     "response_matrix",
     "noise_matrix",
-    "moment_data",
+    "active_channels",
     "sensitivity_numeric",
     "sensitivity_separable",
     "closed_form_variance",
@@ -51,7 +50,7 @@ __all__ = [
 
 PROB_TOL = 1e-12
 REMAINDER_FLOOR = 1e-15
-DARK_THRESHOLD = 1e-12  # relative to max |C_jj|
+DARK_THRESHOLD = 1e-12  # relative to the brightest channel's theta = 0 response
 
 
 @dataclass(frozen=True)
@@ -100,8 +99,8 @@ class NetworkConfig:
             raise ConfigError("d", "need at least one interferometer")
         if self.K < 1 or int(self.K) != self.K:
             raise ConfigError("K", "multipass count must be an integer >= 1")
-        if self.mu is not None and self.mu <= 0:
-            raise ConfigError("mu", "multipass coefficient must be > 0")
+        if self.mu is not None and not 0.0 < self.mu < math.inf:
+            raise ConfigError("mu", "multipass coefficient must be finite and > 0")
         if self.topology not in ("entangled", "separable"):
             raise ConfigError("topology", f"unknown topology {self.topology!r}")
         rs = self.r if isinstance(self.r, tuple) else (self.r,)
@@ -109,19 +108,24 @@ class NetworkConfig:
             raise ConfigError("r", "entangled topology uses one shared squeezer")
         if isinstance(self.r, tuple) and len(self.r) != self.d:
             raise ConfigError("r", f"need {self.d} per-node squeezing strengths")
-        if any(x < 0 for x in rs):
-            raise ConfigError("r", "squeezing strength must be >= 0")
+        if not all(0.0 <= x < math.inf for x in rs):
+            raise ConfigError("r", "squeezing strength must be finite and >= 0")
         if len(self.alphas) != self.d:
             raise ConfigError("alphas", f"need {self.d} (magnitude, phase) pairs")
-        if any(mag < 0 for mag, _ in self.alphas):
-            raise ConfigError("alphas", "amplitudes must be >= 0")
+        if not all(0.0 <= mag < math.inf and math.isfinite(phi)
+                   for mag, phi in self.alphas):
+            raise ConfigError("alphas", "need finite amplitudes >= 0 and finite phases")
         if len(self.thetas) != self.d:
             raise ConfigError("thetas", f"need {self.d} working-point phases")
+        if not all(map(math.isfinite, self.thetas)):
+            raise ConfigError("thetas", "working-point phases must be finite")
         if len(self.weights) != self.d:
             raise ConfigError("weights", f"need {self.d} weights")
+        if not all(map(math.isfinite, self.weights)):
+            raise ConfigError("weights", "weights must be finite")
         if len(self.P) != self.d:
             raise ConfigError("P", f"need {self.d} splitting probabilities")
-        if any(p < 0 for p in self.P):
+        if not all(p >= 0 for p in self.P):
             raise ConfigError("P", "splitting probabilities must be >= 0")
         if abs(sum(self.P) - 1.0) > PROB_TOL:
             raise ConfigError("P", f"probabilities sum to {sum(self.P)!r}, not 1")
@@ -171,16 +175,6 @@ class NetworkConfig:
 
     def with_updates(self, **kwargs) -> "NetworkConfig":
         return replace(self, **kwargs)
-
-
-@dataclass
-class MomentData:
-    """Response matrix C and noise matrix Gamma at one working point."""
-
-    C: np.ndarray
-    Gamma: np.ndarray
-    thetas: tuple
-    phis: tuple
 
 
 def weight_pattern(name: str, d: int) -> tuple:
@@ -293,54 +287,42 @@ def noise_matrix(config: NetworkConfig) -> np.ndarray:
     return cov
 
 
-def moment_data(config: NetworkConfig) -> MomentData:
-    return MomentData(
-        C=response_matrix(config),
-        Gamma=noise_matrix(config),
-        thetas=config.thetas,
-        phis=tuple(phi for _, phi in config.alphas),
-    )
+def active_channels(config: NetworkConfig, response, nu) -> np.ndarray:
+    """Keep mask of the channels a variance inverts, from the responses C_jj.
 
-
-def _active_channels(config, C, nu):
-    """Indices used for inversion; zero-weight dark channels are dropped,
-    weighted dark channels raise.  Darkness is judged against the theta = 0
-    response magnitude so a fully dark channel is caught even when d = 1."""
-    diag = np.abs(np.diag(C))
+    The one dark-channel rule of every engine: a channel is dark when
+    |C_jj| <= DARK_THRESHOLD times the theta = 0 response of the brightest
+    channel, so a fully dark channel is caught even when d = 1.  Dark
+    channels with zero weight are dropped; a weighted dark channel raises
+    DarkResponseError."""
     full_response = (
         math.sqrt(config.eta_total)
         * config.signal_gain
         * max(mag for mag, _ in config.alphas)
     )
     scale = full_response if full_response > 0 else 1.0
-    dark = diag <= DARK_THRESHOLD * scale
-    weighted = np.abs(np.asarray(nu, dtype=float)) > 0
-    bad = np.nonzero(dark & weighted)[0]
+    dark = np.abs(response) <= DARK_THRESHOLD * scale
+    bad = np.flatnonzero(dark & (np.asarray(nu, dtype=float) != 0))
     if bad.size:
         raise DarkResponseError(bad.tolist())
-    return np.nonzero(~dark)[0]
+    return ~dark
 
 
 def sensitivity_numeric(config: NetworkConfig, nu=None) -> float:
     """Error-propagation variance nu^T C^{-1} Gamma (C^T)^{-1} nu (rad^2).
 
-    Channels with zero weight and zero response are excluded from the
-    inversion; a weighted channel without response raises DarkResponseError.
+    C is diagonal, so the inversion is a division.  Channels with zero
+    weight and zero response are excluded; a weighted channel without
+    response raises DarkResponseError.
     """
     _require_entangled(config)
     nu = np.asarray(config.weights if nu is None else nu, dtype=float)
     if nu.shape != (config.d,):
         raise ConfigError("weights", f"need {config.d} weights")
-    data = moment_data(config)
-    keep = _active_channels(config, data.C, nu)
-    c_sub = data.C[np.ix_(keep, keep)]
-    gamma_sub = data.Gamma[np.ix_(keep, keep)]
-    nu_sub = nu[keep]
-    if np.count_nonzero(c_sub - np.diag(np.diag(c_sub))):
-        x = np.linalg.solve(c_sub.T, nu_sub)
-    else:
-        x = nu_sub / np.diag(c_sub)
-    return float(x @ gamma_sub @ x)
+    c_diag = np.diag(response_matrix(config))
+    keep = active_channels(config, c_diag, nu)
+    x = nu[keep] / c_diag[keep]
+    return float(x @ noise_matrix(config)[np.ix_(keep, keep)] @ x)
 
 
 def sensitivity_separable(config: NetworkConfig, nu=None) -> float:

@@ -14,7 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import laws
-from .errors import AllocationError, ConfigError
+from .errors import (
+    AllocationError,
+    AnalysisError,
+    ConfigError,
+    DarkResponseError,
+    InfeasibleSplitError,
+    RegularizationError,
+    ResourceLimitError,
+    TruncationError,
+    VerificationError,
+)
 from .network import (
     NetworkConfig,
     sensitivity_numeric,
@@ -121,17 +131,14 @@ def configure_optimal(nu, n_c, r, K=1, mu=None, eta_dis=1.0, eta_mzi=1.0,
     r may be a per-node sequence for the separable topology; a scalar is
     broadcast to every node there."""
     nu = tuple(float(x) for x in nu)
-    per_node = isinstance(r, (list, tuple, np.ndarray))
-    r_scalar = max(r) if per_node else r
-    if topology == "separable":
-        r_field = tuple(r) if per_node else (r,) * len(nu)
-    else:
-        r_field = r
-    loss = laws.LossModel(eta_dis=eta_dis, eta_mzi=eta_mzi, eta_m=eta_m, K=K)
-    alloc = optimal_allocation(nu, n_c, r=r_scalar, Lambda=loss.Lambda, K=K)
+    if topology == "separable" and not isinstance(r, (list, tuple, np.ndarray)):
+        r = (r,) * len(nu)
+    # the allocation depends on the weights and n_c only; NetworkConfig
+    # checks r, K and the efficiencies
+    alloc = optimal_allocation(nu, n_c)
     return NetworkConfig(
         d=len(nu),
-        r=r_field,
+        r=r,
         K=K,
         mu=mu,
         alphas=alloc.alphas,
@@ -265,6 +272,24 @@ class ScanRow:
 
 SCAN_AXES = ("n_c", "eta_dis", "K", "d", "n_T", "weights")
 
+# Failures of one scan point that become its row status: the typed errors,
+# and float range failures (overflow, a divisor that underflows to zero) of
+# an extreme but valid point.  Anything else is a programming error and
+# propagates.
+ROW_ERRORS = (
+    ConfigError,
+    InfeasibleSplitError,
+    DarkResponseError,
+    AllocationError,
+    TruncationError,
+    ResourceLimitError,
+    AnalysisError,
+    RegularizationError,
+    VerificationError,
+    np.linalg.LinAlgError,
+    ArithmeticError,
+)
+
 
 def _config_for_point(axis, value, base: NetworkConfig, nu):
     """Derive the operating point for one grid value.
@@ -294,10 +319,8 @@ def _config_for_point(axis, value, base: NetworkConfig, nu):
         pattern = weight_pattern("ave", d)
         cfg = configure_optimal(pattern, n_c_per_node * d, r, **kw)
     elif axis == "n_T":
-        loss = laws.LossModel(base.eta_dis, base.eta_mzi, base.eta_m, base.K)
-        enhancement = base.enhancement
-        n_s_opt, _ = optimize_squeezing(float(value), Lambda=loss.Lambda,
-                                        K=enhancement)
+        n_s_opt, _ = optimize_squeezing(float(value), Lambda=base.Lambda,
+                                        K=base.enhancement)
         n_c = float(value) - n_s_opt
         cfg = configure_optimal(nu, n_c, laws.ns_to_r(n_s_opt), **kw)
     elif axis == "weights":
@@ -323,7 +346,10 @@ def _evaluate_point(axis, value, base, nu, engines):
         row.variance_qcrb = laws.qcrb(cfg.n_c, float(cfg.r), K=enhancement,
                                       nu=norm) * scale**2
         row.sql = laws.sql_variance(cfg.n_T, K=1.0, nu=norm) * scale**2
-        row.db_below_sql = 10.0 * math.log10(row.sql / row.variance_closed_form)
+        ratio = row.sql / row.variance_closed_form
+        if not 0.0 < ratio < math.inf:
+            raise OverflowError("closed-form variance out of float range")
+        row.db_below_sql = 10.0 * math.log10(ratio)
         limits = laws.regime_limits(cfg.n_T, cfg.Lambda, K=enhancement)
         row.regime = limits.active
         row.branch_low = limits.low_n * scale**2
@@ -335,7 +361,7 @@ def _evaluate_point(axis, value, base, nu, engines):
             from .fock import oracle_sensitivity
 
             row.variance_oracle = oracle_sensitivity(cfg)
-    except Exception as exc:  # recorded per-row, scan continues
+    except ROW_ERRORS as exc:  # recorded per-row, scan continues
         row.status = f"error:{type(exc).__name__}: {exc}"
     return row
 

@@ -34,7 +34,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AnalysisError, RegularizationError
-from .network import NetworkConfig, noise_matrix, response_matrix, sql_reference_config
+from .network import (
+    NetworkConfig,
+    active_channels,
+    noise_matrix,
+    response_matrix,
+    sql_reference_config,
+)
 
 __all__ = [
     "TraceParams",
@@ -279,12 +285,14 @@ class JointNoiseResult:
 
 
 def _joint_weights(config: NetworkConfig, nu) -> np.ndarray:
-    """Estimator weights w_j = nu_j / C_jj, zero on unweighted dark channels."""
+    """Estimator weights w_j = nu_j / C_jj, zero on unweighted dark channels;
+    a weighted dark channel raises DarkResponseError."""
     nu = np.asarray(nu, dtype=float)
     c_diag = np.diag(response_matrix(config))
-    if np.any((c_diag == 0) & (nu != 0)):
-        raise AnalysisError("weighted channel without phase response")
-    return np.where(c_diag != 0, nu / np.where(c_diag == 0, 1.0, c_diag), 0.0)
+    keep = active_channels(config, c_diag, nu)
+    w = np.zeros(config.d)
+    w[keep] = nu[keep] / c_diag[keep]
+    return w
 
 
 def _joint_result(joint, ref_joint, nu, params: TraceParams, rbw) -> JointNoiseResult:

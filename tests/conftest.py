@@ -1,9 +1,5 @@
-import math
-
 import numpy as np
 import pytest
-
-from mzinet.network import NetworkConfig
 
 
 def pytest_runtest_logreport(report):
@@ -16,28 +12,3 @@ def pytest_runtest_logreport(report):
 @pytest.fixture
 def rng():
     return np.random.default_rng(987654321)
-
-
-def random_config(rng, d_max=4, r_max=1.0, k_max=3, optimal_p=True,
-                  eta_low=0.85):
-    """Random valid working-point configuration (theta = 0, phi in {0, pi})."""
-    d = int(rng.integers(1, d_max + 1))
-    nu = rng.uniform(0.2, 1.0, d) * rng.choice([-1.0, 1.0], d)
-    mags = rng.uniform(0.5, 3.0, d)
-    alphas = tuple((m, 0.0 if w >= 0 else math.pi) for m, w in zip(mags, nu))
-    if optimal_p:
-        p = nu**2 / mags**2
-    else:
-        p = rng.uniform(0.05, 1.0, d)
-    p = p / p.sum()
-    return NetworkConfig(
-        d=d,
-        r=float(rng.uniform(0.0, r_max)),
-        K=int(rng.integers(1, k_max + 1)),
-        alphas=alphas,
-        weights=tuple(nu),
-        P=tuple(p),
-        eta_dis=float(rng.uniform(eta_low, 1.0)),
-        eta_mzi=float(rng.uniform(eta_low, 1.0)),
-        eta_m=float(rng.uniform(0.98, 1.0)),
-    )

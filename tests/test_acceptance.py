@@ -27,7 +27,7 @@ CAPTION_EFFS = dict(eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
 
 
 def _caption_lambda(k):
-    return laws.LossModel(K=k, **CAPTION_EFFS).Lambda
+    return configure_optimal((1.0,), 1.0, 0.0, K=k, **CAPTION_EFFS).Lambda
 
 
 def _report(number, detail):

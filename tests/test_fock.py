@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_config
 from mzinet.errors import ResourceLimitError, TruncationError
 from mzinet.fock import (
     FockStateVector,
@@ -14,6 +13,7 @@ from mzinet.fock import (
 )
 from mzinet.network import closed_form_variance, sensitivity_numeric
 from mzinet.optimize import configure_optimal
+from mzinet.scenarios import _random_config
 
 
 def test_squeezed_vacuum_r_zero_is_vacuum():
@@ -134,9 +134,9 @@ def test_oracle_matches_engine_with_loss():
 def test_oracle_engine_closed_form_three_way_agreement(rng):
     worst = 0.0
     for _ in range(25):
-        cfg = random_config(rng, d_max=3, r_max=0.4, k_max=1, eta_low=0.8)
+        cfg = _random_config(rng, d_max=3, r_max=0.4)
         cfg = cfg.with_updates(
-            alphas=tuple((min(m, 1.0) * 0.33, ph) for m, ph in cfg.alphas))
+            alphas=tuple((min(m, 1.0) * 0.33, ph) for m, ph in cfg.alphas), K=1)
         oracle = oracle_sensitivity(cfg)
         engine = sensitivity_numeric(cfg)
         closed = closed_form_variance(cfg)

@@ -13,8 +13,6 @@ from mzinet.gaussian import (
     apply_squeezer,
     homodyne_moments,
     mode_photon_number,
-    symplectic_form,
-    total_photon_number,
     vacuum_state,
 )
 
@@ -247,9 +245,10 @@ def test_passive_ops_preserve_photon_number(rng):
     state = vacuum_state(3)
     state = apply_squeezer(state, 0, 0.8)
     state = apply_displacement(state, 1, 1.7, 0.5)
-    before = total_photon_number(state)
+    before = sum(mode_photon_number(state, m) for m in range(3))
     state = _random_passive_circuit(rng, state)
-    assert total_photon_number(state) == pytest.approx(before, rel=1e-9)
+    after = sum(mode_photon_number(state, m) for m in range(3))
+    assert after == pytest.approx(before, rel=1e-9)
 
 
 def test_physicality_cov_plus_i_omega(rng):
@@ -257,7 +256,8 @@ def test_physicality_cov_plus_i_omega(rng):
     state = apply_squeezer(state, 0, 1.0)
     state = _random_passive_circuit(rng, state)
     state = apply_loss(state, 1, 0.6)
-    omega = symplectic_form(3)
+    # symplectic form of the (q1, p1, ..., q3, p3) ordering
+    omega = np.kron(np.eye(3), np.array([[0.0, 1.0], [-1.0, 0.0]]))
     eigs = np.linalg.eigvalsh(state.cov + 1j * omega)
     assert eigs.min() >= -1e-9
 
@@ -311,9 +311,3 @@ def test_inplace_op_updates_its_argument_to_the_pure_result(op, args):
     assert same.mean.tobytes() == pure.mean.tobytes()
     assert same.cov.tobytes() == pure.cov.tobytes()
 
-
-def test_state_check_valid_flags_asymmetry():
-    state = vacuum_state(1)
-    state.cov[0, 1] = 1e-6
-    with pytest.raises(ValueError):
-        state.check_valid()

@@ -7,31 +7,24 @@ from hypothesis import strategies as st
 
 from mzinet import laws
 from mzinet.errors import AllocationError
+from mzinet.network import NetworkConfig
+
+
+def _loss_budget(K=1, **etas):
+    """One-node network: NetworkConfig is the one source of eta and Lambda."""
+    return NetworkConfig(d=1, K=K, alphas=((1.0, 0.0),), weights=(1.0,),
+                         P=(1.0,), **etas)
 
 
 def test_loss_model_total_efficiency():
-    model = laws.LossModel(eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999, K=5)
+    model = _loss_budget(K=5, eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
     assert model.eta_total == pytest.approx(0.99 * 0.89 * 0.9999**9, rel=1e-14)
     assert model.Lambda == pytest.approx(1 / model.eta_total - 1, rel=1e-14)
 
 
 def test_loss_model_lambda_zero_iff_lossless():
-    assert laws.LossModel().Lambda == 0.0
-    assert laws.LossModel(eta_dis=0.999).Lambda > 0.0
-
-
-def test_squeezed_resource_identity():
-    res = laws.SqueezedResource(0.75)
-    n_s = res.n_s
-    assert res.var_q == pytest.approx(1 + 2 * n_s - 2 * math.sqrt(n_s + n_s**2),
-                                      abs=1e-12)
-    assert res.var_q * res.var_p == pytest.approx(1.0, rel=1e-12)
-
-
-def test_squeezed_resource_from_photons_round_trip():
-    res = laws.SqueezedResource.from_photons(0.68)
-    assert res.n_s == pytest.approx(0.68, rel=1e-12)
-    assert res.r == pytest.approx(laws.ns_to_r(0.68), rel=1e-14)
+    assert _loss_budget().Lambda == 0.0
+    assert _loss_budget(eta_dis=0.999).Lambda > 0.0
 
 
 @given(st.floats(1e-9, 1e6))
@@ -73,7 +66,7 @@ def test_optimized_variance_recovers_shot_noise():
 
 def test_optimized_variance_high_intensity_point():
     # K = 5 multipass at n_c = 2.7e16, caption efficiencies
-    loss = laws.LossModel(0.99, 0.89, 0.9999, K=5)
+    loss = _loss_budget(K=5, eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
     var = laws.optimized_variance(2.7e16, 0.75, Lambda=loss.Lambda, K=5)
     assert math.sqrt(var) == pytest.approx(1.63e-9, abs=0.005e-9)
     assert math.sqrt(var) / 1.4e-9 < 1.2
@@ -235,7 +228,7 @@ def test_db_below_sql_values():
     assert laws.db_below_sql(0.75, 0.136) == pytest.approx(
         -10 * math.log10(math.exp(-1.5) + 0.136), rel=1e-12)
     # caption efficiencies land inside the reported band
-    lam = laws.LossModel(0.99, 0.89, 0.9999, K=1).Lambda
+    lam = _loss_budget(eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999).Lambda
     db = laws.db_below_sql(0.75, lam)
     assert 4.36 - 0.35 <= db <= 4.36 + 0.35
 

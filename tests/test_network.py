@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_config
 from mzinet import gaussian as g
 from mzinet.errors import ConfigError, DarkResponseError, InfeasibleSplitError
+from mzinet.fock import oracle_sensitivity
 from mzinet.gaussian import homodyne_moments
 from mzinet.network import (
     NetworkConfig,
@@ -19,6 +19,8 @@ from mzinet.network import (
     weight_pattern,
 )
 from mzinet.optimize import configure_optimal
+from mzinet.scenarios import _random_config
+from mzinet.tracelab import TraceParams, simulate_joint_noise
 
 
 # --- configuration -----------------------------------------------------------
@@ -157,7 +159,7 @@ def _pure_build(config):
 
 def test_build_network_equals_the_pure_op_sequence(rng):
     for _ in range(40):
-        cfg = random_config(rng, d_max=6, optimal_p=bool(rng.integers(0, 2)))
+        cfg = _random_config(rng, d_max=6, optimal_p=bool(rng.integers(0, 2)))
         if rng.integers(0, 2):
             cfg = cfg.with_updates(thetas=tuple(rng.uniform(-0.5, 0.5, cfg.d)))
         built = build_network(cfg)
@@ -194,7 +196,7 @@ def test_response_vanishes_at_quadrature_null():
 def test_response_matches_finite_differences(rng):
     step = 1e-6
     for _ in range(8):
-        cfg = random_config(rng)
+        cfg = _random_config(rng)
         cfg = cfg.with_updates(thetas=tuple(rng.uniform(-0.4, 0.4, cfg.d)))
         analytic = response_matrix(cfg)
         scale = np.max(np.abs(analytic))
@@ -232,7 +234,7 @@ def test_noise_matrix_lossy_single_mode():
 
 def test_noise_matrix_analytic_at_working_point(rng):
     for _ in range(10):
-        cfg = random_config(rng)
+        cfg = _random_config(rng)
         gamma = noise_matrix(cfg)
         p = np.asarray(cfg.P)
         varq = math.exp(-2 * float(cfg.r))
@@ -242,7 +244,7 @@ def test_noise_matrix_analytic_at_working_point(rng):
 
 def test_noise_matrix_positive_semidefinite(rng):
     for _ in range(5):
-        cfg = random_config(rng, optimal_p=False)
+        cfg = _random_config(rng, optimal_p=False)
         eigs = np.linalg.eigvalsh(noise_matrix(cfg))
         assert eigs.min() > -1e-12
 
@@ -275,10 +277,44 @@ def test_sensitivity_drops_zero_weight_channels():
     assert sensitivity_numeric(cfg) == pytest.approx(0.01, rel=1e-12)
 
 
+def _dim_channel_config(weights):
+    # channel 1 answers with 1e-14 of full scale: g theta = pi - 2e-14, g = 1
+    return NetworkConfig(d=2, r=0.3, alphas=((0.8, 0.0), (0.8, 0.0)),
+                         thetas=(0.0, math.pi - 2e-14), weights=weights,
+                         P=(0.5, 0.5), eta_dis=0.9)
+
+
+DIM_TRACE = TraceParams(sample_rate=2e7, cycle=4e-3, gate=(1.2e-3, 2.0e-3),
+                        n_cycles=4, drive_freq=4e6)
+
+
+def test_one_dark_channel_rule_for_every_engine():
+    cfg = _dim_channel_config((0.5, 0.5))
+    assert 0 < abs(response_matrix(cfg)[1, 1]) < 1e-13
+    engines = (
+        sensitivity_numeric,
+        oracle_sensitivity,
+        lambda c: simulate_joint_noise(c, c.weights, 0.0, DIM_TRACE, seed=1),
+    )
+    for engine in engines:
+        with pytest.raises(DarkResponseError) as err:
+            engine(cfg)
+        assert err.value.channels == (1,)
+
+
+def test_unweighted_dark_channel_is_dropped_by_every_engine():
+    cfg = _dim_channel_config((1.0, 0.0))
+    assert oracle_sensitivity(cfg) == pytest.approx(sensitivity_numeric(cfg),
+                                                    rel=1e-6)
+    result = simulate_joint_noise(cfg, cfg.weights, 0.0, DIM_TRACE, seed=1)
+    assert math.isfinite(result.db_below_sql)
+    assert math.isfinite(result.snr_db)
+
+
 def test_engine_matches_closed_form_on_random_configs(rng):
     worst = 0.0
     for _ in range(200):
-        cfg = random_config(rng, optimal_p=bool(rng.integers(0, 2)))
+        cfg = _random_config(rng, optimal_p=bool(rng.integers(0, 2)))
         num = sensitivity_numeric(cfg)
         closed = closed_form_variance(cfg)
         worst = max(worst, abs(num - closed) / closed)
@@ -312,7 +348,7 @@ def test_multipass_enhancement_scaling():
 
 def test_separable_equals_entangled_at_fixed_r(rng):
     for _ in range(10):
-        cfg = random_config(rng, optimal_p=True)
+        cfg = _random_config(rng, optimal_p=True)
         sep = cfg.with_updates(topology="separable", r=(float(cfg.r),) * cfg.d)
         ent = sensitivity_numeric(cfg)
         assert sensitivity_separable(sep) == pytest.approx(ent, rel=1e-10)
@@ -345,7 +381,7 @@ def test_separable_dark_node_raises():
 
 def test_sign_structure_invariance(rng):
     for _ in range(10):
-        cfg = random_config(rng, optimal_p=True)
+        cfg = _random_config(rng, optimal_p=True)
         flipped = cfg.with_updates(
             weights=tuple(-w for w in cfg.weights),
             alphas=tuple((m, ph + math.pi) for m, ph in cfg.alphas),
@@ -372,7 +408,7 @@ def test_variance_monotone_in_eta_and_k():
 
 def test_lumped_loss_equivalence_at_measured_port(rng):
     for _ in range(6):
-        cfg = random_config(rng)
+        cfg = _random_config(rng)
         eta_out = cfg.eta_total / cfg.eta_m ** (2 * cfg.K - 1)
         lumped = cfg.with_updates(eta_dis=1.0, eta_mzi=eta_out)
         assert np.max(np.abs(noise_matrix(cfg) - noise_matrix(lumped))) < 1e-12

@@ -151,7 +151,8 @@ def test_optimize_squeezing_experimental_splits_near_optimal():
     # reported operating points: total budget vs squeezed photons used
     budgets = [0.09, 0.28, 0.46, 0.88, 1.56, 2.4, 3.29]
     used = [0.006, 0.04, 0.09, 0.21, 0.42, 0.68, 0.93]
-    lam = laws.LossModel(0.99, 0.89, 0.9999, K=5).Lambda
+    lam = configure_optimal((1.0,), 1.0, 0.0, K=5, eta_dis=0.99, eta_mzi=0.89,
+                            eta_m=0.9999).Lambda
     for n_t, n_s_exp in zip(budgets, used):
         n_s_opt, _ = optimize_squeezing(n_t, Lambda=lam, K=5)
         assert abs(n_s_opt - n_s_exp) / n_s_exp <= 0.25

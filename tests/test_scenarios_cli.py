@@ -3,8 +3,16 @@ import math
 
 import pytest
 
-from mzinet import cli, scenarios
-from mzinet.errors import AnalysisError, ConfigError, ScenarioParseError
+import numpy as np
+
+from mzinet import cli, optimize, scenarios
+from mzinet.errors import (
+    AnalysisError,
+    ConfigError,
+    DarkResponseError,
+    ScenarioParseError,
+)
+from mzinet.network import noise_matrix, response_matrix
 from mzinet.scenarios import (
     FIGURES,
     bundled_scenario_path,
@@ -156,6 +164,24 @@ def test_trace_row_status_only_for_typed_errors(tmp_path, monkeypatch):
     with pytest.raises(TypeError):
         run_scenario(path, tmp_path / "out")
 
+    # analytic rows follow the same rule
+    path = _write_scenario(tmp_path)
+
+    def dark_engine(cfg):
+        raise DarkResponseError([0])
+
+    monkeypatch.setattr(optimize, "sensitivity_numeric", dark_engine)
+    (csv_path,) = run_scenario(path, tmp_path / "out")
+    _, rows = _read_csv(csv_path)
+    assert all(row["status"].startswith("error:DarkResponseError") for row in rows)
+
+    def broken_engine(cfg):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(optimize, "sensitivity_numeric", broken_engine)
+    with pytest.raises(TypeError):
+        run_scenario(path, tmp_path / "out")
+
 
 def test_scenario_rejects_bad_trace_block_at_load(tmp_path):
     path = _trace_scenario(tmp_path, sample_rate=1e6)
@@ -183,15 +209,67 @@ def test_cli_rejects_fractional_counts_at_load(tmp_path, capsys, network, axis, 
     doc["network"].update(network)
     doc["scans"] = [{"label": axis, "axis": axis, "grid": grid,
                      "engines": ["analytic"]}]
+    _assert_rejected_at_load(tmp_path, capsys, doc, axis)
+
+
+def _assert_rejected_at_load(tmp_path, capsys, doc, field):
     path = _write_scenario(tmp_path, doc)
     out = tmp_path / "o"
     code = cli.main(["scan", "--config", str(path), "--out", str(out)])
     assert code == 2
-    assert f"configuration error: {axis}:" in capsys.readouterr().err
+    assert f"configuration error: {field}:" in capsys.readouterr().err
     assert not out.exists()
     with pytest.raises(ConfigError) as info:
         load_scenario(path)
-    assert info.value.field == axis
+    assert info.value.field == field
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, network, scan, trace", [
+    ("r", {"r": NAN}, None, None),
+    ("r", {"r": INF}, None, None),
+    ("r", {"r": -0.1}, None, None),
+    ("eta_dis", {"eta_dis": NAN}, None, None),
+    ("eta_dis", {"eta_dis": 1.5}, None, None),
+    ("n_c", {"n_c": NAN}, None, None),
+    ("eta_dis", {}, {"axis": "eta_dis", "grid": [0.5, NAN]}, None),
+    ("n_c", {}, {"axis": "n_c", "grid": [1e4, INF]}, None),
+    ("n_T", {}, {"axis": "n_T", "grid": {"start": 1.0, "stop": NAN, "num": 3}}, None),
+    ("weights", {}, {"axis": "weights", "grid": ["ave", "bogus"]}, None),
+    ("trace", {}, None, {"delta_theta": NAN}),
+    ("trace", {}, None, {"gate": [1.2e-3, INF]}),
+], ids=["network_r_nan", "network_r_inf", "network_r_negative",
+        "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
+        "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
+        "trace_nan", "trace_inf"])
+def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["network"].update(network)
+    if scan is not None:
+        doc["scans"] = [dict(scan, label="s", engines=["analytic"])]
+    if trace is not None:
+        doc["scans"][0]["engines"] = ["analytic", "trace"]
+        doc["trace"] = dict(TRACE_BLOCK, **trace)
+    _assert_rejected_at_load(tmp_path, capsys, doc, field)
+
+
+def test_failed_rows_are_counted_on_stderr(tmp_path, capsys):
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["scans"] = [
+        {"label": "bad", "axis": "eta_dis", "grid": [1.2, 1.5]},
+        {"label": "mixed", "axis": "eta_dis", "grid": [0.5, 0.9, 1.2]},
+        {"label": "clean", "axis": "eta_dis", "grid": [0.5, 0.9]},
+    ]
+    path = _write_scenario(tmp_path, doc)
+    out = tmp_path / "o"
+    assert cli.main(["scan", "--config", str(path), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["demo_bad.csv: 2 of 2 rows failed",
+                                "demo_mixed.csv: 1 of 3 rows failed"]
+    _, rows = _read_csv(out / "demo_bad.csv")
+    assert all(row["status"].startswith("error:ConfigError: eta_dis:") for row in rows)
 
 
 def test_bundled_scenarios_exist_and_parse():
@@ -262,8 +340,16 @@ def test_verify_quick_passes():
     assert any("oracle" in check.name for check in report.checks)
 
 
-def test_verify_flags_injected_noise_sign_bug():
-    report = verify("quick", _flip_gamma_sign=True)
+def test_verify_flags_injected_noise_sign_bug(monkeypatch):
+    def flipped_gamma_oracle(cfg):
+        # every noise deviation from vacuum negated (Gamma -> 2I - Gamma): a
+        # sign bug in the cross-correlations, detectable even when d = 1
+        bad = 2.0 * np.eye(cfg.d) - noise_matrix(cfg)
+        x = np.asarray(cfg.weights) / np.diag(response_matrix(cfg))
+        return float(x @ bad @ x)
+
+    monkeypatch.setattr(scenarios, "oracle_sensitivity", flipped_gamma_oracle)
+    report = verify("quick")
     assert not report.ok
     bad = [c for c in report.checks if not c.ok]
     assert any("oracle" in c.name for c in bad)

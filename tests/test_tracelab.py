@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mzinet import laws, tracelab
-from mzinet.errors import AnalysisError, RegularizationError
+from mzinet.errors import AnalysisError, DarkResponseError, RegularizationError
 from mzinet.network import NetworkConfig, noise_matrix, weight_pattern
 from mzinet.optimize import configure_optimal
 from mzinet.tracelab import (
@@ -254,7 +254,7 @@ def test_simulate_joint_noise_estimates_drive_amplitude():
 def test_simulate_joint_noise_guards(monkeypatch):
     dark = NetworkConfig(d=2, r=0.3, alphas=((1.0, 0.0), (0.0, 0.0)),
                          weights=(0.5, 0.5), P=(0.5, 0.5))
-    with pytest.raises(AnalysisError):
+    with pytest.raises(DarkResponseError):
         simulate_joint_noise(dark, dark.weights, 0.0, FAST, seed=1)
     cfg = _ideal_config()
     monkeypatch.setattr(tracelab, "noise_matrix",
