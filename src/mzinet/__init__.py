@@ -17,7 +17,6 @@ from .errors import (
     ResourceLimitError,
     ScenarioParseError,
     TruncationError,
-    VerificationError,
 )
 from .gaussian import (
     GaussianState,
@@ -30,7 +29,6 @@ from .gaussian import (
     vacuum_state,
 )
 from .laws import (
-    SensitivityReport,
     db_below_sql,
     gain,
     min_variance_over_r,
@@ -72,7 +70,6 @@ from .fock import (
 from .tracelab import (
     TraceParams,
     TraceSet,
-    band_power,
     joint_noise_analysis,
     read_trace,
     simulate_joint_noise,

@@ -2,7 +2,7 @@
 
 Plain ``ValueError``/``IndexError`` are used for simple argument violations;
 the classes here exist where callers need to react to a *named* failure mode
-(CLI exit codes, per-row scan statuses, verification reports).
+(CLI exit codes, per-row scan statuses).
 """
 
 
@@ -57,7 +57,3 @@ class AnalysisError(RuntimeError):
 
 class RegularizationError(RuntimeError):
     """A noise matrix is numerically not positive semidefinite."""
-
-
-class VerificationError(RuntimeError):
-    """A cross-engine verification check exceeded its tolerance."""

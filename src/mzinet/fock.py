@@ -164,7 +164,7 @@ def _pick_cutoff(r) -> int:
     raise TruncationError(f"no acceptable cutoff below 64 for r = {r}")
 
 
-def oracle_sensitivity(config: NetworkConfig, nu=None) -> float:
+def oracle_sensitivity(config: NetworkConfig) -> float:
     """Brute-force variance of the weighted phase estimate for small networks
     (d <= 3, r <= 0.4, |alpha_j| <= 1).
 
@@ -181,7 +181,7 @@ def oracle_sensitivity(config: NetworkConfig, nu=None) -> float:
         raise ResourceLimitError(f"oracle limited to r <= {ORACLE_MAX_R}")
     if any(mag > ORACLE_MAX_ALPHA for mag, _ in config.alphas):
         raise ResourceLimitError(f"oracle limited to |alpha| <= {ORACLE_MAX_ALPHA}")
-    nu = np.asarray(config.weights if nu is None else nu, dtype=float)
+    nu = np.asarray(config.weights, dtype=float)
 
     split = multinomial_split(squeezed_vacuum_fock(r, _pick_cutoff(r)), config.P)
     if split.truncation_budget > ORACLE_NORM_DEFICIT:

@@ -27,7 +27,6 @@ __all__ = [
     "apply_mzi",
     "apply_loss",
     "homodyne_moments",
-    "mode_photon_number",
 ]
 
 
@@ -222,17 +221,4 @@ def homodyne_moments(state: GaussianState, modes, quadratures="q"):
             raise ValueError(f"unknown quadrature label {quad!r}")
     sel = np.array(sel, dtype=int)
     return state.mean[sel].copy(), state.cov[np.ix_(sel, sel)].copy()
-
-
-def mode_photon_number(state: GaussianState, mode: int) -> float:
-    """Mean photon number of one mode, n = (<q>^2+<p>^2+Var q+Var p-2)/4."""
-    _check_mode(state, mode)
-    iq, ip = state.q_index(mode), state.p_index(mode)
-    return (
-        state.mean[iq] ** 2
-        + state.mean[ip] ** 2
-        + state.cov[iq, iq]
-        + state.cov[ip, ip]
-        - 2.0
-    ) / 4.0
 

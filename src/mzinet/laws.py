@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AllocationError
 
 __all__ = [
-    "SensitivityReport",
     "SqueezingOptimum",
     "RegimeLimits",
     "weight_sum",
@@ -49,30 +48,6 @@ REGIME_FLOOR = "loss-floor"
 
 # label thresholds only; the underlying limits are asymptotic, not sharp
 _LOW_N_EDGE = 0.1
-
-
-@dataclass
-class SensitivityReport:
-    """One evaluated operating point, in phase-variance units (rad^2)."""
-
-    variance: float
-    std: float
-    db_vs_sql: float
-    regime: str
-    qcrb: float
-    gain_vs_separable: float | None = None
-    extras: dict = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, variance, sql, qcrb_value, regime, gain_vs_separable=None):
-        return cls(
-            variance=variance,
-            std=math.sqrt(variance),
-            db_vs_sql=10.0 * math.log10(sql / variance),
-            regime=regime,
-            qcrb=qcrb_value,
-            gain_vs_separable=gain_vs_separable,
-        )
 
 
 def weight_sum(nu) -> float:

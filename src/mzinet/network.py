@@ -308,7 +308,7 @@ def active_channels(config: NetworkConfig, response, nu) -> np.ndarray:
     return ~dark
 
 
-def sensitivity_numeric(config: NetworkConfig, nu=None) -> float:
+def sensitivity_numeric(config: NetworkConfig) -> float:
     """Error-propagation variance nu^T C^{-1} Gamma (C^T)^{-1} nu (rad^2).
 
     C is diagonal, so the inversion is a division.  Channels with zero
@@ -316,16 +316,21 @@ def sensitivity_numeric(config: NetworkConfig, nu=None) -> float:
     response raises DarkResponseError.
     """
     _require_entangled(config)
-    nu = np.asarray(config.weights if nu is None else nu, dtype=float)
-    if nu.shape != (config.d,):
-        raise ConfigError("weights", f"need {config.d} weights")
+    nu = np.asarray(config.weights, dtype=float)
     c_diag = np.diag(response_matrix(config))
     keep = active_channels(config, c_diag, nu)
     x = nu[keep] / c_diag[keep]
     return float(x @ noise_matrix(config)[np.ix_(keep, keep)] @ x)
 
 
-def sensitivity_separable(config: NetworkConfig, nu=None) -> float:
+def _working_point_response(config: NetworkConfig) -> np.ndarray:
+    """|C_jj| at theta = 0 and phi_j in {0, pi}, the operating point of the
+    closed forms: sqrt(eta) * g * |alpha_j|."""
+    mags = np.array([mag for mag, _ in config.alphas])
+    return math.sqrt(config.eta_total) * config.signal_gain * mags
+
+
+def sensitivity_separable(config: NetworkConfig) -> float:
     """Variance of d independent sensors with per-node squeezed inputs:
 
         sum_j nu_j^2 (e^{-2 r_j} + Lambda) / |alpha_j|^2 / (mu K^2)
@@ -335,14 +340,10 @@ def sensitivity_separable(config: NetworkConfig, nu=None) -> float:
     """
     if config.topology != "separable":
         raise ConfigError("topology", "sensitivity_separable needs topology='separable'")
-    nu = np.asarray(config.weights if nu is None else nu, dtype=float)
+    nu = np.asarray(config.weights, dtype=float)
     rs = config.r if isinstance(config.r, tuple) else (config.r,) * config.d
+    active_channels(config, _working_point_response(config), nu)
     total = 0.0
-    dark = [
-        j for j in range(config.d) if nu[j] != 0 and config.alphas[j][0] == 0
-    ]
-    if dark:
-        raise DarkResponseError(dark)
     for j in range(config.d):
         if nu[j] == 0.0:
             continue
@@ -351,7 +352,7 @@ def sensitivity_separable(config: NetworkConfig, nu=None) -> float:
     return total / config.enhancement
 
 
-def closed_form_variance(config: NetworkConfig, nu=None) -> float:
+def closed_form_variance(config: NetworkConfig) -> float:
     """Working-point variance for an arbitrary allocation:
 
         [ (e^{-2r} - 1) (sum_j nu_j sqrt(P_j) / (|a_j| cos phi_j))^2
@@ -361,9 +362,10 @@ def closed_form_variance(config: NetworkConfig, nu=None) -> float:
     cross-check of the numeric engine.
     """
     _require_entangled(config)
-    nu = np.asarray(config.weights if nu is None else nu, dtype=float)
+    nu = np.asarray(config.weights, dtype=float)
     if any(abs(t) > 1e-12 for t in config.thetas):
         raise ConfigError("thetas", "closed form is valid at theta = 0 only")
+    active_channels(config, _working_point_response(config), nu)
     varq = math.exp(-2.0 * float(config.r))
     cross = 0.0
     direct = 0.0
@@ -374,8 +376,6 @@ def closed_form_variance(config: NetworkConfig, nu=None) -> float:
         sign = math.cos(phi)
         if abs(abs(sign) - 1.0) > 1e-12:
             raise ConfigError("alphas", "closed form needs phi_j in {0, pi}")
-        if mag == 0.0:
-            raise DarkResponseError([j])
         cross += nu[j] * math.sqrt(config.P[j]) / (mag * sign)
         direct += nu[j] ** 2 / (config.eta_total * mag**2)
     return ((varq - 1.0) * cross**2 + direct) / config.enhancement

@@ -9,7 +9,7 @@ plain smooth simplex-constrained problem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .errors import (
     RegularizationError,
     ResourceLimitError,
     TruncationError,
-    VerificationError,
 )
 from .network import (
     NetworkConfig,
@@ -49,8 +48,7 @@ GOLDEN_REL_TOL = 1e-10
 SEED_POINTS = 64
 
 
-def golden_min(f, lo, hi, rel_tol=GOLDEN_REL_TOL, max_iter=GOLDEN_MAX_ITER,
-               seed_points=SEED_POINTS):
+def golden_min(f, lo, hi):
     """Bounded scalar minimization: seed grid + golden-section refinement.
 
     Returns (argmin, minimum).  The seed grid picks the best starting
@@ -59,16 +57,16 @@ def golden_min(f, lo, hi, rel_tol=GOLDEN_REL_TOL, max_iter=GOLDEN_MAX_ITER,
     """
     if hi <= lo:
         raise ValueError("need lo < hi")
-    xs = np.linspace(lo, hi, seed_points)
+    xs = np.linspace(lo, hi, SEED_POINTS)
     fs = [f(x) for x in xs]
     best = int(np.argmin(fs))
     a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, seed_points - 1)]
+    b = xs[min(best + 1, SEED_POINTS - 1)]
     x1 = b - INV_PHI * (b - a)
     x2 = a + INV_PHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if (b - a) <= rel_tol * max(abs(x1), abs(x2), rel_tol):
+    for _ in range(GOLDEN_MAX_ITER):
+        if (b - a) <= GOLDEN_REL_TOL * max(abs(x1), abs(x2), GOLDEN_REL_TOL):
             break
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
@@ -92,13 +90,9 @@ class Allocation:
 
     alphas: tuple           # (magnitude, phase) per node, phase in {0, pi}
     P: tuple                # splitting probabilities, P_j = |nu_j| / sum|nu|
-    n_s: float
-    n_c: float
-    achieved_variance: float
-    weight_scale: float     # sum|nu| of the weights as handed in
 
 
-def optimal_allocation(nu, n_c, r=0.0, Lambda=0.0, K=1.0) -> Allocation:
+def optimal_allocation(nu, n_c) -> Allocation:
     """Lagrangian optimum: |alpha_j|^2 = n_c |nu_j|/sum|nu|, P_j = |nu_j|/sum|nu|,
     phi_j = 0 for nu_j >= 0 else pi."""
     nu = np.asarray(nu, dtype=float)
@@ -112,16 +106,7 @@ def optimal_allocation(nu, n_c, r=0.0, Lambda=0.0, K=1.0) -> Allocation:
         (math.sqrt(n_c * fj), 0.0 if nuj >= 0 else math.pi)
         for fj, nuj in zip(frac, nu)
     )
-    variance = laws.optimized_variance(n_c, r, Lambda=Lambda, K=K, nu=nu / scale)
-    variance *= scale**2
-    return Allocation(
-        alphas=alphas,
-        P=tuple(frac),
-        n_s=laws.r_to_ns(r),
-        n_c=float(n_c),
-        achieved_variance=variance,
-        weight_scale=scale,
-    )
+    return Allocation(alphas=alphas, P=tuple(frac))
 
 
 def configure_optimal(nu, n_c, r, K=1, mu=None, eta_dis=1.0, eta_mzi=1.0,
@@ -133,8 +118,6 @@ def configure_optimal(nu, n_c, r, K=1, mu=None, eta_dis=1.0, eta_mzi=1.0,
     nu = tuple(float(x) for x in nu)
     if topology == "separable" and not isinstance(r, (list, tuple, np.ndarray)):
         r = (r,) * len(nu)
-    # the allocation depends on the weights and n_c only; NetworkConfig
-    # checks r, K and the efficiencies
     alloc = optimal_allocation(nu, n_c)
     return NetworkConfig(
         d=len(nu),
@@ -152,7 +135,7 @@ def configure_optimal(nu, n_c, r, K=1, mu=None, eta_dis=1.0, eta_mzi=1.0,
     )
 
 
-def optimize_squeezing(n_T, Lambda=0.0, K=1.0, nu=None):
+def optimize_squeezing(n_T, Lambda=0.0, K=1.0):
     """Best split of a fixed photon budget between squeezing and coherent
     light: minimizes variance_vs_ns over n_s in [0, n_T).
 
@@ -162,7 +145,7 @@ def optimize_squeezing(n_T, Lambda=0.0, K=1.0, nu=None):
         raise AllocationError("n_T must be > 0")
 
     def objective(n_s):
-        return laws.variance_vs_ns(n_T, n_s, Lambda=Lambda, K=K, nu=nu)
+        return laws.variance_vs_ns(n_T, n_s, Lambda=Lambda, K=K)
 
     hi = n_T * (1.0 - 1e-9)
     n_s, variance = golden_min(objective, 0.0, hi)
@@ -251,8 +234,8 @@ def separable_min_variance(n_T, Lambda=0.0, K=1.0, nu=(1.0,)) -> SeparableOptimu
 
 @dataclass
 class ScanRow:
-    axis: str
     value: object
+    config: NetworkConfig | None = None   # the operating point; not a CSV column
     variance_numeric: float | None = None
     variance_closed_form: float | None = None
     variance_oracle: float | None = None
@@ -267,7 +250,6 @@ class ScanRow:
     db_below_sql_mc: float | None = None
     snr_db_mc: float | None = None
     status: str = "ok"
-    extras: dict = field(default_factory=dict)
 
 
 SCAN_AXES = ("n_c", "eta_dis", "K", "d", "n_T", "weights")
@@ -285,13 +267,12 @@ ROW_ERRORS = (
     ResourceLimitError,
     AnalysisError,
     RegularizationError,
-    VerificationError,
     np.linalg.LinAlgError,
     ArithmeticError,
 )
 
 
-def _config_for_point(axis, value, base: NetworkConfig, nu):
+def _config_for_point(axis, value, base: NetworkConfig):
     """Derive the operating point for one grid value.
 
     n_c / eta_dis / K keep the weight structure and reallocate optimally;
@@ -299,6 +280,7 @@ def _config_for_point(axis, value, base: NetworkConfig, nu):
     n_T additionally optimizes the squeezing split (n_s_opt reported);
     weights switches the estimated combination by pattern name.
     """
+    nu = base.weights
     r = float(base.r)
     kw = dict(
         K=base.K, mu=base.mu, eta_dis=base.eta_dis, eta_mzi=base.eta_mzi,
@@ -331,11 +313,11 @@ def _config_for_point(axis, value, base: NetworkConfig, nu):
     return cfg, n_s_opt
 
 
-def _evaluate_point(axis, value, base, nu, engines):
-    row = ScanRow(axis=axis, value=value)
+def _evaluate_point(axis, value, base, engines):
+    row = ScanRow(value=value)
     try:
-        cfg, n_s_opt = _config_for_point(axis, value, base, nu)
-        row.n_s_opt = n_s_opt
+        cfg, row.n_s_opt = _config_for_point(axis, value, base)
+        row.config = cfg
         weights = np.asarray(cfg.weights)
         scale = float(np.sum(np.abs(weights)))
         norm = weights / scale
@@ -366,7 +348,17 @@ def _evaluate_point(axis, value, base, nu, engines):
     return row
 
 
-def scan(axis, grid, base: NetworkConfig, nu=None,
+def _check_grid(axis, grid):
+    """A scan grid must be nonempty and, on a numeric axis, monotone."""
+    if not grid:
+        raise ConfigError("grid", "grid must be nonempty")
+    if axis != "weights":
+        diffs = np.diff([float(v) for v in grid])
+        if not (np.all(diffs >= 0) or np.all(diffs <= 0)):
+            raise ConfigError("grid", "grid must be monotone")
+
+
+def scan(axis, grid, base: NetworkConfig,
          engines=("analytic", "numeric")) -> list:
     """Evaluate a grid of operating points; one ScanRow per grid value.
 
@@ -374,12 +366,5 @@ def scan(axis, grid, base: NetworkConfig, nu=None,
     are recorded in the row status.
     """
     grid = list(grid)
-    if not grid:
-        raise ConfigError("grid", "grid must be nonempty")
-    if axis != "weights":
-        values = [float(v) for v in grid]
-        diffs = np.diff(values)
-        if not (np.all(diffs >= 0) or np.all(diffs <= 0)):
-            raise ConfigError("grid", "grid must be monotone")
-    nu = tuple(base.weights if nu is None else nu)
-    return [_evaluate_point(axis, v, base, nu, engines) for v in grid]
+    _check_grid(axis, grid)
+    return [_evaluate_point(axis, v, base, engines) for v in grid]

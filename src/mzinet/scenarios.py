@@ -40,7 +40,7 @@ import numpy as np
 
 from . import laws, optimize, tracelab
 from .errors import ConfigError, ScenarioParseError
-from .fock import oracle_sensitivity
+from .fock import ORACLE_MAX_D, ORACLE_MAX_R, oracle_sensitivity
 from .network import (
     NetworkConfig,
     closed_form_variance,
@@ -251,11 +251,12 @@ def _validate_scenario(scenario: Scenario):
                 weight_pattern(str(value), cfg.d)
             else:
                 _finite(spec.axis, value)
+        optimize._check_grid(spec.axis, spec.grid)
         if "oracle" in spec.engines:
-            if cfg.d > 3:
-                raise ConfigError("engines", "oracle refuses d > 3")
-            if float(cfg.r) > 0.4:
-                raise ConfigError("engines", "oracle refuses r > 0.4")
+            if cfg.d > ORACLE_MAX_D:
+                raise ConfigError("engines", f"oracle refuses d > {ORACLE_MAX_D}")
+            if float(cfg.r) > ORACLE_MAX_R:
+                raise ConfigError("engines", f"oracle refuses r > {ORACLE_MAX_R}")
         if "trace" in spec.engines:
             if not scenario.trace:
                 raise ConfigError("trace", "trace engine needs a trace block")
@@ -346,12 +347,10 @@ def run_scenario(path_or_scenario, out_dir, seed=None):
                 if row.status != "ok":
                     continue
                 try:
-                    cfg, _ = optimize._config_for_point(
-                        spec.axis, row.value, base, base.weights)
                     row_seed = (scenario.seed * 1000003 + scan_index * 9973
                                 + row_index) % 2**63
                     row.db_below_sql_mc, row.snr_db_mc = _run_trace_point(
-                        cfg, scenario, row_seed)
+                        row.config, scenario, row_seed)
                 except optimize.ROW_ERRORS as exc:
                     row.status = f"error:{type(exc).__name__}: {exc}"
         csv_path = out_dir / f"{scenario.name}_{spec.label}.csv"

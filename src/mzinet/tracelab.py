@@ -47,7 +47,6 @@ __all__ = [
     "TraceSet",
     "synthesize",
     "segment_band_powers",
-    "band_power",
     "JointNoiseResult",
     "joint_noise_analysis",
     "simulate_joint_noise",
@@ -111,8 +110,8 @@ class TraceSet:
 
 
 def _channel_rng(seed: int, channel: int) -> np.random.Generator:
-    # per-channel counter-based streams: parallel synthesis can never
-    # change the output
+    # one counter-based Philox stream per channel: a channel's draws depend
+    # only on the seed and its index, not on d or on the other channels
     return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, channel]))
 
 
@@ -228,25 +227,6 @@ def segment_band_powers(series, sample_rate, center, rbw):
     return psd * rbw
 
 
-def band_power(trace: TraceSet, channel, center, rbw, vbw):
-    """Time-resolved band power (dB) of one channel: Hann periodogram
-    segments smoothed by a first-order low-pass of time constant 1/(2 pi vbw).
-
-    Returns (segment center times, smoothed power in dB)."""
-    powers = segment_band_powers(trace.samples[channel], trace.sample_rate,
-                                 center, rbw)
-    dt = 1.0 / rbw
-    tau = 1.0 / (2.0 * math.pi * vbw)
-    alpha = 1.0 - math.exp(-dt / tau)
-    smooth = np.empty_like(powers)
-    acc = powers[0]
-    for i, p in enumerate(powers):
-        acc += alpha * (p - acc)
-        smooth[i] = acc
-    times = (np.arange(powers.size) + 0.5) * dt
-    return times, 10.0 * np.log10(smooth)
-
-
 def _window_segment_powers(series, sample_rate, cycle, window, center, rbw,
                            invert=False):
     """Mean linear band power over the full analysis segments lying inside
@@ -319,13 +299,14 @@ def _joint_result(joint, ref_joint, nu, params: TraceParams, rbw) -> JointNoiseR
 
 
 def joint_noise_analysis(traces: TraceSet, nu, config: NetworkConfig,
-                         rbw=100e3, reference: TraceSet | None = None) -> JointNoiseResult:
+                         rbw=100e3) -> JointNoiseResult:
     """Joint processing of the channel traces for the weighted phase sum.
 
     Forms the estimator y[n] = sum_j nu_j x_j[n] / C_jj (phase units),
     measures the drive-band power in the gated (signal) and idle (noise)
     windows, and references the idle noise to the ideal shot-noise run,
-    synthesized per channel unless given (it must share the traces' timing).
+    synthesized per channel with the traces' timing from a seed derived
+    from the traces' seed.
     """
     joint = _joint_weights(config, nu) @ traces.samples
     params = TraceParams(
@@ -336,11 +317,7 @@ def joint_noise_analysis(traces: TraceSet, nu, config: NetworkConfig,
         drive_freq=traces.drive_freq,
     )
     ref_cfg = sql_reference_config(config)
-    if reference is None:
-        reference = synthesize(ref_cfg, 0.0, params, seed=_reference_seed(traces.seed))
-    elif ((reference.sample_rate, reference.cycle, tuple(reference.gate))
-          != (traces.sample_rate, traces.cycle, tuple(traces.gate))):
-        raise AnalysisError("reference run must share the traces' timing")
+    reference = synthesize(ref_cfg, 0.0, params, seed=_reference_seed(traces.seed))
     ref_joint = _joint_weights(ref_cfg, nu) @ reference.samples
     return _joint_result(joint, ref_joint, nu, params, rbw)
 
@@ -398,7 +375,7 @@ def _replacing(path: Path):
         tmp.unlink(missing_ok=True)
 
 
-def write_trace(path, traces: TraceSet, sidecar=True):
+def write_trace(path, traces: TraceSet):
     path = Path(path)
     header = _HEADER.pack(
         MAGIC, VERSION, traces.d, traces.sample_rate, traces.duration,
@@ -407,14 +384,13 @@ def write_trace(path, traces: TraceSet, sidecar=True):
     with _replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(traces.samples, dtype="<f8").tobytes())
-    if sidecar:
-        meta = {
-            "cycle": traces.cycle,
-            "drive_freq": traces.drive_freq,
-            "n_cycles": traces.n_cycles,
-        }
-        with _replacing(Path(str(path) + ".meta.json")) as tmp:
-            tmp.write_text(json.dumps(meta, sort_keys=True) + "\n")
+    meta = {
+        "cycle": traces.cycle,
+        "drive_freq": traces.drive_freq,
+        "n_cycles": traces.n_cycles,
+    }
+    with _replacing(Path(str(path) + ".meta.json")) as tmp:
+        tmp.write_text(json.dumps(meta, sort_keys=True) + "\n")
     return path
 
 

@@ -12,9 +12,15 @@ from mzinet.gaussian import (
     apply_mzi,
     apply_squeezer,
     homodyne_moments,
-    mode_photon_number,
     vacuum_state,
 )
+
+
+def mode_photon_number(state, mode):
+    """Mean photon number of one mode, n = (<q>^2+<p>^2+Var q+Var p-2)/4."""
+    iq, ip = 2 * mode, 2 * mode + 1
+    return (state.mean[iq] ** 2 + state.mean[ip] ** 2
+            + state.cov[iq, iq] + state.cov[ip, ip] - 2.0) / 4.0
 
 
 def test_vacuum_single_mode():

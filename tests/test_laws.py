@@ -238,10 +238,3 @@ def test_db_below_sql_values():
 def test_db_break_even_loss(r):
     assert abs(laws.db_below_sql(r, 1 - math.exp(-2 * r))) <= 1e-12
 
-
-def test_sensitivity_report_consistency():
-    report = laws.SensitivityReport.build(
-        variance=2e-4, sql=1e-2, qcrb_value=1e-4, regime="heisenberg")
-    assert report.std == pytest.approx(math.sqrt(2e-4))
-    assert report.db_vs_sql == pytest.approx(10 * math.log10(50), abs=1e-9)
-    assert report.variance >= report.qcrb - 1e-12

@@ -438,3 +438,16 @@ def test_opposite_rotation_sign_flips_response_not_variance():
     forward = (nu / c) @ gamma @ (nu / c)
     reverse = (nu / -c) @ gamma @ (nu / -c)
     assert forward == pytest.approx(reverse, rel=1e-14)
+
+
+def test_dim_amplitude_is_dark_for_numeric_and_closed_forms():
+    # channel 1 has 1e-14 of channel 0's amplitude: dark by the one rule
+    cfg = NetworkConfig(d=2, r=0.3, alphas=((1.0, 0.0), (1e-14, 0.0)),
+                        weights=(0.5, 0.5), P=(0.5, 0.5), eta_dis=0.9)
+    separable = cfg.with_updates(topology="separable", r=(0.3, 0.3))
+    for engine, config in ((sensitivity_numeric, cfg),
+                           (closed_form_variance, cfg),
+                           (sensitivity_separable, separable)):
+        with pytest.raises(DarkResponseError) as err:
+            engine(config)
+        assert err.value.channels == (1,)

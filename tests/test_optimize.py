@@ -69,14 +69,6 @@ def test_allocation_rejects_zero_weights():
         optimal_allocation((0.0, 0.0), 10.0)
 
 
-def test_allocation_reports_weight_scale():
-    alloc = optimal_allocation((2.0, -2.0), 10.0)
-    assert alloc.weight_scale == pytest.approx(4.0)
-    normalized = optimal_allocation((0.5, -0.5), 10.0)
-    assert alloc.achieved_variance == pytest.approx(
-        16 * normalized.achieved_variance, rel=1e-12)
-
-
 def test_allocation_perturbation_never_improves():
     nu = (0.55, -0.25, 0.2)
     n_c = 40.0
@@ -245,6 +237,9 @@ def test_scan_n_t_axis_reports_optimal_split():
         assert row.status == "ok"
         assert row.n_s_opt is not None and 0 <= row.n_s_opt < row.value
         assert row.branch_low is not None
+        # the row keeps the operating point it was evaluated at
+        assert row.config.n_T == pytest.approx(row.value, rel=1e-12)
+        assert row.config.n_s == pytest.approx(row.n_s_opt, rel=1e-9)
 
 
 def test_scan_records_errors_per_row():

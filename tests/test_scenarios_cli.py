@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -240,15 +242,18 @@ NAN, INF = float("nan"), float("inf")
     ("weights", {}, {"axis": "weights", "grid": ["ave", "bogus"]}, None),
     ("trace", {}, None, {"delta_theta": NAN}),
     ("trace", {}, None, {"gate": [1.2e-3, INF]}),
+    ("grid", {}, {"axis": "eta_dis", "grid": [0.5, 1.0, 0.9]}, None),
 ], ids=["network_r_nan", "network_r_inf", "network_r_negative",
         "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
         "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
-        "trace_nan", "trace_inf"])
+        "trace_nan", "trace_inf", "grid_not_monotone"])
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)
     if scan is not None:
-        doc["scans"] = [dict(scan, label="s", engines=["analytic"])]
+        # after a valid scan, so a check made only at run time would have
+        # written that scan's CSV before failing
+        doc["scans"].append(dict(scan, label="s", engines=["analytic"]))
     if trace is not None:
         doc["scans"][0]["engines"] = ["analytic", "trace"]
         doc["trace"] = dict(TRACE_BLOCK, **trace)
@@ -279,9 +284,27 @@ def test_bundled_scenarios_exist_and_parse():
         assert scenario.base_config().d >= 1
 
 
+FINGERPRINT = Path(__file__).with_name("figure_fingerprint.json")
+MC_COLUMNS = ("db_below_sql_mc", "snr_db_mc")
+
+
+def _deterministic_digest(path):
+    """sha256 of a figure CSV without its Monte Carlo columns, or of the
+    whole file for anything else (the _meta.txt files)."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        rows = [line.split(",") for line in text.splitlines()]
+        keep = [i for i, col in enumerate(rows[0]) if col not in MC_COLUMNS]
+        text = "\n".join(",".join(row[i] for i in keep) for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_every_bundled_figure_runs_quickly(tmp_path):
+    """Each bundled figure runs in under a minute, and its deterministic
+    columns and _meta.txt hash to the committed behaviour fingerprint."""
     import time
 
+    digests = {}
     for figure in FIGURES:
         start = time.monotonic()
         written = reproduce(figure, tmp_path / figure)
@@ -291,6 +314,12 @@ def test_every_bundled_figure_runs_quickly(tmp_path):
         for path in written:
             header, rows = _read_csv(path)
             assert rows, f"{path} is empty"
+        for path in written + [tmp_path / figure / f"{figure}_meta.txt"]:
+            digests[path.name] = _deterministic_digest(path)
+    expected = json.loads(FINGERPRINT.read_text())
+    assert digests == expected, (
+        "figure outputs moved; new digests:\n"
+        + json.dumps(digests, indent=2, sort_keys=True))
 
 
 def test_reproduce_fig3a_high_intensity_row(tmp_path):
@@ -384,8 +413,22 @@ def test_cli_sensitivity(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     expected = (math.exp(-1.5) + 1 / (0.99 * 0.89 * 0.9999) - 1) / 1e4
-    assert payload["variance_rad2"] == pytest.approx(expected, rel=1e-9)
-    assert payload["qcrb_rad2"] <= payload["variance_rad2"]
+    variance = payload["variance_rad2"]
+    assert variance == pytest.approx(expected, rel=1e-9)
+    assert payload["std_rad"] == pytest.approx(math.sqrt(variance), rel=1e-15)
+    sql = 1.0 / (1e4 + math.sinh(0.75) ** 2)  # ave weights: sum|nu| = 1
+    assert payload["db_vs_sql"] == pytest.approx(
+        10 * math.log10(sql / variance), abs=1e-9)
+    assert payload["qcrb_rad2"] <= variance
+
+
+def test_cli_numerical_failure_exit_code(tmp_path, capsys):
+    # sinh(400)^2 overflows in NetworkConfig.n_s: a float-range failure
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["network"]["r"] = 400
+    path = _write_scenario(tmp_path, doc)
+    assert cli.main(["sensitivity", "--config", str(path)]) == 3
+    assert "numerical failure: OverflowError" in capsys.readouterr().err
 
 
 def test_cli_scan_and_reproduce(tmp_path, capsys):

@@ -10,7 +10,6 @@ from mzinet.optimize import configure_optimal
 from mzinet.tracelab import (
     TraceParams,
     TraceSet,
-    band_power,
     joint_noise_analysis,
     read_trace,
     segment_band_powers,
@@ -148,16 +147,6 @@ def test_band_power_window_guards():
         segment_band_powers(np.zeros(50), 2e7, 4e6, 1e5)
     with pytest.raises(AnalysisError):
         segment_band_powers(np.zeros(1000), 2e7, 9.99e6, 1e5)
-
-
-def test_band_power_time_resolved_smoothing():
-    cfg = _ideal_config(d=1)
-    traces = synthesize(cfg, 1e-2, FAST, seed=5)
-    times, power_db = band_power(traces, 0, 4e6, 1e5, 1e3)
-    assert times.size == power_db.size
-    assert np.all(np.isfinite(power_db))
-    # gated segments must rise well above the idle floor
-    assert power_db.max() - np.median(power_db) > 10.0
 
 
 def test_joint_noise_analysis_recovers_model_suppression():
