@@ -238,3 +238,14 @@ def test_db_below_sql_values():
 def test_db_break_even_loss(r):
     assert abs(laws.db_below_sql(r, 1 - math.exp(-2 * r))) <= 1e-12
 
+
+def test_sensitivity_report_consistency():
+    # a sensitivity report's dB-vs-SQL figure is the laws' db_below_sql, and
+    # its QCRB lies below its variance
+    nu = (0.5, 0.3, -0.2)
+    for r, lam, K in [(0.75, 0.0, 1.0), (0.75, 0.136, 1.0), (1.2, 0.05, 3.0)]:
+        variance = laws.optimized_variance(1e4, r, Lambda=lam, K=K, nu=nu)
+        sql = laws.sql_variance(1e4, K=K, nu=nu)
+        assert 10 * math.log10(sql / variance) == pytest.approx(
+            laws.db_below_sql(r, lam), abs=1e-9)
+        assert variance >= laws.qcrb(1e4, r, K=K, nu=nu) - 1e-12
