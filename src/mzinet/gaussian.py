@@ -181,13 +181,15 @@ def apply_loss(state: GaussianState, mode: int, eta: float, *,
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     out = state if inplace else state.copy()
-    idx = [out.q_index(mode), out.p_index(mode)]
+    iq, ip = out.q_index(mode), out.p_index(mode)
+    # q and p of a mode are adjacent, so its rows and columns are one slice
+    block = slice(iq, ip + 1)
     root = math.sqrt(eta)
-    out.mean[idx] *= root
-    out.cov[idx, :] *= root
-    out.cov[:, idx] *= root
-    out.cov[idx[0], idx[0]] += 1.0 - eta
-    out.cov[idx[1], idx[1]] += 1.0 - eta
+    out.mean[block] *= root
+    out.cov[block, :] *= root
+    out.cov[:, block] *= root
+    out.cov[iq, iq] += 1.0 - eta
+    out.cov[ip, ip] += 1.0 - eta
     return out
 
 

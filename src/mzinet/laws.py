@@ -84,15 +84,23 @@ def r_to_ns(r: float) -> float:
     return math.sinh(r) ** 2
 
 
-def varq_from_ns(n_s: float) -> float:
+def varq_from_ns(n_s):
     """Squeezed-quadrature variance as a function of photon number:
     e^{-2r} = 1 + 2 n_s - 2 sqrt(n_s + n_s^2).
 
     Evaluated as 1 / (1 + 2 n_s + 2 sqrt(n_s + n_s^2)), the same quantity
-    without the catastrophic cancellation at large n_s."""
-    if n_s < 0:
-        raise ValueError("n_s must be >= 0")
-    return 1.0 / (1.0 + 2.0 * n_s + 2.0 * math.sqrt(n_s + n_s * n_s))
+    without the catastrophic cancellation at large n_s.  n_s is a float or
+    an ndarray; an array is evaluated elementwise with the same operations
+    in the same order, so each element has the bits of the scalar result."""
+    if isinstance(n_s, np.ndarray):
+        if n_s.min() < 0:
+            raise ValueError("n_s must be >= 0")
+        root = np.sqrt(n_s + n_s * n_s)
+    else:
+        if n_s < 0:
+            raise ValueError("n_s must be >= 0")
+        root = math.sqrt(n_s + n_s * n_s)
+    return 1.0 / (1.0 + 2.0 * n_s + 2.0 * root)
 
 
 def optimized_variance(n_c, r, Lambda=0.0, K=1.0, nu=None) -> float:
@@ -112,19 +120,26 @@ def optimized_variance(n_c, r, Lambda=0.0, K=1.0, nu=None) -> float:
     return (math.exp(-2.0 * r) + Lambda) * _weight_factor(nu, check=True) / (K * n_c)
 
 
-def variance_vs_ns(n_T, n_s, Lambda=0.0, K=1.0, nu=None) -> float:
+def variance_vs_ns(n_T, n_s, Lambda=0.0, K=1.0, nu=None):
     """Optimized variance as a function of the squeezed/coherent split:
 
         (1 + 2 n_s - 2 sqrt(n_s + n_s^2) + Lambda) * (sum|nu|)^2 / (K (n_T - n_s))
 
-    Raises AllocationError when n_s >= n_T (no coherent photons left); the
-    divergence as n_s -> n_T is therefore reported as a typed error, never
-    as a raw infinity.
+    n_s is a float or an ndarray of splits; an array gives the array of
+    variances, each element bit-identical to the scalar call.  Raises
+    AllocationError when any n_s is negative or NaN, or when n_s >= n_T (no
+    coherent photons left); the divergence as n_s -> n_T is therefore
+    reported as a typed error, never as a raw infinity.
     """
-    if not 0.0 <= n_s:
+    # min and max of an array carry a NaN, so one comparison each covers it
+    if isinstance(n_s, np.ndarray):
+        lo, hi = n_s.min(), n_s.max()
+    else:
+        lo = hi = n_s
+    if not 0.0 <= lo:
         raise AllocationError("n_s must be >= 0")
-    if n_s >= n_T:
-        raise AllocationError(f"n_s = {n_s} must be < n_T = {n_T}")
+    if hi >= n_T:
+        raise AllocationError(f"n_s = {hi} must be < n_T = {n_T}")
     return (
         (varq_from_ns(n_s) + Lambda)
         * _weight_factor(nu)

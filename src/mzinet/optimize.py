@@ -308,8 +308,6 @@ def _config_for_point(axis, value, base: NetworkConfig):
     elif axis == "weights":
         pattern = weight_pattern(str(value), base.d)
         cfg = configure_optimal(pattern, base.n_c, r, **kw)
-    else:
-        raise ConfigError("axis", f"unknown scan axis {axis!r}")
     return cfg, n_s_opt
 
 
@@ -348,6 +346,12 @@ def _evaluate_point(axis, value, base, engines):
     return row
 
 
+def _check_axis(axis):
+    """A scan axis must be one of SCAN_AXES."""
+    if axis not in SCAN_AXES:
+        raise ConfigError("axis", f"unknown scan axis {axis!r}")
+
+
 def _check_grid(axis, grid):
     """A scan grid must be nonempty and, on a numeric axis, monotone."""
     if not grid:
@@ -366,5 +370,6 @@ def scan(axis, grid, base: NetworkConfig,
     are recorded in the row status.
     """
     grid = list(grid)
+    _check_axis(axis)
     _check_grid(axis, grid)
     return [_evaluate_point(axis, v, base, engines) for v in grid]

@@ -243,6 +243,7 @@ def _scenario_from_doc(doc: dict) -> Scenario:
 
 def _validate_scenario(scenario: Scenario):
     for spec in scenario.scans:
+        optimize._check_axis(spec.axis)
         cfg = scenario.base_config(spec.overrides)
         for value in spec.grid:
             if spec.axis in ("K", "d"):
@@ -468,7 +469,7 @@ def verify(level="quick", seed=20260808) -> VerifyReport:
 
     quick targets tens of seconds, full also exercises the trace pipeline.
     """
-    start = time.time()
+    start = time.perf_counter()
     full = level == "full"
     if level not in ("quick", "full"):
         raise ConfigError("level", "level must be 'quick' or 'full'")
@@ -553,9 +554,7 @@ def verify(level="quick", seed=20260808) -> VerifyReport:
         k = float(rng.integers(1, 6))
         _, best = optimize.optimize_squeezing(n_t, Lambda=lam, K=k)
         ns_grid = np.linspace(0.0, n_t * (1 - 1e-9), 10_000)
-        grid_best = min(
-            laws.variance_vs_ns(n_t, x, Lambda=lam, K=k) for x in ns_grid
-        )
+        grid_best = laws.variance_vs_ns(n_t, ns_grid, Lambda=lam, K=k).min()
         dev = max(dev, max(0.0, (best - grid_best) / grid_best))
     checks.append(VerifyCheck("squeezing optimizer vs grid", dev, 1e-8))
 
@@ -583,7 +582,7 @@ def verify(level="quick", seed=20260808) -> VerifyReport:
             dev = max(dev, abs(result.db_below_sql - model))
         checks.append(VerifyCheck("trace noise recovery (dB)", dev, 0.2))
 
-    return VerifyReport(level=level, checks=checks, elapsed=time.time() - start)
+    return VerifyReport(level=level, checks=checks, elapsed=time.perf_counter() - start)
 
 
 def _response_fd_deviation(cfg, step=1e-6):

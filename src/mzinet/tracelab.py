@@ -171,7 +171,7 @@ def synthesize(config: NetworkConfig, delta_thetas, params: TraceParams,
 
     z = np.empty((d, n_total))
     for j in range(d):
-        z[j] = _channel_rng(seed, j).standard_normal(n_total)
+        _channel_rng(seed, j).standard_normal(out=z[j])
     samples = factor @ z
 
     amps = np.diag(response_matrix(config)) * delta

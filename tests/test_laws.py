@@ -97,10 +97,32 @@ def test_variance_vs_ns_half_split():
 
 
 def test_variance_vs_ns_rejects_exhausted_budget():
-    with pytest.raises(AllocationError):
-        laws.variance_vs_ns(10, 10)
-    with pytest.raises(AllocationError):
-        laws.variance_vs_ns(10, 12)
+    # an exhausted budget, a negative split or NaN, alone or in an array
+    for bad in (10.0, 12.0, -1e-3, math.nan):
+        with pytest.raises(AllocationError):
+            laws.variance_vs_ns(10, bad)
+        with pytest.raises(AllocationError):
+            laws.variance_vs_ns(10, np.array([0.0, 5.0, bad, 1.0]))
+
+
+def test_variance_vs_ns_array_equals_scalar_bit_for_bit():
+    rng = np.random.default_rng(2026)
+    for _ in range(20):
+        n_t = float(10 ** rng.uniform(-3, 4))
+        lam = float(10 ** rng.uniform(-5, 0.5))
+        k = float(rng.integers(1, 6))
+        # verify's brute-force grid, then random splits over the budget
+        for grid in (np.linspace(0.0, n_t * (1 - 1e-9), 10_000),
+                     rng.uniform(0.0, n_t, 500)):
+            scalar = [laws.variance_vs_ns(n_t, float(x), Lambda=lam, K=k)
+                      for x in grid]
+            assert np.array_equal(
+                laws.variance_vs_ns(n_t, grid, Lambda=lam, K=k), scalar)
+            assert np.array_equal(laws.varq_from_ns(grid),
+                                  [laws.varq_from_ns(float(x)) for x in grid])
+    value = laws.variance_vs_ns(100.0, 50.0, Lambda=0.1, K=2.0)
+    assert type(value) is float
+    assert value == laws.variance_vs_ns(100.0, np.array([50.0]), Lambda=0.1, K=2.0)[0]
 
 
 def test_min_variance_over_r_lossless():

@@ -243,10 +243,11 @@ NAN, INF = float("nan"), float("inf")
     ("trace", {}, None, {"delta_theta": NAN}),
     ("trace", {}, None, {"gate": [1.2e-3, INF]}),
     ("grid", {}, {"axis": "eta_dis", "grid": [0.5, 1.0, 0.9]}, None),
+    ("axis", {}, {"axis": "n_x", "grid": [0.5, 0.9]}, None),
 ], ids=["network_r_nan", "network_r_inf", "network_r_negative",
         "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
         "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
-        "trace_nan", "trace_inf", "grid_not_monotone"])
+        "trace_nan", "trace_inf", "grid_not_monotone", "unknown_axis"])
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)
