@@ -13,6 +13,7 @@ from .errors import (
     ConfigError,
     DarkResponseError,
     InfeasibleSplitError,
+    PrecisionLossError,
     RegularizationError,
     ResourceLimitError,
     ScenarioParseError,

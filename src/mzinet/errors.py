@@ -57,3 +57,8 @@ class AnalysisError(RuntimeError):
 
 class RegularizationError(RuntimeError):
     """A noise matrix is numerically not positive semidefinite."""
+
+
+class PrecisionLossError(ArithmeticError):
+    """A computed result lies within its own rounding error, so it has no
+    significant digit left."""

@@ -5,6 +5,15 @@ Quadrature convention: q = b + b†, p = (b − b†)/i, stored interleaved as
 in every quadrature, so the vacuum covariance matrix is the identity and a
 squeezed vacuum has Var(q) = e^{−2r}, Var(p) = e^{+2r}.
 
+A state holds its covariance in factored form, V = I + U diag(s) U^T, with
+one column of U per squeezed quadrature.  Every op keeps that form exactly:
+a beam splitter or interferometer is orthogonal, so U -> O U; pure loss maps
+V -> L V L + (1 − eta) I_m = I + (L U) diag(s) (L U)^T, a row scale of U; a
+displacement moves only the mean; and a squeezer scales two rows of U and
+appends the columns e_q, e_p with s += (expm1(−2r), expm1(2r)).  So a network
+with one squeezer costs O(1) per op on a 2n x 2 factor, and no 2n x 2n matrix
+is ever stored; ``cov`` materializes it on read.
+
 Every operation is pure by default: it returns a new state and never mutates
 its input.  A caller that owns a state (``build_network`` on the vacuum it
 creates) passes ``inplace=True`` to update it where it stands instead; the
@@ -32,20 +41,30 @@ __all__ = [
 
 @dataclass
 class GaussianState:
-    """Mean quadrature vector and covariance matrix of an n-mode state.
+    """Mean quadrature vector and factored covariance of an n-mode state.
+
+    The covariance is V = I + U diag(s) U^T.
 
     Attributes:
         n_modes: number of optical modes.
         mean: length 2n vector (q1, p1, ..., qn, pn).
-        cov: real symmetric 2n x 2n covariance matrix, same ordering.
+        U: 2n x k factor, rows in the same ordering.
+        s: length k weights of the columns of U.
     """
 
     n_modes: int
     mean: np.ndarray
-    cov: np.ndarray
+    U: np.ndarray
+    s: np.ndarray
+
+    @property
+    def cov(self) -> np.ndarray:
+        """The 2n x 2n covariance matrix, materialized on every read."""
+        return _identity_plus(self.U, self.s)
 
     def copy(self) -> "GaussianState":
-        return GaussianState(self.n_modes, self.mean.copy(), self.cov.copy())
+        return GaussianState(self.n_modes, self.mean.copy(), self.U.copy(),
+                             self.s.copy())
 
     def q_index(self, mode: int) -> int:
         return 2 * mode
@@ -54,19 +73,27 @@ class GaussianState:
         return 2 * mode + 1
 
 
+def _identity_plus(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """I + rows diag(s) rows^T, built in the one array it returns."""
+    out = (rows * s) @ rows.T
+    out.flat[:: len(rows) + 1] += 1.0
+    return out
+
+
 def _check_mode(state: GaussianState, mode: int):
     if not 0 <= mode < state.n_modes:
         raise IndexError(f"mode {mode} out of range for {state.n_modes}-mode state")
 
 
 def vacuum_state(n_modes: int) -> GaussianState:
-    """n-mode vacuum: zero mean, identity covariance."""
+    """n-mode vacuum: zero mean, identity covariance (an empty factor)."""
     if n_modes < 1:
         raise ValueError("n_modes must be a positive integer")
     return GaussianState(
         n_modes=n_modes,
         mean=np.zeros(2 * n_modes),
-        cov=np.eye(2 * n_modes),
+        U=np.zeros((2 * n_modes, 0)),
+        s=np.zeros(0),
     )
 
 
@@ -75,7 +102,11 @@ def apply_squeezer(state: GaussianState, mode: int, r: float, *,
     """Squeeze one mode: q -> e^{-r} q, p -> e^{+r} p.
 
     The squeezing phase is fixed to zero (q is the squeezed quadrature);
-    r < 0 is rejected rather than interpreted as anti-squeezing.
+    r < 0 is rejected rather than interpreted as anti-squeezing.  With
+    S = diag(e^{-r}, e^{r}) on the mode, S V S = S^2 + (S U) diag(s) (S U)^T
+    and S^2 = I + expm1(-2r) e_q e_q^T + expm1(2r) e_p e_p^T, so U gains the
+    columns e_q and e_p; expm1 raises OverflowError once e^{2r} leaves the
+    float range.
     Pure unless a caller that owns the state passes inplace=True.
     """
     _check_mode(state, mode)
@@ -83,13 +114,16 @@ def apply_squeezer(state: GaussianState, mode: int, r: float, *,
         raise ValueError("squeezing strength r must be >= 0")
     out = state if inplace else state.copy()
     iq, ip = out.q_index(mode), out.p_index(mode)
+    weights = (math.expm1(-2.0 * r), math.expm1(2.0 * r))
     sq, sp = math.exp(-r), math.exp(r)
     out.mean[iq] *= sq
     out.mean[ip] *= sp
-    out.cov[iq, :] *= sq
-    out.cov[:, iq] *= sq
-    out.cov[ip, :] *= sp
-    out.cov[:, ip] *= sp
+    out.U[iq] *= sq
+    out.U[ip] *= sp
+    columns = np.zeros((2 * out.n_modes, 2))
+    columns[iq, 0] = columns[ip, 1] = 1.0
+    out.U = np.hstack((out.U, columns))
+    out.s = np.append(out.s, weights)
     return out
 
 
@@ -125,8 +159,7 @@ def _apply_two_mode_orthogonal(
         ]
     )
     out.mean[idx] = s4 @ out.mean[idx]
-    out.cov[idx, :] = s4 @ out.cov[idx, :]
-    out.cov[:, idx] = out.cov[:, idx] @ s4.T
+    out.U[idx] = s4 @ out.U[idx]
     return out
 
 
@@ -174,7 +207,9 @@ def apply_loss(state: GaussianState, mode: int, eta: float, *,
     """Pure-loss channel of transmission eta on one mode.
 
     Mean scales by sqrt(eta); the mode's covariance block maps to
-    eta*V + (1-eta)*I and cross covariances scale by sqrt(eta).
+    eta*V + (1-eta)*I and cross covariances scale by sqrt(eta).  Since
+    L I L + (1-eta) I_m = I, this is the sqrt(eta) scale of the mode's rows
+    of U.
     Pure unless a caller that owns the state passes inplace=True.
     """
     _check_mode(state, mode)
@@ -182,14 +217,11 @@ def apply_loss(state: GaussianState, mode: int, eta: float, *,
         raise ValueError("eta must lie in [0, 1]")
     out = state if inplace else state.copy()
     iq, ip = out.q_index(mode), out.p_index(mode)
-    # q and p of a mode are adjacent, so its rows and columns are one slice
+    # q and p of a mode are adjacent, so its rows are one slice
     block = slice(iq, ip + 1)
     root = math.sqrt(eta)
     out.mean[block] *= root
-    out.cov[block, :] *= root
-    out.cov[:, block] *= root
-    out.cov[iq, iq] += 1.0 - eta
-    out.cov[ip, ip] += 1.0 - eta
+    out.U[block] *= root
     return out
 
 
@@ -202,8 +234,9 @@ def homodyne_moments(state: GaussianState, modes, quadratures="q"):
             sequence with one label per mode.
 
     Returns:
-        (mean vector, covariance submatrix) restricted to the selection.
-        Read-only: the state is not modified.
+        (mean vector, covariance submatrix) restricted to the selection;
+        only that block is materialized.  Read-only: the state is not
+        modified.
     """
     modes = list(modes)
     if len(set(modes)) != len(modes):
@@ -221,6 +254,6 @@ def homodyne_moments(state: GaussianState, modes, quadratures="q"):
             sel.append(state.p_index(mode))
         else:
             raise ValueError(f"unknown quadrature label {quad!r}")
-    sel = np.array(sel, dtype=int)
-    return state.mean[sel].copy(), state.cov[np.ix_(sel, sel)].copy()
+    rows = state.U[sel]
+    return state.mean[sel], _identity_plus(rows, state.s)
 

@@ -32,7 +32,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gaussian as g
-from .errors import ConfigError, DarkResponseError, InfeasibleSplitError
+from .errors import (
+    ConfigError,
+    DarkResponseError,
+    InfeasibleSplitError,
+    PrecisionLossError,
+)
 
 __all__ = [
     "NetworkConfig",
@@ -51,6 +56,9 @@ __all__ = [
 PROB_TOL = 1e-12
 REMAINDER_FLOOR = 1e-15
 DARK_THRESHOLD = 1e-12  # relative to the brightest channel's theta = 0 response
+# |x^T Gamma x| at or below ROUNDING_FACTOR * d * eps * |x|^T |Gamma| |x| is
+# within the rounding error of the quadratic form: no digit is significant
+ROUNDING_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -313,14 +321,22 @@ def sensitivity_numeric(config: NetworkConfig) -> float:
 
     C is diagonal, so the inversion is a division.  Channels with zero
     weight and zero response are excluded; a weighted channel without
-    response raises DarkResponseError.
+    response raises DarkResponseError.  A variance that cancels down to its
+    own rounding error (extreme squeezing, where Gamma's squeezed term sits
+    far below eps of its vacuum term) raises PrecisionLossError.
     """
     _require_entangled(config)
     nu = np.asarray(config.weights, dtype=float)
     c_diag = np.diag(response_matrix(config))
     keep = active_channels(config, c_diag, nu)
     x = nu[keep] / c_diag[keep]
-    return float(x @ noise_matrix(config)[np.ix_(keep, keep)] @ x)
+    gamma = noise_matrix(config)[np.ix_(keep, keep)]
+    variance = float(x @ gamma @ x)
+    scale = float(np.abs(x) @ np.abs(gamma) @ np.abs(x))
+    if abs(variance) <= ROUNDING_FACTOR * x.size * np.finfo(float).eps * scale:
+        raise PrecisionLossError(
+            f"variance {variance:.3g} is rounding noise of terms of size {scale:.3g}")
+    return variance
 
 
 def _working_point_response(config: NetworkConfig) -> np.ndarray:

@@ -14,6 +14,8 @@ from mzinet.gaussian import (
     homodyne_moments,
     vacuum_state,
 )
+from mzinet.network import noise_matrix, qc_cascade
+from mzinet.scenarios import _random_config
 
 
 def mode_photon_number(state, mode):
@@ -317,3 +319,135 @@ def test_inplace_op_updates_its_argument_to_the_pure_result(op, args):
     assert same.mean.tobytes() == pure.mean.tobytes()
     assert same.cov.tobytes() == pure.cov.tobytes()
 
+
+
+# --- the dense covariance formulas, as a reference for the factored engine ---
+
+
+def _dense_squeezer(mean, cov, mode, r):
+    iq, ip = 2 * mode, 2 * mode + 1
+    sq, sp = math.exp(-r), math.exp(r)
+    mean[iq] *= sq
+    mean[ip] *= sp
+    cov[iq, :] *= sq
+    cov[:, iq] *= sq
+    cov[ip, :] *= sp
+    cov[:, ip] *= sp
+
+
+def _dense_displacement(mean, cov, mode, amplitude, phase):
+    mean[2 * mode] += 2.0 * amplitude * math.cos(phase)
+    mean[2 * mode + 1] += 2.0 * amplitude * math.sin(phase)
+
+
+def _dense_orthogonal(mean, cov, mode_i, mode_j, o11, o12, o21, o22):
+    idx = [2 * mode_i, 2 * mode_i + 1, 2 * mode_j, 2 * mode_j + 1]
+    s4 = np.array([[o11, 0.0, o12, 0.0], [0.0, o11, 0.0, o12],
+                   [o21, 0.0, o22, 0.0], [0.0, o21, 0.0, o22]])
+    mean[idx] = s4 @ mean[idx]
+    cov[idx, :] = s4 @ cov[idx, :]
+    cov[:, idx] = cov[:, idx] @ s4.T
+
+
+def _dense_beam_splitter(mean, cov, mode_i, mode_j, transmissivity):
+    t, rfl = math.sqrt(transmissivity), math.sqrt(1.0 - transmissivity)
+    _dense_orthogonal(mean, cov, mode_i, mode_j, t, rfl, -rfl, t)
+
+
+def _dense_mzi(mean, cov, mode_a, mode_b, theta):
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    _dense_orthogonal(mean, cov, mode_a, mode_b, c, -s, s, c)
+
+
+def _dense_loss(mean, cov, mode, eta):
+    block = slice(2 * mode, 2 * mode + 2)
+    mean[block] *= math.sqrt(eta)
+    cov[block, :] *= math.sqrt(eta)
+    cov[:, block] *= math.sqrt(eta)
+    cov[2 * mode, 2 * mode] += 1.0 - eta
+    cov[2 * mode + 1, 2 * mode + 1] += 1.0 - eta
+
+
+DENSE = {
+    apply_squeezer: _dense_squeezer,
+    apply_displacement: _dense_displacement,
+    apply_beam_splitter: _dense_beam_splitter,
+    apply_mzi: _dense_mzi,
+    apply_loss: _dense_loss,
+}
+
+
+def _random_op(rng, n_modes):
+    """One op with its arguments; r = 0 and eta in {0, 1} come up often."""
+    kind = int(rng.integers(5))
+    mode = int(rng.integers(n_modes))
+    other = int((mode + rng.integers(1, n_modes)) % n_modes)
+    if kind == 0:
+        return apply_squeezer, (mode, float(rng.choice([0.0, rng.uniform(0, 0.6)])))
+    if kind == 1:
+        return apply_displacement, (mode, float(rng.uniform(0, 2)),
+                                    float(rng.uniform(0, 2 * math.pi)))
+    if kind == 2:
+        return apply_beam_splitter, (mode, other, float(rng.uniform()))
+    if kind == 3:
+        return apply_mzi, (mode, other, float(rng.uniform(-math.pi, math.pi)))
+    return apply_loss, (mode, float(rng.choice([0.0, 1.0, rng.uniform()])))
+
+
+def _assert_physical(cov):
+    n = cov.shape[0] // 2
+    omega = np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    assert np.linalg.eigvalsh(cov + 1j * omega).min() >= -1e-9
+
+
+def test_factored_ops_match_the_dense_formulas_on_random_sequences(rng):
+    for _ in range(60):
+        n_modes = int(rng.integers(2, 5))
+        state = apply_squeezer(vacuum_state(n_modes), 0, float(rng.uniform(0, 0.6)))
+        mean, cov = state.mean.copy(), state.cov
+        for _ in range(int(rng.integers(4, 16))):
+            # squeezers land on mixed and lossy states as the sequence goes on
+            op, args = _random_op(rng, n_modes)
+            state = op(state, *args, inplace=bool(rng.integers(2)))
+            DENSE[op](mean, cov, *args)
+            assert np.array_equal(state.mean, mean)
+            assert np.max(np.abs(state.cov - cov)) <= 1e-12
+        _assert_physical(state.cov)
+        modes = [int(m) for m in rng.permutation(n_modes)[:int(rng.integers(1, n_modes + 1))]]
+        labels = [str(q) for q in rng.choice(["q", "p"], len(modes))]
+        sel = [2 * m + (label == "p") for m, label in zip(modes, labels)]
+        got_mean, got_cov = homodyne_moments(state, modes, labels)
+        assert np.array_equal(got_mean, mean[sel])
+        assert np.max(np.abs(got_cov - cov[np.ix_(sel, sel)])) <= 1e-12
+
+
+def test_cov_is_materialized_from_the_factor_and_read_only():
+    state = apply_beam_splitter(apply_squeezer(vacuum_state(2), 0, 0.5), 0, 1, 0.3)
+    assert state.U.shape == (4, 2)
+    assert np.array_equal(state.cov, np.eye(4) + (state.U * state.s) @ state.U.T)
+    with pytest.raises(AttributeError):
+        state.cov = np.eye(4)
+
+
+def test_noise_matrix_matches_the_dense_build():
+    rng = np.random.default_rng(20260417)
+    worst = 0.0
+    for _ in range(200):
+        cfg = _random_config(rng, d_max=6, optimal_p=bool(rng.integers(2)))
+        if rng.integers(2):
+            cfg = cfg.with_updates(thetas=tuple(rng.uniform(-0.5, 0.5, cfg.d)))
+        d = cfg.d
+        mean, cov = np.zeros(4 * d), np.eye(4 * d)
+        _dense_squeezer(mean, cov, 0, float(cfg.r))
+        for (i, j), t in qc_cascade(cfg.P):
+            _dense_beam_splitter(mean, cov, i, j, t)
+        eta_out = cfg.eta_mzi * cfg.eta_m ** (2 * cfg.K - 1)
+        for j in range(d):
+            _dense_displacement(mean, cov, d + j, *cfg.alphas[j])
+            _dense_loss(mean, cov, j, cfg.eta_dis)
+            _dense_loss(mean, cov, d + j, cfg.eta_dis)
+            _dense_mzi(mean, cov, d + j, j, cfg.signal_gain * cfg.thetas[j])
+            _dense_loss(mean, cov, j, eta_out)
+        dense = cov[0:2 * d:2, 0:2 * d:2]
+        worst = max(worst, float(np.max(np.abs(noise_matrix(cfg) - dense))))
+    assert worst <= 1e-12

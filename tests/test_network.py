@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from mzinet import gaussian as g
-from mzinet.errors import ConfigError, DarkResponseError, InfeasibleSplitError
+from mzinet.errors import (
+    ConfigError,
+    DarkResponseError,
+    InfeasibleSplitError,
+    PrecisionLossError,
+)
 from mzinet.fock import oracle_sensitivity
 from mzinet.gaussian import homodyne_moments
 from mzinet.network import (
@@ -18,7 +23,7 @@ from mzinet.network import (
     sensitivity_separable,
     weight_pattern,
 )
-from mzinet.optimize import configure_optimal
+from mzinet.optimize import configure_optimal, scan
 from mzinet.scenarios import _random_config
 from mzinet.tracelab import TraceParams, simulate_joint_noise
 
@@ -333,6 +338,48 @@ def test_engine_matches_closed_form_and_one_over_d_law_at_d_512():
     assert numeric == pytest.approx(closed_form_variance(large), rel=1e-9, abs=0)
     scaled = sensitivity_numeric(_large_network(128)) * 128
     assert numeric * 512 == pytest.approx(scaled, rel=1e-9, abs=0)
+
+
+def test_engine_matches_closed_form_and_one_over_d_law_at_d_2048():
+    large = _large_network(2048)
+    numeric = sensitivity_numeric(large)
+    assert numeric == pytest.approx(closed_form_variance(large), rel=1e-9, abs=0)
+    scaled = sensitivity_numeric(_large_network(512)) * 512
+    assert numeric * 2048 == pytest.approx(scaled, rel=1e-9, abs=0)
+
+
+def test_build_network_memory_is_linear_in_d():
+    import tracemalloc
+
+    cfg = _large_network(1024)
+    tracemalloc.start()
+    try:
+        build_network(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense 4d x 4d covariance alone would take 134 MB here
+    assert peak < 4e6
+
+
+def test_variance_lost_to_rounding_is_an_error_row_not_ok():
+    # at r = 100 the squeezed term e^{-2r} sits far below eps of the vacuum
+    # term, so x^T Gamma x cancels to rounding noise
+    base = configure_optimal(weight_pattern("ave", 2), 100.0, 100)
+    with pytest.raises(PrecisionLossError):
+        sensitivity_numeric(base)
+    rows = scan("n_c", [1e2, 1e4], base)
+    assert [row.status.split(":")[:2] for row in rows] == [
+        ["error", "PrecisionLossError"]] * 2
+    assert all(row.variance_numeric is None for row in rows)
+
+
+def test_squeezing_beyond_float_range_raises_overflow_not_nan():
+    # e^{2r} leaves the float range at r ~ 355
+    cfg = configure_optimal(weight_pattern("ave", 2), 100.0, 400.0)
+    with pytest.raises(OverflowError):
+        sensitivity_numeric(cfg)
+    assert scan("n_c", [1e2], cfg)[0].status.startswith("error:OverflowError")
 
 
 def test_multipass_enhancement_scaling():

@@ -51,7 +51,7 @@ def test_synthesize_noise_streams_are_pinned():
     cfg = configure_optimal(weight_pattern("ave", 3), 1e6, 0.5, eta_dis=0.95)
     traces = synthesize(cfg, 1e-6, FAST, seed=7)
     assert hashlib.sha256(traces.samples.tobytes()).hexdigest() == (
-        "1b0fc35ee1f5140570ea8b09544c25bf21ad61d9948d113c561f86da76103e30")
+        "3009732beefde29850cb43fe88eb67f75e74fdb9d6ca21529fa234878ad99f57")
 
 
 def test_synthesize_vacuum_floor_variance():
