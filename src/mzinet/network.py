@@ -333,7 +333,14 @@ def sensitivity_numeric(config: NetworkConfig) -> float:
     gamma = noise_matrix(config)[np.ix_(keep, keep)]
     variance = float(x @ gamma @ x)
     scale = float(np.abs(x) @ np.abs(gamma) @ np.abs(x))
-    if abs(variance) <= ROUNDING_FACTOR * x.size * np.finfo(float).eps * scale:
+    return _significant(variance, scale, x.size)
+
+
+def _significant(variance: float, scale: float, n: int) -> float:
+    """`variance`, a sum over n channels of terms whose magnitudes sum to
+    `scale`; PrecisionLossError when it is within the rounding error of that
+    sum, so no digit of it is significant."""
+    if abs(variance) <= ROUNDING_FACTOR * n * np.finfo(float).eps * scale:
         raise PrecisionLossError(
             f"variance {variance:.3g} is rounding noise of terms of size {scale:.3g}")
     return variance
@@ -375,7 +382,9 @@ def closed_form_variance(config: NetworkConfig) -> float:
           + sum_j nu_j^2 / (eta |a_j|^2) ] / (mu K^2)
 
     Requires theta_j = 0 and phi_j in {0, pi}; used as the independent
-    cross-check of the numeric engine.
+    cross-check of the numeric engine.  Like the engine, it raises
+    PrecisionLossError where the squeezed and vacuum terms cancel to
+    rounding noise.
     """
     _require_entangled(config)
     nu = np.asarray(config.weights, dtype=float)
@@ -394,7 +403,9 @@ def closed_form_variance(config: NetworkConfig) -> float:
             raise ConfigError("alphas", "closed form needs phi_j in {0, pi}")
         cross += nu[j] * math.sqrt(config.P[j]) / (mag * sign)
         direct += nu[j] ** 2 / (config.eta_total * mag**2)
-    return ((varq - 1.0) * cross**2 + direct) / config.enhancement
+    variance = (varq - 1.0) * cross**2 + direct
+    scale = abs(varq - 1.0) * cross**2 + direct
+    return _significant(variance, scale, np.count_nonzero(nu)) / config.enhancement
 
 
 def sql_reference_config(config: NetworkConfig) -> NetworkConfig:

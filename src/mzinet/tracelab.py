@@ -7,14 +7,19 @@ and band powers around the drive frequency are compared between the gated
 (signal) and idle (noise) portions.
 
 The dB-below-SQL reference is the ideal lossless coherent single-pass run
-with the same photon budget; both sides of the ratio go through the identical
-band-power code, so the spectral calibration cancels.
+with the same photon budget; both sides of the ratio go through the same
+band-power kernel and calibration, so the spectral calibration cancels.
 
 Trace files keep per-channel traces (`synthesize`, `joint_noise_analysis`).
-A scan point only reads the joint estimator y = sum_j nu_j x_j / C_jj, which
-is one white stream of standard deviation |L^T w| (L L^T = Gamma,
-w_j = nu_j / C_jj) plus the weighted tone, so `simulate_joint_noise`
-synthesizes that single series for the signal and the reference run.
+A scan point only reads one Hann-weighted DFT bin of each analysis segment
+of the joint estimator y = sum_j nu_j x_j / C_jj, averaged over the gated
+and over the idle segments as in a Welch periodogram (Welch, IEEE Trans.
+Audio Electroacoust. 15, 70 (1967)).  The joint noise is white with standard
+deviation |L^T w| (L L^T = Gamma, w_j = nu_j / C_jj) and the segments are
+disjoint, so `simulate_joint_noise` draws each segment's bin directly, with
+the gated tone's share of it, and never builds the series.  The segment
+layout (`_window_spans`), the kernel (`_bin_kernel`) and the gate rule
+(`_gate_runs`) have one definition each, shared by both paths.
 
 Trace file layout (little endian): magic "MZTR", version u32, d u32,
 sample_rate f64, duration f64, gate 2*f64, seed u64, then channel-major f64
@@ -136,24 +141,42 @@ def _n_samples(params: TraceParams) -> int:
     return int(round(params.cycle * params.sample_rate)) * params.n_cycles
 
 
-def _gated_tone(params: TraceParams, n_total: int):
-    """Indices of the samples inside the per-cycle gate window, by the rule
-    t % cycle in [t_on, t_off), and the unit drive tone sin(2 pi f t) at
-    those samples only.
+def _gate_runs(params: TraceParams, n_total: int):
+    """[first, last) of each cycle's run of the samples n < n_total that pass
+    the gate rule t % cycle in [t_on, t_off), t = n / sample_rate; empty runs
+    are dropped, so both arrays rise.
 
-    The rule is evaluated only within two samples of each cycle's window:
-    rounding in t and t % cycle is far below one sample period, so no sample
-    beyond that margin can pass it."""
-    fs = params.sample_rate
-    near = np.zeros(n_total, dtype=bool)
-    for start in np.arange(int(n_total / (fs * params.cycle)) + 1) * params.cycle:
-        lo = max(math.floor((start + params.gate[0]) * fs) - 2, 0)
-        near[lo: math.ceil((start + params.gate[1]) * fs) + 2] = True
-    index = np.flatnonzero(near)
-    t = index / fs
-    in_cycle = t % params.cycle
-    inside = (in_cycle >= params.gate[0]) & (in_cycle < params.gate[1])
-    return index[inside], np.sin(2.0 * math.pi * params.drive_freq * t[inside])
+    The rule is evaluated only within two samples of each edge: rounding in
+    t and t % cycle is far below one sample period, so every sample further
+    inside passes and every sample further outside fails.  A sample belongs
+    to the run of the cycle t // cycle it lies in, so the runs are disjoint
+    even where the gate spans a whole cycle."""
+    fs, cycle = params.sample_rate, params.cycle
+    t_on, t_off = params.gate
+    index = np.arange(int(n_total / (fs * cycle)) + 1)
+    start = index * cycle
+    lo = np.floor((start + t_on) * fs).astype(np.int64)
+    hi = np.ceil((start + t_off) * fs).astype(np.int64)
+    # lo + 2 and hi - 3 pass whenever the run reaches past them, so the
+    # extremes of the passing edge samples are the run's ends
+    edge = np.concatenate((lo[:, None] + np.arange(-2, 3),
+                           hi[:, None] + np.arange(-3, 2)), axis=1)
+    turn, in_cycle = np.divmod(edge / fs, cycle)
+    passes = (turn == index[:, None]) & (in_cycle >= t_on) & (in_cycle < t_off)
+    first = np.where(passes, edge, n_total).min(axis=1)
+    last = np.minimum(np.where(passes, edge + 1, 0).max(axis=1), n_total)
+    keep = first < last
+    return first[keep], last[keep]
+
+
+def _gated_tone(params: TraceParams, n_total: int):
+    """Indices of the samples inside the per-cycle gate window (`_gate_runs`)
+    and the unit drive tone sin(2 pi f t) at those samples only."""
+    first, last = _gate_runs(params, n_total)
+    size = last - first
+    index = np.arange(size.sum()) + np.repeat(first - np.cumsum(size) + size, size)
+    t = index / params.sample_rate
+    return index, np.sin(2.0 * math.pi * params.drive_freq * t)
 
 
 def synthesize(config: NetworkConfig, delta_thetas, params: TraceParams,
@@ -197,6 +220,31 @@ def _hann(length: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * math.pi * n / length))
 
 
+def _bin_kernel(sample_rate, center, rbw):
+    """The (length x 2) kernel [w cos, -w sin] of the Hann-weighted DFT bin at
+    `center`, length round(sample_rate/rbw), and the band-power norm
+    sample_rate * sum(w^2).  Raises AnalysisError for an rbw above
+    sample_rate/4 or a band past Nyquist."""
+    length = int(round(sample_rate / rbw))
+    if rbw > sample_rate / 4.0:
+        raise AnalysisError("rbw must be <= sample_rate/4")
+    if center + rbw / 2.0 >= sample_rate / 2.0:
+        raise AnalysisError("band extends past Nyquist")
+    window = _hann(length)
+    bin_index = int(round(center / sample_rate * length))
+    # exp(-2 pi i k n / L) as real and imaginary columns; k n is reduced
+    # mod L first so the phase stays exact for long segments
+    phase = 2.0 * math.pi * (bin_index * np.arange(length) % length) / length
+    kernel = np.stack((window * np.cos(phase), -window * np.sin(phase)), axis=1)
+    return kernel, sample_rate * np.sum(window**2)
+
+
+def _band_powers(parts, norm, rbw):
+    """Linear band power of each row of kernel coefficients: the one-sided
+    PSD at the bin, times rbw."""
+    return 2.0 * (parts[:, 0] ** 2 + parts[:, 1] ** 2) / norm * rbw
+
+
 def segment_band_powers(series, sample_rate, center, rbw):
     """Per-segment linear band power at `center` from Hann periodograms of
     length round(sample_rate/rbw).  Calibrated so unit-variance white noise
@@ -206,25 +254,28 @@ def segment_band_powers(series, sample_rate, center, rbw):
     Hann-weighted DFT (Goertzel, Am. Math. Monthly 65, 34 (1958)) in place
     of a full FFT."""
     series = np.asarray(series, dtype=float)
-    length = int(round(sample_rate / rbw))
-    if rbw > sample_rate / 4.0:
-        raise AnalysisError("rbw must be <= sample_rate/4")
-    if center + rbw / 2.0 >= sample_rate / 2.0:
-        raise AnalysisError("band extends past Nyquist")
+    kernel, norm = _bin_kernel(sample_rate, center, rbw)
+    length = kernel.shape[0]
     if series.size < length:
         raise AnalysisError("analysis window longer than the trace")
     n_segments = series.size // length
     segments = series[: n_segments * length].reshape(n_segments, length)
-    window = _hann(length)
-    bin_index = int(round(center / sample_rate * length))
-    # exp(-2 pi i k n / L) as real and imaginary columns; k n is reduced
-    # mod L first so the phase stays exact for long segments
-    phase = 2.0 * math.pi * (bin_index * np.arange(length) % length) / length
-    kernel = np.stack((window * np.cos(phase), -window * np.sin(phase)), axis=1)
-    parts = segments @ kernel
-    # one-sided PSD at the bin, times rbw
-    psd = 2.0 * (parts[:, 0] ** 2 + parts[:, 1] ** 2) / (sample_rate * np.sum(window**2))
-    return psd * rbw
+    return _band_powers(segments @ kernel, norm, rbw)
+
+
+def _window_spans(n_samples, sample_rate, cycle, window, invert=False):
+    """[start, stop) of each cycle's span inside (or, with invert, the two
+    spans outside) the per-cycle window, in time order.  The analysis reads
+    the full segments of round(sample_rate/rbw) samples from each span's
+    start."""
+    n_per_cycle = int(round(cycle * sample_rate))
+    lo = int(math.ceil(window[0] * sample_rate))
+    hi = int(math.floor(window[1] * sample_rate))
+    spans = [(0, lo), (hi, n_per_cycle)] if invert else [(lo, hi)]
+    n_cycles = n_samples // n_per_cycle
+    return [(base + a, base + b)
+            for base in range(0, n_cycles * n_per_cycle, n_per_cycle)
+            for a, b in spans]
 
 
 def _window_segment_powers(series, sample_rate, cycle, window, center, rbw,
@@ -232,23 +283,10 @@ def _window_segment_powers(series, sample_rate, cycle, window, center, rbw,
     """Mean linear band power over the full analysis segments lying inside
     (or, with invert, outside) the per-cycle window."""
     length = int(round(sample_rate / rbw))
-    n_per_cycle = int(round(cycle * sample_rate))
-    lo = int(math.ceil(window[0] * sample_rate))
-    hi = int(math.floor(window[1] * sample_rate))
-    powers = []
-    n_cycles = series.size // n_per_cycle
-    for c in range(n_cycles):
-        base = c * n_per_cycle
-        if invert:
-            spans = [(0, lo), (hi, n_per_cycle)]
-        else:
-            spans = [(lo, hi)]
-        for a, b in spans:
-            chunk = series[base + a: base + b]
-            if chunk.size >= length:
-                powers.append(
-                    segment_band_powers(chunk, sample_rate, center, rbw)
-                )
+    powers = [segment_band_powers(series[a:b], sample_rate, center, rbw)
+              for a, b in _window_spans(series.size, sample_rate, cycle,
+                                        window, invert)
+              if b - a >= length]
     if not powers:
         raise AnalysisError("no complete analysis segment in the window")
     return float(np.concatenate(powers).mean())
@@ -275,17 +313,10 @@ def _joint_weights(config: NetworkConfig, nu) -> np.ndarray:
     return w
 
 
-def _joint_result(joint, ref_joint, nu, params: TraceParams, rbw) -> JointNoiseResult:
-    """dB below the SQL, SNR and drive estimate from the joint series and the
-    reference run's joint series, both read through the same band powers."""
-    def powers(series, invert):
-        return _window_segment_powers(series, params.sample_rate, params.cycle,
-                                      params.gate, params.drive_freq, rbw,
-                                      invert=invert)
-
-    signal = powers(joint, False)
-    noise = powers(joint, True)
-    ref_noise = powers(ref_joint, True)
+def _joint_result(signal, noise, ref_noise, nu) -> JointNoiseResult:
+    """dB below the SQL, SNR and drive estimate from the joint estimator's
+    mean band powers in the gated (signal) and idle (noise) windows and the
+    reference run's idle power."""
     tone = max(signal - noise, 0.0)
     amp = math.sqrt(SINE_POWER_FACTOR * tone)
     return JointNoiseResult(
@@ -319,24 +350,85 @@ def joint_noise_analysis(traces: TraceSet, nu, config: NetworkConfig,
     ref_cfg = sql_reference_config(config)
     reference = synthesize(ref_cfg, 0.0, params, seed=_reference_seed(traces.seed))
     ref_joint = _joint_weights(ref_cfg, nu) @ reference.samples
-    return _joint_result(joint, ref_joint, nu, params, rbw)
+
+    def powers(series, invert):
+        return _window_segment_powers(series, params.sample_rate, params.cycle,
+                                      params.gate, params.drive_freq, rbw,
+                                      invert=invert)
+
+    return _joint_result(powers(joint, False), powers(joint, True),
+                         powers(ref_joint, True), nu)
 
 
-def _joint_series(config: NetworkConfig, weights, delta_thetas,
-                  params: TraceParams, seed: int) -> np.ndarray:
-    """The joint estimator series w @ synthesize(...).samples drawn directly:
-    one white stream (Philox channel 0 of `seed`) scaled by |L^T w|, plus the
-    weighted tone sum_j w_j C_jj delta_j at the gate samples."""
+def _tone_parts(starts, kernel, params: TraceParams, n_total: int) -> np.ndarray:
+    """Kernel coefficients K^T tone of the unit gated tone over each segment
+    [s, s + L) of `starts`.
+
+    Each gate run that overlaps a segment adds the sum of K[m] sin(w (s + m))
+    over the overlap, taken by angle addition, sin(w s) cos(w m) +
+    cos(w s) sin(w m), from prefix sums of K cos(w m) and K sin(w m) over one
+    segment; w = 2 pi f / sample_rate."""
+    fs, length = params.sample_rate, kernel.shape[0]
+    first, last = _gate_runs(params, n_total)
+    # runs first[j] < s + L and last[j] > s: a contiguous block per segment
+    lo = np.searchsorted(last, starts, side="right")
+    count = np.searchsorted(first, starts + length, side="left") - lo
+    seg = np.repeat(np.arange(starts.size), count)
+    run = np.arange(seg.size) + np.repeat(lo - np.cumsum(count) + count, count)
+    s = starts[seg]
+    a = np.maximum(first[run] - s, 0)
+    b = np.minimum(last[run] - s, length)
+    phase = 2.0 * math.pi * params.drive_freq * (np.arange(length) / fs)
+    zero = np.zeros((1, 2))
+    cos_sum = np.concatenate((zero, np.cumsum(kernel * np.cos(phase)[:, None], axis=0)))
+    sin_sum = np.concatenate((zero, np.cumsum(kernel * np.sin(phase)[:, None], axis=0)))
+    theta = 2.0 * math.pi * params.drive_freq * (s / fs)
+    overlap = (np.sin(theta)[:, None] * (cos_sum[b] - cos_sum[a])
+               + np.cos(theta)[:, None] * (sin_sum[b] - sin_sum[a]))
+    parts = np.zeros((starts.size, 2))
+    np.add.at(parts, seg, overlap)
+    return parts
+
+
+def _sampled_powers(config: NetworkConfig, weights, delta_thetas,
+                    params: TraceParams, seed: int, rbw, windows) -> list:
+    """Mean band power over the analysis segments of each window in
+    `windows` (False: inside the gate window, True: outside it) that
+    `_window_segment_powers` reads from the joint series
+    weights @ synthesize(config, delta_thetas, params, seed).samples, drawn
+    segment by segment without the series.
+
+    The joint noise is white with standard deviation sigma = |L^T w|
+    (L L^T = Gamma) and the segments are disjoint, so the kernel
+    coefficients K^T x of each segment are an independent normal pair of
+    covariance sigma^2 K^T K: sigma C g with C C^T = K^T K and g two
+    standard normals, one pair per segment in time order from Philox
+    channel 0 of `seed`.  The drive adds amp K^T tone, amp =
+    sum_j w_j C_jj delta_j."""
     sigma = float(np.linalg.norm(_noise_factor(noise_matrix(config)).T @ weights))
+    kernel, norm = _bin_kernel(params.sample_rate, params.drive_freq, rbw)
+    length = kernel.shape[0]
     n_total = _n_samples(params)
-    series = _channel_rng(seed, 0).standard_normal(n_total)
-    series *= sigma
+    layout = []
+    for invert in windows:
+        spans = _window_spans(n_total, params.sample_rate, params.cycle,
+                              params.gate, invert)
+        starts = np.concatenate([np.arange(a, b - length + 1, length)
+                                 for a, b in spans])
+        if not starts.size:
+            raise AnalysisError("no complete analysis segment in the window")
+        layout.append(starts)
+    starts = np.concatenate(layout)
+    noise = np.empty((starts.size, 2))
+    noise[np.argsort(starts)] = _channel_rng(seed, 0).standard_normal(noise.shape)
+    parts = sigma * noise @ _noise_factor(kernel.T @ kernel).T
     delta = np.broadcast_to(np.asarray(delta_thetas, dtype=float), (config.d,))
     amp = float(weights @ (np.diag(response_matrix(config)) * delta))
     if amp != 0.0:
-        index, tone = _gated_tone(params, n_total)
-        series[index] += amp * tone
-    return series
+        parts += amp * _tone_parts(starts, kernel, params, n_total)
+    powers = np.split(_band_powers(parts, norm, rbw),
+                      np.cumsum([s.size for s in layout])[:-1])
+    return [float(p.mean()) for p in powers]
 
 
 def simulate_joint_noise(config: NetworkConfig, nu, delta_thetas,
@@ -345,16 +437,19 @@ def simulate_joint_noise(config: NetworkConfig, nu, delta_thetas,
     """Monte Carlo joint-noise run of one operating point.
 
     Same statistics as ``joint_noise_analysis(synthesize(config,
-    delta_thetas, params, seed), nu, config, rbw)``, but synthesizes only the
-    joint series of the signal and of the shot-noise reference run, not d
-    channels of each.
+    delta_thetas, params, seed), nu, config, rbw)``, but draws only what the
+    analysis reads: the single-bin DFT coefficients of each analysis segment
+    of the joint estimator, for the gated and idle segments of the signal
+    run and the idle segments of the shot-noise reference run.  No series is
+    built, so the cost grows with the segment count, not the sample count.
     """
-    joint = _joint_series(config, _joint_weights(config, nu), delta_thetas,
-                          params, seed)
+    signal, noise = _sampled_powers(config, _joint_weights(config, nu),
+                                    delta_thetas, params, seed, rbw,
+                                    (False, True))
     ref_cfg = sql_reference_config(config)
-    ref_joint = _joint_series(ref_cfg, _joint_weights(ref_cfg, nu), 0.0,
-                              params, _reference_seed(seed))
-    return _joint_result(joint, ref_joint, nu, params, rbw)
+    (ref_noise,) = _sampled_powers(ref_cfg, _joint_weights(ref_cfg, nu), 0.0,
+                                   params, _reference_seed(seed), rbw, (True,))
+    return _joint_result(signal, noise, ref_noise, nu)
 
 
 # ---------------------------------------------------------------------------

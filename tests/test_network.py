@@ -368,6 +368,9 @@ def test_variance_lost_to_rounding_is_an_error_row_not_ok():
     base = configure_optimal(weight_pattern("ave", 2), 100.0, 100)
     with pytest.raises(PrecisionLossError):
         sensitivity_numeric(base)
+    # the closed form cancels the same way in (varq - 1) cross^2 + direct
+    with pytest.raises(PrecisionLossError):
+        closed_form_variance(base)
     rows = scan("n_c", [1e2, 1e4], base)
     assert [row.status.split(":")[:2] for row in rows] == [
         ["error", "PrecisionLossError"]] * 2

@@ -1,13 +1,15 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mzinet import laws, tracelab
+from mzinet import laws, scenarios, tracelab
 from mzinet.errors import AnalysisError, DarkResponseError, RegularizationError
-from mzinet.network import NetworkConfig, noise_matrix, weight_pattern
-from mzinet.optimize import configure_optimal
+from mzinet.network import NetworkConfig, weight_pattern
+from mzinet.optimize import configure_optimal, scan
+from mzinet.scenarios import bundled_scenario_path, load_scenario
 from mzinet.tracelab import (
     TraceParams,
     TraceSet,
@@ -21,6 +23,17 @@ from mzinet.tracelab import (
 
 FAST = TraceParams(sample_rate=2e7, cycle=4e-3, gate=(1.2e-3, 2.0e-3),
                    n_cycles=4, drive_freq=4e6)
+# gates inside the cycle, over all of it, from its start and to its end, with
+# a cycle that is not a whole number of samples
+GATE_CASES = [
+    FAST,
+    TraceParams(sample_rate=2e7, cycle=1e-3, gate=(0.0, 1e-3), n_cycles=3,
+                drive_freq=4e6),
+    TraceParams(sample_rate=3.3e7, cycle=7.77e-4, gate=(0.0, 2.5e-4),
+                n_cycles=7, drive_freq=4e6),
+    TraceParams(sample_rate=3.3e7, cycle=7.77e-4, gate=(1e-4, 7.77e-4),
+                n_cycles=7, drive_freq=4e6),
+]
 
 
 def _ideal_config(d=2, r=0.0, n_c=1e6):
@@ -86,15 +99,7 @@ def test_synthesize_gated_drive_only_inside_window():
     assert np.max(np.abs(diff[:, in_gate])) > 0.0
 
 
-@pytest.mark.parametrize("params", [
-    FAST,
-    TraceParams(sample_rate=2e7, cycle=1e-3, gate=(0.0, 1e-3), n_cycles=3,
-                drive_freq=4e6),
-    TraceParams(sample_rate=3.3e7, cycle=7.77e-4, gate=(0.0, 2.5e-4),
-                n_cycles=7, drive_freq=4e6),
-    TraceParams(sample_rate=3.3e7, cycle=7.77e-4, gate=(1e-4, 7.77e-4),
-                n_cycles=7, drive_freq=4e6),
-])
+@pytest.mark.parametrize("params", GATE_CASES)
 def test_gated_tone_matches_full_mask_rule(params):
     n_total = tracelab._n_samples(params)
     t = np.arange(n_total) / params.sample_rate
@@ -103,6 +108,17 @@ def test_gated_tone_matches_full_mask_rule(params):
     index, tone = tracelab._gated_tone(params, n_total)
     assert np.array_equal(index, np.flatnonzero(mask))
     assert np.array_equal(tone, np.sin(2.0 * math.pi * params.drive_freq * t)[mask])
+
+
+def test_gate_between_two_samples_drives_none():
+    # the gate is 0.6 samples wide and holds no sample time
+    params = TraceParams(sample_rate=2e7, cycle=1e-3, gate=(1.0001e-4, 1.0004e-4),
+                         n_cycles=2, drive_freq=4e6)
+    index, tone = tracelab._gated_tone(params, tracelab._n_samples(params))
+    assert index.size == 0 and tone.size == 0
+    cfg = _ideal_config(d=1)
+    assert np.array_equal(synthesize(cfg, 1e-3, params, seed=5).samples,
+                          synthesize(cfg, 0.0, params, seed=5).samples)
 
 
 def test_band_power_sinusoid_calibration():
@@ -204,29 +220,70 @@ def test_joint_noise_analysis_needs_idle_window():
         joint_noise_analysis(traces, cfg.weights, cfg)
 
 
-def test_joint_series_tone_is_weighted_channel_drive(monkeypatch):
+@pytest.mark.parametrize("params", GATE_CASES)
+def test_sampled_tone_matches_materialized_joint_series(params, monkeypatch):
     cfg = configure_optimal(weight_pattern("asym", 3), 1e8, 0.3, eta_dis=0.95)
     delta = np.array([2e-4, -1e-4, 3e-4])
     w = tracelab._joint_weights(cfg, cfg.weights)
     # zero noise factor: only the gated drive is left in either path
     monkeypatch.setattr(tracelab, "_noise_factor", lambda gamma: np.zeros_like(gamma))
-    joint = tracelab._joint_series(cfg, w, delta, FAST, seed=8)
-    channels = (synthesize(cfg, delta, FAST, seed=8).samples
-                - synthesize(cfg, 0.0, FAST, seed=8).samples)
-    np.testing.assert_allclose(joint, w @ channels, rtol=0.0, atol=1e-12)
-    assert np.max(np.abs(joint)) > 1e-5
+    joint = w @ (synthesize(cfg, delta, params, seed=8).samples
+                 - synthesize(cfg, 0.0, params, seed=8).samples)
+    read = 0
+    for invert in (False, True):
+        try:
+            expected = tracelab._window_segment_powers(
+                joint, params.sample_rate, params.cycle, params.gate,
+                params.drive_freq, 1e5, invert=invert)
+        except AnalysisError:
+            with pytest.raises(AnalysisError):
+                tracelab._sampled_powers(cfg, w, delta, params, 8, 1e5, (invert,))
+            continue
+        (sampled,) = tracelab._sampled_powers(cfg, w, delta, params, 8, 1e5,
+                                              (invert,))
+        assert sampled == pytest.approx(expected, rel=1e-9, abs=0.0)
+        read += expected > 0.0
+    assert read >= 1
 
 
-def test_joint_series_noise_is_one_scaled_channel_zero_stream():
-    cfg = configure_optimal(weight_pattern("stag", 4), 1e10, 0.75,
-                            eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
-    w = tracelab._joint_weights(cfg, cfg.weights)
-    factor = tracelab._noise_factor(noise_matrix(cfg))
-    joint = tracelab._joint_series(cfg, w, 0.0, FAST, seed=31)
-    white = tracelab._channel_rng(31, 0).standard_normal(joint.size)
-    sigma = joint[0] / white[0]
-    assert sigma**2 == pytest.approx(w @ factor @ factor.T @ w, rel=1e-12)
-    np.testing.assert_allclose(joint, sigma * white, rtol=1e-15, atol=0.0)
+def _fig2_trace_points():
+    scenario = load_scenario(bundled_scenario_path("fig2"))
+    spec = scenario.scans[0]
+    rows = scan(spec.axis, spec.grid, scenario.base_config(spec.overrides),
+                engines=("analytic",))
+    return scenario, rows
+
+
+def test_sampled_noise_matches_segment_statistics_over_seeds():
+    # the idle power of each run is a mean of N exponential segment powers,
+    # so the dB ratio of two runs has sd 10/ln(10) sqrt(1/N_idle + 1/N_ref)
+    scenario, rows = _fig2_trace_points()
+    params = scenarios._trace_params(scenario.trace)
+    length = int(round(params.sample_rate / scenario.trace["rbw"]))
+    n_idle = sum((b - a) // length for a, b in tracelab._window_spans(
+        tracelab._n_samples(params), params.sample_rate, params.cycle,
+        params.gate, invert=True))
+    sd_model = 10.0 / math.log(10.0) * math.sqrt(2.0 / n_idle)
+    for row in rows:
+        errors = np.array([
+            scenarios._run_trace_point(row.config, scenario, seed)[0] - row.db_below_sql
+            for seed in range(64)
+        ])
+        sd = errors.std(ddof=1)
+        assert abs(errors.mean()) < 4.0 * sd / math.sqrt(errors.size)
+        assert abs(sd - sd_model) < 4.0 * sd / math.sqrt(2.0 * (errors.size - 1))
+
+
+def test_simulate_joint_noise_builds_no_series():
+    scenario, rows = _fig2_trace_points()
+    tracemalloc.start()
+    try:
+        scenarios._run_trace_point(rows[0].config, scenario, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 1.6 M-sample series alone would take 12.8 MB
+    assert peak < 4e6
 
 
 def test_simulate_joint_noise_recovers_model_over_seeds():
