@@ -144,7 +144,7 @@ def _cmd_trace(args):
         return EXIT_OK
     traces = tracelab.read_trace(args.trace)
     result = tracelab.joint_noise_analysis(
-        traces, cfg.weights, cfg, rbw=float(scenario.trace.get("rbw", 100e3)))
+        traces, cfg, rbw=float(scenario.trace.get("rbw", 100e3)))
     print(json.dumps({
         "db_below_sql": result.db_below_sql,
         "snr_db": result.snr_db,

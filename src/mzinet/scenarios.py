@@ -128,58 +128,76 @@ def _finite(name: str, value) -> float:
     return float(value)
 
 
+def _required(doc: dict, name: str):
+    """doc[name]; a missing field raises ConfigError(name)."""
+    if name not in doc:
+        raise ConfigError(name, "missing field")
+    return doc[name]
+
+
 def _config_from_spec(spec: dict) -> NetworkConfig:
     spec = dict(spec)
-    d = _integer("d", spec.pop("d"))
+    d = _integer("d", _required(spec, "d"))
+    del spec["d"]
     weights = spec.pop("weights", "ave")
     if isinstance(weights, str):
         weights = weight_pattern(weights, d)
     else:
-        weights = tuple(float(w) for w in weights)
+        weights = tuple(_finite("weights", w) for w in weights)
         if len(weights) != d:
             raise ConfigError("weights", f"need {d} weights")
     r = spec.pop("r", 0.0)
+    r = tuple(_finite("r", x) for x in r) if isinstance(r, list) else _finite("r", r)
+    mu = spec.pop("mu", None)
     kwargs = {
         "K": _integer("K", spec.pop("K", 1)),
-        "mu": spec.pop("mu", None),
-        "eta_dis": float(spec.pop("eta_dis", 1.0)),
-        "eta_mzi": float(spec.pop("eta_mzi", 1.0)),
-        "eta_m": float(spec.pop("eta_m", 1.0)),
+        "mu": None if mu is None else _finite("mu", mu),
+        "eta_dis": _finite("eta_dis", spec.pop("eta_dis", 1.0)),
+        "eta_mzi": _finite("eta_mzi", spec.pop("eta_mzi", 1.0)),
+        "eta_m": _finite("eta_m", spec.pop("eta_m", 1.0)),
     }
     alphas = spec.pop("alphas", None)
     P = spec.pop("P", None)
     thetas = spec.pop("thetas", None)
-    if isinstance(thetas, (int, float)):
-        thetas = (float(thetas),) * d
+    if isinstance(thetas, list):
+        thetas = tuple(_finite("thetas", t) for t in thetas)
+    elif thetas is not None:
+        thetas = (_finite("thetas", thetas),) * d
     n_c = spec.pop("n_c", None)
     topology = spec.pop("topology", "entangled")
     if spec:
         raise ConfigError(sorted(spec)[0], "unknown network field")
-    if alphas is None or P is None:
+    if (alphas is None) != (P is None):
+        missing = "alphas" if alphas is None else "P"
+        raise ConfigError(missing, "alphas and P are given together or not at all")
+    if alphas is None:
         if n_c is None:
             raise ConfigError("n_c", "need n_c when alphas/P are not explicit")
         return optimize.configure_optimal(
-            weights, _finite("n_c", n_c), r,
-            thetas=tuple(thetas) if thetas is not None else None,
+            weights, _finite("n_c", n_c), r, thetas=thetas,
             topology=topology, **kwargs,
         )
     return NetworkConfig(
-        d=d, r=r, alphas=tuple(tuple(a) for a in alphas),
-        thetas=tuple(thetas) if thetas is not None else (0.0,) * d,
-        weights=weights, P=tuple(P), topology=topology, **kwargs,
+        d=d, r=r,
+        alphas=tuple(tuple(_finite("alphas", x) for x in a) for a in alphas),
+        thetas=thetas if thetas is not None else (0.0,) * d,
+        weights=weights, P=tuple(_finite("P", x) for x in P),
+        topology=topology, **kwargs,
     )
 
 
 def _expand_grid(grid):
     if isinstance(grid, dict):
-        num = int(grid["num"])
+        num = _integer("num", _required(grid, "num"))
+        if num < 1:
+            raise ConfigError("num", f"need at least one grid point, got {num}")
+        start = float(_required(grid, "start"))
+        stop = float(_required(grid, "stop"))
         spacing = grid.get("spacing", "linear")
         if spacing == "log":
-            values = np.logspace(
-                math.log10(float(grid["start"])),
-                math.log10(float(grid["stop"])), num)
+            values = np.logspace(math.log10(start), math.log10(stop), num)
         elif spacing == "linear":
-            values = np.linspace(float(grid["start"]), float(grid["stop"]), num)
+            values = np.linspace(start, stop, num)
         else:
             raise ScenarioParseError(f"unknown grid spacing {spacing!r}")
         # round off last-digit noise, unless that moves a point by more than
@@ -221,18 +239,19 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         for engine in engines:
             if engine not in ENGINES:
                 raise ScenarioParseError(f"unknown engine {engine!r}")
+        axis = _required(entry, "axis")
         scans.append(
             ScanSpec(
-                label=entry.get("label", entry["axis"]),
-                axis=entry["axis"],
-                grid=_expand_grid(entry["grid"]),
+                label=entry.get("label", axis),
+                axis=axis,
+                grid=_expand_grid(_required(entry, "grid")),
                 engines=engines,
                 overrides=dict(entry.get("overrides", {})),
             )
         )
     scenario = Scenario(
         name=name,
-        seed=int(doc.get("seed", 0)),
+        seed=_integer("seed", doc.get("seed", 0)),
         network=dict(network),
         scans=scans,
         trace=dict(doc.get("trace", {})),
@@ -275,7 +294,7 @@ def _trace_params(trace_doc: dict) -> tracelab.TraceParams:
         sample_rate=float(trace_doc.get("sample_rate", tracelab.DEFAULT_SAMPLE_RATE)),
         cycle=float(trace_doc.get("cycle", tracelab.DEFAULT_CYCLE)),
         gate=tuple(trace_doc.get("gate", tracelab.DEFAULT_GATE)),
-        n_cycles=int(trace_doc.get("n_cycles", 1)),
+        n_cycles=_integer("n_cycles", trace_doc.get("n_cycles", 1)),
         drive_freq=float(trace_doc.get("drive_freq", tracelab.DEFAULT_DRIVE)),
     )
 
@@ -290,7 +309,7 @@ def _signed_drive(cfg: NetworkConfig, trace_doc: dict) -> np.ndarray:
 
 def _run_trace_point(cfg, scenario, row_seed):
     result = tracelab.simulate_joint_noise(
-        cfg, cfg.weights, _signed_drive(cfg, scenario.trace),
+        cfg, _signed_drive(cfg, scenario.trace),
         _trace_params(scenario.trace), seed=row_seed,
         rbw=float(scenario.trace.get("rbw", 100e3)))
     return result.db_below_sql, result.snr_db
@@ -577,7 +596,7 @@ def verify(level="quick", seed=20260808) -> VerifyReport:
                 eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
             traces = tracelab.synthesize(cfg, 0.0, params,
                                          seed=int(rng.integers(2**62)))
-            result = tracelab.joint_noise_analysis(traces, cfg.weights, cfg)
+            result = tracelab.joint_noise_analysis(traces, cfg)
             model = laws.db_below_sql(r, cfg.Lambda)
             dev = max(dev, abs(result.db_below_sql - model))
         checks.append(VerifyCheck("trace noise recovery (dB)", dev, 0.2))

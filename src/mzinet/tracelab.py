@@ -11,15 +11,18 @@ with the same photon budget; both sides of the ratio go through the same
 band-power kernel and calibration, so the spectral calibration cancels.
 
 Trace files keep per-channel traces (`synthesize`, `joint_noise_analysis`).
-A scan point only reads one Hann-weighted DFT bin of each analysis segment
-of the joint estimator y = sum_j nu_j x_j / C_jj, averaged over the gated
-and over the idle segments as in a Welch periodogram (Welch, IEEE Trans.
-Audio Electroacoust. 15, 70 (1967)).  The joint noise is white with standard
-deviation |L^T w| (L L^T = Gamma, w_j = nu_j / C_jj) and the segments are
-disjoint, so `simulate_joint_noise` draws each segment's bin directly, with
-the gated tone's share of it, and never builds the series.  The segment
-layout (`_window_spans`), the kernel (`_bin_kernel`) and the gate rule
-(`_gate_runs`) have one definition each, shared by both paths.
+The analysis reads one Hann-weighted DFT bin of each analysis segment of the
+joint estimator y = sum_j nu_j x_j / C_jj, averaged over the gated and over
+the idle segments as in a Welch periodogram (Welch, IEEE Trans. Audio
+Electroacoust. 15, 70 (1967)).  The joint noise is white with variance
+w^T Gamma w (w_j = nu_j / C_jj), which is the engine's
+`sensitivity_numeric`, and the segments are disjoint, so
+`simulate_joint_noise` draws each segment's bin directly, with the gated
+tone's share of it, and never builds the series.  The reference run's
+Gamma is the identity, so both paths draw its idle segments the same way
+(`_reference_power`).  The segment layout (`_window_spans`), the kernel
+(`_bin_kernel`) and the gate rule (`_gate_runs`) have one definition each,
+shared by both paths.
 
 Trace file layout (little endian): magic "MZTR", version u32, d u32,
 sample_rate f64, duration f64, gate 2*f64, seed u64, then channel-major f64
@@ -44,6 +47,7 @@ from .network import (
     active_channels,
     noise_matrix,
     response_matrix,
+    sensitivity_numeric,
     sql_reference_config,
 )
 
@@ -302,10 +306,10 @@ class JointNoiseResult:
     reference_power: float
 
 
-def _joint_weights(config: NetworkConfig, nu) -> np.ndarray:
+def _joint_weights(config: NetworkConfig) -> np.ndarray:
     """Estimator weights w_j = nu_j / C_jj, zero on unweighted dark channels;
     a weighted dark channel raises DarkResponseError."""
-    nu = np.asarray(nu, dtype=float)
+    nu = np.asarray(config.weights, dtype=float)
     c_diag = np.diag(response_matrix(config))
     keep = active_channels(config, c_diag, nu)
     w = np.zeros(config.d)
@@ -313,33 +317,37 @@ def _joint_weights(config: NetworkConfig, nu) -> np.ndarray:
     return w
 
 
-def _joint_result(signal, noise, ref_noise, nu) -> JointNoiseResult:
+def _joint_result(config: NetworkConfig, params: TraceParams, seed: int, rbw,
+                  signal, noise) -> JointNoiseResult:
     """dB below the SQL, SNR and drive estimate from the joint estimator's
-    mean band powers in the gated (signal) and idle (noise) windows and the
-    reference run's idle power."""
+    mean band powers in the gated (signal) and idle (noise) windows of the
+    run of `seed` and the idle power of its reference run
+    (`_reference_power`)."""
+    ref_noise = _reference_power(config, params, seed, rbw)
     tone = max(signal - noise, 0.0)
     amp = math.sqrt(SINE_POWER_FACTOR * tone)
     return JointNoiseResult(
         db_below_sql=10.0 * math.log10(ref_noise / noise),
         snr_db=10.0 * math.log10(signal / noise),
-        delta_theta_hat=amp / float(np.sum(np.abs(nu))),
+        delta_theta_hat=amp / float(np.sum(np.abs(config.weights))),
         noise_power=noise,
         signal_power=signal,
         reference_power=ref_noise,
     )
 
 
-def joint_noise_analysis(traces: TraceSet, nu, config: NetworkConfig,
+def joint_noise_analysis(traces: TraceSet, config: NetworkConfig,
                          rbw=100e3) -> JointNoiseResult:
-    """Joint processing of the channel traces for the weighted phase sum.
+    """Joint processing of the channel traces for the weighted phase sum
+    nu = config.weights.
 
-    Forms the estimator y[n] = sum_j nu_j x_j[n] / C_jj (phase units),
+    Forms the estimator y[n] = sum_j nu_j x_j[n] / C_jj (phase units) and
     measures the drive-band power in the gated (signal) and idle (noise)
-    windows, and references the idle noise to the ideal shot-noise run,
-    synthesized per channel with the traces' timing from a seed derived
-    from the traces' seed.
+    windows.  The idle noise is referenced to the ideal shot-noise run with
+    the traces' timing (`_reference_power`), drawn segment by segment from a
+    seed derived from the traces' seed.
     """
-    joint = _joint_weights(config, nu) @ traces.samples
+    joint = _joint_weights(config) @ traces.samples
     params = TraceParams(
         sample_rate=traces.sample_rate,
         cycle=traces.cycle,
@@ -347,17 +355,14 @@ def joint_noise_analysis(traces: TraceSet, nu, config: NetworkConfig,
         n_cycles=traces.n_cycles,
         drive_freq=traces.drive_freq,
     )
-    ref_cfg = sql_reference_config(config)
-    reference = synthesize(ref_cfg, 0.0, params, seed=_reference_seed(traces.seed))
-    ref_joint = _joint_weights(ref_cfg, nu) @ reference.samples
 
-    def powers(series, invert):
-        return _window_segment_powers(series, params.sample_rate, params.cycle,
+    def powers(invert):
+        return _window_segment_powers(joint, params.sample_rate, params.cycle,
                                       params.gate, params.drive_freq, rbw,
                                       invert=invert)
 
-    return _joint_result(powers(joint, False), powers(joint, True),
-                         powers(ref_joint, True), nu)
+    return _joint_result(config, params, traces.seed, rbw, powers(False),
+                         powers(True))
 
 
 def _tone_parts(starts, kernel, params: TraceParams, n_total: int) -> np.ndarray:
@@ -390,22 +395,19 @@ def _tone_parts(starts, kernel, params: TraceParams, n_total: int) -> np.ndarray
     return parts
 
 
-def _sampled_powers(config: NetworkConfig, weights, delta_thetas,
-                    params: TraceParams, seed: int, rbw, windows) -> list:
+def _sampled_powers(sigma: float, amp: float, params: TraceParams, seed: int,
+                    rbw, windows) -> list:
     """Mean band power over the analysis segments of each window in
     `windows` (False: inside the gate window, True: outside it) that
-    `_window_segment_powers` reads from the joint series
-    weights @ synthesize(config, delta_thetas, params, seed).samples, drawn
+    `_window_segment_powers` reads from a joint series of white noise of
+    standard deviation `sigma` plus the unit gated tone times `amp`, drawn
     segment by segment without the series.
 
-    The joint noise is white with standard deviation sigma = |L^T w|
-    (L L^T = Gamma) and the segments are disjoint, so the kernel
-    coefficients K^T x of each segment are an independent normal pair of
-    covariance sigma^2 K^T K: sigma C g with C C^T = K^T K and g two
-    standard normals, one pair per segment in time order from Philox
-    channel 0 of `seed`.  The drive adds amp K^T tone, amp =
-    sum_j w_j C_jj delta_j."""
-    sigma = float(np.linalg.norm(_noise_factor(noise_matrix(config)).T @ weights))
+    The segments are disjoint, so the kernel coefficients K^T x of each
+    segment are an independent normal pair of covariance sigma^2 K^T K:
+    sigma C g with C C^T = K^T K and g two standard normals, one pair per
+    segment in time order from Philox channel 0 of `seed`.  The drive adds
+    amp K^T tone."""
     kernel, norm = _bin_kernel(params.sample_rate, params.drive_freq, rbw)
     length = kernel.shape[0]
     n_total = _n_samples(params)
@@ -422,8 +424,6 @@ def _sampled_powers(config: NetworkConfig, weights, delta_thetas,
     noise = np.empty((starts.size, 2))
     noise[np.argsort(starts)] = _channel_rng(seed, 0).standard_normal(noise.shape)
     parts = sigma * noise @ _noise_factor(kernel.T @ kernel).T
-    delta = np.broadcast_to(np.asarray(delta_thetas, dtype=float), (config.d,))
-    amp = float(weights @ (np.diag(response_matrix(config)) * delta))
     if amp != 0.0:
         parts += amp * _tone_parts(starts, kernel, params, n_total)
     powers = np.split(_band_powers(parts, norm, rbw),
@@ -431,25 +431,38 @@ def _sampled_powers(config: NetworkConfig, weights, delta_thetas,
     return [float(p.mean()) for p in powers]
 
 
-def simulate_joint_noise(config: NetworkConfig, nu, delta_thetas,
+def _reference_power(config: NetworkConfig, params: TraceParams, seed: int,
+                     rbw) -> float:
+    """Idle band power of the joint estimator of the ideal shot-noise run
+    (`sql_reference_config`), drawn by `_sampled_powers` from the seed
+    derived from `seed`.  Its Gamma is the identity, so its joint noise is
+    white of variance sum_j w_j^2 and the sampled idle bins have exactly the
+    distribution of the synthesized run's."""
+    sigma = math.sqrt(sensitivity_numeric(sql_reference_config(config)))
+    (power,) = _sampled_powers(sigma, 0.0, params, _reference_seed(seed), rbw,
+                               (True,))
+    return power
+
+
+def simulate_joint_noise(config: NetworkConfig, delta_thetas,
                          params: TraceParams, seed: int,
                          rbw=100e3) -> JointNoiseResult:
     """Monte Carlo joint-noise run of one operating point.
 
     Same statistics as ``joint_noise_analysis(synthesize(config,
-    delta_thetas, params, seed), nu, config, rbw)``, but draws only what the
-    analysis reads: the single-bin DFT coefficients of each analysis segment
-    of the joint estimator, for the gated and idle segments of the signal
-    run and the idle segments of the shot-noise reference run.  No series is
-    built, so the cost grows with the segment count, not the sample count.
+    delta_thetas, params, seed), config, rbw)``, with the same reference
+    power, but draws only the single-bin DFT coefficients of each gated and
+    idle analysis segment: noise of the engine's variance
+    sensitivity_numeric(config) and a drive of amplitude sum_j nu_j delta_j
+    (w_j C_jj = nu_j).  No series is built, so the cost grows with the
+    segment count, not the sample count.
     """
-    signal, noise = _sampled_powers(config, _joint_weights(config, nu),
-                                    delta_thetas, params, seed, rbw,
-                                    (False, True))
-    ref_cfg = sql_reference_config(config)
-    (ref_noise,) = _sampled_powers(ref_cfg, _joint_weights(ref_cfg, nu), 0.0,
-                                   params, _reference_seed(seed), rbw, (True,))
-    return _joint_result(signal, noise, ref_noise, nu)
+    sigma = math.sqrt(sensitivity_numeric(config))
+    delta = np.broadcast_to(np.asarray(delta_thetas, dtype=float), (config.d,))
+    amp = float(np.asarray(config.weights) @ delta)
+    return _joint_result(config, params, seed, rbw,
+                         *_sampled_powers(sigma, amp, params, seed, rbw,
+                                          (False, True)))
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ def test_criterion_07_weight_structure_invariance():
         # independent noise draws per pattern: the 0.2 dB agreement is a
         # statistical statement, not a shared-seed identity
         traces = synthesize(cfg, 0.0, params, seed=424242 + offset)
-        mc[name] = joint_noise_analysis(traces, nu, cfg).db_below_sql
+        mc[name] = joint_noise_analysis(traces, cfg).db_below_sql
     for name in ("stag", "asym"):
         assert analytic[name] == pytest.approx(analytic["ave"], rel=1e-10)
         assert numeric[name] == pytest.approx(numeric["ave"], rel=1e-10)

@@ -299,7 +299,7 @@ def test_one_dark_channel_rule_for_every_engine():
     engines = (
         sensitivity_numeric,
         oracle_sensitivity,
-        lambda c: simulate_joint_noise(c, c.weights, 0.0, DIM_TRACE, seed=1),
+        lambda c: simulate_joint_noise(c, 0.0, DIM_TRACE, seed=1),
     )
     for engine in engines:
         with pytest.raises(DarkResponseError) as err:
@@ -311,7 +311,7 @@ def test_unweighted_dark_channel_is_dropped_by_every_engine():
     cfg = _dim_channel_config((1.0, 0.0))
     assert oracle_sensitivity(cfg) == pytest.approx(sensitivity_numeric(cfg),
                                                     rel=1e-6)
-    result = simulate_joint_noise(cfg, cfg.weights, 0.0, DIM_TRACE, seed=1)
+    result = simulate_joint_noise(cfg, 0.0, DIM_TRACE, seed=1)
     assert math.isfinite(result.db_below_sql)
     assert math.isfinite(result.snr_db)
 

@@ -244,10 +244,34 @@ NAN, INF = float("nan"), float("inf")
     ("trace", {}, None, {"gate": [1.2e-3, INF]}),
     ("grid", {}, {"axis": "eta_dis", "grid": [0.5, 1.0, 0.9]}, None),
     ("axis", {}, {"axis": "n_x", "grid": [0.5, 0.9]}, None),
+    ("axis", {}, {"grid": [0.5, 0.9]}, None),
+    ("grid", {}, {"axis": "eta_dis"}, None),
+    ("start", {}, {"axis": "n_T", "grid": {"stop": 1e4, "num": 3}}, None),
+    ("stop", {}, {"axis": "n_T", "grid": {"start": 1e2, "num": 3}}, None),
+    ("num", {}, {"axis": "n_T", "grid": {"start": 1e2, "stop": 1e4}}, None),
+    ("num", {}, {"axis": "n_T", "grid": {"start": 1e2, "stop": 1e4, "num": 2.5}}, None),
+    ("num", {}, {"axis": "n_T", "grid": {"start": 1e2, "stop": 1e4, "num": 0}}, None),
+    ("num", {}, {"axis": "n_T", "grid": {"start": 1e2, "stop": 1e4, "num": -2}}, None),
+    ("trace", {}, None, {"n_cycles": 2.7}),
+    ("r", {"r": "0.75"}, None, None),
+    ("mu", {"mu": "1"}, None, None),
+    ("eta_dis", {"eta_dis": "0.9"}, None, None),
+    ("weights", {"weights": [0.5, "0.25", 0.25]}, None, None),
+    ("alphas", {"P": [0.2, 0.3, 0.5]}, None, None),
+    ("P", {"alphas": [[30.0, 0.0], [30.0, 0.0], [30.0, 0.0]]}, None, None),
+    ("alphas", {"alphas": [["30", 0.0], [30.0, 0.0], [30.0, 0.0]],
+                "P": [0.2, 0.3, 0.5]}, None, None),
+    ("thetas", {"thetas": [0.0, "0.1", 0.0]}, None, None),
 ], ids=["network_r_nan", "network_r_inf", "network_r_negative",
         "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
         "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
-        "trace_nan", "trace_inf", "grid_not_monotone", "unknown_axis"])
+        "trace_nan", "trace_inf", "grid_not_monotone", "unknown_axis",
+        "scan_axis_missing", "scan_grid_missing", "range_start_missing",
+        "range_stop_missing", "range_num_missing", "range_num_fraction",
+        "range_num_zero", "range_num_negative", "trace_n_cycles_fraction",
+        "network_r_string", "network_mu_string", "network_eta_string",
+        "weights_string", "P_without_alphas", "alphas_without_P",
+        "alphas_string", "thetas_string"])
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)
@@ -258,6 +282,16 @@ def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, 
     if trace is not None:
         doc["scans"][0]["engines"] = ["analytic", "trace"]
         doc["trace"] = dict(TRACE_BLOCK, **trace)
+    _assert_rejected_at_load(tmp_path, capsys, doc, field)
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("d", lambda doc: doc["network"].pop("d")),
+    ("seed", lambda doc: doc.update(seed=1.5)),
+], ids=["network_d_missing", "seed_fraction"])
+def test_cli_rejects_bad_document_fields_at_load(tmp_path, capsys, field, edit):
+    doc = json.loads(json.dumps(SCENARIO))
+    edit(doc)
     _assert_rejected_at_load(tmp_path, capsys, doc, field)
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mzinet import laws, scenarios, tracelab
-from mzinet.errors import AnalysisError, DarkResponseError, RegularizationError
-from mzinet.network import NetworkConfig, weight_pattern
+from mzinet.errors import AnalysisError, DarkResponseError
+from mzinet.network import NetworkConfig, sql_reference_config, weight_pattern
 from mzinet.optimize import configure_optimal, scan
 from mzinet.scenarios import bundled_scenario_path, load_scenario
 from mzinet.tracelab import (
@@ -182,7 +182,7 @@ def test_joint_noise_analysis_recovers_model_suppression():
         params = TraceParams(sample_rate=2e7, cycle=8e-3, gate=(2.4e-3, 4e-3),
                              n_cycles=8, drive_freq=4e6)
         traces = synthesize(cfg, 0.0, params, seed=100 + int(10 * r))
-        result = joint_noise_analysis(traces, cfg.weights, cfg)
+        result = joint_noise_analysis(traces, cfg)
         model = laws.db_below_sql(r, cfg.Lambda)
         assert abs(result.db_below_sql - model) < 0.2
 
@@ -192,7 +192,7 @@ def test_joint_noise_analysis_estimates_drive_amplitude():
     delta = 2e-4
     signs = np.sign(cfg.weights)
     traces = synthesize(cfg, signs * delta, FAST, seed=21)
-    result = joint_noise_analysis(traces, cfg.weights, cfg)
+    result = joint_noise_analysis(traces, cfg)
     assert result.snr_db > 20.0
     assert result.delta_theta_hat == pytest.approx(delta, rel=0.02)
 
@@ -206,7 +206,7 @@ def test_joint_noise_analysis_weight_structures_agree():
         cfg = configure_optimal(nu, 1e10, 0.75, eta_dis=0.99, eta_mzi=0.89,
                                 eta_m=0.9999)
         traces = synthesize(cfg, 0.0, params, seed=7 + offset)
-        results[name] = joint_noise_analysis(traces, nu, cfg).db_below_sql
+        results[name] = joint_noise_analysis(traces, cfg).db_below_sql
     spread = max(results.values()) - min(results.values())
     assert spread < 0.2
 
@@ -217,14 +217,15 @@ def test_joint_noise_analysis_needs_idle_window():
                          n_cycles=2, drive_freq=4e6)
     traces = synthesize(cfg, 1e-3, params, seed=2)
     with pytest.raises(AnalysisError):
-        joint_noise_analysis(traces, cfg.weights, cfg)
+        joint_noise_analysis(traces, cfg)
 
 
 @pytest.mark.parametrize("params", GATE_CASES)
 def test_sampled_tone_matches_materialized_joint_series(params, monkeypatch):
     cfg = configure_optimal(weight_pattern("asym", 3), 1e8, 0.3, eta_dis=0.95)
     delta = np.array([2e-4, -1e-4, 3e-4])
-    w = tracelab._joint_weights(cfg, cfg.weights)
+    w = tracelab._joint_weights(cfg)
+    amp = float(np.dot(cfg.weights, delta))
     # zero noise factor: only the gated drive is left in either path
     monkeypatch.setattr(tracelab, "_noise_factor", lambda gamma: np.zeros_like(gamma))
     joint = w @ (synthesize(cfg, delta, params, seed=8).samples
@@ -237,13 +238,43 @@ def test_sampled_tone_matches_materialized_joint_series(params, monkeypatch):
                 params.drive_freq, 1e5, invert=invert)
         except AnalysisError:
             with pytest.raises(AnalysisError):
-                tracelab._sampled_powers(cfg, w, delta, params, 8, 1e5, (invert,))
+                tracelab._sampled_powers(0.0, amp, params, 8, 1e5, (invert,))
             continue
-        (sampled,) = tracelab._sampled_powers(cfg, w, delta, params, 8, 1e5,
-                                              (invert,))
+        (sampled,) = tracelab._sampled_powers(0.0, amp, params, 8, 1e5, (invert,))
         assert sampled == pytest.approx(expected, rel=1e-9, abs=0.0)
         read += expected > 0.0
     assert read >= 1
+
+
+def test_both_paths_share_the_reference_power():
+    cfg = configure_optimal(weight_pattern("asym", 3), 1e8, 0.3, eta_dis=0.95)
+    for seed in (0, 5):
+        analysed = joint_noise_analysis(synthesize(cfg, 0.0, FAST, seed), cfg)
+        sampled = simulate_joint_noise(cfg, 0.0, FAST, seed)
+        assert analysed.reference_power == sampled.reference_power
+
+
+def test_sampled_reference_matches_synthesized_reference_over_seeds():
+    # the shot-noise run's joint series, synthesized per channel and
+    # analysed, against its segment-sampled idle power; the synthesized run
+    # takes key `seed` and the sampler key _reference_seed(seed), so the two
+    # samples are independent
+    cfg = configure_optimal(weight_pattern("asym", 3), 1e8, 0.3, eta_dis=0.95)
+    ref = sql_reference_config(cfg)
+    w_ref = tracelab._joint_weights(ref)
+    sampled, synthesized = [], []
+    for seed in range(64):
+        sampled.append(tracelab._reference_power(cfg, FAST, seed, 1e5))
+        series = w_ref @ synthesize(ref, 0.0, FAST, seed).samples
+        synthesized.append(tracelab._window_segment_powers(
+            series, FAST.sample_rate, FAST.cycle, FAST.gate, FAST.drive_freq,
+            1e5, invert=True))
+    a, b = 10.0 * np.log10(sampled), 10.0 * np.log10(synthesized)
+    n = a.size
+    mean_se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(n)
+    assert abs(a.mean() - b.mean()) < 4.0 * mean_se
+    sd_se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(2.0 * (n - 1))
+    assert abs(a.std(ddof=1) - b.std(ddof=1)) < 4.0 * sd_se
 
 
 def _fig2_trace_points():
@@ -291,7 +322,7 @@ def test_simulate_joint_noise_recovers_model_over_seeds():
                             eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
     model = laws.db_below_sql(0.75, cfg.Lambda)
     errors = np.array([
-        simulate_joint_noise(cfg, cfg.weights, 0.0, FAST, seed=seed).db_below_sql - model
+        simulate_joint_noise(cfg, 0.0, FAST, seed=seed).db_below_sql - model
         for seed in range(16)
     ])
     std_error = errors.std(ddof=1) / math.sqrt(errors.size)
@@ -301,22 +332,17 @@ def test_simulate_joint_noise_recovers_model_over_seeds():
 def test_simulate_joint_noise_estimates_drive_amplitude():
     cfg = configure_optimal(weight_pattern("ave", 2), 1e8, 0.3)
     delta = 2e-4
-    result = simulate_joint_noise(cfg, cfg.weights, np.sign(cfg.weights) * delta,
-                                  FAST, seed=21)
+    result = simulate_joint_noise(cfg, np.sign(cfg.weights) * delta, FAST,
+                                  seed=21)
     assert result.snr_db > 20.0
     assert result.delta_theta_hat == pytest.approx(delta, rel=0.02)
 
 
-def test_simulate_joint_noise_guards(monkeypatch):
+def test_simulate_joint_noise_guards():
     dark = NetworkConfig(d=2, r=0.3, alphas=((1.0, 0.0), (0.0, 0.0)),
                          weights=(0.5, 0.5), P=(0.5, 0.5))
     with pytest.raises(DarkResponseError):
-        simulate_joint_noise(dark, dark.weights, 0.0, FAST, seed=1)
-    cfg = _ideal_config()
-    monkeypatch.setattr(tracelab, "noise_matrix",
-                        lambda config: np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(RegularizationError):
-        simulate_joint_noise(cfg, cfg.weights, 0.0, FAST, seed=1)
+        simulate_joint_noise(dark, 0.0, FAST, seed=1)
 
 
 def test_noise_factor_rejects_indefinite_matrix():
