@@ -24,8 +24,10 @@ def main():
     lines = ["Lambda,n_T,n_s_opt,variance,branch_low,branch_heisenberg,"
              "branch_floor,regime"]
     for lam in lambdas:
+        variances = []
         for n_t in budgets:
             n_s, variance = optimize_squeezing(n_t, Lambda=lam)
+            variances.append(variance)
             limits = laws.regime_limits(n_t, lam)
             lines.append(
                 f"{lam:.3e},{n_t:.6e},{n_s:.6e},{variance:.6e},"
@@ -34,8 +36,8 @@ def main():
             )
         # summarize the two crossovers for this loss level
         hl_entry = min(
-            (abs(optimize_squeezing(n_t, Lambda=lam)[1] * n_t**2 - 1), n_t)
-            for n_t in budgets if 1 < n_t < 1 / lam
+            (abs(variance * n_t**2 - 1), n_t)
+            for n_t, variance in zip(budgets, variances) if 1 < n_t < 1 / lam
         )
         print(f"Lambda={lam:g}: closest Heisenberg approach at "
               f"n_T={hl_entry[1]:.3g} (variance*n_T^2 off by {hl_entry[0]:.2%})")

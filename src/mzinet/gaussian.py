@@ -15,9 +15,11 @@ with one squeezer costs O(1) per op on a 2n x 2 factor, and no 2n x 2n matrix
 is ever stored; ``cov`` materializes it on read.
 
 Every operation is pure by default: it returns a new state and never mutates
-its input.  A caller that owns a state (``build_network`` on the vacuum it
-creates) passes ``inplace=True`` to update it where it stands instead; the
-arithmetic is the same, only the copy of the whole state is skipped.
+its input.  The squeezer and the loss also take ``inplace=True``, which
+updates a state its caller owns where it stands, with the same arithmetic.
+``build_network`` calls those two that way and applies the split, the
+displacements and the interferometers as array operations over all nodes; the
+ops here stay the tested reference for those.
 """
 
 from __future__ import annotations
@@ -128,27 +130,26 @@ def apply_squeezer(state: GaussianState, mode: int, r: float, *,
 
 
 def apply_displacement(state: GaussianState, mode: int, amplitude: float,
-                       phase: float = 0.0, *, inplace=False) -> GaussianState:
+                       phase: float = 0.0) -> GaussianState:
     """Displace one mode by alpha = amplitude * e^{i*phase}.
 
     With q = b + b† the means shift by (2|a|cos(phi), 2|a|sin(phi)); the
     covariance is untouched.
-    Pure unless a caller that owns the state passes inplace=True.
     """
     _check_mode(state, mode)
     if amplitude < 0:
         raise ValueError("amplitude must be >= 0 (carry signs in the phase)")
-    out = state if inplace else state.copy()
+    out = state.copy()
     out.mean[out.q_index(mode)] += 2.0 * amplitude * math.cos(phase)
     out.mean[out.p_index(mode)] += 2.0 * amplitude * math.sin(phase)
     return out
 
 
 def _apply_two_mode_orthogonal(
-    state: GaussianState, mode_i: int, mode_j: int, o11, o12, o21, o22, inplace
+    state: GaussianState, mode_i: int, mode_j: int, o11, o12, o21, o22
 ) -> GaussianState:
     """Apply the same 2x2 orthogonal map to the q and p blocks of two modes."""
-    out = state if inplace else state.copy()
+    out = state.copy()
     idx = [2 * mode_i, 2 * mode_i + 1, 2 * mode_j, 2 * mode_j + 1]
     s4 = np.array(
         [
@@ -164,12 +165,11 @@ def _apply_two_mode_orthogonal(
 
 
 def apply_beam_splitter(state: GaussianState, mode_i: int, mode_j: int,
-                        transmissivity: float, *, inplace=False) -> GaussianState:
+                        transmissivity: float) -> GaussianState:
     """Mix two modes: b_i -> sqrt(T) b_i + sqrt(1-T) b_j.
 
     Sign convention: the reflected path picks up the minus sign on mode_j,
     i.e. b_j -> -sqrt(1-T) b_i + sqrt(T) b_j.
-    Pure unless a caller that owns the state passes inplace=True.
     """
     _check_mode(state, mode_i)
     _check_mode(state, mode_j)
@@ -179,18 +179,17 @@ def apply_beam_splitter(state: GaussianState, mode_i: int, mode_j: int,
         raise ValueError("transmissivity must lie in [0, 1]")
     t = math.sqrt(transmissivity)
     rfl = math.sqrt(1.0 - transmissivity)
-    return _apply_two_mode_orthogonal(state, mode_i, mode_j, t, rfl, -rfl, t, inplace)
+    return _apply_two_mode_orthogonal(state, mode_i, mode_j, t, rfl, -rfl, t)
 
 
-def apply_mzi(state: GaussianState, mode_a: int, mode_b: int, theta: float, *,
-              inplace: bool = False) -> GaussianState:
+def apply_mzi(state: GaussianState, mode_a: int, mode_b: int,
+              theta: float) -> GaussianState:
     """Mach-Zehnder transfer on two modes: rotation by theta/2.
 
     Output mode operators in terms of inputs:
         b~ = b cos(theta/2) + a sin(theta/2)
         a~ = a cos(theta/2) - b sin(theta/2)
     so the measured quadrature obeys q~_b = q_b cos(theta/2) + q_a sin(theta/2).
-    Pure unless a caller that owns the state passes inplace=True.
     """
     _check_mode(state, mode_a)
     _check_mode(state, mode_b)
@@ -199,7 +198,7 @@ def apply_mzi(state: GaussianState, mode_a: int, mode_b: int, theta: float, *,
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
     # ordering (a, b): a' = c*a - s*b ; b' = s*a + c*b
-    return _apply_two_mode_orthogonal(state, mode_a, mode_b, c, -s, s, c, inplace)
+    return _apply_two_mode_orthogonal(state, mode_a, mode_b, c, -s, s, c)
 
 
 def apply_loss(state: GaussianState, mode: int, eta: float, *,

@@ -247,20 +247,50 @@ def build_network(config: NetworkConfig) -> g.GaussianState:
     """
     _require_entangled(config)
     d = config.d
-    state = g.vacuum_state(2 * d)  # owned here, so every op updates it in place
+    state = g.vacuum_state(2 * d)  # owned here, so the ops update it in place
     g.apply_squeezer(state, 0, float(config.r), inplace=True)
-    for (i, j), t in qc_cascade(config.P):
-        g.apply_beam_splitter(state, i, j, t, inplace=True)
-    gain = config.signal_gain
-    eta_out = config.eta_mzi * config.eta_m ** (2 * config.K - 1)
+    # The split, the displacements and the interferometers act on all d nodes
+    # at once.  Row views: [b modes, a modes] x node x (q, p) [x column of U].
+    mean = state.mean.reshape(2, d, 2)
+    rows = state.U.reshape(2, d, 2, -1)
+    # The cascade on the carrier and d - 1 vacuum inputs hands mode j the
+    # carrier's rows times sqrt(1 - T_j) and the carrier left before it (the
+    # squeezed vacuum has zero mean, so only U moves).
+    t = np.array([t_j for _, t_j in qc_cascade(config.P)])
+    carrier = np.cumprod(np.concatenate(([1.0], np.sqrt(t))))
+    amps = np.append(carrier[-1], np.sqrt(1.0 - t) * carrier[:-1])
+    rows[0] = amps[:, None, None] * rows[0, 0]
+    # cos and sin from math, as the ops take them: np.cos may differ in the
+    # last bit
+    mags = np.array([2.0 * mag for mag, _ in config.alphas])
+    phis = [phi for _, phi in config.alphas]
+    mean[1, :, 0] += mags * [math.cos(phi) for phi in phis]
+    mean[1, :, 1] += mags * [math.sin(phi) for phi in phis]
     for j in range(d):
-        mag, phi = config.alphas[j]
-        g.apply_displacement(state, d + j, mag, phi, inplace=True)
         g.apply_loss(state, j, config.eta_dis, inplace=True)
         g.apply_loss(state, d + j, config.eta_dis, inplace=True)
-        g.apply_mzi(state, d + j, j, gain * config.thetas[j], inplace=True)
+    half = [config.signal_gain * theta / 2.0 for theta in config.thetas]
+    c = np.array([math.cos(x) for x in half])
+    s = np.array([math.sin(x) for x in half])
+    _interfere(mean, c[:, None], s[:, None])
+    _interfere(rows, c[:, None, None], s[:, None, None])
+    eta_out = config.eta_mzi * config.eta_m ** (2 * config.K - 1)
+    for j in range(d):
         g.apply_loss(state, j, eta_out, inplace=True)
     return state
+
+
+def _interfere(rows, c, s):
+    """apply_mzi on every node: a' = c a - s b, b' = s a + c b, with b the
+    measured rows[0] and a the coherent rows[1].  Here one of a and b is
+    exactly zero (the a-rows of U, the b-entries of the mean), so each entry
+    is one rounded product, as in the op; + 0.0 turns an exact -0.0 into the
+    +0.0 the op's matrix product sums to."""
+    b, a = rows
+    measured = s * a + c * b
+    rows[1] = c * a - s * b
+    rows[0] = measured
+    rows += 0.0
 
 
 def response_matrix(config: NetworkConfig) -> np.ndarray:

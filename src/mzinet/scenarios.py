@@ -121,9 +121,16 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _number(name: str, value) -> float:
+    """value as a float; anything but a number raises ConfigError(name)."""
+    if not isinstance(value, (int, float)):
+        raise ConfigError(name, f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _finite(name: str, value) -> float:
     """value as a float; anything but a finite number raises ConfigError(name)."""
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
+    if not math.isfinite(_number(name, value)):
         raise ConfigError(name, f"must be a finite number, got {value!r}")
     return float(value)
 
@@ -191,10 +198,14 @@ def _expand_grid(grid):
         num = _integer("num", _required(grid, "num"))
         if num < 1:
             raise ConfigError("num", f"need at least one grid point, got {num}")
-        start = float(_required(grid, "start"))
-        stop = float(_required(grid, "stop"))
+        # NaN and inf pass here: _validate_scenario names them under the axis
+        start = _number("start", _required(grid, "start"))
+        stop = _number("stop", _required(grid, "stop"))
         spacing = grid.get("spacing", "linear")
         if spacing == "log":
+            for name, value in (("start", start), ("stop", stop)):
+                if value <= 0:
+                    raise ConfigError(name, f"log grid needs a value > 0, got {value!r}")
             values = np.logspace(math.log10(start), math.log10(stop), num)
         elif spacing == "linear":
             values = np.linspace(start, stop, num)
@@ -204,7 +215,7 @@ def _expand_grid(grid):
         # 1e-9 relative (values below 1e-12 would collapse to 0)
         rounded = np.round(values, 12)
         values = np.where(abs(rounded - values) <= 1e-9 * abs(values), rounded, values)
-        extra = [float(x) for x in grid.get("include", [])]
+        extra = [_number("include", x) for x in grid.get("include", [])]
         return sorted(set(values.tolist()) | set(extra))
     if not isinstance(grid, list) or not grid:
         raise ScenarioParseError("grid must be a nonempty list or range spec")

@@ -291,9 +291,6 @@ def test_operations_are_pure():
 
 INPLACE_OPS = [
     pytest.param(apply_squeezer, (1, 0.4), id="squeezer"),
-    pytest.param(apply_displacement, (2, 1.3, 0.6), id="displacement"),
-    pytest.param(apply_beam_splitter, (0, 2, 0.3), id="beam_splitter"),
-    pytest.param(apply_mzi, (2, 1, 0.9), id="mzi"),
     pytest.param(apply_loss, (1, 0.7), id="loss"),
 ]
 
@@ -408,7 +405,11 @@ def test_factored_ops_match_the_dense_formulas_on_random_sequences(rng):
         for _ in range(int(rng.integers(4, 16))):
             # squeezers land on mixed and lossy states as the sequence goes on
             op, args = _random_op(rng, n_modes)
-            state = op(state, *args, inplace=bool(rng.integers(2)))
+            inplace = bool(rng.integers(2))  # drawn for every op: same stream
+            if op in (apply_squeezer, apply_loss):
+                state = op(state, *args, inplace=inplace)
+            else:
+                state = op(state, *args)
             DENSE[op](mean, cov, *args)
             assert np.array_equal(state.mean, mean)
             assert np.max(np.abs(state.cov - cov)) <= 1e-12

@@ -173,6 +173,30 @@ def test_build_network_equals_the_pure_op_sequence(rng):
         assert built.cov.tobytes() == expected.cov.tobytes()
 
 
+@pytest.mark.parametrize("d", [64, 257])
+def test_build_network_equals_the_pure_op_sequence_at_large_d(rng, d):
+    # many nodes per strided view; g theta_j / 2 beyond +-pi/2, so cos and sin
+    # take both signs; phi_j = pi and 0; a node without coherent light; and P
+    # empty at node 0 and from d // 2 on, where the cascade's remaining mass
+    # is below REMAINDER_FLOOR
+    P = np.zeros(d)
+    P[1: d // 2] = rng.uniform(0.5, 1.5, d // 2 - 1)
+    P /= P.sum()
+    mags = rng.uniform(0.5, 5.0, d)
+    mags[d // 3] = 0.0
+    phis = rng.uniform(-math.pi, math.pi, d)
+    phis[::3] = math.pi
+    phis[1::3] = 0.0
+    cfg = NetworkConfig(d=d, r=0.8, K=3, alphas=tuple(zip(mags, phis)),
+                        thetas=tuple(rng.uniform(-4.0, 4.0, d)),
+                        weights=weight_pattern("ave", d), P=tuple(P),
+                        eta_dis=0.9, eta_mzi=0.8, eta_m=0.99)
+    built = build_network(cfg)
+    expected = _pure_build(cfg)
+    assert built.mean.tobytes() == expected.mean.tobytes()
+    assert built.cov.tobytes() == expected.cov.tobytes()
+
+
 def test_build_network_rejects_separable_topology():
     cfg = configure_optimal((1.0, 1.0), 10.0, 0.1, topology="separable")
     with pytest.raises(ConfigError):

@@ -262,6 +262,13 @@ NAN, INF = float("nan"), float("inf")
     ("alphas", {"alphas": [["30", 0.0], [30.0, 0.0], [30.0, 0.0]],
                 "P": [0.2, 0.3, 0.5]}, None, None),
     ("thetas", {"thetas": [0.0, "0.1", 0.0]}, None, None),
+    ("start", {}, {"axis": "n_T", "grid": {"start": "a", "stop": 1e4, "num": 3}}, None),
+    ("include", {}, {"axis": "n_T", "grid": {"start": 1e2, "stop": 1e4, "num": 3,
+                                             "include": [5e2, "x"]}}, None),
+    ("start", {}, {"axis": "n_T", "grid": {"start": 0.0, "stop": 1e4, "num": 3,
+                                           "spacing": "log"}}, None),
+    ("stop", {}, {"axis": "n_T", "grid": {"start": 1e2, "stop": -1e4, "num": 3,
+                                          "spacing": "log"}}, None),
 ], ids=["network_r_nan", "network_r_inf", "network_r_negative",
         "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
         "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
@@ -271,7 +278,8 @@ NAN, INF = float("nan"), float("inf")
         "range_num_zero", "range_num_negative", "trace_n_cycles_fraction",
         "network_r_string", "network_mu_string", "network_eta_string",
         "weights_string", "P_without_alphas", "alphas_without_P",
-        "alphas_string", "thetas_string"])
+        "alphas_string", "thetas_string", "range_start_string",
+        "range_include_string", "log_range_start_zero", "log_range_stop_negative"])
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)
