@@ -11,6 +11,9 @@ with the same photon budget; both sides of the ratio go through the same
 band-power kernel and calibration, so the spectral calibration cancels.
 
 Trace files keep per-channel traces (`synthesize`, `joint_noise_analysis`).
+`synthesize` allocates its d x n output and nothing else of that size: each
+channel's Philox stream draws into its row, the noise factor mixes the rows
+in place by column blocks, and the drive is added one gate run at a time.
 The analysis reads one Hann-weighted DFT bin of each analysis segment of the
 joint estimator y = sum_j nu_j x_j / C_jj, averaged over the gated and over
 the idle segments as in a Welch periodogram (Welch, IEEE Trans. Audio
@@ -41,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AnalysisError, RegularizationError
+from .errors import AnalysisError, ConfigError, RegularizationError
 from .network import (
     NetworkConfig,
     active_channels,
@@ -77,6 +80,9 @@ DEFAULT_DRIVE = 4e6
 # and a sinusoid of amplitude A at a bin center reads A^2/3 (the factor 2/3
 # vs A^2/2 is the Hann equivalent-noise-bandwidth of 1.5 bins).
 SINE_POWER_FACTOR = 3.0
+
+# columns per block when `synthesize` mixes its channel rows in place
+_MIX_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -120,7 +126,10 @@ class TraceSet:
 
 def _channel_rng(seed: int, channel: int) -> np.random.Generator:
     # one counter-based Philox stream per channel: a channel's draws depend
-    # only on the seed and its index, not on d or on the other channels
+    # only on the seed and its index, not on d or on the other channels.
+    # The key and the trace header's seed field are both u64.
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed", f"must lie in [0, 2**64), got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, channel]))
 
 
@@ -173,16 +182,6 @@ def _gate_runs(params: TraceParams, n_total: int):
     return first[keep], last[keep]
 
 
-def _gated_tone(params: TraceParams, n_total: int):
-    """Indices of the samples inside the per-cycle gate window (`_gate_runs`)
-    and the unit drive tone sin(2 pi f t) at those samples only."""
-    first, last = _gate_runs(params, n_total)
-    size = last - first
-    index = np.arange(size.sum()) + np.repeat(first - np.cumsum(size) + size, size)
-    t = index / params.sample_rate
-    return index, np.sin(2.0 * math.pi * params.drive_freq * t)
-
-
 def synthesize(config: NetworkConfig, delta_thetas, params: TraceParams,
                seed: int) -> TraceSet:
     """Gaussian noise floor with the network's cross-covariance plus a gated
@@ -190,21 +189,35 @@ def synthesize(config: NetworkConfig, delta_thetas, params: TraceParams,
 
     delta_thetas are phase amplitudes in radians (scalar or one per channel).
     Deterministic for a given seed.
+
+    Allocates the d x n output and nothing else of that size: each channel's
+    stream draws into its row, the noise factor mixes the rows in place
+    `_MIX_BLOCK` columns at a time, and the drive is added one gate run
+    (`_gate_runs`) at a time.  Each element gets the same products and sums
+    as from the whole product factor @ z plus the outer product of the
+    amplitudes and the gated tone.
     """
     d = config.d
     delta = np.broadcast_to(np.asarray(delta_thetas, dtype=float), (d,))
     n_total = _n_samples(params)
     factor = _noise_factor(noise_matrix(config))
 
-    z = np.empty((d, n_total))
+    samples = np.empty((d, n_total))
     for j in range(d):
-        _channel_rng(seed, j).standard_normal(out=z[j])
-    samples = factor @ z
+        _channel_rng(seed, j).standard_normal(out=samples[j])
+    for start in range(0, n_total, _MIX_BLOCK):
+        block = samples[:, start:start + _MIX_BLOCK]
+        block[...] = factor @ block
 
     amps = np.diag(response_matrix(config)) * delta
     if np.any(amps != 0.0):
-        index, tone = _gated_tone(params, n_total)
-        samples[:, index] += np.outer(amps, tone)
+        omega = 2.0 * math.pi * params.drive_freq
+        for first, last in zip(*_gate_runs(params, n_total)):
+            tone = np.arange(first, last) / params.sample_rate
+            tone *= omega
+            np.sin(tone, out=tone)
+            for j in range(d):
+                samples[j, first:last] += amps[j] * tone
 
     return TraceSet(
         d=d,
@@ -347,6 +360,9 @@ def joint_noise_analysis(traces: TraceSet, config: NetworkConfig,
     the traces' timing (`_reference_power`), drawn segment by segment from a
     seed derived from the traces' seed.
     """
+    if traces.d != config.d:
+        raise ConfigError("d", f"the config has {config.d} channels but the "
+                               f"traces have {traces.d}")
     joint = _joint_weights(config) @ traces.samples
     params = TraceParams(
         sample_rate=traces.sample_rate,
@@ -491,7 +507,7 @@ def write_trace(path, traces: TraceSet):
     )
     with _replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(traces.samples, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(traces.samples, dtype="<f8").data)
     meta = {
         "cycle": traces.cycle,
         "drive_freq": traces.drive_freq,
@@ -504,23 +520,26 @@ def write_trace(path, traces: TraceSet):
 
 def read_trace(path) -> TraceSet:
     path = Path(path)
-    raw = path.read_bytes()
-    try:
-        magic, version, d, sample_rate, duration, g0, g1, seed = _HEADER.unpack_from(raw)
-    except struct.error as exc:
-        raise AnalysisError(f"truncated trace header in {path}") from exc
-    if magic != MAGIC:
-        raise AnalysisError(f"not a trace file: bad magic {magic!r}")
-    if version != VERSION:
-        raise AnalysisError(f"unsupported trace version {version}")
-    payload = raw[_HEADER.size:]
-    if len(payload) % 8:
-        raise AnalysisError(f"truncated trace payload in {path}")
-    samples = np.frombuffer(payload, dtype="<f8")
-    if d < 1 or samples.size < d or samples.size % d:
-        raise AnalysisError(f"trace payload inconsistent with {d} channels")
-    n = samples.size // d
-    samples = samples.reshape(d, n).copy()
+    with open(path, "rb") as fh:
+        try:
+            magic, version, d, sample_rate, duration, g0, g1, seed = _HEADER.unpack(
+                fh.read(_HEADER.size))
+        except struct.error as exc:
+            raise AnalysisError(f"truncated trace header in {path}") from exc
+        if magic != MAGIC:
+            raise AnalysisError(f"not a trace file: bad magic {magic!r}")
+        if version != VERSION:
+            raise AnalysisError(f"unsupported trace version {version}")
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size % 8:
+            raise AnalysisError(f"truncated trace payload in {path}")
+        count = size // 8
+        if d < 1 or count < d or count % d:
+            raise AnalysisError(f"trace payload inconsistent with {d} channels")
+        # the payload is read once, straight into the samples' buffer
+        samples = np.empty((d, count // d), dtype="<f8")
+        if fh.readinto(samples.data.cast("B")) != size:
+            raise AnalysisError(f"truncated trace payload in {path}")
     meta_path = Path(str(path) + ".meta.json")
     cycle, drive = duration, DEFAULT_DRIVE
     if meta_path.exists():

@@ -1,5 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def peak_bytes():
+    """`peak_bytes(fn)` calls `fn()` under tracemalloc and returns the peak,
+    in bytes, of the memory allocated while it ran."""
+    return _peak_bytes
 
 
 def pytest_runtest_logreport(report):

@@ -372,18 +372,10 @@ def test_engine_matches_closed_form_and_one_over_d_law_at_d_2048():
     assert numeric * 2048 == pytest.approx(scaled, rel=1e-9, abs=0)
 
 
-def test_build_network_memory_is_linear_in_d():
-    import tracemalloc
-
+def test_build_network_memory_is_linear_in_d(peak_bytes):
     cfg = _large_network(1024)
-    tracemalloc.start()
-    try:
-        build_network(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     # a dense 4d x 4d covariance alone would take 134 MB here
-    assert peak < 4e6
+    assert peak_bytes(lambda: build_network(cfg)) < 4e6
 
 
 def test_variance_lost_to_rounding_is_an_error_row_not_ok():

@@ -519,6 +519,41 @@ def test_cli_trace_synth_and_analyze(tmp_path, capsys):
     assert payload["delta_theta_hat"] == pytest.approx(2e-4, rel=0.05)
 
 
+def _trace_doc(d):
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["network"].update(d=d, n_c=1e8)
+    doc["trace"] = {
+        "sample_rate": 2e7, "cycle": 1e-3, "gate": [2e-4, 6e-4],
+        "n_cycles": 2, "drive_freq": 4e6, "rbw": 1e5,
+    }
+    return doc
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_cli_trace_synth_rejects_seed_outside_u64(tmp_path, capsys, seed):
+    path = _write_scenario(tmp_path, _trace_doc(3))
+    out = tmp_path / "t"
+    code = cli.main(["trace", "synth", "--config", str(path),
+                     "--out", str(out), "--seed", seed])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_trace_analyze_rejects_channel_count_mismatch(tmp_path, capsys):
+    wide = _write_scenario(tmp_path, _trace_doc(6))
+    code = cli.main(["trace", "synth", "--config", str(wide),
+                     "--out", str(tmp_path / "t"), "--seed", "5"])
+    assert code == 0
+    trace_path = capsys.readouterr().out.strip()
+    narrow = _write_scenario(tmp_path, _trace_doc(4), name="narrow.json")
+    code = cli.main(["trace", "analyze", "--trace", trace_path,
+                     "--config", str(narrow)])
+    assert code == 2
+    assert ("configuration error: d: the config has 4 channels but the traces "
+            "have 6") in capsys.readouterr().err
+
+
 def test_cli_verify_exit_codes(capsys, monkeypatch):
     code = cli.main(["verify"])
     assert code == 0

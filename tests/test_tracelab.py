@@ -1,13 +1,18 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from mzinet import laws, scenarios, tracelab
-from mzinet.errors import AnalysisError, DarkResponseError
-from mzinet.network import NetworkConfig, sql_reference_config, weight_pattern
+from mzinet.errors import AnalysisError, ConfigError, DarkResponseError
+from mzinet.network import (
+    NetworkConfig,
+    noise_matrix,
+    response_matrix,
+    sql_reference_config,
+    weight_pattern,
+)
 from mzinet.optimize import configure_optimal, scan
 from mzinet.scenarios import bundled_scenario_path, load_scenario
 from mzinet.tracelab import (
@@ -99,26 +104,76 @@ def test_synthesize_gated_drive_only_inside_window():
     assert np.max(np.abs(diff[:, in_gate])) > 0.0
 
 
-@pytest.mark.parametrize("params", GATE_CASES)
-def test_gated_tone_matches_full_mask_rule(params):
-    n_total = tracelab._n_samples(params)
+def _gate_mask(params, n_total):
     t = np.arange(n_total) / params.sample_rate
     in_cycle = t % params.cycle
-    mask = (in_cycle >= params.gate[0]) & (in_cycle < params.gate[1])
-    index, tone = tracelab._gated_tone(params, n_total)
+    return (in_cycle >= params.gate[0]) & (in_cycle < params.gate[1])
+
+
+@pytest.mark.parametrize("params", GATE_CASES)
+def test_gated_tone_matches_full_mask_rule(params, monkeypatch):
+    n_total = tracelab._n_samples(params)
+    mask = _gate_mask(params, n_total)
+    first, last = tracelab._gate_runs(params, n_total)
+    index = np.concatenate([np.arange(a, b) for a, b in zip(first, last)])
     assert np.array_equal(index, np.flatnonzero(mask))
-    assert np.array_equal(tone, np.sin(2.0 * math.pi * params.drive_freq * t)[mask])
+    # with no noise and a unit response, synthesize's samples are the tone
+    monkeypatch.setattr(tracelab, "_noise_factor", np.zeros_like)
+    monkeypatch.setattr(tracelab, "response_matrix", lambda cfg: np.eye(cfg.d))
+    tone = synthesize(_ideal_config(d=1), 1.0, params, seed=0).samples[0]
+    t = np.arange(n_total) / params.sample_rate
+    assert np.array_equal(tone[mask], np.sin(2.0 * math.pi * params.drive_freq * t)[mask])
+    assert not tone[~mask].any()
 
 
 def test_gate_between_two_samples_drives_none():
     # the gate is 0.6 samples wide and holds no sample time
     params = TraceParams(sample_rate=2e7, cycle=1e-3, gate=(1.0001e-4, 1.0004e-4),
                          n_cycles=2, drive_freq=4e6)
-    index, tone = tracelab._gated_tone(params, tracelab._n_samples(params))
-    assert index.size == 0 and tone.size == 0
+    first, last = tracelab._gate_runs(params, tracelab._n_samples(params))
+    assert first.size == 0 and last.size == 0
     cfg = _ideal_config(d=1)
     assert np.array_equal(synthesize(cfg, 1e-3, params, seed=5).samples,
                           synthesize(cfg, 0.0, params, seed=5).samples)
+
+
+def _whole_product_synthesis(cfg, delta, params, seed):
+    """synthesize's samples as the whole product of the noise factor and the
+    per-channel draws, plus the outer product of the drive amplitudes and the
+    gated tone at the samples the full mask rule selects."""
+    n_total = tracelab._n_samples(params)
+    z = np.empty((cfg.d, n_total))
+    for j in range(cfg.d):
+        tracelab._channel_rng(seed, j).standard_normal(out=z[j])
+    samples = tracelab._noise_factor(noise_matrix(cfg)) @ z
+    amps = np.diag(response_matrix(cfg)) * delta
+    if np.any(amps != 0.0):
+        index = np.flatnonzero(_gate_mask(params, n_total))
+        t = index / params.sample_rate
+        samples[:, index] += np.outer(amps, np.sin(2.0 * math.pi * params.drive_freq * t))
+    return samples
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 6])
+@pytest.mark.parametrize("params", [FAST, GATE_CASES[2]])
+def test_synthesize_equals_the_whole_product_and_outer_drive(d, params):
+    assert tracelab._n_samples(params) % tracelab._MIX_BLOCK
+    cfg = configure_optimal(weight_pattern("asym", d), 1e8, 0.5, eta_dis=0.95)
+    for delta in (0.0, np.linspace(-2e-3, 3e-3, d)):
+        samples = synthesize(cfg, delta, params, seed=17 + d).samples
+        expected = _whole_product_synthesis(cfg, delta, params, 17 + d)
+        assert samples.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-3])
+def test_synthesize_allocates_only_its_output(delta, peak_bytes):
+    # verify's trace check: d = 4 and 1.28 M samples per channel (41 MB)
+    params = TraceParams(sample_rate=2e7, cycle=8e-3, gate=(2.4e-3, 4e-3),
+                         n_cycles=8, drive_freq=4e6)
+    cfg = configure_optimal(weight_pattern("ave", 4), 1e12, 0.75,
+                            eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
+    nbytes = 4 * tracelab._n_samples(params) * 8
+    assert peak_bytes(lambda: synthesize(cfg, delta, params, seed=3)) < nbytes + 4e6
 
 
 def test_band_power_sinusoid_calibration():
@@ -305,14 +360,9 @@ def test_sampled_noise_matches_segment_statistics_over_seeds():
         assert abs(sd - sd_model) < 4.0 * sd / math.sqrt(2.0 * (errors.size - 1))
 
 
-def test_simulate_joint_noise_builds_no_series():
+def test_simulate_joint_noise_builds_no_series(peak_bytes):
     scenario, rows = _fig2_trace_points()
-    tracemalloc.start()
-    try:
-        scenarios._run_trace_point(rows[0].config, scenario, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: scenarios._run_trace_point(rows[0].config, scenario, 1))
     # one 1.6 M-sample series alone would take 12.8 MB
     assert peak < 4e6
 
@@ -345,6 +395,15 @@ def test_simulate_joint_noise_guards():
         simulate_joint_noise(dark, 0.0, FAST, seed=1)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_the_u64_key_range_is_a_config_error(seed):
+    cfg = _ideal_config()
+    with pytest.raises(ConfigError, match="seed"):
+        simulate_joint_noise(cfg, 0.0, FAST, seed=seed)
+    with pytest.raises(ConfigError, match="seed"):
+        synthesize(cfg, 0.0, FAST, seed=seed)
+
+
 def test_noise_factor_rejects_indefinite_matrix():
     from mzinet.errors import RegularizationError
     from mzinet.tracelab import _noise_factor
@@ -368,6 +427,13 @@ def test_trace_file_round_trip(tmp_path):
     assert loaded.cycle == traces.cycle
     assert loaded.drive_freq == traces.drive_freq
     assert np.array_equal(loaded.samples, traces.samples)
+
+
+def test_trace_file_round_trip_holds_one_copy_of_the_samples(tmp_path, peak_bytes):
+    traces = synthesize(_ideal_config(d=4), 1e-3, FAST, seed=77)
+    path = tmp_path / "run.mztr"
+    peak = peak_bytes(lambda: read_trace(write_trace(path, traces)))
+    assert peak < traces.samples.nbytes + 1e6
 
 
 def test_failed_trace_write_leaves_no_partial_file(tmp_path):
