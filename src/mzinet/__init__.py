@@ -21,10 +21,7 @@ from .errors import (
 )
 from .gaussian import (
     GaussianState,
-    apply_beam_splitter,
-    apply_displacement,
     apply_loss,
-    apply_mzi,
     apply_squeezer,
     homodyne_moments,
     vacuum_state,
@@ -36,7 +33,6 @@ from .laws import (
     ns_to_r,
     optimized_variance,
     qcrb,
-    r_to_ns,
     regime_limits,
     scaling_with_d,
     variance_vs_ns,
@@ -47,7 +43,7 @@ from .network import (
     closed_form_variance,
     noise_matrix,
     qc_cascade,
-    response_matrix,
+    response,
     sensitivity_numeric,
     sensitivity_separable,
     weight_pattern,
@@ -59,7 +55,6 @@ from .optimize import (
     optimal_allocation,
     optimize_squeezing,
     scan,
-    separable_min_variance,
 )
 from .fock import (
     FockStateVector,

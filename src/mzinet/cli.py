@@ -97,7 +97,15 @@ def _cmd_sensitivity(args):
     return EXIT_OK
 
 
+def _require_finite(args, *names):
+    """A NaN or infinite value of an option is a configuration error that
+    names the option, by the scenario files' rule."""
+    for name in names:
+        scenarios._finite("--" + name.replace("_", "-"), getattr(args, name))
+
+
 def _cmd_optimize(args):
+    _require_finite(args, "n_total", "loss", "passes")
     n_s, variance = optimize.optimize_squeezing(
         args.n_total, Lambda=args.loss, K=args.passes)
     print(json.dumps({
@@ -154,6 +162,7 @@ def _cmd_trace(args):
 
 
 def _cmd_flux(args):
+    _require_finite(args, "power", "wavelength")
     print(f"{scenarios.photon_flux(args.power, args.wavelength):.16e}")
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ResourceLimitError, TruncationError
-from .network import NetworkConfig, active_channels
+from .network import NetworkConfig, active_channels, response
 
 __all__ = [
     "FockStateVector",
@@ -170,7 +170,8 @@ def oracle_sensitivity(config: NetworkConfig) -> float:
 
     Output-quadrature moments are assembled in the Heisenberg picture from
     the split squeezed resource (Fock tensor), exact coherent moments and
-    vacuum loss ancillas; the response matrix is the analytic diagonal.
+    vacuum loss ancillas; the responses are the analytic C_jj of
+    network.response.
     """
     if config.topology != "entangled":
         raise ConfigError("topology", "oracle handles the entangled topology")
@@ -198,12 +199,10 @@ def oracle_sensitivity(config: NetworkConfig) -> float:
     gain = config.signal_gain
     cos = np.array([math.cos(gain * t / 2.0) for t in config.thetas])
     sin = np.array([math.sin(gain * t / 2.0) for t in config.thetas])
-    mags = np.array([mag for mag, _ in config.alphas])
-    signs = np.array([math.cos(phi) for _, phi in config.alphas])
 
     gamma = eta * np.outer(cos, cos) * cov_b
     gamma[np.diag_indices(d)] += eta * sin**2 + (1.0 - eta)
-    c_diag = math.sqrt(eta) * gain * mags * signs * cos
+    c_diag = response(config)
 
     keep = active_channels(config, c_diag, nu)
     x = nu[keep] / c_diag[keep]

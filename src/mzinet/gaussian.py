@@ -7,19 +7,20 @@ squeezed vacuum has Var(q) = e^{−2r}, Var(p) = e^{+2r}.
 
 A state holds its covariance in factored form, V = I + U diag(s) U^T, with
 one column of U per squeezed quadrature.  Every op keeps that form exactly:
-a beam splitter or interferometer is orthogonal, so U -> O U; pure loss maps
-V -> L V L + (1 − eta) I_m = I + (L U) diag(s) (L U)^T, a row scale of U; a
-displacement moves only the mean; and a squeezer scales two rows of U and
-appends the columns e_q, e_p with s += (expm1(−2r), expm1(2r)).  So a network
-with one squeezer costs O(1) per op on a 2n x 2 factor, and no 2n x 2n matrix
-is ever stored; ``cov`` materializes it on read.
+pure loss maps V -> L V L + (1 − eta) I_m = I + (L U) diag(s) (L U)^T, a row
+scale of U, and a squeezer scales two rows of U and appends the columns e_q,
+e_p with s += (expm1(−2r), expm1(2r)).  A passive orthogonal map O (a beam
+splitter or an interferometer) sends mean -> O mean and U -> O U, and a
+displacement moves only the mean; ``build_network`` applies those as array
+operations over all nodes, and the tests keep the two-mode ops as the
+reference it is checked against (``tests/reference_ops.py``).  So a network
+with one squeezer is a 2n x 2 factor, and no 2n x 2n matrix is ever stored;
+``cov`` materializes it on read.
 
 Every operation is pure by default: it returns a new state and never mutates
 its input.  The squeezer and the loss also take ``inplace=True``, which
-updates a state its caller owns where it stands, with the same arithmetic.
-``build_network`` calls those two that way and applies the split, the
-displacements and the interferometers as array operations over all nodes; the
-ops here stay the tested reference for those.
+updates a state its caller owns where it stands, with the same arithmetic;
+``build_network`` calls them that way.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ __all__ = [
     "GaussianState",
     "vacuum_state",
     "apply_squeezer",
-    "apply_displacement",
-    "apply_beam_splitter",
-    "apply_mzi",
     "apply_loss",
     "homodyne_moments",
 ]
@@ -129,78 +127,6 @@ def apply_squeezer(state: GaussianState, mode: int, r: float, *,
     return out
 
 
-def apply_displacement(state: GaussianState, mode: int, amplitude: float,
-                       phase: float = 0.0) -> GaussianState:
-    """Displace one mode by alpha = amplitude * e^{i*phase}.
-
-    With q = b + b† the means shift by (2|a|cos(phi), 2|a|sin(phi)); the
-    covariance is untouched.
-    """
-    _check_mode(state, mode)
-    if amplitude < 0:
-        raise ValueError("amplitude must be >= 0 (carry signs in the phase)")
-    out = state.copy()
-    out.mean[out.q_index(mode)] += 2.0 * amplitude * math.cos(phase)
-    out.mean[out.p_index(mode)] += 2.0 * amplitude * math.sin(phase)
-    return out
-
-
-def _apply_two_mode_orthogonal(
-    state: GaussianState, mode_i: int, mode_j: int, o11, o12, o21, o22
-) -> GaussianState:
-    """Apply the same 2x2 orthogonal map to the q and p blocks of two modes."""
-    out = state.copy()
-    idx = [2 * mode_i, 2 * mode_i + 1, 2 * mode_j, 2 * mode_j + 1]
-    s4 = np.array(
-        [
-            [o11, 0.0, o12, 0.0],
-            [0.0, o11, 0.0, o12],
-            [o21, 0.0, o22, 0.0],
-            [0.0, o21, 0.0, o22],
-        ]
-    )
-    out.mean[idx] = s4 @ out.mean[idx]
-    out.U[idx] = s4 @ out.U[idx]
-    return out
-
-
-def apply_beam_splitter(state: GaussianState, mode_i: int, mode_j: int,
-                        transmissivity: float) -> GaussianState:
-    """Mix two modes: b_i -> sqrt(T) b_i + sqrt(1-T) b_j.
-
-    Sign convention: the reflected path picks up the minus sign on mode_j,
-    i.e. b_j -> -sqrt(1-T) b_i + sqrt(T) b_j.
-    """
-    _check_mode(state, mode_i)
-    _check_mode(state, mode_j)
-    if mode_i == mode_j:
-        raise ValueError("beam splitter needs two distinct modes")
-    if not 0.0 <= transmissivity <= 1.0:
-        raise ValueError("transmissivity must lie in [0, 1]")
-    t = math.sqrt(transmissivity)
-    rfl = math.sqrt(1.0 - transmissivity)
-    return _apply_two_mode_orthogonal(state, mode_i, mode_j, t, rfl, -rfl, t)
-
-
-def apply_mzi(state: GaussianState, mode_a: int, mode_b: int,
-              theta: float) -> GaussianState:
-    """Mach-Zehnder transfer on two modes: rotation by theta/2.
-
-    Output mode operators in terms of inputs:
-        b~ = b cos(theta/2) + a sin(theta/2)
-        a~ = a cos(theta/2) - b sin(theta/2)
-    so the measured quadrature obeys q~_b = q_b cos(theta/2) + q_a sin(theta/2).
-    """
-    _check_mode(state, mode_a)
-    _check_mode(state, mode_b)
-    if mode_a == mode_b:
-        raise ValueError("interferometer needs two distinct modes")
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    # ordering (a, b): a' = c*a - s*b ; b' = s*a + c*b
-    return _apply_two_mode_orthogonal(state, mode_a, mode_b, c, -s, s, c)
-
-
 def apply_loss(state: GaussianState, mode: int, eta: float, *,
                inplace: bool = False) -> GaussianState:
     """Pure-loss channel of transmission eta on one mode.
@@ -224,13 +150,11 @@ def apply_loss(state: GaussianState, mode: int, eta: float, *,
     return out
 
 
-def homodyne_moments(state: GaussianState, modes, quadratures="q"):
-    """First and second moments of selected quadratures, one per mode.
+def homodyne_moments(state: GaussianState, modes):
+    """First and second moments of the q quadratures of selected modes.
 
     Args:
         modes: mode indices, no duplicates.
-        quadratures: "q" or "p", either one label for all modes or a
-            sequence with one label per mode.
 
     Returns:
         (mean vector, covariance submatrix) restricted to the selection;
@@ -240,19 +164,8 @@ def homodyne_moments(state: GaussianState, modes, quadratures="q"):
     modes = list(modes)
     if len(set(modes)) != len(modes):
         raise IndexError("duplicate mode index in homodyne selection")
-    if isinstance(quadratures, str):
-        quadratures = [quadratures] * len(modes)
-    if len(quadratures) != len(modes):
-        raise IndexError("need one quadrature label per mode")
-    sel = []
-    for mode, quad in zip(modes, quadratures):
+    for mode in modes:
         _check_mode(state, mode)
-        if quad == "q":
-            sel.append(state.q_index(mode))
-        elif quad == "p":
-            sel.append(state.p_index(mode))
-        else:
-            raise ValueError(f"unknown quadrature label {quad!r}")
+    sel = [state.q_index(mode) for mode in modes]
     rows = state.U[sel]
     return state.mean[sel], _identity_plus(rows, state.s)
-

@@ -38,7 +38,6 @@ __all__ = [
     "db_below_sql",
     "sql_variance",
     "ns_to_r",
-    "r_to_ns",
     "varq_from_ns",
 ]
 
@@ -75,13 +74,6 @@ def ns_to_r(n_s: float) -> float:
     if n_s < 0:
         raise ValueError("n_s must be >= 0")
     return math.asinh(math.sqrt(n_s))
-
-
-def r_to_ns(r: float) -> float:
-    """Mean photon number of a squeezed vacuum, n_s = sinh^2 r."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    return math.sinh(r) ** 2
 
 
 def varq_from_ns(n_s):

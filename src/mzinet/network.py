@@ -43,7 +43,7 @@ __all__ = [
     "NetworkConfig",
     "qc_cascade",
     "build_network",
-    "response_matrix",
+    "response",
     "noise_matrix",
     "active_channels",
     "sensitivity_numeric",
@@ -206,8 +206,10 @@ def qc_cascade(P) -> list:
     For j = 2..d a beam splitter peels fraction R_j = P_j / (remaining mass)
     off the carrier; the pair ordering (peeled mode, carrier) keeps every
     single-photon amplitude positive, matching the all-positive multinomial
-    splitting.  Returns [((mode_i, mode_j), transmissivity), ...] ready for
-    apply_beam_splitter; the carrier is mode 0.
+    splitting.  Returns [((mode_i, mode_j), transmissivity), ...], one beam
+    splitter each, b_i -> sqrt(T) b_i + sqrt(1 - T) b_j as the reference op
+    apply_beam_splitter of tests/reference_ops.py applies it; the carrier is
+    mode 0.
 
     The resulting single-photon output distribution equals P exactly.
     """
@@ -281,11 +283,12 @@ def build_network(config: NetworkConfig) -> g.GaussianState:
 
 
 def _interfere(rows, c, s):
-    """apply_mzi on every node: a' = c a - s b, b' = s a + c b, with b the
-    measured rows[0] and a the coherent rows[1].  Here one of a and b is
-    exactly zero (the a-rows of U, the b-entries of the mean), so each entry
-    is one rounded product, as in the op; + 0.0 turns an exact -0.0 into the
-    +0.0 the op's matrix product sums to."""
+    """The interferometer of every node, as the reference op apply_mzi of
+    tests/reference_ops.py applies it to one: a' = c a - s b, b' = s a + c b,
+    with b the measured rows[0] and a the coherent rows[1].  Here one of a
+    and b is exactly zero (the a-rows of U, the b-entries of the mean), so
+    each entry is one rounded product, as in the op; + 0.0 turns an exact
+    -0.0 into the +0.0 the op's matrix product sums to."""
     b, a = rows
     measured = s * a + c * b
     rows[1] = c * a - s * b
@@ -293,8 +296,10 @@ def _interfere(rows, c, s):
     rows += 0.0
 
 
-def response_matrix(config: NetworkConfig) -> np.ndarray:
-    """Diagonal response C_jj = sqrt(eta) * g * |alpha_j| cos(phi_j) cos(g theta_j / 2).
+def response(config: NetworkConfig) -> np.ndarray:
+    """Responses C_jj = sqrt(eta) * g * |alpha_j| cos(phi_j) cos(g theta_j / 2),
+    one per channel: the diagonal of the response matrix C, which has no
+    other entry.
 
     This is the exact derivative of the engine's measured means with respect
     to theta_j (cross-validated against finite differences in the tests).
@@ -302,13 +307,10 @@ def response_matrix(config: NetworkConfig) -> np.ndarray:
     _require_entangled(config)
     root_eta = math.sqrt(config.eta_total)
     gain = config.signal_gain
-    c = np.zeros((config.d, config.d))
-    for j in range(config.d):
-        mag, phi = config.alphas[j]
-        c[j, j] = (
-            root_eta * gain * mag * math.cos(phi) * math.cos(gain * config.thetas[j] / 2.0)
-        )
-    return c
+    return np.array([
+        root_eta * gain * mag * math.cos(phi) * math.cos(gain * theta / 2.0)
+        for (mag, phi), theta in zip(config.alphas, config.thetas)
+    ])
 
 
 def noise_matrix(config: NetworkConfig) -> np.ndarray:
@@ -321,7 +323,7 @@ def noise_matrix(config: NetworkConfig) -> np.ndarray:
     convention-dependent sign, which only matters off the working point.
     """
     state = build_network(config)
-    _, cov = g.homodyne_moments(state, list(range(config.d)), "q")
+    _, cov = g.homodyne_moments(state, range(config.d))
     return cov
 
 
@@ -357,7 +359,7 @@ def sensitivity_numeric(config: NetworkConfig) -> float:
     """
     _require_entangled(config)
     nu = np.asarray(config.weights, dtype=float)
-    c_diag = np.diag(response_matrix(config))
+    c_diag = response(config)
     keep = active_channels(config, c_diag, nu)
     x = nu[keep] / c_diag[keep]
     gamma = noise_matrix(config)[np.ix_(keep, keep)]

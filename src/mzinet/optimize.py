@@ -1,9 +1,7 @@
 """Resource-allocation optimization and parameter scans.
 
 The scalar workhorse is a bracketed golden-section minimizer seeded by a
-guard grid (protects against undetected multimodality); the per-node budget
-allocation of the separable baseline rides on scipy's SLSQP because it is a
-plain smooth simplex-constrained problem.
+guard grid (protects against undetected multimodality).
 """
 
 from __future__ import annotations
@@ -36,8 +34,6 @@ __all__ = [
     "optimal_allocation",
     "configure_optimal",
     "optimize_squeezing",
-    "SeparableOptimum",
-    "separable_min_variance",
     "ScanRow",
     "scan",
 ]
@@ -143,6 +139,10 @@ def optimize_squeezing(n_T, Lambda=0.0, K=1.0):
     """
     if n_T <= 0:
         raise AllocationError("n_T must be > 0")
+    if Lambda < 0:
+        raise AllocationError("Lambda must be >= 0")
+    if K <= 0:
+        raise AllocationError("K must be > 0")
 
     def objective(n_s):
         return laws.variance_vs_ns(n_T, n_s, Lambda=Lambda, K=K)
@@ -157,75 +157,6 @@ def optimize_squeezing(n_T, Lambda=0.0, K=1.0):
         if var2 < variance:
             n_s, variance = n_s2, var2
     return n_s, variance
-
-
-@dataclass
-class SeparableOptimum:
-    budgets: tuple          # per-node photon budgets n_j
-    n_s: tuple              # per-node optimal squeezed photons
-    variance: float
-
-
-def _node_variance(n_budget, Lambda, K):
-    if n_budget <= 0:
-        return math.inf
-    return optimize_squeezing(n_budget, Lambda=Lambda, K=K)[1]
-
-
-def separable_min_variance(n_T, Lambda=0.0, K=1.0, nu=(1.0,)) -> SeparableOptimum:
-    """Fully optimized separable baseline: per-node squeezing and per-node
-    photon budgets n_j (sum n_j = n_T) minimizing sum_j nu_j^2 V(n_j).
-
-    The budget allocation is solved with SLSQP from two analytic seeds
-    (proportional to |nu_j| and to |nu_j|^{2/3}); nodes with zero weight get
-    zero budget.
-    """
-    from scipy.optimize import minimize
-
-    nu = np.asarray(nu, dtype=float)
-    if np.all(nu == 0):
-        raise AllocationError("weight vector must be nonzero")
-    if n_T <= 0:
-        raise AllocationError("n_T must be > 0")
-    active = np.nonzero(nu)[0]
-    w2 = nu[active] ** 2
-
-    def objective(budgets):
-        return sum(
-            w2j * _node_variance(bj, Lambda, K) for w2j, bj in zip(w2, budgets)
-        )
-
-    if active.size == 1:
-        budgets = np.array([n_T])
-    else:
-        absnu = np.abs(nu[active])
-        seeds = [absnu / absnu.sum(), absnu ** (2.0 / 3.0) / (absnu ** (2.0 / 3.0)).sum()]
-        best = None
-        floor = n_T * 1e-9
-        for seed in seeds:
-            res = minimize(
-                objective,
-                seed * n_T,
-                method="SLSQP",
-                bounds=[(floor, n_T)] * active.size,
-                constraints=[{"type": "eq", "fun": lambda b: b.sum() - n_T}],
-                options={"ftol": 1e-14, "maxiter": 300},
-            )
-            candidate = (objective(res.x), res.x)
-            if best is None or candidate[0] < best[0]:
-                best = candidate
-        budgets = best[1]
-
-    full_budgets = np.zeros(nu.size)
-    full_budgets[active] = budgets
-    n_s = np.zeros(nu.size)
-    for idx, b in zip(active, budgets):
-        n_s[idx] = optimize_squeezing(b, Lambda=Lambda, K=K)[0]
-    return SeparableOptimum(
-        budgets=tuple(full_budgets),
-        n_s=tuple(n_s),
-        variance=float(objective(budgets)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from .network import (
     NetworkConfig,
     active_channels,
     noise_matrix,
-    response_matrix,
+    response,
     sensitivity_numeric,
     sql_reference_config,
 )
@@ -209,7 +209,7 @@ def synthesize(config: NetworkConfig, delta_thetas, params: TraceParams,
         block = samples[:, start:start + _MIX_BLOCK]
         block[...] = factor @ block
 
-    amps = np.diag(response_matrix(config)) * delta
+    amps = response(config) * delta
     if np.any(amps != 0.0):
         omega = 2.0 * math.pi * params.drive_freq
         for first, last in zip(*_gate_runs(params, n_total)):
@@ -323,7 +323,7 @@ def _joint_weights(config: NetworkConfig) -> np.ndarray:
     """Estimator weights w_j = nu_j / C_jj, zero on unweighted dark channels;
     a weighted dark channel raises DarkResponseError."""
     nu = np.asarray(config.weights, dtype=float)
-    c_diag = np.diag(response_matrix(config))
+    c_diag = response(config)
     keep = active_channels(config, c_diag, nu)
     w = np.zeros(config.d)
     w[keep] = nu[keep] / c_diag[keep]
@@ -540,19 +540,20 @@ def read_trace(path) -> TraceSet:
         samples = np.empty((d, count // d), dtype="<f8")
         if fh.readinto(samples.data.cast("B")) != size:
             raise AnalysisError(f"truncated trace payload in {path}")
+    # the cycle and the drive travel only in the sidecar: without it the
+    # gate windows and the analysed bin are unknown
     meta_path = Path(str(path) + ".meta.json")
-    cycle, drive = duration, DEFAULT_DRIVE
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
-        cycle = float(meta.get("cycle", cycle))
-        drive = float(meta.get("drive_freq", drive))
+    meta = json.loads(meta_path.read_text())
+    for key in ("cycle", "drive_freq"):
+        if not isinstance(meta.get(key), (int, float)):
+            raise AnalysisError(f"trace sidecar {meta_path} has no number {key!r}")
     return TraceSet(
         d=d,
         sample_rate=sample_rate,
         duration=duration,
         samples=samples,
         gate=(g0, g1),
-        drive_freq=drive,
+        drive_freq=float(meta["drive_freq"]),
         seed=seed,
-        cycle=cycle,
+        cycle=float(meta["cycle"]),
     )

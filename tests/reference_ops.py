@@ -1,0 +1,87 @@
+"""Two-mode Gaussian ops on a GaussianState: the reference for the network
+build.
+
+``network.build_network`` applies the split, the displacements and the
+interferometers of all d nodes as array operations; these ops apply one of
+them to one mode or one pair of modes, and the tests check the build
+against a sequence of them bit for bit.  Each is pure: it returns a new
+state.
+"""
+
+import math
+
+import numpy as np
+
+from mzinet.gaussian import GaussianState, _check_mode
+
+
+def apply_displacement(state: GaussianState, mode: int, amplitude: float,
+                       phase: float = 0.0) -> GaussianState:
+    """Displace one mode by alpha = amplitude * e^{i*phase}.
+
+    With q = b + b† the means shift by (2|a|cos(phi), 2|a|sin(phi)); the
+    covariance is untouched.
+    """
+    _check_mode(state, mode)
+    if amplitude < 0:
+        raise ValueError("amplitude must be >= 0 (carry signs in the phase)")
+    out = state.copy()
+    out.mean[out.q_index(mode)] += 2.0 * amplitude * math.cos(phase)
+    out.mean[out.p_index(mode)] += 2.0 * amplitude * math.sin(phase)
+    return out
+
+
+def _apply_two_mode_orthogonal(
+    state: GaussianState, mode_i: int, mode_j: int, o11, o12, o21, o22
+) -> GaussianState:
+    """Apply the same 2x2 orthogonal map to the q and p blocks of two modes."""
+    out = state.copy()
+    idx = [2 * mode_i, 2 * mode_i + 1, 2 * mode_j, 2 * mode_j + 1]
+    s4 = np.array(
+        [
+            [o11, 0.0, o12, 0.0],
+            [0.0, o11, 0.0, o12],
+            [o21, 0.0, o22, 0.0],
+            [0.0, o21, 0.0, o22],
+        ]
+    )
+    out.mean[idx] = s4 @ out.mean[idx]
+    out.U[idx] = s4 @ out.U[idx]
+    return out
+
+
+def apply_beam_splitter(state: GaussianState, mode_i: int, mode_j: int,
+                        transmissivity: float) -> GaussianState:
+    """Mix two modes: b_i -> sqrt(T) b_i + sqrt(1-T) b_j.
+
+    Sign convention: the reflected path picks up the minus sign on mode_j,
+    i.e. b_j -> -sqrt(1-T) b_i + sqrt(T) b_j.
+    """
+    _check_mode(state, mode_i)
+    _check_mode(state, mode_j)
+    if mode_i == mode_j:
+        raise ValueError("beam splitter needs two distinct modes")
+    if not 0.0 <= transmissivity <= 1.0:
+        raise ValueError("transmissivity must lie in [0, 1]")
+    t = math.sqrt(transmissivity)
+    rfl = math.sqrt(1.0 - transmissivity)
+    return _apply_two_mode_orthogonal(state, mode_i, mode_j, t, rfl, -rfl, t)
+
+
+def apply_mzi(state: GaussianState, mode_a: int, mode_b: int,
+              theta: float) -> GaussianState:
+    """Mach-Zehnder transfer on two modes: rotation by theta/2.
+
+    Output mode operators in terms of inputs:
+        b~ = b cos(theta/2) + a sin(theta/2)
+        a~ = a cos(theta/2) - b sin(theta/2)
+    so the measured quadrature obeys q~_b = q_b cos(theta/2) + q_a sin(theta/2).
+    """
+    _check_mode(state, mode_a)
+    _check_mode(state, mode_b)
+    if mode_a == mode_b:
+        raise ValueError("interferometer needs two distinct modes")
+    c = math.cos(theta / 2.0)
+    s = math.sin(theta / 2.0)
+    # ordering (a, b): a' = c*a - s*b ; b' = s*a + c*b
+    return _apply_two_mode_orthogonal(state, mode_a, mode_b, c, -s, s, c)

@@ -18,10 +18,11 @@ from mzinet.optimize import (
     configure_optimal,
     optimize_squeezing,
     scan,
-    separable_min_variance,
 )
 from mzinet.scenarios import reproduce
 from mzinet.tracelab import TraceParams, joint_noise_analysis, synthesize
+
+from separable_reference import separable_min_variance
 
 CAPTION_EFFS = dict(eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
 

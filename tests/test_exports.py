@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +26,45 @@ def test_every_exported_name_resolves(name):
     namespace = {}
     exec(f"from mzinet.{name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+PROGRAM = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+# closed-form references the optimizer and the engine are tested against
+TEST_REFERENCES = {"laws.min_variance_over_r", "laws.scaling_with_d"}
+
+
+def _program_reads():
+    """(owner, identifier) for every identifier a program file reads as a
+    variable or an attribute, where owner is the top-level function or class
+    the read sits in (None at module level).  Imports and the strings of
+    __all__ are not reads."""
+    reads = set()
+    for path in PROGRAM:
+        for node in ast.parse(path.read_text()).body:
+            owner = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    reads.add((owner, sub.id))
+                elif isinstance(sub, ast.Attribute):
+                    reads.add((owner, sub.attr))
+    return reads
+
+
+def test_every_exported_name_has_a_program_caller():
+    # the public surface is what the program runs: a name read only inside
+    # its own definition, or only by other names without a caller, belongs
+    # in the tests
+    exported = [(name, f"{module}.{name}") for module in MODULES
+                for name in getattr(importlib.import_module(f"mzinet.{module}"),
+                                    "__all__", [])]
+    reads = _program_reads()
+    unused = set()
+    while True:
+        used = {name for owner, name in reads if owner != name and owner not in unused}
+        now = {name for name, q in exported
+               if name not in used and q not in TEST_REFERENCES}
+        if now == unused:
+            break
+        unused = now
+    assert sorted(q for name, q in exported if name in unused) == []

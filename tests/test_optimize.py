@@ -12,8 +12,9 @@ from mzinet.optimize import (
     optimal_allocation,
     optimize_squeezing,
     scan,
-    separable_min_variance,
 )
+
+from separable_reference import separable_min_variance
 
 
 def test_golden_min_quadratic():

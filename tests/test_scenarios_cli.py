@@ -14,7 +14,7 @@ from mzinet.errors import (
     DarkResponseError,
     ScenarioParseError,
 )
-from mzinet.network import noise_matrix, response_matrix
+from mzinet.network import noise_matrix, response
 from mzinet.scenarios import (
     FIGURES,
     bundled_scenario_path,
@@ -269,6 +269,7 @@ NAN, INF = float("nan"), float("inf")
                                            "spacing": "log"}}, None),
     ("stop", {}, {"axis": "n_T", "grid": {"start": 1e2, "stop": -1e4, "num": 3,
                                           "spacing": "log"}}, None),
+    ("topology", {"topology": "separable"}, None, None),
 ], ids=["network_r_nan", "network_r_inf", "network_r_negative",
         "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
         "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
@@ -279,7 +280,8 @@ NAN, INF = float("nan"), float("inf")
         "network_r_string", "network_mu_string", "network_eta_string",
         "weights_string", "P_without_alphas", "alphas_without_P",
         "alphas_string", "thetas_string", "range_start_string",
-        "range_include_string", "log_range_start_zero", "log_range_stop_negative"])
+        "range_include_string", "log_range_start_zero", "log_range_stop_negative",
+        "network_topology_separable"])
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)
@@ -417,7 +419,7 @@ def test_verify_flags_injected_noise_sign_bug(monkeypatch):
         # every noise deviation from vacuum negated (Gamma -> 2I - Gamma): a
         # sign bug in the cross-correlations, detectable even when d = 1
         bad = 2.0 * np.eye(cfg.d) - noise_matrix(cfg)
-        x = np.asarray(cfg.weights) / np.diag(response_matrix(cfg))
+        x = np.asarray(cfg.weights) / response(cfg)
         return float(x @ bad @ x)
 
     monkeypatch.setattr(scenarios, "oracle_sensitivity", flipped_gamma_oracle)
@@ -442,6 +444,34 @@ def test_cli_flux_rejects_nonpositive(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["optimize", "--n-total", "nan"], "--n-total"),
+    (["optimize", "--n-total", "100", "--loss", "nan"], "--loss"),
+    (["optimize", "--n-total", "100", "--loss", "inf"], "--loss"),
+    (["optimize", "--n-total", "100", "--passes", "nan"], "--passes"),
+    (["optimize", "--n-total", "100", "--passes", "inf"], "--passes"),
+    (["flux", "--power", "nan", "--wavelength", "895e-9"], "--power"),
+    (["flux", "--power", "9.6e-3", "--wavelength", "inf"], "--wavelength"),
+], ids=["n_total_nan", "loss_nan", "loss_inf", "passes_nan", "passes_inf",
+        "power_nan", "wavelength_inf"])
+def test_cli_rejects_non_finite_options(capsys, argv, option):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"configuration error: {option}: must be a finite number" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--loss", "-0.5"), ("--passes", "0"), ("--passes", "-2"),
+], ids=["loss_negative", "passes_zero", "passes_negative"])
+def test_cli_optimize_rejects_out_of_range_values(capsys, option, value):
+    # the same typed range error as a non-positive --n-total
+    assert cli.main(["optimize", "--n-total", "100", option, value]) == 3
+    captured = capsys.readouterr()
+    assert "numerical failure: AllocationError" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_optimize(capsys):
     code = cli.main(["optimize", "--n-total", "100"])
     assert code == 0
@@ -463,6 +493,18 @@ def test_cli_sensitivity(tmp_path, capsys):
     assert payload["db_vs_sql"] == pytest.approx(
         10 * math.log10(sql / variance), abs=1e-9)
     assert payload["qcrb_rad2"] <= variance
+
+
+def test_cli_sensitivity_of_a_separable_network(tmp_path, capsys):
+    # only scans need the entangled topology; sensitivity reads the network
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["network"]["topology"] = "separable"
+    doc["scans"] = []
+    path = _write_scenario(tmp_path, doc)
+    assert cli.main(["sensitivity", "--config", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    expected = (math.exp(-1.5) + 1 / (0.99 * 0.89 * 0.9999) - 1) / 1e4
+    assert payload["variance_rad2"] == pytest.approx(expected, rel=1e-9)
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
@@ -552,6 +594,23 @@ def test_cli_trace_analyze_rejects_channel_count_mismatch(tmp_path, capsys):
     assert code == 2
     assert ("configuration error: d: the config has 4 channels but the traces "
             "have 6") in capsys.readouterr().err
+
+
+def test_cli_trace_analyze_needs_the_sidecar(tmp_path, capsys):
+    path = _write_scenario(tmp_path, _trace_doc(3))
+    code = cli.main(["trace", "synth", "--config", str(path),
+                     "--out", str(tmp_path / "t"), "--seed", "5"])
+    assert code == 0
+    trace_path = capsys.readouterr().out.strip()
+    sidecar = Path(trace_path + ".meta.json")
+    sidecar.unlink()
+    code = cli.main(["trace", "analyze", "--trace", trace_path,
+                     "--config", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert str(sidecar) in captured.err
+    assert captured.out == ""
 
 
 def test_cli_verify_exit_codes(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from mzinet.errors import AnalysisError, ConfigError, DarkResponseError
 from mzinet.network import (
     NetworkConfig,
     noise_matrix,
-    response_matrix,
+    response,
     sql_reference_config,
     weight_pattern,
 )
@@ -119,7 +120,7 @@ def test_gated_tone_matches_full_mask_rule(params, monkeypatch):
     assert np.array_equal(index, np.flatnonzero(mask))
     # with no noise and a unit response, synthesize's samples are the tone
     monkeypatch.setattr(tracelab, "_noise_factor", np.zeros_like)
-    monkeypatch.setattr(tracelab, "response_matrix", lambda cfg: np.eye(cfg.d))
+    monkeypatch.setattr(tracelab, "response", lambda cfg: np.ones(cfg.d))
     tone = synthesize(_ideal_config(d=1), 1.0, params, seed=0).samples[0]
     t = np.arange(n_total) / params.sample_rate
     assert np.array_equal(tone[mask], np.sin(2.0 * math.pi * params.drive_freq * t)[mask])
@@ -146,7 +147,7 @@ def _whole_product_synthesis(cfg, delta, params, seed):
     for j in range(cfg.d):
         tracelab._channel_rng(seed, j).standard_normal(out=z[j])
     samples = tracelab._noise_factor(noise_matrix(cfg)) @ z
-    amps = np.diag(response_matrix(cfg)) * delta
+    amps = response(cfg) * delta
     if np.any(amps != 0.0):
         index = np.flatnonzero(_gate_mask(params, n_total))
         t = index / params.sample_rate
@@ -427,6 +428,30 @@ def test_trace_file_round_trip(tmp_path):
     assert loaded.cycle == traces.cycle
     assert loaded.drive_freq == traces.drive_freq
     assert np.array_equal(loaded.samples, traces.samples)
+
+
+def test_trace_file_is_not_read_without_its_sidecar(tmp_path):
+    path = write_trace(tmp_path / "run.mztr", synthesize(_ideal_config(), 0.0, FAST, seed=3))
+    sidecar = tmp_path / "run.mztr.meta.json"
+    sidecar.unlink()
+    with pytest.raises(FileNotFoundError) as err:
+        read_trace(path)
+    assert err.value.filename == str(sidecar)
+
+
+@pytest.mark.parametrize("missing", [True, False], ids=["missing", "null"])
+@pytest.mark.parametrize("key", ["cycle", "drive_freq"])
+def test_trace_sidecar_needs_cycle_and_drive(tmp_path, key, missing):
+    path = write_trace(tmp_path / "run.mztr", synthesize(_ideal_config(), 0.0, FAST, seed=3))
+    sidecar = tmp_path / "run.mztr.meta.json"
+    meta = json.loads(sidecar.read_text())
+    if missing:
+        del meta[key]
+    else:
+        meta[key] = None
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(AnalysisError, match=key):
+        read_trace(path)
 
 
 def test_trace_file_round_trip_holds_one_copy_of_the_samples(tmp_path, peak_bytes):
