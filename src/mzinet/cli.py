@@ -152,7 +152,7 @@ def _cmd_trace(args):
         return EXIT_OK
     traces = tracelab.read_trace(args.trace)
     result = tracelab.joint_noise_analysis(
-        traces, cfg, rbw=float(scenario.trace.get("rbw", 100e3)))
+        traces, cfg, rbw=scenarios._rbw(scenario.trace))
     print(json.dumps({
         "db_below_sql": result.db_below_sql,
         "snr_db": result.snr_db,

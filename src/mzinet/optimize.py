@@ -284,9 +284,15 @@ def _check_axis(axis):
 
 
 def _check_grid(axis, grid):
-    """A scan grid must be nonempty and, on a numeric axis, monotone."""
+    """A scan grid must be nonempty and repeat no point, and on a numeric
+    axis it must be monotone (so strictly monotone)."""
     if not grid:
         raise ConfigError("grid", "grid must be nonempty")
+    seen = set()
+    for point in grid:
+        if point in seen:
+            raise ConfigError("grid", f"grid repeats the point {point!r}")
+        seen.add(point)
     if axis != "weights":
         diffs = np.diff([float(v) for v in grid])
         if not (np.all(diffs >= 0) or np.all(diffs <= 0)):

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import laws, optimize, tracelab
-from .errors import ConfigError, ScenarioParseError
+from .errors import AnalysisError, ConfigError, ScenarioParseError
 from .fock import ORACLE_MAX_D, ORACLE_MAX_R, oracle_sensitivity
 from .network import (
     NetworkConfig,
@@ -290,26 +290,54 @@ def _validate_scenario(scenario: Scenario):
                 raise ConfigError("engines", f"oracle refuses d > {ORACLE_MAX_D}")
             if float(cfg.r) > ORACLE_MAX_R:
                 raise ConfigError("engines", f"oracle refuses r > {ORACLE_MAX_R}")
-        if "trace" in spec.engines:
-            if not scenario.trace:
-                raise ConfigError("trace", "trace engine needs a trace block")
-            try:
-                for key, value in scenario.trace.items():
-                    for x in value if isinstance(value, list) else [value]:
-                        _finite(key, x)
-                _trace_params(scenario.trace)
-            except ValueError as exc:
-                raise ConfigError("trace", str(exc)) from exc
+        if "trace" in spec.engines and not scenario.trace:
+            raise ConfigError("trace", "trace engine needs a trace block")
+    if scenario.trace:
+        _trace_params(scenario.trace)
+
+
+TRACE_FIELDS = ("sample_rate", "cycle", "gate", "n_cycles", "drive_freq",
+                "delta_theta", "rbw")
 
 
 def _trace_params(trace_doc: dict) -> tracelab.TraceParams:
-    return tracelab.TraceParams(
-        sample_rate=float(trace_doc.get("sample_rate", tracelab.DEFAULT_SAMPLE_RATE)),
-        cycle=float(trace_doc.get("cycle", tracelab.DEFAULT_CYCLE)),
-        gate=tuple(trace_doc.get("gate", tracelab.DEFAULT_GATE)),
-        n_cycles=_integer("n_cycles", trace_doc.get("n_cycles", 1)),
-        drive_freq=float(trace_doc.get("drive_freq", tracelab.DEFAULT_DRIVE)),
-    )
+    """The timing of a trace block, checked field by field: the one check of
+    the scenario loader and of the trace commands.
+
+    An unknown key raises ConfigError naming it.  A value that is not a
+    finite number (the gate: a pair of them), or timing that TraceParams
+    refuses, raises ConfigError("trace") with the field in its message, and
+    an rbw that the band-power kernel refuses raises ConfigError("rbw")."""
+    for key in trace_doc:
+        if key not in TRACE_FIELDS:
+            raise ConfigError(key, "unknown trace field")
+    try:
+        for key, value in trace_doc.items():
+            if key != "gate":
+                _finite(key, value)
+            elif isinstance(value, list) and len(value) == 2:
+                for x in value:
+                    _finite(key, x)
+            else:
+                raise ConfigError(key, f"must be [t_on, t_off], got {value!r}")
+        params = tracelab.TraceParams(
+            sample_rate=float(trace_doc.get("sample_rate", tracelab.DEFAULT_SAMPLE_RATE)),
+            cycle=float(trace_doc.get("cycle", tracelab.DEFAULT_CYCLE)),
+            gate=tuple(trace_doc.get("gate", tracelab.DEFAULT_GATE)),
+            n_cycles=_integer("n_cycles", trace_doc.get("n_cycles", 1)),
+            drive_freq=float(trace_doc.get("drive_freq", tracelab.DEFAULT_DRIVE)),
+        )
+    except ValueError as exc:
+        raise ConfigError("trace", str(exc)) from exc
+    try:
+        tracelab._check_rbw(params.sample_rate, params.drive_freq, _rbw(trace_doc))
+    except AnalysisError as exc:
+        raise ConfigError("rbw", str(exc)) from exc
+    return params
+
+
+def _rbw(trace_doc: dict) -> float:
+    return float(trace_doc.get("rbw", tracelab.DEFAULT_RBW))
 
 
 def _signed_drive(cfg: NetworkConfig, trace_doc: dict) -> np.ndarray:
@@ -324,7 +352,7 @@ def _run_trace_point(cfg, scenario, row_seed):
     result = tracelab.simulate_joint_noise(
         cfg, _signed_drive(cfg, scenario.trace),
         _trace_params(scenario.trace), seed=row_seed,
-        rbw=float(scenario.trace.get("rbw", 100e3)))
+        rbw=_rbw(scenario.trace))
     return result.db_below_sql, result.snr_db
 
 

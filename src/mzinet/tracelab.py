@@ -12,14 +12,16 @@ band-power kernel and calibration, so the spectral calibration cancels.
 
 Trace files keep per-channel traces (`synthesize`, `joint_noise_analysis`).
 `synthesize` allocates its d x n output and nothing else of that size: each
-channel's Philox stream draws into its row, the noise factor mixes the rows
-in place by column blocks, and the drive is added one gate run at a time.
-The analysis reads one Hann-weighted DFT bin of each analysis segment of the
-joint estimator y = sum_j nu_j x_j / C_jj, averaged over the gated and over
-the idle segments as in a Welch periodogram (Welch, IEEE Trans. Audio
-Electroacoust. 15, 70 (1967)).  The joint noise is white with variance
-w^T Gamma w (w_j = nu_j / C_jj), which is the engine's
-`sensitivity_numeric`, and the segments are disjoint, so
+channel's Philox stream draws into its row, the rows on up to one thread per
+core at once (each row depends only on its own stream, so the bytes do not
+depend on the thread count), the noise factor mixes the rows in place by
+column blocks, and the drive is added one gate run at a time.  The analysis
+forms the joint estimator y = sum_j nu_j x_j / C_jj in channel order without
+BLAS and reads one Hann-weighted DFT bin of each analysis segment of it,
+averaged over the gated and over the idle segments as in a Welch
+periodogram (Welch, IEEE Trans. Audio Electroacoust. 15, 70 (1967)).  The
+joint noise is white with variance w^T Gamma w (w_j = nu_j / C_jj), which is
+the engine's `sensitivity_numeric`, and the segments are disjoint, so
 `simulate_joint_noise` draws each segment's bin directly, with the gated
 tone's share of it, and never builds the series.  The reference run's
 Gamma is the identity, so both paths draw its idle segments the same way
@@ -38,6 +40,7 @@ import json
 import math
 import os
 import struct
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,6 +77,8 @@ DEFAULT_SAMPLE_RATE = 50e6
 DEFAULT_CYCLE = 80e-3
 DEFAULT_GATE = (30e-3, 50e-3)
 DEFAULT_DRIVE = 4e6
+# analysis bandwidth: segments of sample_rate/rbw samples
+DEFAULT_RBW = 100e3
 
 # Hann band-power calibration: a unit-variance white channel reads
 # rbw/(sample_rate/2) in linear units (0 dB reference after normalization),
@@ -182,6 +187,33 @@ def _gate_runs(params: TraceParams, n_total: int):
     return first[keep], last[keep]
 
 
+def _draw_rows(rngs, samples: np.ndarray):
+    """Fill row j of `samples` with standard normals from rngs[j], on
+    w = min(d, cpu count) workers: the calling thread and w - 1 threads, with
+    worker k drawing rows k, k + w, k + 2w, ...  `standard_normal(out=...)`
+    releases the GIL while it fills a row, and each stream writes only its
+    own row, so the bytes do not depend on w.  A worker's error is raised
+    here."""
+    workers = min(len(rngs), os.cpu_count() or 1)
+    errors = []
+
+    def draw(k):
+        try:
+            for j in range(k, len(rngs), workers):
+                rngs[j].standard_normal(out=samples[j])
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=draw, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    draw(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def synthesize(config: NetworkConfig, delta_thetas, params: TraceParams,
                seed: int) -> TraceSet:
     """Gaussian noise floor with the network's cross-covariance plus a gated
@@ -191,11 +223,12 @@ def synthesize(config: NetworkConfig, delta_thetas, params: TraceParams,
     Deterministic for a given seed.
 
     Allocates the d x n output and nothing else of that size: each channel's
-    stream draws into its row, the noise factor mixes the rows in place
-    `_MIX_BLOCK` columns at a time, and the drive is added one gate run
-    (`_gate_runs`) at a time.  Each element gets the same products and sums
-    as from the whole product factor @ z plus the outer product of the
-    amplitudes and the gated tone.
+    stream draws into its row, on min(d, cpu count) workers at once
+    (`_draw_rows`; the bytes do not depend on the worker count), the noise
+    factor mixes the rows in place `_MIX_BLOCK` columns at a time, and the
+    drive is added one gate run (`_gate_runs`) at a time.  Each element gets
+    the same products and sums as from the whole product factor @ z plus the
+    outer product of the amplitudes and the gated tone.
     """
     d = config.d
     delta = np.broadcast_to(np.asarray(delta_thetas, dtype=float), (d,))
@@ -203,8 +236,7 @@ def synthesize(config: NetworkConfig, delta_thetas, params: TraceParams,
     factor = _noise_factor(noise_matrix(config))
 
     samples = np.empty((d, n_total))
-    for j in range(d):
-        _channel_rng(seed, j).standard_normal(out=samples[j])
+    _draw_rows([_channel_rng(seed, j) for j in range(d)], samples)
     for start in range(0, n_total, _MIX_BLOCK):
         block = samples[:, start:start + _MIX_BLOCK]
         block[...] = factor @ block
@@ -237,16 +269,24 @@ def _hann(length: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * math.pi * n / length))
 
 
-def _bin_kernel(sample_rate, center, rbw):
-    """The (length x 2) kernel [w cos, -w sin] of the Hann-weighted DFT bin at
-    `center`, length round(sample_rate/rbw), and the band-power norm
-    sample_rate * sum(w^2).  Raises AnalysisError for an rbw above
-    sample_rate/4 or a band past Nyquist."""
-    length = int(round(sample_rate / rbw))
+def _check_rbw(sample_rate, center, rbw):
+    """Raises AnalysisError unless 0 < rbw <= sample_rate/4 and the band
+    around `center` stays below Nyquist."""
+    if not rbw > 0.0:
+        raise AnalysisError(f"rbw must be > 0, got {rbw!r}")
     if rbw > sample_rate / 4.0:
         raise AnalysisError("rbw must be <= sample_rate/4")
     if center + rbw / 2.0 >= sample_rate / 2.0:
         raise AnalysisError("band extends past Nyquist")
+
+
+def _bin_kernel(sample_rate, center, rbw):
+    """The (length x 2) kernel [w cos, -w sin] of the Hann-weighted DFT bin at
+    `center`, length round(sample_rate/rbw), and the band-power norm
+    sample_rate * sum(w^2).  Raises AnalysisError for an rbw that
+    `_check_rbw` refuses."""
+    _check_rbw(sample_rate, center, rbw)
+    length = int(round(sample_rate / rbw))
     window = _hann(length)
     bin_index = int(round(center / sample_rate * length))
     # exp(-2 pi i k n / L) as real and imaginary columns; k n is reduced
@@ -350,20 +390,22 @@ def _joint_result(config: NetworkConfig, params: TraceParams, seed: int, rbw,
 
 
 def joint_noise_analysis(traces: TraceSet, config: NetworkConfig,
-                         rbw=100e3) -> JointNoiseResult:
+                         rbw=DEFAULT_RBW) -> JointNoiseResult:
     """Joint processing of the channel traces for the weighted phase sum
     nu = config.weights.
 
-    Forms the estimator y[n] = sum_j nu_j x_j[n] / C_jj (phase units) and
-    measures the drive-band power in the gated (signal) and idle (noise)
-    windows.  The idle noise is referenced to the ideal shot-noise run with
-    the traces' timing (`_reference_power`), drawn segment by segment from a
-    seed derived from the traces' seed.
+    Forms the estimator y[n] = sum_j nu_j x_j[n] / C_jj (phase units),
+    accumulated in channel order without BLAS, so its bits do not depend on
+    a BLAS thread count, and measures the drive-band power in the gated
+    (signal) and idle (noise) windows.  The idle noise is referenced to the
+    ideal shot-noise run with the traces' timing (`_reference_power`), drawn
+    segment by segment from a seed derived from the traces' seed.
     """
     if traces.d != config.d:
         raise ConfigError("d", f"the config has {config.d} channels but the "
                                f"traces have {traces.d}")
-    joint = _joint_weights(config) @ traces.samples
+    # a threaded BLAS product would leave its threads spinning after it
+    joint = np.einsum("j,jn->n", _joint_weights(config), traces.samples)
     params = TraceParams(
         sample_rate=traces.sample_rate,
         cycle=traces.cycle,
@@ -462,7 +504,7 @@ def _reference_power(config: NetworkConfig, params: TraceParams, seed: int,
 
 def simulate_joint_noise(config: NetworkConfig, delta_thetas,
                          params: TraceParams, seed: int,
-                         rbw=100e3) -> JointNoiseResult:
+                         rbw=DEFAULT_RBW) -> JointNoiseResult:
     """Monte Carlo joint-noise run of one operating point.
 
     Same statistics as ``joint_noise_analysis(synthesize(config,

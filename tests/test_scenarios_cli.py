@@ -270,6 +270,12 @@ NAN, INF = float("nan"), float("inf")
     ("stop", {}, {"axis": "n_T", "grid": {"start": 1e2, "stop": -1e4, "num": 3,
                                           "spacing": "log"}}, None),
     ("topology", {"topology": "separable"}, None, None),
+    ("rbw", {}, None, {"rbw": 0}),
+    ("rbw", {}, None, {"rbw": -1e5}),
+    ("rbw", {}, None, {"rbw": 1e7}),
+    ("grid", {}, {"axis": "n_c", "grid": [1e12, 1e12]}, None),
+    ("grid", {}, {"axis": "K", "grid": [1, 1.0]}, None),
+    ("grid", {}, {"axis": "weights", "grid": ["ave", "ave"]}, None),
 ], ids=["network_r_nan", "network_r_inf", "network_r_negative",
         "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
         "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
@@ -281,7 +287,9 @@ NAN, INF = float("nan"), float("inf")
         "weights_string", "P_without_alphas", "alphas_without_P",
         "alphas_string", "thetas_string", "range_start_string",
         "range_include_string", "log_range_start_zero", "log_range_stop_negative",
-        "network_topology_separable"])
+        "network_topology_separable", "trace_rbw_zero", "trace_rbw_negative",
+        "trace_rbw_above_quarter_rate", "grid_n_c_repeat", "grid_K_repeat",
+        "grid_weights_repeat"])
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)
@@ -293,6 +301,17 @@ def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, 
         doc["scans"][0]["engines"] = ["analytic", "trace"]
         doc["trace"] = dict(TRACE_BLOCK, **trace)
     _assert_rejected_at_load(tmp_path, capsys, doc, field)
+
+
+@pytest.mark.parametrize("axis, grid, repeat", [
+    ("n_c", [1e12, 1e12], "1000000000000.0"),
+    ("K", [1, 2, 1.0], "1.0"),
+    ("weights", ["ave", "stag", "ave"], "'ave'"),
+])
+def test_scan_grid_repeat_names_the_point(axis, grid, repeat):
+    base = scenarios._config_from_spec(SCENARIO["network"])
+    with pytest.raises(ConfigError, match=f"grid: grid repeats the point {repeat}"):
+        optimize.scan(axis, grid, base)
 
 
 @pytest.mark.parametrize("field, edit", [
@@ -611,6 +630,35 @@ def test_cli_trace_analyze_needs_the_sidecar(tmp_path, capsys):
     assert "configuration error" in captured.err
     assert str(sidecar) in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("named, trace", [
+    ("gate", {"gate": [2.0e-3, 1.2e-3]}),
+    ("n_cycles", {"n_cycles": 0}),
+    ("sample_rate", {"sample_rate": NAN}),
+    ("sample_rate", {"sample_rate": "2e7"}),
+    ("delta_theta", {"delta_theta": "2e-4"}),
+    ("gait", {"gait": [1.2e-3, 2.0e-3]}),
+], ids=["gate_reversed", "n_cycles_zero", "sample_rate_nan",
+        "sample_rate_string", "delta_theta_string", "unknown_field"])
+def test_cli_trace_commands_check_the_trace_block(tmp_path, capsys, named, trace):
+    good = _write_scenario(tmp_path, _trace_doc(3))
+    code = cli.main(["trace", "synth", "--config", str(good),
+                     "--out", str(tmp_path / "t"), "--seed", "5"])
+    assert code == 0
+    trace_path = capsys.readouterr().out.strip()
+    doc = _trace_doc(3)
+    doc["trace"].update(trace)
+    bad = _write_scenario(tmp_path, doc, name="bad.json")
+    out = tmp_path / "o"
+    for argv in (["synth", "--out", str(out)], ["analyze", "--trace", trace_path]):
+        code = cli.main(["trace", *argv, "--config", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("configuration error: ")
+        assert named in captured.err
+        assert captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_verify_exit_codes(capsys, monkeypatch):

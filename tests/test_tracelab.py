@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -166,6 +169,39 @@ def test_synthesize_equals_the_whole_product_and_outer_drive(d, params):
         assert samples.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_synthesize_bytes_do_not_depend_on_the_thread_count(d, cpus, monkeypatch):
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(tracelab.threading, "Thread", CountedThread)
+    cfg = configure_optimal(weight_pattern("asym", d), 1e8, 0.5, eta_dis=0.95)
+    delta = np.linspace(-2e-3, 3e-3, d)
+    samples = synthesize(cfg, delta, FAST, seed=40 + d).samples
+    # the calling thread is one of the min(d, cpus) workers
+    assert len(started) == min(d, cpus) - 1
+    expected = _whole_product_synthesis(cfg, delta, FAST, 40 + d)
+    assert samples.tobytes() == expected.tobytes()
+
+
+def test_a_failed_row_draw_is_raised(monkeypatch):
+    class Broken:
+        def standard_normal(self, out):
+            raise MemoryError("row")
+
+    # row 1 is drawn by a started thread, not by the caller
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    rngs = [np.random.default_rng(0), Broken(), np.random.default_rng(2)]
+    with pytest.raises(MemoryError, match="row"):
+        tracelab._draw_rows(rngs, np.empty((3, 16)))
+
+
 @pytest.mark.parametrize("delta", [0.0, 1e-3])
 def test_synthesize_allocates_only_its_output(delta, peak_bytes):
     # verify's trace check: d = 4 and 1.28 M samples per channel (41 MB)
@@ -265,6 +301,43 @@ def test_joint_noise_analysis_weight_structures_agree():
         results[name] = joint_noise_analysis(traces, cfg).db_below_sql
     spread = max(results.values()) - min(results.values())
     assert spread < 0.2
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_joint_series_is_the_sum_in_channel_order(d, monkeypatch):
+    # 1 280 013 samples: a length whose BLAS product split across threads
+    # gave other bytes than one thread
+    n = 1_280_013
+    cfg = configure_optimal(weight_pattern("asym", d), 1e10, 0.5, eta_dis=0.95)
+    samples = np.random.default_rng(d).standard_normal((d, n))
+    traces = TraceSet(d=d, sample_rate=2e7, duration=n / 2e7, samples=samples,
+                      gate=(2.4e-3, 4e-3), drive_freq=4e6, seed=1, cycle=8e-3)
+    series = []
+    analyse = tracelab._window_segment_powers
+
+    def recording(joint, *args, **kw):
+        series.append(joint)
+        return analyse(joint, *args, **kw)
+
+    monkeypatch.setattr(tracelab, "_window_segment_powers", recording)
+    joint_noise_analysis(traces, cfg)
+    w = tracelab._joint_weights(cfg)
+    expected = w[0] * samples[0]
+    for j in range(1, d):
+        expected += w[j] * samples[j]
+    assert series and all(s.tobytes() == expected.tobytes() for s in series)
+
+
+def test_joint_noise_analysis_leaves_no_thread_spinning():
+    # verify's trace check: d = 4 and 1.28 M samples per channel
+    params = TraceParams(sample_rate=2e7, cycle=8e-3, gate=(2.4e-3, 4e-3),
+                         n_cycles=8, drive_freq=4e6)
+    cfg = configure_optimal(weight_pattern("ave", 4), 1e12, 0.75,
+                            eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
+    joint_noise_analysis(synthesize(cfg, 0.0, params, seed=3), cfg)
+    cpu = time.process_time()
+    time.sleep(0.3)
+    assert time.process_time() - cpu < 0.03
 
 
 def test_joint_noise_analysis_needs_idle_window():
