@@ -116,14 +116,15 @@ class Scenario:
 
 def _integer(name: str, value) -> int:
     """value as an int; anything but a whole number raises ConfigError(name)."""
-    if not isinstance(value, (int, float)) or not float(value).is_integer():
+    if not _number(name, value).is_integer():
         raise ConfigError(name, f"must be an integer, got {value!r}")
     return int(value)
 
 
 def _number(name: str, value) -> float:
-    """value as a float; anything but a number raises ConfigError(name)."""
-    if not isinstance(value, (int, float)):
+    """value as a float; anything but a number raises ConfigError(name).
+    JSON true and false are not numbers, although Python's bool is an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(name, f"must be a number, got {value!r}")
     return float(value)
 
@@ -307,7 +308,8 @@ def _trace_params(trace_doc: dict) -> tracelab.TraceParams:
     An unknown key raises ConfigError naming it.  A value that is not a
     finite number (the gate: a pair of them), or timing that TraceParams
     refuses, raises ConfigError("trace") with the field in its message, and
-    an rbw that the band-power kernel refuses raises ConfigError("rbw")."""
+    an rbw that the band-power kernel refuses, or whose analysis segment
+    fits in no gated or in no idle span, raises ConfigError("rbw")."""
     for key in trace_doc:
         if key not in TRACE_FIELDS:
             raise ConfigError(key, "unknown trace field")
@@ -330,7 +332,7 @@ def _trace_params(trace_doc: dict) -> tracelab.TraceParams:
     except ValueError as exc:
         raise ConfigError("trace", str(exc)) from exc
     try:
-        tracelab._check_rbw(params.sample_rate, params.drive_freq, _rbw(trace_doc))
+        tracelab._check_analysis(params, _rbw(trace_doc))
     except AnalysisError as exc:
         raise ConfigError("rbw", str(exc)) from exc
     return params

@@ -16,18 +16,22 @@ channel's Philox stream draws into its row, the rows on up to one thread per
 core at once (each row depends only on its own stream, so the bytes do not
 depend on the thread count), the noise factor mixes the rows in place by
 column blocks, and the drive is added one gate run at a time.  The analysis
-forms the joint estimator y = sum_j nu_j x_j / C_jj in channel order without
-BLAS and reads one Hann-weighted DFT bin of each analysis segment of it,
-averaged over the gated and over the idle segments as in a Welch
-periodogram (Welch, IEEE Trans. Audio Electroacoust. 15, 70 (1967)).  The
-joint noise is white with variance w^T Gamma w (w_j = nu_j / C_jj), which is
-the engine's `sensitivity_numeric`, and the segments are disjoint, so
-`simulate_joint_noise` draws each segment's bin directly, with the gated
-tone's share of it, and never builds the series.  The reference run's
+reads one Hann-weighted DFT bin of each analysis segment of the joint
+estimator y = sum_j nu_j x_j / C_jj, averaged over the gated and over the
+idle segments as in a Welch periodogram (Welch, IEEE Trans. Audio
+Electroacoust. 15, 70 (1967)).  It forms y one block of whole segments of
+one span at a time, in channel order without BLAS, and never builds the
+series: besides the traces it allocates about one block and one band power
+per segment.  Each block's bin product is too small for OpenBLAS to thread,
+so the bits do not depend on the BLAS thread count and no BLAS thread is
+left spinning.  The joint noise is white with variance w^T Gamma w
+(w_j = nu_j / C_jj), which is the engine's `sensitivity_numeric`, and the
+segments are disjoint, so `simulate_joint_noise` draws each segment's bin
+directly, with the gated tone's share of it, and never builds the series.  The reference run's
 Gamma is the identity, so both paths draw its idle segments the same way
-(`_reference_power`).  The segment layout (`_window_spans`), the kernel
+(`_reference_power`).  The segment layout (`_segment_layout`), the kernel
 (`_bin_kernel`) and the gate rule (`_gate_runs`) have one definition each,
-shared by both paths.
+shared by both paths and, for the layout, by the scenario load check.
 
 Trace file layout (little endian): magic "MZTR", version u32, d u32,
 sample_rate f64, duration f64, gate 2*f64, seed u64, then channel-major f64
@@ -88,6 +92,17 @@ SINE_POWER_FACTOR = 3.0
 
 # columns per block when `synthesize` mixes its channel rows in place
 _MIX_BLOCK = 8192
+
+# joint samples per analysis block, rounded down to whole segments.  A
+# block's bin product `segments @ kernel` has m*n*k at most 2 * 2**16 =
+# 2**17, below the 4 * 65536 at which a default OpenBLAS build starts a
+# second thread, so it runs on the calling thread and leaves none spinning.
+_ANALYSIS_BLOCK = 1 << 16
+# segments per block are a multiple of this when more fit: OpenBLAS's dgemm
+# kernel takes a product's rows in groups of 8 (remainder rows go through
+# other code), so a segment of a span meets the same kernel code as in one
+# product over the span whenever that product was below the threading size
+_ROW_GROUP = 16
 
 
 @dataclass(frozen=True)
@@ -269,15 +284,17 @@ def _hann(length: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * math.pi * n / length))
 
 
-def _check_rbw(sample_rate, center, rbw):
-    """Raises AnalysisError unless 0 < rbw <= sample_rate/4 and the band
-    around `center` stays below Nyquist."""
+def _check_rbw(sample_rate, center, rbw) -> int:
+    """The analysis segment length round(sample_rate/rbw).  Raises
+    AnalysisError unless 0 < rbw <= sample_rate/4 and the band around
+    `center` stays below Nyquist."""
     if not rbw > 0.0:
         raise AnalysisError(f"rbw must be > 0, got {rbw!r}")
     if rbw > sample_rate / 4.0:
         raise AnalysisError("rbw must be <= sample_rate/4")
     if center + rbw / 2.0 >= sample_rate / 2.0:
         raise AnalysisError("band extends past Nyquist")
+    return int(round(sample_rate / rbw))
 
 
 def _bin_kernel(sample_rate, center, rbw):
@@ -285,8 +302,7 @@ def _bin_kernel(sample_rate, center, rbw):
     `center`, length round(sample_rate/rbw), and the band-power norm
     sample_rate * sum(w^2).  Raises AnalysisError for an rbw that
     `_check_rbw` refuses."""
-    _check_rbw(sample_rate, center, rbw)
-    length = int(round(sample_rate / rbw))
+    length = _check_rbw(sample_rate, center, rbw)
     window = _hann(length)
     bin_index = int(round(center / sample_rate * length))
     # exp(-2 pi i k n / L) as real and imaginary columns; k n is reduced
@@ -335,17 +351,52 @@ def _window_spans(n_samples, sample_rate, cycle, window, invert=False):
             for a, b in spans]
 
 
-def _window_segment_powers(series, sample_rate, cycle, window, center, rbw,
-                           invert=False):
-    """Mean linear band power over the full analysis segments lying inside
-    (or, with invert, outside) the per-cycle window."""
-    length = int(round(sample_rate / rbw))
-    powers = [segment_band_powers(series[a:b], sample_rate, center, rbw)
-              for a, b in _window_spans(series.size, sample_rate, cycle,
-                                        window, invert)
+def _segment_layout(n_samples, params: TraceParams, length, invert):
+    """(start, count) of the full analysis segments of `length` samples from
+    the start of each span of `_window_spans` that holds one, in time order:
+    the one segment layout of both paths and of the load check.  Raises
+    AnalysisError when no span holds a segment."""
+    layout = [(a, (b - a) // length)
+              for a, b in _window_spans(n_samples, params.sample_rate,
+                                        params.cycle, params.gate, invert)
               if b - a >= length]
-    if not powers:
-        raise AnalysisError("no complete analysis segment in the window")
+    if not layout:
+        window = "idle" if invert else "gated"
+        raise AnalysisError(f"no complete analysis segment ({length} samples) "
+                            f"in the {window} window")
+    return layout
+
+
+def _check_analysis(params: TraceParams, rbw):
+    """Raises AnalysisError unless `_check_rbw` accepts rbw and one analysis
+    segment fits in a gated span and in an idle span."""
+    length = _check_rbw(params.sample_rate, params.drive_freq, rbw)
+    # every cycle has the same spans, so one cycle is checked
+    for invert in (False, True):
+        _segment_layout(_n_samples(params) // params.n_cycles, params, length,
+                        invert)
+
+
+def _window_powers(weights, samples, params: TraceParams, rbw, invert):
+    """Mean linear band power of the joint series y = sum_j weights_j
+    samples_j over the full analysis segments inside (or, with invert,
+    outside) the per-cycle gate window.
+
+    y is formed one block of whole segments of one span at a time, summed in
+    channel order with einsum (no BLAS, so no BLAS thread), and each block's
+    bins are read by `segment_band_powers`; the series is never built."""
+    length = _check_rbw(params.sample_rate, params.drive_freq, rbw)
+    per_block = max(_ANALYSIS_BLOCK // length, 1)
+    if per_block > _ROW_GROUP:
+        per_block -= per_block % _ROW_GROUP
+    powers = []
+    for start, count in _segment_layout(samples.shape[1], params, length, invert):
+        stop = start + count * length
+        for a in range(start, stop, per_block * length):
+            block = samples[:, a:min(a + per_block * length, stop)]
+            powers.append(segment_band_powers(
+                np.einsum("j,jn->n", weights, block), params.sample_rate,
+                params.drive_freq, rbw))
     return float(np.concatenate(powers).mean())
 
 
@@ -394,18 +445,20 @@ def joint_noise_analysis(traces: TraceSet, config: NetworkConfig,
     """Joint processing of the channel traces for the weighted phase sum
     nu = config.weights.
 
-    Forms the estimator y[n] = sum_j nu_j x_j[n] / C_jj (phase units),
-    accumulated in channel order without BLAS, so its bits do not depend on
-    a BLAS thread count, and measures the drive-band power in the gated
-    (signal) and idle (noise) windows.  The idle noise is referenced to the
-    ideal shot-noise run with the traces' timing (`_reference_power`), drawn
-    segment by segment from a seed derived from the traces' seed.
+    Forms the estimator y[n] = sum_j nu_j x_j[n] / C_jj (phase units) and
+    measures the drive-band power in the gated (signal) and idle (noise)
+    windows, one block of whole segments at a time (`_window_powers`): y is
+    accumulated in channel order without BLAS, and each block's bin product
+    stays below OpenBLAS's threading size, so the bits do not depend on a
+    BLAS thread count.  Besides the traces, the call allocates about one
+    block of y (`_ANALYSIS_BLOCK` samples) and one band power per segment.  The idle noise is referenced
+    to the ideal shot-noise run with the traces' timing (`_reference_power`),
+    drawn segment by segment from a seed derived from the traces' seed.
     """
     if traces.d != config.d:
         raise ConfigError("d", f"the config has {config.d} channels but the "
                                f"traces have {traces.d}")
-    # a threaded BLAS product would leave its threads spinning after it
-    joint = np.einsum("j,jn->n", _joint_weights(config), traces.samples)
+    weights = _joint_weights(config)
     params = TraceParams(
         sample_rate=traces.sample_rate,
         cycle=traces.cycle,
@@ -413,14 +466,9 @@ def joint_noise_analysis(traces: TraceSet, config: NetworkConfig,
         n_cycles=traces.n_cycles,
         drive_freq=traces.drive_freq,
     )
-
-    def powers(invert):
-        return _window_segment_powers(joint, params.sample_rate, params.cycle,
-                                      params.gate, params.drive_freq, rbw,
-                                      invert=invert)
-
-    return _joint_result(config, params, traces.seed, rbw, powers(False),
-                         powers(True))
+    signal, noise = (_window_powers(weights, traces.samples, params, rbw, invert)
+                     for invert in (False, True))
+    return _joint_result(config, params, traces.seed, rbw, signal, noise)
 
 
 def _tone_parts(starts, kernel, params: TraceParams, n_total: int) -> np.ndarray:
@@ -457,7 +505,7 @@ def _sampled_powers(sigma: float, amp: float, params: TraceParams, seed: int,
                     rbw, windows) -> list:
     """Mean band power over the analysis segments of each window in
     `windows` (False: inside the gate window, True: outside it) that
-    `_window_segment_powers` reads from a joint series of white noise of
+    `_window_powers` reads from a joint series of white noise of
     standard deviation `sigma` plus the unit gated tone times `amp`, drawn
     segment by segment without the series.
 
@@ -466,18 +514,13 @@ def _sampled_powers(sigma: float, amp: float, params: TraceParams, seed: int,
     sigma C g with C C^T = K^T K and g two standard normals, one pair per
     segment in time order from Philox channel 0 of `seed`.  The drive adds
     amp K^T tone."""
-    kernel, norm = _bin_kernel(params.sample_rate, params.drive_freq, rbw)
-    length = kernel.shape[0]
+    length = _check_rbw(params.sample_rate, params.drive_freq, rbw)
     n_total = _n_samples(params)
-    layout = []
-    for invert in windows:
-        spans = _window_spans(n_total, params.sample_rate, params.cycle,
-                              params.gate, invert)
-        starts = np.concatenate([np.arange(a, b - length + 1, length)
-                                 for a, b in spans])
-        if not starts.size:
-            raise AnalysisError("no complete analysis segment in the window")
-        layout.append(starts)
+    # the layout is checked before the kernel of `length` samples is built
+    layout = [np.concatenate([a + length * np.arange(count) for a, count in
+                              _segment_layout(n_total, params, length, invert)])
+              for invert in windows]
+    kernel, norm = _bin_kernel(params.sample_rate, params.drive_freq, rbw)
     starts = np.concatenate(layout)
     noise = np.empty((starts.size, 2))
     noise[np.argsort(starts)] = _channel_rng(seed, 0).standard_normal(noise.shape)
@@ -585,10 +628,18 @@ def read_trace(path) -> TraceSet:
     # the cycle and the drive travel only in the sidecar: without it the
     # gate windows and the analysed bin are unknown
     meta_path = Path(str(path) + ".meta.json")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as exc:
+        raise AnalysisError(f"trace sidecar {meta_path} is not JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise AnalysisError(f"trace sidecar {meta_path} is not a JSON object")
     for key in ("cycle", "drive_freq"):
-        if not isinstance(meta.get(key), (int, float)):
-            raise AnalysisError(f"trace sidecar {meta_path} has no number {key!r}")
+        value = meta.get(key)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0.0 < value < math.inf):
+            raise AnalysisError(f"trace sidecar {meta_path} has no number "
+                                f"{key!r} > 0, got {value!r}")
     return TraceSet(
         d=d,
         sample_rate=sample_rate,

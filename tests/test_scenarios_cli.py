@@ -276,6 +276,14 @@ NAN, INF = float("nan"), float("inf")
     ("grid", {}, {"axis": "n_c", "grid": [1e12, 1e12]}, None),
     ("grid", {}, {"axis": "K", "grid": [1, 1.0]}, None),
     ("grid", {}, {"axis": "weights", "grid": ["ave", "ave"]}, None),
+    ("rbw", {}, None, {"rbw": 10}),
+    ("rbw", {}, None, {"rbw": 1e3}),
+    ("rbw", {}, None, {"gate": [5e-5, 3.95e-3], "rbw": 1e4}),
+    ("K", {"K": True}, None, None),
+    ("eta_dis", {"eta_dis": True}, None, None),
+    ("eta_dis", {}, {"axis": "eta_dis", "grid": [0.5, True]}, None),
+    ("num", {}, {"axis": "n_T", "grid": {"start": 1e2, "stop": 1e4, "num": True}}, None),
+    ("trace", {}, None, {"delta_theta": True}),
 ], ids=["network_r_nan", "network_r_inf", "network_r_negative",
         "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
         "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
@@ -289,7 +297,10 @@ NAN, INF = float("nan"), float("inf")
         "range_include_string", "log_range_start_zero", "log_range_stop_negative",
         "network_topology_separable", "trace_rbw_zero", "trace_rbw_negative",
         "trace_rbw_above_quarter_rate", "grid_n_c_repeat", "grid_K_repeat",
-        "grid_weights_repeat"])
+        "grid_weights_repeat", "trace_rbw_segment_fits_no_span",
+        "trace_rbw_segment_longer_than_gate", "trace_rbw_segment_longer_than_idle",
+        "network_K_bool", "network_eta_bool", "grid_bool", "range_num_bool",
+        "trace_bool"])
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)
@@ -317,7 +328,8 @@ def test_scan_grid_repeat_names_the_point(axis, grid, repeat):
 @pytest.mark.parametrize("field, edit", [
     ("d", lambda doc: doc["network"].pop("d")),
     ("seed", lambda doc: doc.update(seed=1.5)),
-], ids=["network_d_missing", "seed_fraction"])
+    ("seed", lambda doc: doc.update(seed=True)),
+], ids=["network_d_missing", "seed_fraction", "seed_bool"])
 def test_cli_rejects_bad_document_fields_at_load(tmp_path, capsys, field, edit):
     doc = json.loads(json.dumps(SCENARIO))
     edit(doc)
@@ -632,6 +644,30 @@ def test_cli_trace_analyze_needs_the_sidecar(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text, named", [
+    ("[0.001, 4000000.0]", "not a JSON object"),
+    ('{"cycle": 0.001, "drive_freq": 4e6', "not JSON"),
+    ('{"cycle": 0.001, "drive_freq": true}', "'drive_freq'"),
+    ('{"cycle": 0, "drive_freq": 4e6}', "'cycle'"),
+], ids=["list", "malformed", "drive_bool", "cycle_zero"])
+def test_cli_trace_analyze_names_a_bad_sidecar(tmp_path, capsys, text, named):
+    path = _write_scenario(tmp_path, _trace_doc(3))
+    code = cli.main(["trace", "synth", "--config", str(path),
+                     "--out", str(tmp_path / "t"), "--seed", "5"])
+    assert code == 0
+    trace_path = capsys.readouterr().out.strip()
+    sidecar = Path(trace_path + ".meta.json")
+    sidecar.write_text(text)
+    code = cli.main(["trace", "analyze", "--trace", trace_path,
+                     "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith(f"numerical failure: AnalysisError: trace "
+                                   f"sidecar {sidecar} ")
+    assert named in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("named, trace", [
     ("gate", {"gate": [2.0e-3, 1.2e-3]}),
     ("n_cycles", {"n_cycles": 0}),
@@ -639,8 +675,10 @@ def test_cli_trace_analyze_needs_the_sidecar(tmp_path, capsys):
     ("sample_rate", {"sample_rate": "2e7"}),
     ("delta_theta", {"delta_theta": "2e-4"}),
     ("gait", {"gait": [1.2e-3, 2.0e-3]}),
+    ("rbw", {"rbw": 10}),
 ], ids=["gate_reversed", "n_cycles_zero", "sample_rate_nan",
-        "sample_rate_string", "delta_theta_string", "unknown_field"])
+        "sample_rate_string", "delta_theta_string", "unknown_field",
+        "rbw_segment_fits_no_span"])
 def test_cli_trace_commands_check_the_trace_block(tmp_path, capsys, named, trace):
     good = _write_scenario(tmp_path, _trace_doc(3))
     code = cli.main(["trace", "synth", "--config", str(good),

@@ -2,8 +2,11 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,8 +48,18 @@ GATE_CASES = [
 ]
 
 
+# verify's trace check: 1.28 M samples per channel, analysed at rbw 1e5
+VERIFY = TraceParams(sample_rate=2e7, cycle=8e-3, gate=(2.4e-3, 4e-3),
+                     n_cycles=8, drive_freq=4e6)
+
+
 def _ideal_config(d=2, r=0.0, n_c=1e6):
     return configure_optimal(weight_pattern("ave", d), n_c, r)
+
+
+def _lossy_config(d):
+    return configure_optimal(weight_pattern("ave", d), 1e12, 0.75,
+                             eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
 
 
 def test_trace_params_validation():
@@ -312,32 +325,102 @@ def test_joint_series_is_the_sum_in_channel_order(d, monkeypatch):
     samples = np.random.default_rng(d).standard_normal((d, n))
     traces = TraceSet(d=d, sample_rate=2e7, duration=n / 2e7, samples=samples,
                       gate=(2.4e-3, 4e-3), drive_freq=4e6, seed=1, cycle=8e-3)
-    series = []
-    analyse = tracelab._window_segment_powers
+    blocks = []
+    analyse = tracelab.segment_band_powers
 
-    def recording(joint, *args, **kw):
-        series.append(joint)
-        return analyse(joint, *args, **kw)
+    def recording(block, *args):
+        blocks.append(block)
+        return analyse(block, *args)
 
-    monkeypatch.setattr(tracelab, "_window_segment_powers", recording)
+    monkeypatch.setattr(tracelab, "segment_band_powers", recording)
     joint_noise_analysis(traces, cfg)
     w = tracelab._joint_weights(cfg)
     expected = w[0] * samples[0]
     for j in range(1, d):
         expected += w[j] * samples[j]
-    assert series and all(s.tobytes() == expected.tobytes() for s in series)
+    # the full segments of every gated span, then of every idle span, in
+    # time order: the blocks cover exactly these samples, in this order
+    length = 200
+    spans = [(a, b) for invert in (False, True)
+             for a, b in tracelab._window_spans(n, 2e7, 8e-3, (2.4e-3, 4e-3), invert)]
+    full = b"".join(expected[a:a + (b - a) // length * length].tobytes()
+                    for a, b in spans)
+    assert b"".join(block.tobytes() for block in blocks) == full
+    # each block is whole segments, small enough for a one-thread product,
+    # and some span is read in more than one block
+    assert all(block.size % length == 0 and block.size <= tracelab._ANALYSIS_BLOCK
+               for block in blocks)
+    assert len(blocks) > len(spans)
+
+
+def test_block_powers_equal_one_product_per_span(monkeypatch):
+    # at verify's timing each span's bins, read in one product, take the
+    # same kernel as in blocks: 15 of the 6400 band powers changed bits
+    # with blocks of 327 segments, which start the BLAS row groups elsewhere
+    series = np.random.default_rng(0).standard_normal(tracelab._n_samples(VERIFY))
+    read = []
+    analyse = tracelab.segment_band_powers
+
+    def recording(*args):
+        read.append(analyse(*args))
+        return read[-1]
+
+    monkeypatch.setattr(tracelab, "segment_band_powers", recording)
+    for invert in (False, True):
+        tracelab._window_powers(np.ones(1), series[None], VERIFY, 1e5, invert)
+    per_span = [analyse(series[a:b], 2e7, 4e6, 1e5) for invert in (False, True)
+                for a, b in tracelab._window_spans(series.size, 2e7, 8e-3,
+                                                   (2.4e-3, 4e-3), invert)]
+    assert np.concatenate(read).tobytes() == np.concatenate(per_span).tobytes()
+
+
+@pytest.mark.parametrize("d, params", [(4, VERIFY), (2, TraceParams())],
+                         ids=["verify", "default_timing"])
+def test_joint_noise_analysis_holds_no_joint_series(d, params, peak_bytes):
+    cfg = _lossy_config(d)
+    traces = synthesize(cfg, 0.0, params, seed=3)
+    # the whole joint series alone would take 10.24 MB and 32 MB
+    assert peak_bytes(lambda: joint_noise_analysis(traces, cfg)) < 2e6
 
 
 def test_joint_noise_analysis_leaves_no_thread_spinning():
-    # verify's trace check: d = 4 and 1.28 M samples per channel
-    params = TraceParams(sample_rate=2e7, cycle=8e-3, gate=(2.4e-3, 4e-3),
-                         n_cycles=8, drive_freq=4e6)
-    cfg = configure_optimal(weight_pattern("ave", 4), 1e12, 0.75,
-                            eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
-    joint_noise_analysis(synthesize(cfg, 0.0, params, seed=3), cfg)
-    cpu = time.process_time()
-    time.sleep(0.3)
-    assert time.process_time() - cpu < 0.03
+    # verify's trace check (d = 4), and the default timing at d = 2, whose
+    # 1.5 M-sample idle spans wake BLAS threads when read in one product
+    for d, params in ((4, VERIFY), (2, TraceParams())):
+        cfg = _lossy_config(d)
+        joint_noise_analysis(synthesize(cfg, 0.0, params, seed=3), cfg)
+        cpu = time.process_time()
+        time.sleep(0.3)
+        assert time.process_time() - cpu < 0.03, d
+
+
+_ANALYSE_AT_DEFAULT_TIMING = """
+import sys
+from mzinet.network import weight_pattern
+from mzinet.optimize import configure_optimal
+from mzinet.tracelab import TraceParams, joint_noise_analysis, synthesize
+
+d = int(sys.argv[1])
+cfg = configure_optimal(weight_pattern("asym", d), 1e12, 0.75, eta_dis=0.99,
+                        eta_mzi=0.89, eta_m=0.9999)
+print(repr(joint_noise_analysis(synthesize(cfg, 0.0, TraceParams(), seed=3), cfg)))
+"""
+
+
+@pytest.mark.parametrize("d", [2, 6])
+def test_joint_noise_analysis_bytes_do_not_depend_on_the_blas_thread_count(d):
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    results = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        run = subprocess.run(
+            [sys.executable, "-c", _ANALYSE_AT_DEFAULT_TIMING, str(d)],
+            env=dict(env, **threads), capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        results.append(run.stdout)
+    assert results[0] == results[1]
 
 
 def test_joint_noise_analysis_needs_idle_window():
@@ -362,9 +445,8 @@ def test_sampled_tone_matches_materialized_joint_series(params, monkeypatch):
     read = 0
     for invert in (False, True):
         try:
-            expected = tracelab._window_segment_powers(
-                joint, params.sample_rate, params.cycle, params.gate,
-                params.drive_freq, 1e5, invert=invert)
+            expected = tracelab._window_powers(np.ones(1), joint[None], params,
+                                               1e5, invert)
         except AnalysisError:
             with pytest.raises(AnalysisError):
                 tracelab._sampled_powers(0.0, amp, params, 8, 1e5, (invert,))
@@ -395,9 +477,8 @@ def test_sampled_reference_matches_synthesized_reference_over_seeds():
     for seed in range(64):
         sampled.append(tracelab._reference_power(cfg, FAST, seed, 1e5))
         series = w_ref @ synthesize(ref, 0.0, FAST, seed).samples
-        synthesized.append(tracelab._window_segment_powers(
-            series, FAST.sample_rate, FAST.cycle, FAST.gate, FAST.drive_freq,
-            1e5, invert=True))
+        synthesized.append(tracelab._window_powers(np.ones(1), series[None],
+                                                   FAST, 1e5, True))
     a, b = 10.0 * np.log10(sampled), 10.0 * np.log10(synthesized)
     n = a.size
     mean_se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(n)
@@ -525,6 +606,26 @@ def test_trace_sidecar_needs_cycle_and_drive(tmp_path, key, missing):
     sidecar.write_text(json.dumps(meta))
     with pytest.raises(AnalysisError, match=key):
         read_trace(path)
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"cycle": 0.004, "drive_freq": 4e6', "not JSON"),
+    ('[0.004, 4000000.0]', "not a JSON object"),
+    ('{"cycle": 0.004, "drive_freq": true}', "drive_freq"),
+    ('{"cycle": false, "drive_freq": 4e6}', "cycle"),
+    ('{"cycle": 0, "drive_freq": 4e6}', "cycle"),
+    ('{"cycle": 0.004, "drive_freq": -4e6}', "drive_freq"),
+    ('{"cycle": NaN, "drive_freq": 4e6}', "cycle"),
+    ('{"cycle": 0.004, "drive_freq": Infinity}', "drive_freq"),
+], ids=["malformed", "list", "drive_bool", "cycle_bool", "cycle_zero",
+        "drive_negative", "cycle_nan", "drive_inf"])
+def test_trace_sidecar_must_be_an_object_of_positive_timing(tmp_path, text, field):
+    path = write_trace(tmp_path / "run.mztr", synthesize(_ideal_config(), 0.0, FAST, seed=3))
+    sidecar = tmp_path / "run.mztr.meta.json"
+    sidecar.write_text(text)
+    with pytest.raises(AnalysisError) as err:
+        read_trace(path)
+    assert str(sidecar) in str(err.value) and field in str(err.value)
 
 
 def test_trace_file_round_trip_holds_one_copy_of_the_samples(tmp_path, peak_bytes):
