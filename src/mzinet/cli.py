@@ -140,11 +140,11 @@ def _cmd_verify(args):
 def _cmd_trace(args):
     scenario = scenarios.load_scenario(args.config)
     cfg = scenario.base_config()
-    params = scenarios._trace_params(scenario.trace)
+    trace = scenarios._trace_block(scenario.trace)
     if args.trace_command == "synth":
         seed = args.seed if args.seed is not None else scenario.seed
         traces = tracelab.synthesize(
-            cfg, scenarios._signed_drive(cfg, scenario.trace), params, seed=seed)
+            cfg, scenarios._signed_drive(cfg, trace), trace.params, seed=seed)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = tracelab.write_trace(out_dir / f"{scenario.name}.mztr", traces)
@@ -152,7 +152,7 @@ def _cmd_trace(args):
         return EXIT_OK
     traces = tracelab.read_trace(args.trace)
     result = tracelab.joint_noise_analysis(
-        traces, cfg, rbw=scenarios._rbw(scenario.trace))
+        traces, cfg, rbw=trace.rbw)
     print(json.dumps({
         "db_below_sql": result.db_below_sql,
         "snr_db": result.snr_db,

@@ -150,10 +150,13 @@ def _config_from_spec(spec: dict) -> NetworkConfig:
     weights = spec.pop("weights", "ave")
     if isinstance(weights, str):
         weights = weight_pattern(weights, d)
-    else:
+    elif isinstance(weights, list):
         weights = tuple(_finite("weights", w) for w in weights)
         if len(weights) != d:
             raise ConfigError("weights", f"need {d} weights")
+    else:
+        raise ConfigError("weights", f"must be a pattern name or a list of "
+                                     f"{d} numbers, got {weights!r}")
     r = spec.pop("r", 0.0)
     r = tuple(_finite("r", x) for x in r) if isinstance(r, list) else _finite("r", r)
     mu = spec.pop("mu", None)
@@ -294,16 +297,25 @@ def _validate_scenario(scenario: Scenario):
         if "trace" in spec.engines and not scenario.trace:
             raise ConfigError("trace", "trace engine needs a trace block")
     if scenario.trace:
-        _trace_params(scenario.trace)
+        _trace_block(scenario.trace)
 
 
 TRACE_FIELDS = ("sample_rate", "cycle", "gate", "n_cycles", "drive_freq",
                 "delta_theta", "rbw")
 
 
-def _trace_params(trace_doc: dict) -> tracelab.TraceParams:
-    """The timing of a trace block, checked field by field: the one check of
-    the scenario loader and of the trace commands.
+@dataclass(frozen=True)
+class _TraceBlock:
+    """A checked trace block: the timing, the analysis bandwidth and the
+    drive amplitude."""
+    params: tracelab.TraceParams
+    rbw: float
+    delta_theta: float
+
+
+def _trace_block(trace_doc: dict) -> _TraceBlock:
+    """A trace block, checked field by field: the one check of the scenario
+    loader and of the trace commands.
 
     An unknown key raises ConfigError naming it.  A value that is not a
     finite number (the gate: a pair of them), or timing that TraceParams
@@ -331,30 +343,26 @@ def _trace_params(trace_doc: dict) -> tracelab.TraceParams:
         )
     except ValueError as exc:
         raise ConfigError("trace", str(exc)) from exc
+    rbw = float(trace_doc.get("rbw", tracelab.DEFAULT_RBW))
     try:
-        tracelab._check_analysis(params, _rbw(trace_doc))
+        tracelab._check_analysis(params, rbw)
     except AnalysisError as exc:
         raise ConfigError("rbw", str(exc)) from exc
-    return params
+    return _TraceBlock(params, rbw, float(trace_doc.get("delta_theta", 1e-7)))
 
 
-def _rbw(trace_doc: dict) -> float:
-    return float(trace_doc.get("rbw", tracelab.DEFAULT_RBW))
-
-
-def _signed_drive(cfg: NetworkConfig, trace_doc: dict) -> np.ndarray:
+def _signed_drive(cfg: NetworkConfig, trace: _TraceBlock) -> np.ndarray:
     """Per-channel drive amplitudes sign(nu_j) * delta_theta, so every
     channel adds to the weighted sum; zero weights are driven as +1."""
     signs = np.sign(np.asarray(cfg.weights, dtype=float))
     signs[signs == 0] = 1.0
-    return signs * float(trace_doc.get("delta_theta", 1e-7))
+    return signs * trace.delta_theta
 
 
-def _run_trace_point(cfg, scenario, row_seed):
+def _run_trace_point(cfg, trace: _TraceBlock, row_seed):
     result = tracelab.simulate_joint_noise(
-        cfg, _signed_drive(cfg, scenario.trace),
-        _trace_params(scenario.trace), seed=row_seed,
-        rbw=_rbw(scenario.trace))
+        cfg, _signed_drive(cfg, trace), trace.params, seed=row_seed,
+        rbw=trace.rbw)
     return result.db_below_sql, result.snr_db
 
 
@@ -402,6 +410,9 @@ def run_scenario(path_or_scenario, out_dir, seed=None):
     written = []
     meta_lines = [f"scenario: {scenario.name}", f"seed: {scenario.seed}",
                   f"schema: {SCHEMA_VERSION}"]
+    # parsed once per run: every trace point shares the block
+    trace = (_trace_block(scenario.trace)
+             if any("trace" in spec.engines for spec in scenario.scans) else None)
     for scan_index, spec in enumerate(scenario.scans):
         base = scenario.base_config(spec.overrides)
         rows = optimize.scan(spec.axis, spec.grid, base, engines=spec.engines)
@@ -413,7 +424,7 @@ def run_scenario(path_or_scenario, out_dir, seed=None):
                     row_seed = (scenario.seed * 1000003 + scan_index * 9973
                                 + row_index) % 2**63
                     row.db_below_sql_mc, row.snr_db_mc = _run_trace_point(
-                        row.config, scenario, row_seed)
+                        row.config, trace, row_seed)
                 except optimize.ROW_ERRORS as exc:
                     row.status = f"error:{type(exc).__name__}: {exc}"
         csv_path = out_dir / f"{scenario.name}_{spec.label}.csv"

@@ -33,6 +33,15 @@ Gamma is the identity, so both paths draw its idle segments the same way
 (`_bin_kernel`) and the gate rule (`_gate_runs`) have one definition each,
 shared by both paths and, for the layout, by the scenario load check.
 
+Two caches hold what depends only on the timing and rbw: `_bin_kernel`
+(the last four kernels, shared by the blocks of an analysis) and
+`_segment_plan` (the last two plans: layout, draw order, kernel norm and
+factor, unit tone; 24 bytes per segment), so a point and its reference
+run, and every point of a scan, share one plan.  Cached arrays are
+read-only, a refused rbw or layout raises on every call, and a plan is
+built by the same operations as a per-call build, so the bits do not
+depend on whether it was cached.
+
 Trace file layout (little endian): magic "MZTR", version u32, d u32,
 sample_rate f64, duration f64, gate 2*f64, seed u64, then channel-major f64
 samples.  Cycle length and drive frequency travel in a JSON sidecar.
@@ -40,6 +49,7 @@ samples.  Cycle length and drive frequency travel in a JSON sidecar.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -297,11 +307,20 @@ def _check_rbw(sample_rate, center, rbw) -> int:
     return int(round(sample_rate / rbw))
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=4)
 def _bin_kernel(sample_rate, center, rbw):
     """The (length x 2) kernel [w cos, -w sin] of the Hann-weighted DFT bin at
     `center`, length round(sample_rate/rbw), and the band-power norm
     sample_rate * sum(w^2).  Raises AnalysisError for an rbw that
-    `_check_rbw` refuses."""
+    `_check_rbw` refuses.
+
+    Memoized, so the blocks of an analysis share one kernel; the cached
+    kernel is read-only, and a refused rbw raises on every call."""
     length = _check_rbw(sample_rate, center, rbw)
     window = _hann(length)
     bin_index = int(round(center / sample_rate * length))
@@ -309,7 +328,7 @@ def _bin_kernel(sample_rate, center, rbw):
     # mod L first so the phase stays exact for long segments
     phase = 2.0 * math.pi * (bin_index * np.arange(length) % length) / length
     kernel = np.stack((window * np.cos(phase), -window * np.sin(phase)), axis=1)
-    return kernel, sample_rate * np.sum(window**2)
+    return _read_only(kernel), sample_rate * np.sum(window**2)
 
 
 def _band_powers(parts, norm, rbw):
@@ -353,18 +372,19 @@ def _window_spans(n_samples, sample_rate, cycle, window, invert=False):
 
 def _segment_layout(n_samples, params: TraceParams, length, invert):
     """(start, count) of the full analysis segments of `length` samples from
-    the start of each span of `_window_spans` that holds one, in time order:
-    the one segment layout of both paths and of the load check.  Raises
-    AnalysisError when no span holds a segment."""
-    layout = [(a, (b - a) // length)
-              for a, b in _window_spans(n_samples, params.sample_rate,
-                                        params.cycle, params.gate, invert)
-              if b - a >= length]
-    if not layout:
-        window = "idle" if invert else "gated"
-        raise AnalysisError(f"no complete analysis segment ({length} samples) "
-                            f"in the {window} window")
-    return layout
+    the start of each span of `_window_spans` that holds one, in time order
+    (empty when no span holds one): the one segment layout of both paths and
+    of the load check."""
+    return [(a, (b - a) // length)
+            for a, b in _window_spans(n_samples, params.sample_rate,
+                                      params.cycle, params.gate, invert)
+            if b - a >= length]
+
+
+def _no_segment(length, invert) -> AnalysisError:
+    window = "idle" if invert else "gated"
+    return AnalysisError(f"no complete analysis segment ({length} samples) "
+                         f"in the {window} window")
 
 
 def _check_analysis(params: TraceParams, rbw):
@@ -373,8 +393,9 @@ def _check_analysis(params: TraceParams, rbw):
     length = _check_rbw(params.sample_rate, params.drive_freq, rbw)
     # every cycle has the same spans, so one cycle is checked
     for invert in (False, True):
-        _segment_layout(_n_samples(params) // params.n_cycles, params, length,
-                        invert)
+        if not _segment_layout(_n_samples(params) // params.n_cycles, params,
+                               length, invert):
+            raise _no_segment(length, invert)
 
 
 def _window_powers(weights, samples, params: TraceParams, rbw, invert):
@@ -389,8 +410,11 @@ def _window_powers(weights, samples, params: TraceParams, rbw, invert):
     per_block = max(_ANALYSIS_BLOCK // length, 1)
     if per_block > _ROW_GROUP:
         per_block -= per_block % _ROW_GROUP
+    layout = _segment_layout(samples.shape[1], params, length, invert)
+    if not layout:
+        raise _no_segment(length, invert)
     powers = []
-    for start, count in _segment_layout(samples.shape[1], params, length, invert):
+    for start, count in layout:
         stop = start + count * length
         for a in range(start, stop, per_block * length):
             block = samples[:, a:min(a + per_block * length, stop)]
@@ -501,35 +525,87 @@ def _tone_parts(starts, kernel, params: TraceParams, n_total: int) -> np.ndarray
     return parts
 
 
+@dataclass(frozen=True)
+class _SegmentPlan:
+    """What `_sampled_powers` reads of one trace timing and rbw, for the
+    gated segments and then the idle ones, each window in time order."""
+    length: int
+    rows: tuple          # slices of the gated and of the idle segments
+    order: np.ndarray    # draw slot of each segment: argsort of the starts
+    factor: np.ndarray   # C^T with C C^T = K^T K
+    norm: float
+    tone: np.ndarray     # K^T tone of the unit gated tone, one row per segment
+
+
+@functools.lru_cache(maxsize=2)
+def _segment_plan(params: TraceParams, rbw) -> _SegmentPlan:
+    """The part of `_sampled_powers` that depends only on the timing and rbw:
+    the segment layout and its time order, the bin kernel's norm and the
+    factor of K^T K, and the unit tone's kernel coefficients.
+
+    Memoized on the frozen `params` and rbw, so a point and its reference
+    run, and every point of a scan, share one plan; a plan holds 24 bytes per
+    segment and its arrays are read-only.  A refused rbw, or a timing with no
+    segment in either window, raises on every call."""
+    length = _check_rbw(params.sample_rate, params.drive_freq, rbw)
+    n_total = _n_samples(params)
+    layouts = [_segment_layout(n_total, params, length, invert)
+               for invert in (False, True)]
+    # the layout is checked before the kernel of `length` samples is built
+    if not any(layouts):
+        raise _no_segment(length, False)
+    starts = np.concatenate([np.empty(0, dtype=np.int64)]
+                            + [a + length * np.arange(count)
+                               for layout in layouts for a, count in layout])
+    n_gated = sum(count for _, count in layouts[0])
+    kernel, norm = _bin_kernel(params.sample_rate, params.drive_freq, rbw)
+    return _SegmentPlan(
+        length=length,
+        rows=(slice(0, n_gated), slice(n_gated, starts.size)),
+        order=_read_only(np.argsort(starts)),
+        factor=_read_only(_noise_factor(kernel.T @ kernel)).T,
+        norm=norm,
+        tone=_read_only(_tone_parts(starts, kernel, params, n_total)),
+    )
+
+
 def _sampled_powers(sigma: float, amp: float, params: TraceParams, seed: int,
                     rbw, windows) -> list:
     """Mean band power over the analysis segments of each window in
-    `windows` (False: inside the gate window, True: outside it) that
-    `_window_powers` reads from a joint series of white noise of
-    standard deviation `sigma` plus the unit gated tone times `amp`, drawn
-    segment by segment without the series.
+    `windows` (False: inside the gate window, True: outside it; both in that
+    order, or one) that `_window_powers` reads from a joint series of white
+    noise of standard deviation `sigma` plus the unit gated tone times
+    `amp`, drawn segment by segment without the series.
 
     The segments are disjoint, so the kernel coefficients K^T x of each
     segment are an independent normal pair of covariance sigma^2 K^T K:
     sigma C g with C C^T = K^T K and g two standard normals, one pair per
     segment in time order from Philox channel 0 of `seed`.  The drive adds
-    amp K^T tone."""
-    length = _check_rbw(params.sample_rate, params.drive_freq, rbw)
-    n_total = _n_samples(params)
-    # the layout is checked before the kernel of `length` samples is built
-    layout = [np.concatenate([a + length * np.arange(count) for a, count in
-                              _segment_layout(n_total, params, length, invert)])
-              for invert in windows]
-    kernel, norm = _bin_kernel(params.sample_rate, params.drive_freq, rbw)
-    starts = np.concatenate(layout)
-    noise = np.empty((starts.size, 2))
-    noise[np.argsort(starts)] = _channel_rng(seed, 0).standard_normal(noise.shape)
-    parts = sigma * noise @ _noise_factor(kernel.T @ kernel).T
+    amp K^T tone.
+
+    Everything but the draws, `sigma` and `amp` comes from the timing's
+    cached `_segment_plan`.  Each segment's tone row does not depend on the
+    other segments, and one window's segments rise in time, so one window
+    read from the plan has the same bits as a plan of that window alone."""
+    plan = _segment_plan(params, rbw)
+    rows = [plan.rows[invert] for invert in windows]
+    for invert, window in zip(windows, rows):
+        if window.start == window.stop:
+            raise _no_segment(plan.length, invert)
+    first = rows[0].start
+    span = slice(first, rows[-1].stop)
+    draws = _channel_rng(seed, 0).standard_normal((span.stop - first, 2))
+    if len(windows) == 1:
+        noise = draws    # one window's segments rise in time
+    else:
+        noise = np.empty_like(draws)
+        noise[plan.order] = draws
+    parts = sigma * noise @ plan.factor
     if amp != 0.0:
-        parts += amp * _tone_parts(starts, kernel, params, n_total)
-    powers = np.split(_band_powers(parts, norm, rbw),
-                      np.cumsum([s.size for s in layout])[:-1])
-    return [float(p.mean()) for p in powers]
+        parts += amp * plan.tone[span]
+    powers = _band_powers(parts, plan.norm, rbw)
+    return [float(powers[window.start - first:window.stop - first].mean())
+            for window in rows]
 
 
 def _reference_power(config: NetworkConfig, params: TraceParams, seed: int,
@@ -556,7 +632,9 @@ def simulate_joint_noise(config: NetworkConfig, delta_thetas,
     idle analysis segment: noise of the engine's variance
     sensitivity_numeric(config) and a drive of amplitude sum_j nu_j delta_j
     (w_j C_jj = nu_j).  No series is built, so the cost grows with the
-    segment count, not the sample count.
+    segment count, not the sample count.  The run and its reference share
+    the timing's cached `_segment_plan`, so a call past the first at one
+    timing computes only the draws, their scaling and the band powers.
     """
     sigma = math.sqrt(sensitivity_numeric(config))
     delta = np.broadcast_to(np.asarray(delta_thetas, dtype=float), (config.d,))

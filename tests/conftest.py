@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mzinet import tracelab
+
 
 def _peak_bytes(fn):
     tracemalloc.start()
@@ -30,3 +32,12 @@ def pytest_runtest_logreport(report):
 @pytest.fixture
 def rng():
     return np.random.default_rng(987654321)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_trace_caches():
+    """Clear the memoized bin kernel and segment plan before each test, so a
+    plan cached by an earlier test never hides a monkeypatched
+    `_noise_factor`, `_gate_runs` or `_bin_kernel`."""
+    tracelab._bin_kernel.cache_clear()
+    tracelab._segment_plan.cache_clear()

@@ -284,6 +284,9 @@ NAN, INF = float("nan"), float("inf")
     ("eta_dis", {}, {"axis": "eta_dis", "grid": [0.5, True]}, None),
     ("num", {}, {"axis": "n_T", "grid": {"start": 1e2, "stop": 1e4, "num": True}}, None),
     ("trace", {}, None, {"delta_theta": True}),
+    ("weights", {"weights": True}, None, None),
+    ("weights", {"weights": 0.5}, None, None),
+    ("weights", {"weights": {"ave": 1}}, None, None),
 ], ids=["network_r_nan", "network_r_inf", "network_r_negative",
         "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
         "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
@@ -300,7 +303,7 @@ NAN, INF = float("nan"), float("inf")
         "grid_weights_repeat", "trace_rbw_segment_fits_no_span",
         "trace_rbw_segment_longer_than_gate", "trace_rbw_segment_longer_than_idle",
         "network_K_bool", "network_eta_bool", "grid_bool", "range_num_bool",
-        "trace_bool"])
+        "trace_bool", "weights_bool", "weights_number", "weights_object"])
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)
@@ -364,20 +367,34 @@ FINGERPRINT = Path(__file__).with_name("figure_fingerprint.json")
 MC_COLUMNS = ("db_below_sql_mc", "snr_db_mc")
 
 
-def _deterministic_digest(path):
-    """sha256 of a figure CSV without its Monte Carlo columns, or of the
-    whole file for anything else (the _meta.txt files)."""
-    text = path.read_text()
-    if path.suffix == ".csv":
-        rows = [line.split(",") for line in text.splitlines()]
-        keep = [i for i, col in enumerate(rows[0]) if col not in MC_COLUMNS]
-        text = "\n".join(",".join(row[i] for i in keep) for row in rows)
+def _column_digest(path, monte_carlo):
+    """sha256 of the Monte Carlo columns of a figure CSV (with monte_carlo)
+    or of its other columns (without)."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    keep = [i for i, col in enumerate(rows[0]) if (col in MC_COLUMNS) == monte_carlo]
+    text = "\n".join(",".join(row[i] for i in keep) for row in rows)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _figure_digests(path):
+    """{key: sha256} of one figure output: the whole _meta.txt file, a CSV's
+    deterministic columns, and, under "<name> monte_carlo", the Monte Carlo
+    columns of a CSV that has any."""
+    if path.suffix != ".csv":
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()}
+    digests = {path.name: _column_digest(path, monte_carlo=False)}
+    _, rows = _read_csv(path)
+    if any(row[col] for row in rows for col in MC_COLUMNS):
+        digests[f"{path.name} monte_carlo"] = _column_digest(path, monte_carlo=True)
+    return digests
 
 
 def test_every_bundled_figure_runs_quickly(tmp_path):
     """Each bundled figure runs in under a minute, and its deterministic
-    columns and _meta.txt hash to the committed behaviour fingerprint."""
+    columns, its Monte Carlo columns (fig2 and fig5b) and its _meta.txt hash
+    to the committed behaviour fingerprint.  The Monte Carlo pin holds the
+    seeded draw stream fixed: a change that moves it states why and
+    regenerates the pin."""
     import time
 
     digests = {}
@@ -391,7 +408,7 @@ def test_every_bundled_figure_runs_quickly(tmp_path):
             header, rows = _read_csv(path)
             assert rows, f"{path} is empty"
         for path in written + [tmp_path / figure / f"{figure}_meta.txt"]:
-            digests[path.name] = _deterministic_digest(path)
+            digests.update(_figure_digests(path))
     expected = json.loads(FINGERPRINT.read_text())
     assert digests == expected, (
         "figure outputs moved; new digests:\n"

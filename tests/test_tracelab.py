@@ -457,6 +457,43 @@ def test_sampled_tone_matches_materialized_joint_series(params, monkeypatch):
     assert read >= 1
 
 
+def test_a_trace_scan_builds_one_segment_plan(tmp_path):
+    # fig5b's three trace points and their three reference runs share one
+    # plan, and the analysis blocks of a synthesized run share one kernel
+    scenarios.reproduce("fig5b", tmp_path)
+    info = tracelab._segment_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+    tracelab._bin_kernel.cache_clear()
+    cfg = _ideal_config()
+    joint_noise_analysis(synthesize(cfg, 1e-3, FAST, seed=3), cfg)
+    info = tracelab._bin_kernel.cache_info()
+    assert info.misses == 1 and info.hits > 10
+
+
+def test_cached_plan_arrays_are_read_only():
+    plan = tracelab._segment_plan(FAST, 1e5)
+    kernel, _ = tracelab._bin_kernel(FAST.sample_rate, FAST.drive_freq, 1e5)
+    for array in (plan.order, plan.factor, plan.tone, kernel):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_refused_analysis_raises_on_every_call():
+    no_idle = GATE_CASES[1]
+    for _ in range(2):
+        with pytest.raises(AnalysisError, match="rbw must be > 0"):
+            tracelab._segment_plan(FAST, 0.0)
+        with pytest.raises(AnalysisError, match="rbw must be <= sample_rate/4"):
+            tracelab._bin_kernel(FAST.sample_rate, FAST.drive_freq, 1e7)
+        # 50 000-sample segments fit in no gated and in no idle span
+        with pytest.raises(AnalysisError, match="in the gated window"):
+            tracelab._segment_plan(FAST, 400.0)
+        with pytest.raises(AnalysisError, match="in the idle window"):
+            simulate_joint_noise(_ideal_config(d=1), 1e-3, no_idle, seed=2)
+    assert tracelab._segment_plan.cache_info().currsize == 1
+    assert tracelab._bin_kernel.cache_info().currsize == 1
+
+
 def test_both_paths_share_the_reference_power():
     cfg = configure_optimal(weight_pattern("asym", 3), 1e8, 0.3, eta_dis=0.95)
     for seed in (0, 5):
@@ -499,7 +536,8 @@ def test_sampled_noise_matches_segment_statistics_over_seeds():
     # the idle power of each run is a mean of N exponential segment powers,
     # so the dB ratio of two runs has sd 10/ln(10) sqrt(1/N_idle + 1/N_ref)
     scenario, rows = _fig2_trace_points()
-    params = scenarios._trace_params(scenario.trace)
+    trace = scenarios._trace_block(scenario.trace)
+    params = trace.params
     length = int(round(params.sample_rate / scenario.trace["rbw"]))
     n_idle = sum((b - a) // length for a, b in tracelab._window_spans(
         tracelab._n_samples(params), params.sample_rate, params.cycle,
@@ -507,7 +545,7 @@ def test_sampled_noise_matches_segment_statistics_over_seeds():
     sd_model = 10.0 / math.log(10.0) * math.sqrt(2.0 / n_idle)
     for row in rows:
         errors = np.array([
-            scenarios._run_trace_point(row.config, scenario, seed)[0] - row.db_below_sql
+            scenarios._run_trace_point(row.config, trace, seed)[0] - row.db_below_sql
             for seed in range(64)
         ])
         sd = errors.std(ddof=1)
@@ -517,7 +555,8 @@ def test_sampled_noise_matches_segment_statistics_over_seeds():
 
 def test_simulate_joint_noise_builds_no_series(peak_bytes):
     scenario, rows = _fig2_trace_points()
-    peak = peak_bytes(lambda: scenarios._run_trace_point(rows[0].config, scenario, 1))
+    trace = scenarios._trace_block(scenario.trace)
+    peak = peak_bytes(lambda: scenarios._run_trace_point(rows[0].config, trace, 1))
     # one 1.6 M-sample series alone would take 12.8 MB
     assert peak < 4e6
 
