@@ -359,9 +359,16 @@ def _signed_drive(cfg: NetworkConfig, trace: _TraceBlock) -> np.ndarray:
     return signs * trace.delta_theta
 
 
-def _run_trace_point(cfg, trace: _TraceBlock, row_seed):
+def _run_trace_point(row: optimize.ScanRow, trace: _TraceBlock, row_seed):
+    """Monte Carlo dB below the SQL and SNR of a scan row's operating point,
+    at the row's `variance_numeric` (computed here for a scan without the
+    numeric engine)."""
+    cfg = row.config
+    variance = row.variance_numeric
+    if variance is None:
+        variance = sensitivity_numeric(cfg)
     result = tracelab.simulate_joint_noise(
-        cfg, _signed_drive(cfg, trace), trace.params, seed=row_seed,
+        cfg, variance, _signed_drive(cfg, trace), trace.params, seed=row_seed,
         rbw=trace.rbw)
     return result.db_below_sql, result.snr_db
 
@@ -424,7 +431,7 @@ def run_scenario(path_or_scenario, out_dir, seed=None):
                     row_seed = (scenario.seed * 1000003 + scan_index * 9973
                                 + row_index) % 2**63
                     row.db_below_sql_mc, row.snr_db_mc = _run_trace_point(
-                        row.config, trace, row_seed)
+                        row, trace, row_seed)
                 except optimize.ROW_ERRORS as exc:
                     row.status = f"error:{type(exc).__name__}: {exc}"
         csv_path = out_dir / f"{scenario.name}_{spec.label}.csv"

@@ -27,20 +27,27 @@ so the bits do not depend on the BLAS thread count and no BLAS thread is
 left spinning.  The joint noise is white with variance w^T Gamma w
 (w_j = nu_j / C_jj), which is the engine's `sensitivity_numeric`, and the
 segments are disjoint, so `simulate_joint_noise` draws each segment's bin
-directly, with the gated tone's share of it, and never builds the series.  The reference run's
-Gamma is the identity, so both paths draw its idle segments the same way
-(`_reference_power`).  The segment layout (`_segment_layout`), the kernel
-(`_bin_kernel`) and the gate rule (`_gate_runs`) have one definition each,
+directly, with the gated tone's share of it, and never builds the series.
+It takes that variance from its caller (a scan row's `variance_numeric`),
+so a scan point builds the network once.  The reference run has r = 0, no
+loss and theta = 0, so its Gamma is exactly the identity and its variance
+is x . x over the kept channels, with no network build; both paths draw
+its idle segments the same way (`_reference_power`).  The segment layout
+(`_segment_layout`), the kernel (`_bin_kernel`), the gate rule
+(`_gate_runs`) and the samples per cycle (`_cycle_samples`, which refuses
+a cycle that is not a whole number of samples) have one definition each,
 shared by both paths and, for the layout, by the scenario load check.
 
 Two caches hold what depends only on the timing and rbw: `_bin_kernel`
 (the last four kernels, shared by the blocks of an analysis) and
-`_segment_plan` (the last two plans: layout, draw order, kernel norm and
-factor, unit tone; 24 bytes per segment), so a point and its reference
-run, and every point of a scan, share one plan.  Cached arrays are
-read-only, a refused rbw or layout raises on every call, and a plan is
-built by the same operations as a per-call build, so the bits do not
-depend on whether it was cached.
+`_segment_plan` (the last two plans: every segment's unit-tone kernel
+coefficients in time order, each window's positions among them, the kernel
+norm and factor; 24 bytes per segment), so a point and its reference run,
+and every point of a scan, share one plan, and a point draws its segments
+in time order with no permutation.  Cached arrays are read-only, a refused
+rbw or layout raises on every call, and a plan is built by the same
+operations as a per-call build, so the bits do not depend on whether it
+was cached.
 
 Trace file layout (little endian): magic "MZTR", version u32, d u32,
 sample_rate f64, duration f64, gate 2*f64, seed u64, then channel-major f64
@@ -67,7 +74,6 @@ from .network import (
     active_channels,
     noise_matrix,
     response,
-    sensitivity_numeric,
     sql_reference_config,
 )
 
@@ -132,6 +138,7 @@ class TraceParams:
         t_on, t_off = self.gate
         if not 0.0 <= t_on < t_off <= self.cycle:
             raise ValueError("gate window must fit inside one cycle")
+        _cycle_samples(self.sample_rate, self.cycle)
 
 
 @dataclass
@@ -151,7 +158,19 @@ class TraceSet:
 
     @property
     def n_cycles(self) -> int:
-        return int(round(self.duration / self.cycle))
+        return self.n_samples // _cycle_samples(self.sample_rate, self.cycle)
+
+
+def _cycle_samples(sample_rate, cycle) -> int:
+    """Samples per cycle, cycle * sample_rate.  Raises ValueError unless that
+    product is finite and within four ulps of a whole number, so the drive,
+    the analysis windows and the cycle count of a file all repeat every
+    cycle on the same sample."""
+    n = cycle * sample_rate
+    if not (math.isfinite(n) and abs(n - round(n)) <= 4.0 * math.ulp(n)):
+        raise ValueError(f"cycle must be a whole number of samples, got "
+                         f"cycle * sample_rate = {n!r}")
+    return round(n)
 
 
 def _channel_rng(seed: int, channel: int) -> np.random.Generator:
@@ -181,7 +200,7 @@ def _reference_seed(seed: int) -> int:
 
 
 def _n_samples(params: TraceParams) -> int:
-    return int(round(params.cycle * params.sample_rate)) * params.n_cycles
+    return _cycle_samples(params.sample_rate, params.cycle) * params.n_cycles
 
 
 def _gate_runs(params: TraceParams, n_total: int):
@@ -337,6 +356,16 @@ def _band_powers(parts, norm, rbw):
     return 2.0 * (parts[:, 0] ** 2 + parts[:, 1] ** 2) / norm * rbw
 
 
+def _segments_per_block(length: int) -> int:
+    """Segments of `length` samples per bin product: the whole segments in
+    `_ANALYSIS_BLOCK` samples (at least one), rounded down to a multiple of
+    `_ROW_GROUP` when more than that fit."""
+    per_block = max(_ANALYSIS_BLOCK // length, 1)
+    if per_block > _ROW_GROUP:
+        per_block -= per_block % _ROW_GROUP
+    return per_block
+
+
 def segment_band_powers(series, sample_rate, center, rbw):
     """Per-segment linear band power at `center` from Hann periodograms of
     length round(sample_rate/rbw).  Calibrated so unit-variance white noise
@@ -344,7 +373,9 @@ def segment_band_powers(series, sample_rate, center, rbw):
 
     Only the bin at `center` is read, so each segment takes a single-bin
     Hann-weighted DFT (Goertzel, Am. Math. Monthly 65, 34 (1958)) in place
-    of a full FFT."""
+    of a full FFT.  The bins are read `_segments_per_block` segments per
+    product, so a long series wakes no BLAS thread and its bits do not
+    depend on the BLAS thread count."""
     series = np.asarray(series, dtype=float)
     kernel, norm = _bin_kernel(sample_rate, center, rbw)
     length = kernel.shape[0]
@@ -352,7 +383,10 @@ def segment_band_powers(series, sample_rate, center, rbw):
         raise AnalysisError("analysis window longer than the trace")
     n_segments = series.size // length
     segments = series[: n_segments * length].reshape(n_segments, length)
-    return _band_powers(segments @ kernel, norm, rbw)
+    per_block = _segments_per_block(length)
+    return np.concatenate([
+        _band_powers(segments[a:a + per_block] @ kernel, norm, rbw)
+        for a in range(0, n_segments, per_block)])
 
 
 def _window_spans(n_samples, sample_rate, cycle, window, invert=False):
@@ -360,7 +394,7 @@ def _window_spans(n_samples, sample_rate, cycle, window, invert=False):
     spans outside) the per-cycle window, in time order.  The analysis reads
     the full segments of round(sample_rate/rbw) samples from each span's
     start."""
-    n_per_cycle = int(round(cycle * sample_rate))
+    n_per_cycle = _cycle_samples(sample_rate, cycle)
     lo = int(math.ceil(window[0] * sample_rate))
     hi = int(math.floor(window[1] * sample_rate))
     spans = [(0, lo), (hi, n_per_cycle)] if invert else [(lo, hi)]
@@ -393,8 +427,8 @@ def _check_analysis(params: TraceParams, rbw):
     length = _check_rbw(params.sample_rate, params.drive_freq, rbw)
     # every cycle has the same spans, so one cycle is checked
     for invert in (False, True):
-        if not _segment_layout(_n_samples(params) // params.n_cycles, params,
-                               length, invert):
+        if not _segment_layout(_cycle_samples(params.sample_rate, params.cycle),
+                               params, length, invert):
             raise _no_segment(length, invert)
 
 
@@ -407,9 +441,7 @@ def _window_powers(weights, samples, params: TraceParams, rbw, invert):
     channel order with einsum (no BLAS, so no BLAS thread), and each block's
     bins are read by `segment_band_powers`; the series is never built."""
     length = _check_rbw(params.sample_rate, params.drive_freq, rbw)
-    per_block = max(_ANALYSIS_BLOCK // length, 1)
-    if per_block > _ROW_GROUP:
-        per_block -= per_block % _ROW_GROUP
+    per_block = _segments_per_block(length)
     layout = _segment_layout(samples.shape[1], params, length, invert)
     if not layout:
         raise _no_segment(length, invert)
@@ -434,14 +466,22 @@ class JointNoiseResult:
     reference_power: float
 
 
-def _joint_weights(config: NetworkConfig) -> np.ndarray:
-    """Estimator weights w_j = nu_j / C_jj, zero on unweighted dark channels;
-    a weighted dark channel raises DarkResponseError."""
+def _kept_weights(config: NetworkConfig):
+    """(x, keep): the keep mask of `active_channels` and x_j = nu_j / C_jj
+    over the kept channels, as `sensitivity_numeric` forms them; a weighted
+    dark channel raises DarkResponseError."""
     nu = np.asarray(config.weights, dtype=float)
     c_diag = response(config)
     keep = active_channels(config, c_diag, nu)
+    return nu[keep] / c_diag[keep], keep
+
+
+def _joint_weights(config: NetworkConfig) -> np.ndarray:
+    """Estimator weights w_j = nu_j / C_jj, zero on unweighted dark channels;
+    a weighted dark channel raises DarkResponseError."""
+    x, keep = _kept_weights(config)
     w = np.zeros(config.d)
-    w[keep] = nu[keep] / c_diag[keep]
+    w[keep] = x
     return w
 
 
@@ -527,11 +567,10 @@ def _tone_parts(starts, kernel, params: TraceParams, n_total: int) -> np.ndarray
 
 @dataclass(frozen=True)
 class _SegmentPlan:
-    """What `_sampled_powers` reads of one trace timing and rbw, for the
-    gated segments and then the idle ones, each window in time order."""
+    """What `_sampled_powers` reads of one trace timing and rbw.  Every
+    segment of both windows is one row, in time order."""
     length: int
-    rows: tuple          # slices of the gated and of the idle segments
-    order: np.ndarray    # draw slot of each segment: argsort of the starts
+    windows: tuple       # positions of the gated and of the idle segments
     factor: np.ndarray   # C^T with C C^T = K^T K
     norm: float
     tone: np.ndarray     # K^T tone of the unit gated tone, one row per segment
@@ -540,13 +579,15 @@ class _SegmentPlan:
 @functools.lru_cache(maxsize=2)
 def _segment_plan(params: TraceParams, rbw) -> _SegmentPlan:
     """The part of `_sampled_powers` that depends only on the timing and rbw:
-    the segment layout and its time order, the bin kernel's norm and the
-    factor of K^T K, and the unit tone's kernel coefficients.
+    the positions of the gated and of the idle segments among all segments
+    in time order, the bin kernel's norm and the factor of K^T K, and the
+    unit tone's kernel coefficients of every segment in time order.
 
     Memoized on the frozen `params` and rbw, so a point and its reference
     run, and every point of a scan, share one plan; a plan holds 24 bytes per
-    segment and its arrays are read-only.  A refused rbw, or a timing with no
-    segment in either window, raises on every call."""
+    segment (a position and a tone row) and its arrays are read-only.  A
+    refused rbw, or a timing with no segment in either window, raises on
+    every call."""
     length = _check_rbw(params.sample_rate, params.drive_freq, rbw)
     n_total = _n_samples(params)
     layouts = [_segment_layout(n_total, params, length, invert)
@@ -558,14 +599,16 @@ def _segment_plan(params: TraceParams, rbw) -> _SegmentPlan:
                             + [a + length * np.arange(count)
                                for layout in layouts for a, count in layout])
     n_gated = sum(count for _, count in layouts[0])
+    order = np.argsort(starts)
+    gated = order < n_gated
     kernel, norm = _bin_kernel(params.sample_rate, params.drive_freq, rbw)
     return _SegmentPlan(
         length=length,
-        rows=(slice(0, n_gated), slice(n_gated, starts.size)),
-        order=_read_only(np.argsort(starts)),
+        windows=(_read_only(np.flatnonzero(gated)),
+                 _read_only(np.flatnonzero(~gated))),
         factor=_read_only(_noise_factor(kernel.T @ kernel)).T,
         norm=norm,
-        tone=_read_only(_tone_parts(starts, kernel, params, n_total)),
+        tone=_read_only(_tone_parts(starts[order], kernel, params, n_total)),
     )
 
 
@@ -580,68 +623,77 @@ def _sampled_powers(sigma: float, amp: float, params: TraceParams, seed: int,
     The segments are disjoint, so the kernel coefficients K^T x of each
     segment are an independent normal pair of covariance sigma^2 K^T K:
     sigma C g with C C^T = K^T K and g two standard normals, one pair per
-    segment in time order from Philox channel 0 of `seed`.  The drive adds
-    amp K^T tone.
+    segment read, in time order, from Philox channel 0 of `seed`.  The
+    drive adds amp K^T tone.
 
     Everything but the draws, `sigma` and `amp` comes from the timing's
-    cached `_segment_plan`.  Each segment's tone row does not depend on the
-    other segments, and one window's segments rise in time, so one window
-    read from the plan has the same bits as a plan of that window alone."""
+    cached `_segment_plan`, which holds every segment in time order.  Both
+    windows draw every segment in that order, with no permutation, and each
+    window's mean is read by gathering its band powers at the plan's
+    positions: the same values in the same order as a window's own slice,
+    so the same pairwise sum.  One window draws only its own segments, and
+    gathers their tone rows when the drive is on.  Each segment's tone row
+    does not depend on the other segments, so one window has the same bits
+    as a plan of that window alone."""
     plan = _segment_plan(params, rbw)
-    rows = [plan.rows[invert] for invert in windows]
-    for invert, window in zip(windows, rows):
-        if window.start == window.stop:
+    positions = [plan.windows[invert] for invert in windows]
+    for invert, window in zip(windows, positions):
+        if not window.size:
             raise _no_segment(plan.length, invert)
-    first = rows[0].start
-    span = slice(first, rows[-1].stop)
-    draws = _channel_rng(seed, 0).standard_normal((span.stop - first, 2))
     if len(windows) == 1:
-        noise = draws    # one window's segments rise in time
+        (rows,) = positions
+        count, positions = rows.size, [slice(None)]
     else:
-        noise = np.empty_like(draws)
-        noise[plan.order] = draws
-    parts = sigma * noise @ plan.factor
+        rows, count = slice(None), plan.tone.shape[0]
+    parts = sigma * _channel_rng(seed, 0).standard_normal((count, 2)) @ plan.factor
     if amp != 0.0:
-        parts += amp * plan.tone[span]
+        parts += amp * plan.tone[rows]
     powers = _band_powers(parts, plan.norm, rbw)
-    return [float(powers[window.start - first:window.stop - first].mean())
-            for window in rows]
+    return [float(powers[window].mean()) for window in positions]
 
 
 def _reference_power(config: NetworkConfig, params: TraceParams, seed: int,
                      rbw) -> float:
     """Idle band power of the joint estimator of the ideal shot-noise run
     (`sql_reference_config`), drawn by `_sampled_powers` from the seed
-    derived from `seed`.  Its Gamma is the identity, so its joint noise is
-    white of variance sum_j w_j^2 and the sampled idle bins have exactly the
-    distribution of the synthesized run's."""
-    sigma = math.sqrt(sensitivity_numeric(sql_reference_config(config)))
-    (power,) = _sampled_powers(sigma, 0.0, params, _reference_seed(seed), rbw,
-                               (True,))
+    derived from `seed`.
+
+    The reference run has r = 0, no loss and theta = 0, so every squeezer
+    weight is expm1(0) = 0 and the engine's Gamma is exactly the identity:
+    its variance x^T Gamma x is x . x, with x = nu_j / C_jj over the
+    channels the dark rule keeps, and needs no network build.  Its joint
+    noise is white of that variance, so the sampled idle bins have exactly
+    the distribution of the synthesized run's.  A weighted dark channel of
+    the reference raises DarkResponseError."""
+    x, _ = _kept_weights(sql_reference_config(config))
+    (power,) = _sampled_powers(math.sqrt(x @ x), 0.0, params,
+                               _reference_seed(seed), rbw, (True,))
     return power
 
 
-def simulate_joint_noise(config: NetworkConfig, delta_thetas,
-                         params: TraceParams, seed: int,
+def simulate_joint_noise(config: NetworkConfig, variance: float,
+                         delta_thetas, params: TraceParams, seed: int,
                          rbw=DEFAULT_RBW) -> JointNoiseResult:
-    """Monte Carlo joint-noise run of one operating point.
+    """Monte Carlo joint-noise run of one operating point, whose joint noise
+    has the engine's `variance` = sensitivity_numeric(config).
 
     Same statistics as ``joint_noise_analysis(synthesize(config,
     delta_thetas, params, seed), config, rbw)``, with the same reference
     power, but draws only the single-bin DFT coefficients of each gated and
-    idle analysis segment: noise of the engine's variance
-    sensitivity_numeric(config) and a drive of amplitude sum_j nu_j delta_j
-    (w_j C_jj = nu_j).  No series is built, so the cost grows with the
-    segment count, not the sample count.  The run and its reference share
-    the timing's cached `_segment_plan`, so a call past the first at one
-    timing computes only the draws, their scaling and the band powers.
+    idle analysis segment: noise of `variance` and a drive of amplitude
+    sum_j nu_j delta_j (w_j C_jj = nu_j).  No series is built, so the cost
+    grows with the segment count, not the sample count.  The caller passes
+    the variance it already has (a scan row's `variance_numeric`), and the
+    reference's Gamma is the identity (`_reference_power`), so the call
+    builds no network.  The run and its reference share the timing's cached
+    `_segment_plan`, so a call past the first at one timing computes only
+    the draws, their scaling and the band powers.
     """
-    sigma = math.sqrt(sensitivity_numeric(config))
     delta = np.broadcast_to(np.asarray(delta_thetas, dtype=float), (config.d,))
     amp = float(np.asarray(config.weights) @ delta)
     return _joint_result(config, params, seed, rbw,
-                         *_sampled_powers(sigma, amp, params, seed, rbw,
-                                          (False, True)))
+                         *_sampled_powers(math.sqrt(variance), amp, params,
+                                          seed, rbw, (False, True)))
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +770,10 @@ def read_trace(path) -> TraceSet:
                 or not 0.0 < value < math.inf):
             raise AnalysisError(f"trace sidecar {meta_path} has no number "
                                 f"{key!r} > 0, got {value!r}")
+    try:
+        _cycle_samples(sample_rate, meta["cycle"])
+    except ValueError as exc:
+        raise AnalysisError(f"trace sidecar {meta_path}: {exc}") from exc
     return TraceSet(
         d=d,
         sample_rate=sample_rate,

@@ -151,7 +151,7 @@ def _trace_scenario(tmp_path, **trace):
 def test_trace_row_status_only_for_typed_errors(tmp_path, monkeypatch):
     path = _trace_scenario(tmp_path)
 
-    def analysis_failure(cfg, scenario, row_seed):
+    def analysis_failure(row, trace, row_seed):
         raise AnalysisError("no complete analysis segment in the window")
 
     monkeypatch.setattr(scenarios, "_run_trace_point", analysis_failure)
@@ -159,7 +159,7 @@ def test_trace_row_status_only_for_typed_errors(tmp_path, monkeypatch):
     _, rows = _read_csv(csv_path)
     assert all(row["status"].startswith("error:AnalysisError") for row in rows)
 
-    def programming_error(cfg, scenario, row_seed):
+    def programming_error(row, trace, row_seed):
         raise TypeError("unsupported operand")
 
     monkeypatch.setattr(scenarios, "_run_trace_point", programming_error)
@@ -183,6 +183,22 @@ def test_trace_row_status_only_for_typed_errors(tmp_path, monkeypatch):
     monkeypatch.setattr(optimize, "sensitivity_numeric", broken_engine)
     with pytest.raises(TypeError):
         run_scenario(path, tmp_path / "out")
+
+
+def test_trace_cells_do_not_depend_on_the_numeric_engine(tmp_path):
+    # with the numeric engine the trace point reuses the row's variance,
+    # without it the point computes that variance itself
+    cells = []
+    for engines in (["analytic", "trace"], ["analytic", "numeric", "trace"]):
+        doc = json.loads(_trace_scenario(tmp_path).read_text())
+        doc["scans"][0]["engines"] = engines
+        out = tmp_path / "-".join(engines)
+        (csv_path,) = run_scenario(_write_scenario(tmp_path, doc), out)
+        _, rows = _read_csv(csv_path)
+        assert all(row["status"] == "ok" for row in rows)
+        cells.append([(row["db_below_sql_mc"], row["snr_db_mc"]) for row in rows])
+    assert cells[0] == cells[1]
+    assert all(cell != "" for row in cells[0] for cell in row)
 
 
 def test_scenario_rejects_bad_trace_block_at_load(tmp_path):
@@ -287,6 +303,7 @@ NAN, INF = float("nan"), float("inf")
     ("weights", {"weights": True}, None, None),
     ("weights", {"weights": 0.5}, None, None),
     ("weights", {"weights": {"ave": 1}}, None, None),
+    ("trace", {}, None, {"cycle": 4.00001e-3}),
 ], ids=["network_r_nan", "network_r_inf", "network_r_negative",
         "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
         "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
@@ -303,7 +320,8 @@ NAN, INF = float("nan"), float("inf")
         "grid_weights_repeat", "trace_rbw_segment_fits_no_span",
         "trace_rbw_segment_longer_than_gate", "trace_rbw_segment_longer_than_idle",
         "network_K_bool", "network_eta_bool", "grid_bool", "range_num_bool",
-        "trace_bool", "weights_bool", "weights_number", "weights_object"])
+        "trace_bool", "weights_bool", "weights_number", "weights_object",
+        "trace_cycle_not_whole_samples"])
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)

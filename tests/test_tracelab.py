@@ -11,12 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mzinet import laws, scenarios, tracelab
+from mzinet import laws, network, scenarios, tracelab
 from mzinet.errors import AnalysisError, ConfigError, DarkResponseError
 from mzinet.network import (
     NetworkConfig,
     noise_matrix,
     response,
+    sensitivity_numeric,
     sql_reference_config,
     weight_pattern,
 )
@@ -36,7 +37,7 @@ from mzinet.tracelab import (
 FAST = TraceParams(sample_rate=2e7, cycle=4e-3, gate=(1.2e-3, 2.0e-3),
                    n_cycles=4, drive_freq=4e6)
 # gates inside the cycle, over all of it, from its start and to its end, with
-# a cycle that is not a whole number of samples
+# a sample rate and cycle that are not round numbers
 GATE_CASES = [
     FAST,
     TraceParams(sample_rate=2e7, cycle=1e-3, gate=(0.0, 1e-3), n_cycles=3,
@@ -69,6 +70,23 @@ def test_trace_params_validation():
         TraceParams(gate=(3e-3, 90e-3))
     with pytest.raises(ValueError):
         TraceParams(n_cycles=0)
+
+
+def test_cycle_is_a_whole_number_of_samples():
+    # 1000.4 samples per cycle: the drive would drift 7-8 samples by cycle 18
+    with pytest.raises(ValueError, match="cycle must be a whole number of samples"):
+        TraceParams(sample_rate=1e6, cycle=1.0004e-3, gate=(2e-4, 4e-4),
+                    drive_freq=1e5)
+    with pytest.raises(ConfigError, match="trace: cycle must be a whole number"):
+        scenarios._trace_block({"sample_rate": 1e6, "cycle": 1.0004e-3,
+                                "gate": [2e-4, 4e-4], "drive_freq": 1e5})
+    # the float product 3.3e7 * 7.77e-4 is whole; a file's cycles are counted
+    # in whole cycles of its samples, 2 of 2.6 here
+    assert tracelab._cycle_samples(3.3e7, 7.77e-4) == 25641
+    traces = TraceSet(d=1, sample_rate=1e6, duration=2.6e-3,
+                      samples=np.zeros((1, 2600)), gate=(2e-4, 4e-4),
+                      drive_freq=1e5, seed=0, cycle=1e-3)
+    assert traces.n_cycles == 2
 
 
 def test_synthesize_deterministic_given_seed():
@@ -374,6 +392,47 @@ def test_block_powers_equal_one_product_per_span(monkeypatch):
     assert np.concatenate(read).tobytes() == np.concatenate(per_span).tobytes()
 
 
+_BAND_POWERS_OF_A_LONG_SPAN = """
+import hashlib
+import numpy as np
+from mzinet.tracelab import segment_band_powers
+
+# the 1.5 M-sample idle span of the default timing, read in one call
+series = np.random.default_rng(4).standard_normal(1_500_000)
+powers = segment_band_powers(series, 50e6, 4e6, 1e5)
+print(hashlib.sha256(powers.tobytes()).hexdigest())
+"""
+
+
+def test_long_series_bins_are_read_in_blocks():
+    series = np.random.default_rng(5).standard_normal(1_000_123)
+    length = 500
+    per_block = tracelab._segments_per_block(length)
+    assert per_block % tracelab._ROW_GROUP == 0
+    step = per_block * length
+    assert step <= tracelab._ANALYSIS_BLOCK
+    whole = segment_band_powers(series, 50e6, 4e6, 1e5)
+    blocks = [segment_band_powers(series[a:a + step], 50e6, 4e6, 1e5)
+              for a in range(0, series.size - length + 1, step)]
+    assert whole.size == series.size // length
+    assert whole.tobytes() == np.concatenate(blocks).tobytes()
+
+
+def test_long_series_bins_do_not_depend_on_the_blas_thread_count():
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    digests = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        run = subprocess.run(
+            [sys.executable, "-c", _BAND_POWERS_OF_A_LONG_SPAN],
+            env=dict(env, **threads), capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout)
+    assert digests[0] == digests[1]
+
+
 @pytest.mark.parametrize("d, params", [(4, VERIFY), (2, TraceParams())],
                          ids=["verify", "default_timing"])
 def test_joint_noise_analysis_holds_no_joint_series(d, params, peak_bytes):
@@ -473,13 +532,58 @@ def test_a_trace_scan_builds_one_segment_plan(tmp_path):
 def test_cached_plan_arrays_are_read_only():
     plan = tracelab._segment_plan(FAST, 1e5)
     kernel, _ = tracelab._bin_kernel(FAST.sample_rate, FAST.drive_freq, 1e5)
-    for array in (plan.order, plan.factor, plan.tone, kernel):
+    for array in (*plan.windows, plan.factor, plan.tone, kernel):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
 
+def test_a_trace_point_builds_the_network_once(tmp_path, monkeypatch):
+    # fig5b's three points: one build each for the numeric engine, whose
+    # variance the trace engine reuses; the reference run needs none
+    builds = []
+    build = network.build_network
+    monkeypatch.setattr(network, "build_network",
+                        lambda cfg: builds.append(cfg) or build(cfg))
+    scenarios.reproduce("fig5b", tmp_path)
+    assert len(builds) == 3
+
+
+def test_reference_variance_is_the_engine_variance_without_a_build(rng, monkeypatch):
+    # r = 0, no loss and theta = 0: the engine's Gamma is exactly the
+    # identity, so x . x over the kept channels is its x^T Gamma x, bit for
+    # bit, with zero-weight dark channels dropped
+    sigmas = []
+    monkeypatch.setattr(tracelab, "_sampled_powers",
+                        lambda sigma, *args: sigmas.append(sigma) or [1.0])
+    n_dark = 0
+    for _ in range(300):
+        cfg = scenarios._random_config(rng, d_max=8, optimal_p=False)
+        dark = rng.random(cfg.d) < 0.3
+        dark &= not dark.all()
+        if dark.any():
+            n_dark += 1
+            cfg = cfg.with_updates(
+                weights=tuple(np.where(dark, 0.0, cfg.weights)),
+                alphas=tuple((0.0, 0.0) if off else alpha
+                             for off, alpha in zip(dark, cfg.alphas)))
+        ref = sql_reference_config(cfg)
+        assert np.array_equal(noise_matrix(ref), np.eye(cfg.d))
+        x, keep = tracelab._kept_weights(ref)
+        assert np.array_equal(keep, ~dark)
+        assert float(x @ x) == sensitivity_numeric(ref)
+        tracelab._reference_power(cfg, FAST, 1, 1e5)
+        assert sigmas[-1] == math.sqrt(sensitivity_numeric(ref))
+    assert n_dark > 50
+    # a weighted dark channel is still refused
+    dark = NetworkConfig(d=2, r=0.3, alphas=((1.0, 0.0), (0.0, 0.0)),
+                         weights=(0.5, 0.5), P=(0.5, 0.5))
+    with pytest.raises(DarkResponseError):
+        tracelab._reference_power(dark, FAST, 1, 1e5)
+
+
 def test_refused_analysis_raises_on_every_call():
     no_idle = GATE_CASES[1]
+    cfg = _ideal_config(d=1)
     for _ in range(2):
         with pytest.raises(AnalysisError, match="rbw must be > 0"):
             tracelab._segment_plan(FAST, 0.0)
@@ -489,7 +593,8 @@ def test_refused_analysis_raises_on_every_call():
         with pytest.raises(AnalysisError, match="in the gated window"):
             tracelab._segment_plan(FAST, 400.0)
         with pytest.raises(AnalysisError, match="in the idle window"):
-            simulate_joint_noise(_ideal_config(d=1), 1e-3, no_idle, seed=2)
+            simulate_joint_noise(cfg, sensitivity_numeric(cfg), 1e-3, no_idle,
+                                 seed=2)
     assert tracelab._segment_plan.cache_info().currsize == 1
     assert tracelab._bin_kernel.cache_info().currsize == 1
 
@@ -498,7 +603,8 @@ def test_both_paths_share_the_reference_power():
     cfg = configure_optimal(weight_pattern("asym", 3), 1e8, 0.3, eta_dis=0.95)
     for seed in (0, 5):
         analysed = joint_noise_analysis(synthesize(cfg, 0.0, FAST, seed), cfg)
-        sampled = simulate_joint_noise(cfg, 0.0, FAST, seed)
+        sampled = simulate_joint_noise(cfg, sensitivity_numeric(cfg), 0.0, FAST,
+                                       seed)
         assert analysed.reference_power == sampled.reference_power
 
 
@@ -545,7 +651,7 @@ def test_sampled_noise_matches_segment_statistics_over_seeds():
     sd_model = 10.0 / math.log(10.0) * math.sqrt(2.0 / n_idle)
     for row in rows:
         errors = np.array([
-            scenarios._run_trace_point(row.config, trace, seed)[0] - row.db_below_sql
+            scenarios._run_trace_point(row, trace, seed)[0] - row.db_below_sql
             for seed in range(64)
         ])
         sd = errors.std(ddof=1)
@@ -556,7 +662,7 @@ def test_sampled_noise_matches_segment_statistics_over_seeds():
 def test_simulate_joint_noise_builds_no_series(peak_bytes):
     scenario, rows = _fig2_trace_points()
     trace = scenarios._trace_block(scenario.trace)
-    peak = peak_bytes(lambda: scenarios._run_trace_point(rows[0].config, trace, 1))
+    peak = peak_bytes(lambda: scenarios._run_trace_point(rows[0], trace, 1))
     # one 1.6 M-sample series alone would take 12.8 MB
     assert peak < 4e6
 
@@ -565,8 +671,9 @@ def test_simulate_joint_noise_recovers_model_over_seeds():
     cfg = configure_optimal(weight_pattern("asym", 4), 1e10, 0.75,
                             eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
     model = laws.db_below_sql(0.75, cfg.Lambda)
+    variance = sensitivity_numeric(cfg)
     errors = np.array([
-        simulate_joint_noise(cfg, 0.0, FAST, seed=seed).db_below_sql - model
+        simulate_joint_noise(cfg, variance, 0.0, FAST, seed=seed).db_below_sql - model
         for seed in range(16)
     ])
     std_error = errors.std(ddof=1) / math.sqrt(errors.size)
@@ -576,8 +683,8 @@ def test_simulate_joint_noise_recovers_model_over_seeds():
 def test_simulate_joint_noise_estimates_drive_amplitude():
     cfg = configure_optimal(weight_pattern("ave", 2), 1e8, 0.3)
     delta = 2e-4
-    result = simulate_joint_noise(cfg, np.sign(cfg.weights) * delta, FAST,
-                                  seed=21)
+    result = simulate_joint_noise(cfg, sensitivity_numeric(cfg),
+                                  np.sign(cfg.weights) * delta, FAST, seed=21)
     assert result.snr_db > 20.0
     assert result.delta_theta_hat == pytest.approx(delta, rel=0.02)
 
@@ -585,15 +692,18 @@ def test_simulate_joint_noise_estimates_drive_amplitude():
 def test_simulate_joint_noise_guards():
     dark = NetworkConfig(d=2, r=0.3, alphas=((1.0, 0.0), (0.0, 0.0)),
                          weights=(0.5, 0.5), P=(0.5, 0.5))
+    # the engine refuses the config, and so does the reference run's dark rule
     with pytest.raises(DarkResponseError):
-        simulate_joint_noise(dark, 0.0, FAST, seed=1)
+        sensitivity_numeric(dark)
+    with pytest.raises(DarkResponseError):
+        simulate_joint_noise(dark, 1.0, 0.0, FAST, seed=1)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_the_u64_key_range_is_a_config_error(seed):
     cfg = _ideal_config()
     with pytest.raises(ConfigError, match="seed"):
-        simulate_joint_noise(cfg, 0.0, FAST, seed=seed)
+        simulate_joint_noise(cfg, sensitivity_numeric(cfg), 0.0, FAST, seed=seed)
     with pytest.raises(ConfigError, match="seed"):
         synthesize(cfg, 0.0, FAST, seed=seed)
 
@@ -656,8 +766,9 @@ def test_trace_sidecar_needs_cycle_and_drive(tmp_path, key, missing):
     ('{"cycle": 0.004, "drive_freq": -4e6}', "drive_freq"),
     ('{"cycle": NaN, "drive_freq": 4e6}', "cycle"),
     ('{"cycle": 0.004, "drive_freq": Infinity}', "drive_freq"),
+    ('{"cycle": 0.00400001, "drive_freq": 4e6}', "cycle"),
 ], ids=["malformed", "list", "drive_bool", "cycle_bool", "cycle_zero",
-        "drive_negative", "cycle_nan", "drive_inf"])
+        "drive_negative", "cycle_nan", "drive_inf", "cycle_not_whole_samples"])
 def test_trace_sidecar_must_be_an_object_of_positive_timing(tmp_path, text, field):
     path = write_trace(tmp_path / "run.mztr", synthesize(_ideal_config(), 0.0, FAST, seed=3))
     sidecar = tmp_path / "run.mztr.meta.json"
