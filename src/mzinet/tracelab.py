@@ -687,8 +687,11 @@ def simulate_joint_noise(config: NetworkConfig, variance: float,
     reference's Gamma is the identity (`_reference_power`), so the call
     builds no network.  The run and its reference share the timing's cached
     `_segment_plan`, so a call past the first at one timing computes only
-    the draws, their scaling and the band powers.
+    the draws, their scaling and the band powers.  The config meets the
+    engine's guards all the same: a topology other than entangled raises
+    ConfigError and a weighted dark channel raises DarkResponseError.
     """
+    _kept_weights(config)
     delta = np.broadcast_to(np.asarray(delta_thetas, dtype=float), (config.d,))
     amp = float(np.asarray(config.weights) @ delta)
     return _joint_result(config, params, seed, rbw,

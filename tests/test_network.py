@@ -327,8 +327,7 @@ def test_one_dark_channel_rule_for_every_engine():
     engines = (
         sensitivity_numeric,
         oracle_sensitivity,
-        lambda c: simulate_joint_noise(c, sensitivity_numeric(c), 0.0, DIM_TRACE,
-                                       seed=1),
+        lambda c: simulate_joint_noise(c, 1.0, 0.0, DIM_TRACE, seed=1),
     )
     for engine in engines:
         with pytest.raises(DarkResponseError) as err:

@@ -692,11 +692,19 @@ def test_simulate_joint_noise_estimates_drive_amplitude():
 def test_simulate_joint_noise_guards():
     dark = NetworkConfig(d=2, r=0.3, alphas=((1.0, 0.0), (0.0, 0.0)),
                          weights=(0.5, 0.5), P=(0.5, 0.5))
-    # the engine refuses the config, and so does the reference run's dark rule
-    with pytest.raises(DarkResponseError):
-        sensitivity_numeric(dark)
-    with pytest.raises(DarkResponseError):
-        simulate_joint_noise(dark, 1.0, 0.0, FAST, seed=1)
+    # the trace engine checks its own config, whatever variance it is handed:
+    # channel 1 is dark only in this config, not in its shot-noise reference
+    dim = NetworkConfig(d=2, r=0.3, alphas=((0.8, 0.0), (0.8, 0.0)),
+                        thetas=(0.0, math.pi - 2e-14), weights=(0.5, 0.5),
+                        P=(0.5, 0.5), eta_dis=0.9)
+    tracelab._kept_weights(sql_reference_config(dim))
+    for cfg in (dark, dim):
+        with pytest.raises(DarkResponseError) as err:
+            simulate_joint_noise(cfg, 1.0, 0.0, FAST, seed=1)
+        assert err.value.channels == (1,)
+    separable = _ideal_config().with_updates(topology="separable")
+    with pytest.raises(ConfigError, match="topology"):
+        simulate_joint_noise(separable, 1.0, 0.0, FAST, seed=1)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
