@@ -348,6 +348,17 @@ def active_channels(config: NetworkConfig, response, nu) -> np.ndarray:
     return ~dark
 
 
+def _kept_weights(config: NetworkConfig):
+    """(x, keep): the keep mask of `active_channels` and the estimator
+    weights x_j = nu_j / C_jj over the kept channels, the one rule of the
+    engine's variance and of the trace estimator; a weighted dark channel
+    raises DarkResponseError."""
+    nu = np.asarray(config.weights, dtype=float)
+    c_diag = response(config)
+    keep = active_channels(config, c_diag, nu)
+    return nu[keep] / c_diag[keep], keep
+
+
 def sensitivity_numeric(config: NetworkConfig) -> float:
     """Error-propagation variance nu^T C^{-1} Gamma (C^T)^{-1} nu (rad^2).
 
@@ -358,10 +369,7 @@ def sensitivity_numeric(config: NetworkConfig) -> float:
     far below eps of its vacuum term) raises PrecisionLossError.
     """
     _require_entangled(config)
-    nu = np.asarray(config.weights, dtype=float)
-    c_diag = response(config)
-    keep = active_channels(config, c_diag, nu)
-    x = nu[keep] / c_diag[keep]
+    x, keep = _kept_weights(config)
     gamma = noise_matrix(config)[np.ix_(keep, keep)]
     variance = float(x @ gamma @ x)
     scale = float(np.abs(x) @ np.abs(gamma) @ np.abs(x))

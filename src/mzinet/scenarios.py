@@ -547,7 +547,7 @@ def _rel_dev(a, b):
 def verify(level="quick", seed=20260808) -> VerifyReport:
     """Run the cross-engine agreement suites.
 
-    quick targets tens of seconds, full also exercises the trace pipeline.
+    quick takes about 0.05 s; full also exercises the trace pipeline.
     """
     start = time.perf_counter()
     full = level == "full"

@@ -26,13 +26,15 @@ per segment.  Each block's bin product is too small for OpenBLAS to thread,
 so the bits do not depend on the BLAS thread count and no BLAS thread is
 left spinning.  The joint noise is white with variance w^T Gamma w
 (w_j = nu_j / C_jj), which is the engine's `sensitivity_numeric`, and the
-segments are disjoint, so `simulate_joint_noise` draws each segment's bin
-directly, with the gated tone's share of it, and never builds the series.
-It takes that variance from its caller (a scan row's `variance_numeric`),
-so a scan point builds the network once.  The reference run has r = 0, no
+segments are disjoint, so each window's summed bin power, with the gated
+tone's share of it, is a sum of two scaled noncentral chi-square variates:
+`simulate_joint_noise` draws that sum directly, two gamma and two normal
+variates per window, and never builds the series or its segments.  It
+takes the variance from its caller (a scan row's `variance_numeric`), so a
+scan point builds the network once.  The reference run has r = 0, no
 loss and theta = 0, so its Gamma is exactly the identity and its variance
 is x . x over the kept channels, with no network build; both paths draw
-its idle segments the same way (`_reference_power`).  The segment layout
+its idle power the same way (`_reference_power`).  The segment layout
 (`_segment_layout`), the kernel (`_bin_kernel`), the gate rule
 (`_gate_runs`) and the samples per cycle (`_cycle_samples`, which refuses
 a cycle that is not a whole number of samples) have one definition each,
@@ -40,14 +42,13 @@ shared by both paths and, for the layout, by the scenario load check.
 
 Two caches hold what depends only on the timing and rbw: `_bin_kernel`
 (the last four kernels, shared by the blocks of an analysis) and
-`_segment_plan` (the last two plans: every segment's unit-tone kernel
-coefficients in time order, each window's positions among them, the kernel
-norm and factor; 24 bytes per segment), so a point and its reference run,
-and every point of a scan, share one plan, and a point draws its segments
-in time order with no permutation.  Cached arrays are read-only, a refused
-rbw or layout raises on every call, and a plan is built by the same
-operations as a per-call build, so the bits do not depend on whether it
-was cached.
+`_segment_plan` (the last two plans: the kernel norm, the eigenvalues of
+K^T K and each window's segment count and unit-tone energy along their
+eigenvectors; a few numbers, whatever the segment count), so a point and
+its reference run, and every point of a scan, share one plan.  The cached
+kernel is read-only, a refused rbw or layout raises on every call, and a
+plan is built by the same operations as a per-call build, so the bits do
+not depend on whether it was cached.
 
 Trace file layout (little endian): magic "MZTR", version u32, d u32,
 sample_rate f64, duration f64, gate 2*f64, seed u64, then channel-major f64
@@ -71,7 +72,7 @@ import numpy as np
 from .errors import AnalysisError, ConfigError, RegularizationError
 from .network import (
     NetworkConfig,
-    active_channels,
+    _kept_weights,
     noise_matrix,
     response,
     sql_reference_config,
@@ -326,11 +327,6 @@ def _check_rbw(sample_rate, center, rbw) -> int:
     return int(round(sample_rate / rbw))
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 @functools.lru_cache(maxsize=4)
 def _bin_kernel(sample_rate, center, rbw):
     """The (length x 2) kernel [w cos, -w sin] of the Hann-weighted DFT bin at
@@ -347,7 +343,8 @@ def _bin_kernel(sample_rate, center, rbw):
     # mod L first so the phase stays exact for long segments
     phase = 2.0 * math.pi * (bin_index * np.arange(length) % length) / length
     kernel = np.stack((window * np.cos(phase), -window * np.sin(phase)), axis=1)
-    return _read_only(kernel), sample_rate * np.sum(window**2)
+    kernel.flags.writeable = False
+    return kernel, sample_rate * np.sum(window**2)
 
 
 def _band_powers(parts, norm, rbw):
@@ -466,16 +463,6 @@ class JointNoiseResult:
     reference_power: float
 
 
-def _kept_weights(config: NetworkConfig):
-    """(x, keep): the keep mask of `active_channels` and x_j = nu_j / C_jj
-    over the kept channels, as `sensitivity_numeric` forms them; a weighted
-    dark channel raises DarkResponseError."""
-    nu = np.asarray(config.weights, dtype=float)
-    c_diag = response(config)
-    keep = active_channels(config, c_diag, nu)
-    return nu[keep] / c_diag[keep], keep
-
-
 def _joint_weights(config: NetworkConfig) -> np.ndarray:
     """Estimator weights w_j = nu_j / C_jj, zero on unweighted dark channels;
     a weighted dark channel raises DarkResponseError."""
@@ -515,9 +502,10 @@ def joint_noise_analysis(traces: TraceSet, config: NetworkConfig,
     accumulated in channel order without BLAS, and each block's bin product
     stays below OpenBLAS's threading size, so the bits do not depend on a
     BLAS thread count.  Besides the traces, the call allocates about one
-    block of y (`_ANALYSIS_BLOCK` samples) and one band power per segment.  The idle noise is referenced
-    to the ideal shot-noise run with the traces' timing (`_reference_power`),
-    drawn segment by segment from a seed derived from the traces' seed.
+    block of y (`_ANALYSIS_BLOCK` samples) and one band power per segment.
+    The idle noise is referenced to the ideal shot-noise run with the
+    traces' timing (`_reference_power`), whose idle power is drawn as one
+    window sum from a seed derived from the traces' seed.
     """
     if traces.d != config.d:
         raise ConfigError("d", f"the config has {config.d} channels but the "
@@ -565,29 +553,40 @@ def _tone_parts(starts, kernel, params: TraceParams, n_total: int) -> np.ndarray
     return parts
 
 
+def _kernel_eigen(kernel):
+    """Eigenvalues (lambda_1, lambda_2) of K^T K for the (L x 2) kernel K and
+    their unit eigenvectors (q_1, q_2), in closed form from the three
+    entries of K^T K (`math.fsum` of elementwise products, no BLAS)."""
+    a, b, c = (math.fsum(kernel[:, i] * kernel[:, j])
+               for i, j in ((0, 0), (0, 1), (1, 1)))
+    mean, half = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+    angle = 0.5 * math.atan2(2.0 * b, a - c)
+    cos, sin = math.cos(angle), math.sin(angle)
+    return (mean + half, max(mean - half, 0.0)), ((cos, sin), (-sin, cos))
+
+
 @dataclass(frozen=True)
 class _SegmentPlan:
-    """What `_sampled_powers` reads of one trace timing and rbw.  Every
-    segment of both windows is one row, in time order."""
+    """What `_sampled_powers` reads of one trace timing and rbw: a few
+    numbers, whatever the segment count."""
     length: int
-    windows: tuple       # positions of the gated and of the idle segments
-    factor: np.ndarray   # C^T with C C^T = K^T K
     norm: float
-    tone: np.ndarray     # K^T tone of the unit gated tone, one row per segment
+    eigenvalues: tuple   # (lambda_1, lambda_2) of K^T K
+    windows: tuple       # (N, T_1, T_2) of the gated and of the idle window
 
 
 @functools.lru_cache(maxsize=2)
 def _segment_plan(params: TraceParams, rbw) -> _SegmentPlan:
     """The part of `_sampled_powers` that depends only on the timing and rbw:
-    the positions of the gated and of the idle segments among all segments
-    in time order, the bin kernel's norm and the factor of K^T K, and the
-    unit tone's kernel coefficients of every segment in time order.
+    the bin kernel's norm, the eigenvalues lambda_k of K^T K = Q diag(lambda)
+    Q^T, and for the gated and for the idle window its segment count N and
+    T_k = sum_s (q_k^T t_s)^2, where t_s = K^T tone is the unit gated tone's
+    kernel pair of segment s (`_tone_parts`, run once over both windows).
 
     Memoized on the frozen `params` and rbw, so a point and its reference
-    run, and every point of a scan, share one plan; a plan holds 24 bytes per
-    segment (a position and a tone row) and its arrays are read-only.  A
-    refused rbw, or a timing with no segment in either window, raises on
-    every call."""
+    run, and every point of a scan, share one plan; a plan holds no array,
+    so its size does not grow with the trace.  A refused rbw, or a timing
+    with no segment in either window, raises on every call."""
     length = _check_rbw(params.sample_rate, params.drive_freq, rbw)
     n_total = _n_samples(params)
     layouts = [_segment_layout(n_total, params, length, invert)
@@ -595,20 +594,21 @@ def _segment_plan(params: TraceParams, rbw) -> _SegmentPlan:
     # the layout is checked before the kernel of `length` samples is built
     if not any(layouts):
         raise _no_segment(length, False)
-    starts = np.concatenate([np.empty(0, dtype=np.int64)]
-                            + [a + length * np.arange(count)
-                               for layout in layouts for a, count in layout])
-    n_gated = sum(count for _, count in layouts[0])
-    order = np.argsort(starts)
-    gated = order < n_gated
+    starts = [np.concatenate([np.empty(0, dtype=np.int64)]
+                             + [a + length * np.arange(count) for a, count in layout])
+              for layout in layouts]
     kernel, norm = _bin_kernel(params.sample_rate, params.drive_freq, rbw)
+    eigenvalues, basis = _kernel_eigen(kernel)
+    tone = _tone_parts(np.concatenate(starts), kernel, params, n_total)
+    rows = np.split(tone, [starts[0].size])
     return _SegmentPlan(
         length=length,
-        windows=(_read_only(np.flatnonzero(gated)),
-                 _read_only(np.flatnonzero(~gated))),
-        factor=_read_only(_noise_factor(kernel.T @ kernel)).T,
-        norm=norm,
-        tone=_read_only(_tone_parts(starts[order], kernel, params, n_total)),
+        norm=float(norm),
+        eigenvalues=eigenvalues,
+        windows=tuple(
+            (part.shape[0], *(math.fsum((qx * part[:, 0] + qy * part[:, 1]) ** 2)
+                              for qx, qy in basis))
+            for part in rows),
     )
 
 
@@ -618,38 +618,36 @@ def _sampled_powers(sigma: float, amp: float, params: TraceParams, seed: int,
     `windows` (False: inside the gate window, True: outside it; both in that
     order, or one) that `_window_powers` reads from a joint series of white
     noise of standard deviation `sigma` plus the unit gated tone times
-    `amp`, drawn segment by segment without the series.
+    `amp`, drawn without the series or its segments.
 
-    The segments are disjoint, so the kernel coefficients K^T x of each
-    segment are an independent normal pair of covariance sigma^2 K^T K:
-    sigma C g with C C^T = K^T K and g two standard normals, one pair per
-    segment read, in time order, from Philox channel 0 of `seed`.  The
-    drive adds amp K^T tone.
-
-    Everything but the draws, `sigma` and `amp` comes from the timing's
-    cached `_segment_plan`, which holds every segment in time order.  Both
-    windows draw every segment in that order, with no permutation, and each
-    window's mean is read by gathering its band powers at the plan's
-    positions: the same values in the same order as a window's own slice,
-    so the same pairwise sum.  One window draws only its own segments, and
-    gathers their tone rows when the drive is on.  Each segment's tone row
-    does not depend on the other segments, so one window has the same bits
-    as a plan of that window alone."""
+    The segments are disjoint, so the kernel pair K^T x of segment s is an
+    independent normal pair of mean amp t_s and covariance sigma^2 K^T K,
+    whose k-th component in the eigenbasis of K^T K has variance
+    sigma^2 lambda_k.  A window's summed |K^T x|^2 over its N segments is
+    then sum_k [sigma^2 lambda_k chi^2(N - 1) + (sigma sqrt(lambda_k) u_k +
+    amp sqrt(T_k))^2], u_k standard normal: each component's noncentral
+    chi-square split into its central part and one shifted normal.  Each
+    window in turn draws two `standard_gamma((N - 1) / 2)` (chi^2 = 2 Gamma)
+    and two standard normals from Philox channel 0 of `seed`, whatever N.
+    Nothing is divided by sigma, so sigma = 0 gives the tone's power
+    exactly.  Everything but the draws, `sigma` and `amp` comes from the
+    timing's cached `_segment_plan`."""
     plan = _segment_plan(params, rbw)
-    positions = [plan.windows[invert] for invert in windows]
-    for invert, window in zip(windows, positions):
-        if not window.size:
+    reads = [plan.windows[invert] for invert in windows]
+    for invert, (count, *_) in zip(windows, reads):
+        if not count:
             raise _no_segment(plan.length, invert)
-    if len(windows) == 1:
-        (rows,) = positions
-        count, positions = rows.size, [slice(None)]
-    else:
-        rows, count = slice(None), plan.tone.shape[0]
-    parts = sigma * _channel_rng(seed, 0).standard_normal((count, 2)) @ plan.factor
-    if amp != 0.0:
-        parts += amp * plan.tone[rows]
-    powers = _band_powers(parts, plan.norm, rbw)
-    return [float(powers[window].mean()) for window in positions]
+    scales = [sigma * math.sqrt(lam) for lam in plan.eigenvalues]
+    rng = _channel_rng(seed, 0)
+    powers = []
+    for count, *tone in reads:
+        chi2 = 2.0 * rng.standard_gamma(0.5 * (count - 1), 2)
+        normal = rng.standard_normal(2)
+        total = math.fsum(scale * scale * c + (scale * u + amp * math.sqrt(t)) ** 2
+                          for scale, c, u, t in zip(scales, chi2.tolist(),
+                                                    normal.tolist(), tone))
+        powers.append(2.0 * total / (plan.norm * count) * rbw)
+    return powers
 
 
 def _reference_power(config: NetworkConfig, params: TraceParams, seed: int,
@@ -662,7 +660,7 @@ def _reference_power(config: NetworkConfig, params: TraceParams, seed: int,
     weight is expm1(0) = 0 and the engine's Gamma is exactly the identity:
     its variance x^T Gamma x is x . x, with x = nu_j / C_jj over the
     channels the dark rule keeps, and needs no network build.  Its joint
-    noise is white of that variance, so the sampled idle bins have exactly
+    noise is white of that variance, so the sampled idle power has exactly
     the distribution of the synthesized run's.  A weighted dark channel of
     the reference raises DarkResponseError."""
     x, _ = _kept_weights(sql_reference_config(config))
@@ -679,15 +677,16 @@ def simulate_joint_noise(config: NetworkConfig, variance: float,
 
     Same statistics as ``joint_noise_analysis(synthesize(config,
     delta_thetas, params, seed), config, rbw)``, with the same reference
-    power, but draws only the single-bin DFT coefficients of each gated and
-    idle analysis segment: noise of `variance` and a drive of amplitude
-    sum_j nu_j delta_j (w_j C_jj = nu_j).  No series is built, so the cost
-    grows with the segment count, not the sample count.  The caller passes
-    the variance it already has (a scan row's `variance_numeric`), and the
-    reference's Gamma is the identity (`_reference_power`), so the call
-    builds no network.  The run and its reference share the timing's cached
-    `_segment_plan`, so a call past the first at one timing computes only
-    the draws, their scaling and the band powers.  The config meets the
+    power, but draws only each window's summed single-bin power from its
+    exact distribution (`_sampled_powers`): noise of `variance` and a drive
+    of amplitude sum_j nu_j delta_j (w_j C_jj = nu_j).  Neither the series
+    nor its segments are drawn, so past the timing's plan the cost is four
+    variates per window, whatever the segment or sample count.  The caller
+    passes the variance it already has (a scan row's `variance_numeric`),
+    and the reference's Gamma is the identity (`_reference_power`), so the
+    call builds no network.  The run and its reference share the timing's
+    cached `_segment_plan`, so a call past the first at one timing computes
+    only the draws and a few scalar sums.  The config meets the
     engine's guards all the same: a topology other than entangled raises
     ConfigError and a weighted dark channel raises DarkResponseError.
     """

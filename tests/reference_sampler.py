@@ -1,0 +1,35 @@
+"""The per-segment trace sampler: the reference for `tracelab._sampled_powers`.
+
+Draws, for every analysis segment of the requested windows in time order,
+the kernel pair sigma C g + amp K^T tone (C C^T = K^T K, g two standard
+normals from Philox channel 0 of the seed), and averages each window's band
+powers.  `_sampled_powers` draws each window's summed power from its exact
+distribution instead; the tests compare the two over seeds.
+"""
+
+import numpy as np
+
+from mzinet import tracelab
+
+
+def per_segment_powers(sigma, amp, params, seed, rbw, windows):
+    """Mean band power of each window in `windows` (False: gated, True:
+    idle), drawn one normal pair per segment."""
+    length = tracelab._check_rbw(params.sample_rate, params.drive_freq, rbw)
+    n_total = tracelab._n_samples(params)
+    kernel, norm = tracelab._bin_kernel(params.sample_rate, params.drive_freq, rbw)
+    starts = []
+    for invert in windows:
+        layout = tracelab._segment_layout(n_total, params, length, invert)
+        if not layout:
+            raise tracelab._no_segment(length, invert)
+        starts.append(np.concatenate([a + length * np.arange(count)
+                                      for a, count in layout]))
+    every = np.concatenate(starts)
+    order = np.argsort(every)
+    window = np.repeat(np.arange(len(starts)), [s.size for s in starts])[order]
+    factor = tracelab._noise_factor(kernel.T @ kernel).T
+    parts = sigma * tracelab._channel_rng(seed, 0).standard_normal((every.size, 2)) @ factor
+    parts += amp * tracelab._tone_parts(every[order], kernel, params, n_total)
+    powers = tracelab._band_powers(parts, norm, rbw)
+    return [float(powers[window == k].mean()) for k in range(len(starts))]

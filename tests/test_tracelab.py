@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,6 +24,7 @@ from mzinet.network import (
 )
 from mzinet.optimize import configure_optimal, scan
 from mzinet.scenarios import bundled_scenario_path, load_scenario
+from reference_sampler import per_segment_powers
 from mzinet.tracelab import (
     TraceParams,
     TraceSet,
@@ -529,12 +531,25 @@ def test_a_trace_scan_builds_one_segment_plan(tmp_path):
     assert info.misses == 1 and info.hits > 10
 
 
+def _leaves(value):
+    if isinstance(value, tuple):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
 def test_cached_plan_arrays_are_read_only():
-    plan = tracelab._segment_plan(FAST, 1e5)
+    # the cached kernel is read-only, and the cached plan holds a few
+    # numbers per window, not arrays that grow with the trace
     kernel, _ = tracelab._bin_kernel(FAST.sample_rate, FAST.drive_freq, 1e5)
-    for array in (*plan.windows, plan.factor, plan.tone, kernel):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        kernel[0] = 0
+    short, long = (tracelab._segment_plan(dataclasses.replace(FAST, n_cycles=n), 1e5)
+                   for n in (10, 1000))
+    shapes = [[type(leaf) for leaf in _leaves(dataclasses.astuple(plan))]
+              for plan in (short, long)]
+    assert shapes[0] == shapes[1]
+    assert set(shapes[0]) <= {int, float}
+    assert [n for n, *_ in long.windows] == [100 * n for n, *_ in short.windows]
 
 
 def test_a_trace_point_builds_the_network_once(tmp_path, monkeypatch):
@@ -568,7 +583,7 @@ def test_reference_variance_is_the_engine_variance_without_a_build(rng, monkeypa
                              for off, alpha in zip(dark, cfg.alphas)))
         ref = sql_reference_config(cfg)
         assert np.array_equal(noise_matrix(ref), np.eye(cfg.d))
-        x, keep = tracelab._kept_weights(ref)
+        x, keep = network._kept_weights(ref)
         assert np.array_equal(keep, ~dark)
         assert float(x @ x) == sensitivity_numeric(ref)
         tracelab._reference_power(cfg, FAST, 1, 1e5)
@@ -628,6 +643,56 @@ def test_sampled_reference_matches_synthesized_reference_over_seeds():
     assert abs(a.mean() - b.mean()) < 4.0 * mean_se
     sd_se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(2.0 * (n - 1))
     assert abs(a.std(ddof=1) - b.std(ddof=1)) < 4.0 * sd_se
+
+
+def test_window_draws_match_the_per_segment_sampler_over_seeds():
+    # each window's dB at the fig2 timing and variance, drive off and on,
+    # against the sampler that draws one normal pair per segment
+    scenario = load_scenario(bundled_scenario_path("fig2"))
+    trace = scenarios._trace_block(scenario.trace)
+    cfg = scenario.base_config()
+    sigma = math.sqrt(sensitivity_numeric(cfg))
+    drive = float(np.dot(cfg.weights, scenarios._signed_drive(cfg, trace)))
+    for amp in (0.0, drive):
+        exact, reference = (
+            10.0 * np.log10([sampler(sigma, amp, trace.params, seed, trace.rbw,
+                                     (False, True)) for seed in range(64)])
+            for sampler in (tracelab._sampled_powers, per_segment_powers))
+        n = exact.shape[0]
+        for a, b in zip(exact.T, reference.T):
+            spread = math.hypot(a.std(ddof=1), b.std(ddof=1))
+            assert abs(a.mean() - b.mean()) < 4.0 * spread / math.sqrt(n)
+            assert (abs(a.std(ddof=1) - b.std(ddof=1))
+                    < 4.0 * spread / math.sqrt(2.0 * (n - 1)))
+
+
+class _DrawLog:
+    """A generator that logs how many variates each of its calls returns."""
+
+    def __init__(self, rng):
+        self._rng, self.counts = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.counts.append(np.size(out))
+            return out
+        return draw
+
+
+def test_draw_count_does_not_depend_on_the_segment_count(monkeypatch):
+    # two gamma and two normal variates per window, at 10 and at 1000 cycles
+    logs = []
+    channel_rng = tracelab._channel_rng
+    monkeypatch.setattr(tracelab, "_channel_rng", lambda seed, channel: logs.append(
+        _DrawLog(channel_rng(seed, channel))) or logs[-1])
+    for windows in ((False,), (True,), (False, True)):
+        for n_cycles in (10, 1000):
+            params = dataclasses.replace(FAST, n_cycles=n_cycles)
+            tracelab._sampled_powers(1.0, 1e-3, params, 5, 1e5, windows)
+            assert logs[-1].counts == [2, 2] * len(windows)
 
 
 def _fig2_trace_points():
@@ -697,7 +762,7 @@ def test_simulate_joint_noise_guards():
     dim = NetworkConfig(d=2, r=0.3, alphas=((0.8, 0.0), (0.8, 0.0)),
                         thetas=(0.0, math.pi - 2e-14), weights=(0.5, 0.5),
                         P=(0.5, 0.5), eta_dis=0.9)
-    tracelab._kept_weights(sql_reference_config(dim))
+    network._kept_weights(sql_reference_config(dim))
     for cfg in (dark, dim):
         with pytest.raises(DarkResponseError) as err:
             simulate_joint_noise(cfg, 1.0, 0.0, FAST, seed=1)
