@@ -15,7 +15,7 @@ Trace files keep per-channel traces (`synthesize`, `joint_noise_analysis`).
 channel's Philox stream draws into its row, the rows on up to one thread per
 core at once (each row depends only on its own stream, so the bytes do not
 depend on the thread count), the noise factor mixes the rows in place by
-column blocks, and the drive is added one gate run at a time.  The analysis
+column blocks, and the drive is added one gate span at a time.  The analysis
 reads one Hann-weighted DFT bin of each analysis segment of the joint
 estimator y = sum_j nu_j x_j / C_jj, averaged over the gated and over the
 idle segments as in a Welch periodogram (Welch, IEEE Trans. Audio
@@ -34,11 +34,16 @@ takes the variance from its caller (a scan row's `variance_numeric`), so a
 scan point builds the network once.  The reference run has r = 0, no
 loss and theta = 0, so its Gamma is exactly the identity and its variance
 is x . x over the kept channels, with no network build; both paths draw
-its idle power the same way (`_reference_power`).  The segment layout
-(`_segment_layout`), the kernel (`_bin_kernel`), the gate rule
-(`_gate_runs`) and the samples per cycle (`_cycle_samples`, which refuses
-a cycle that is not a whole number of samples) have one definition each,
-shared by both paths and, for the layout, by the scenario load check.
+its idle power the same way (`_reference_power`).  The gate is one rule
+in whole samples: the cycle and both gate edges are whole numbers of
+samples (`_whole_samples`, which `TraceParams` applies), and each cycle's
+gate span is [k N + lo, k N + hi) (`_window_spans`).  The drive fills
+exactly those spans and the analysis reads its gated segments from them
+and its idle segments from outside them, so a gated segment holds the
+drive throughout and an idle segment holds none of it.  The spans, the
+segment layout (`_segment_layout`) and the kernel (`_bin_kernel`) have
+one definition each, shared by both paths and, for the layout, by the
+scenario load check.
 
 Two caches hold what depends only on the timing and rbw: `_bin_kernel`
 (the last four kernels, shared by the blocks of an analysis) and
@@ -136,10 +141,10 @@ class TraceParams:
             raise ValueError("sample_rate must be >= 5x the drive frequency")
         if self.n_cycles < 1:
             raise ValueError("n_cycles must be >= 1")
-        t_on, t_off = self.gate
-        if not 0.0 <= t_on < t_off <= self.cycle:
+        n = _whole_samples("cycle", self.cycle, self.sample_rate)
+        lo, hi = (_whole_samples("gate", edge, self.sample_rate) for edge in self.gate)
+        if not 0 <= lo < hi <= n:
             raise ValueError("gate window must fit inside one cycle")
-        _cycle_samples(self.sample_rate, self.cycle)
 
 
 @dataclass
@@ -159,18 +164,19 @@ class TraceSet:
 
     @property
     def n_cycles(self) -> int:
-        return self.n_samples // _cycle_samples(self.sample_rate, self.cycle)
+        return self.n_samples // _whole_samples("cycle", self.cycle, self.sample_rate)
 
 
-def _cycle_samples(sample_rate, cycle) -> int:
-    """Samples per cycle, cycle * sample_rate.  Raises ValueError unless that
-    product is finite and within four ulps of a whole number, so the drive,
-    the analysis windows and the cycle count of a file all repeat every
-    cycle on the same sample."""
-    n = cycle * sample_rate
+def _whole_samples(name, seconds, sample_rate) -> int:
+    """Samples in `seconds`, seconds * sample_rate.  Raises ValueError naming
+    `name` unless that product is finite and within four ulps of a whole
+    number, so the cycle and the gate edges fall on samples: the drive, the
+    analysis windows and the cycle count of a file all repeat every cycle
+    on the same sample."""
+    n = seconds * sample_rate
     if not (math.isfinite(n) and abs(n - round(n)) <= 4.0 * math.ulp(n)):
-        raise ValueError(f"cycle must be a whole number of samples, got "
-                         f"cycle * sample_rate = {n!r}")
+        raise ValueError(f"{name} must be a whole number of samples, got "
+                         f"{name} * sample_rate = {n!r}")
     return round(n)
 
 
@@ -201,35 +207,7 @@ def _reference_seed(seed: int) -> int:
 
 
 def _n_samples(params: TraceParams) -> int:
-    return _cycle_samples(params.sample_rate, params.cycle) * params.n_cycles
-
-
-def _gate_runs(params: TraceParams, n_total: int):
-    """[first, last) of each cycle's run of the samples n < n_total that pass
-    the gate rule t % cycle in [t_on, t_off), t = n / sample_rate; empty runs
-    are dropped, so both arrays rise.
-
-    The rule is evaluated only within two samples of each edge: rounding in
-    t and t % cycle is far below one sample period, so every sample further
-    inside passes and every sample further outside fails.  A sample belongs
-    to the run of the cycle t // cycle it lies in, so the runs are disjoint
-    even where the gate spans a whole cycle."""
-    fs, cycle = params.sample_rate, params.cycle
-    t_on, t_off = params.gate
-    index = np.arange(int(n_total / (fs * cycle)) + 1)
-    start = index * cycle
-    lo = np.floor((start + t_on) * fs).astype(np.int64)
-    hi = np.ceil((start + t_off) * fs).astype(np.int64)
-    # lo + 2 and hi - 3 pass whenever the run reaches past them, so the
-    # extremes of the passing edge samples are the run's ends
-    edge = np.concatenate((lo[:, None] + np.arange(-2, 3),
-                           hi[:, None] + np.arange(-3, 2)), axis=1)
-    turn, in_cycle = np.divmod(edge / fs, cycle)
-    passes = (turn == index[:, None]) & (in_cycle >= t_on) & (in_cycle < t_off)
-    first = np.where(passes, edge, n_total).min(axis=1)
-    last = np.minimum(np.where(passes, edge + 1, 0).max(axis=1), n_total)
-    keep = first < last
-    return first[keep], last[keep]
+    return _whole_samples("cycle", params.cycle, params.sample_rate) * params.n_cycles
 
 
 def _draw_rows(rngs, samples: np.ndarray):
@@ -271,9 +249,10 @@ def synthesize(config: NetworkConfig, delta_thetas, params: TraceParams,
     stream draws into its row, on min(d, cpu count) workers at once
     (`_draw_rows`; the bytes do not depend on the worker count), the noise
     factor mixes the rows in place `_MIX_BLOCK` columns at a time, and the
-    drive is added one gate run (`_gate_runs`) at a time.  Each element gets
-    the same products and sums as from the whole product factor @ z plus the
-    outer product of the amplitudes and the gated tone.
+    drive is added over exactly the gate spans of `_window_spans`, one span
+    at a time.  Each element gets the same products and sums as from the
+    whole product factor @ z plus the outer product of the amplitudes and
+    the gated tone.
     """
     d = config.d
     delta = np.broadcast_to(np.asarray(delta_thetas, dtype=float), (d,))
@@ -289,7 +268,7 @@ def synthesize(config: NetworkConfig, delta_thetas, params: TraceParams,
     amps = response(config) * delta
     if np.any(amps != 0.0):
         omega = 2.0 * math.pi * params.drive_freq
-        for first, last in zip(*_gate_runs(params, n_total)):
+        for first, last in _window_spans(n_total, params):
             tone = np.arange(first, last) / params.sample_rate
             tone *= omega
             np.sin(tone, out=tone)
@@ -386,18 +365,20 @@ def segment_band_powers(series, sample_rate, center, rbw):
         for a in range(0, n_segments, per_block)])
 
 
-def _window_spans(n_samples, sample_rate, cycle, window, invert=False):
-    """[start, stop) of each cycle's span inside (or, with invert, the two
-    spans outside) the per-cycle window, in time order.  The analysis reads
-    the full segments of round(sample_rate/rbw) samples from each span's
-    start."""
-    n_per_cycle = _cycle_samples(sample_rate, cycle)
-    lo = int(math.ceil(window[0] * sample_rate))
-    hi = int(math.floor(window[1] * sample_rate))
-    spans = [(0, lo), (hi, n_per_cycle)] if invert else [(lo, hi)]
-    n_cycles = n_samples // n_per_cycle
+def _window_spans(n_samples, params: TraceParams, invert=False):
+    """The gate span [k N + lo, k N + hi) of each whole cycle k of
+    `n_samples` (or, with invert, the two idle spans [k N, k N + lo) and
+    [k N + hi, (k + 1) N) around it), in time order; N, lo and hi are the
+    cycle and the gate edges in whole samples (`_whole_samples`).
+
+    The one gate rule: `synthesize` drives exactly the gate spans, and the
+    analysis reads the full segments of round(sample_rate/rbw) samples from
+    each span's start."""
+    n = _whole_samples("cycle", params.cycle, params.sample_rate)
+    lo, hi = (_whole_samples("gate", edge, params.sample_rate) for edge in params.gate)
+    spans = [(0, lo), (hi, n)] if invert else [(lo, hi)]
     return [(base + a, base + b)
-            for base in range(0, n_cycles * n_per_cycle, n_per_cycle)
+            for base in range(0, n_samples // n * n, n)
             for a, b in spans]
 
 
@@ -407,8 +388,7 @@ def _segment_layout(n_samples, params: TraceParams, length, invert):
     (empty when no span holds one): the one segment layout of both paths and
     of the load check."""
     return [(a, (b - a) // length)
-            for a, b in _window_spans(n_samples, params.sample_rate,
-                                      params.cycle, params.gate, invert)
+            for a, b in _window_spans(n_samples, params, invert)
             if b - a >= length]
 
 
@@ -423,9 +403,9 @@ def _check_analysis(params: TraceParams, rbw):
     segment fits in a gated span and in an idle span."""
     length = _check_rbw(params.sample_rate, params.drive_freq, rbw)
     # every cycle has the same spans, so one cycle is checked
+    n = _whole_samples("cycle", params.cycle, params.sample_rate)
     for invert in (False, True):
-        if not _segment_layout(_cycle_samples(params.sample_rate, params.cycle),
-                               params, length, invert):
+        if not _segment_layout(n, params, length, invert):
             raise _no_segment(length, invert)
 
 
@@ -523,34 +503,18 @@ def joint_noise_analysis(traces: TraceSet, config: NetworkConfig,
     return _joint_result(config, params, traces.seed, rbw, signal, noise)
 
 
-def _tone_parts(starts, kernel, params: TraceParams, n_total: int) -> np.ndarray:
-    """Kernel coefficients K^T tone of the unit gated tone over each segment
-    [s, s + L) of `starts`.
-
-    Each gate run that overlaps a segment adds the sum of K[m] sin(w (s + m))
-    over the overlap, taken by angle addition, sin(w s) cos(w m) +
-    cos(w s) sin(w m), from prefix sums of K cos(w m) and K sin(w m) over one
-    segment; w = 2 pi f / sample_rate."""
-    fs, length = params.sample_rate, kernel.shape[0]
-    first, last = _gate_runs(params, n_total)
-    # runs first[j] < s + L and last[j] > s: a contiguous block per segment
-    lo = np.searchsorted(last, starts, side="right")
-    count = np.searchsorted(first, starts + length, side="left") - lo
-    seg = np.repeat(np.arange(starts.size), count)
-    run = np.arange(seg.size) + np.repeat(lo - np.cumsum(count) + count, count)
-    s = starts[seg]
-    a = np.maximum(first[run] - s, 0)
-    b = np.minimum(last[run] - s, length)
-    phase = 2.0 * math.pi * params.drive_freq * (np.arange(length) / fs)
-    zero = np.zeros((1, 2))
-    cos_sum = np.concatenate((zero, np.cumsum(kernel * np.cos(phase)[:, None], axis=0)))
-    sin_sum = np.concatenate((zero, np.cumsum(kernel * np.sin(phase)[:, None], axis=0)))
-    theta = 2.0 * math.pi * params.drive_freq * (s / fs)
-    overlap = (np.sin(theta)[:, None] * (cos_sum[b] - cos_sum[a])
-               + np.cos(theta)[:, None] * (sin_sum[b] - sin_sum[a]))
-    parts = np.zeros((starts.size, 2))
-    np.add.at(parts, seg, overlap)
-    return parts
+def _tone_parts(starts, kernel, params: TraceParams) -> np.ndarray:
+    """Kernel coefficients K^T tone of the unit tone sin(w n) over each
+    segment [s, s + L) of `starts`, each inside one gate span, where the
+    drive runs throughout: sum_m K[m] sin(w (s + m)) = sin(w s) sum_m K[m]
+    cos(w m) + cos(w s) sum_m K[m] sin(w m) by angle addition;
+    w = 2 pi f / sample_rate."""
+    fs = params.sample_rate
+    phase = 2.0 * math.pi * params.drive_freq * (np.arange(kernel.shape[0]) / fs)
+    cos_sum = np.sum(kernel * np.cos(phase)[:, None], axis=0)
+    sin_sum = np.sum(kernel * np.sin(phase)[:, None], axis=0)
+    theta = 2.0 * math.pi * params.drive_freq * (starts / fs)
+    return np.sin(theta)[:, None] * cos_sum + np.cos(theta)[:, None] * sin_sum
 
 
 def _kernel_eigen(kernel):
@@ -581,7 +545,8 @@ def _segment_plan(params: TraceParams, rbw) -> _SegmentPlan:
     the bin kernel's norm, the eigenvalues lambda_k of K^T K = Q diag(lambda)
     Q^T, and for the gated and for the idle window its segment count N and
     T_k = sum_s (q_k^T t_s)^2, where t_s = K^T tone is the unit gated tone's
-    kernel pair of segment s (`_tone_parts`, run once over both windows).
+    kernel pair of segment s (`_tone_parts`, over the gated segments; an
+    idle segment holds no drive, so the idle window's T_k are 0).
 
     Memoized on the frozen `params` and rbw, so a point and its reference
     run, and every point of a scan, share one plan; a plan holds no array,
@@ -589,26 +554,23 @@ def _segment_plan(params: TraceParams, rbw) -> _SegmentPlan:
     with no segment in either window, raises on every call."""
     length = _check_rbw(params.sample_rate, params.drive_freq, rbw)
     n_total = _n_samples(params)
-    layouts = [_segment_layout(n_total, params, length, invert)
-               for invert in (False, True)]
+    gated, idle = (_segment_layout(n_total, params, length, invert)
+                   for invert in (False, True))
     # the layout is checked before the kernel of `length` samples is built
-    if not any(layouts):
+    if not (gated or idle):
         raise _no_segment(length, False)
-    starts = [np.concatenate([np.empty(0, dtype=np.int64)]
-                             + [a + length * np.arange(count) for a, count in layout])
-              for layout in layouts]
+    starts = np.concatenate([np.empty(0, dtype=np.int64)]
+                            + [a + length * np.arange(count) for a, count in gated])
     kernel, norm = _bin_kernel(params.sample_rate, params.drive_freq, rbw)
     eigenvalues, basis = _kernel_eigen(kernel)
-    tone = _tone_parts(np.concatenate(starts), kernel, params, n_total)
-    rows = np.split(tone, [starts[0].size])
+    tone = _tone_parts(starts, kernel, params)
     return _SegmentPlan(
         length=length,
         norm=float(norm),
         eigenvalues=eigenvalues,
-        windows=tuple(
-            (part.shape[0], *(math.fsum((qx * part[:, 0] + qy * part[:, 1]) ** 2)
-                              for qx, qy in basis))
-            for part in rows),
+        windows=((starts.size, *(math.fsum((qx * tone[:, 0] + qy * tone[:, 1]) ** 2)
+                                 for qx, qy in basis)),
+                 (sum(count for _, count in idle), 0.0, 0.0)),
     )
 
 
@@ -772,10 +734,16 @@ def read_trace(path) -> TraceSet:
                 or not 0.0 < value < math.inf):
             raise AnalysisError(f"trace sidecar {meta_path} has no number "
                                 f"{key!r} > 0, got {value!r}")
+    # the header's rate and gate with the sidecar's cycle and drive: the
+    # timing that `TraceParams` accepts, with at least one whole cycle
     try:
-        _cycle_samples(sample_rate, meta["cycle"])
+        params = TraceParams(sample_rate=sample_rate, cycle=meta["cycle"],
+                             gate=(g0, g1), drive_freq=meta["drive_freq"])
     except ValueError as exc:
-        raise AnalysisError(f"trace sidecar {meta_path}: {exc}") from exc
+        raise AnalysisError(f"trace {path} with sidecar {meta_path}: {exc}") from exc
+    if samples.shape[1] < _n_samples(params):
+        raise AnalysisError(f"trace payload in {path} is shorter than one cycle: "
+                            f"{samples.shape[1]} of {_n_samples(params)} samples")
     return TraceSet(
         d=d,
         sample_rate=sample_rate,

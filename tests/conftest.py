@@ -37,7 +37,7 @@ def rng():
 @pytest.fixture(autouse=True)
 def _fresh_trace_caches():
     """Clear the memoized bin kernel and segment plan before each test, so a
-    plan cached by an earlier test never hides a monkeypatched
-    `_noise_factor`, `_gate_runs` or `_bin_kernel`."""
+    plan cached by an earlier test never hides a monkeypatched `_bin_kernel`
+    or `_tone_parts`."""
     tracelab._bin_kernel.cache_clear()
     tracelab._segment_plan.cache_clear()

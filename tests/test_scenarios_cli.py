@@ -304,6 +304,7 @@ NAN, INF = float("nan"), float("inf")
     ("weights", {"weights": 0.5}, None, None),
     ("weights", {"weights": {"ave": 1}}, None, None),
     ("trace", {}, None, {"cycle": 4.00001e-3}),
+    ("trace", {}, None, {"gate": [1.2e-3, 2.00001e-3]}),
 ], ids=["network_r_nan", "network_r_inf", "network_r_negative",
         "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
         "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
@@ -321,7 +322,7 @@ NAN, INF = float("nan"), float("inf")
         "trace_rbw_segment_longer_than_gate", "trace_rbw_segment_longer_than_idle",
         "network_K_bool", "network_eta_bool", "grid_bool", "range_num_bool",
         "trace_bool", "weights_bool", "weights_number", "weights_object",
-        "trace_cycle_not_whole_samples"])
+        "trace_cycle_not_whole_samples", "trace_gate_not_whole_samples"])
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)

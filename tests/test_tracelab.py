@@ -84,11 +84,37 @@ def test_cycle_is_a_whole_number_of_samples():
                                 "gate": [2e-4, 4e-4], "drive_freq": 1e5})
     # the float product 3.3e7 * 7.77e-4 is whole; a file's cycles are counted
     # in whole cycles of its samples, 2 of 2.6 here
-    assert tracelab._cycle_samples(3.3e7, 7.77e-4) == 25641
+    assert tracelab._whole_samples("cycle", 7.77e-4, 3.3e7) == 25641
     traces = TraceSet(d=1, sample_rate=1e6, duration=2.6e-3,
                       samples=np.zeros((1, 2600)), gate=(2e-4, 4e-4),
                       drive_freq=1e5, seed=0, cycle=1e-3)
     assert traces.n_cycles == 2
+
+
+@pytest.mark.parametrize("gate", [(2.0004e-4, 4e-4), (2e-4, 3.9996e-4),
+                                  (1.0001e-4, 1.0004e-4)],
+                         ids=["on", "off", "between_two_samples"])
+def test_gate_edges_are_whole_numbers_of_samples(gate):
+    # at 1 MHz: an on edge at 200.04 samples, an off edge at 399.96, and a
+    # gate 0.03 samples wide that holds no sample
+    with pytest.raises(ValueError, match="gate must be a whole number of samples"):
+        TraceParams(sample_rate=1e6, cycle=1e-3, gate=gate, drive_freq=1e5)
+    with pytest.raises(ConfigError, match="trace: gate must be a whole number"):
+        scenarios._trace_block({"sample_rate": 1e6, "cycle": 1e-3,
+                                "gate": list(gate), "drive_freq": 1e5})
+
+
+def test_edges_within_four_ulps_are_rounded():
+    # 2e-4 * 2e7 = 4000 and 6e-4 * 2e7 = 11999.999999999998: the gate span
+    # is [4000, 12000), whose 8000 samples hold 40 segments of 200
+    params = TraceParams(sample_rate=2e7, cycle=1e-3, gate=(2e-4, 6e-4),
+                         n_cycles=3, drive_freq=4e6)
+    assert 6e-4 * 2e7 < 12000
+    assert tracelab._window_spans(tracelab._n_samples(params), params) == [
+        (4000, 12000), (24000, 32000), (44000, 52000)]
+    assert tracelab._segment_plan(params, 1e5).windows[0][0] == 3 * 40
+    assert [count for _, count in tracelab._segment_layout(
+        tracelab._n_samples(params), params, 200, True)] == [20, 40] * 3
 
 
 def test_synthesize_deterministic_given_seed():
@@ -106,7 +132,19 @@ def test_synthesize_noise_streams_are_pinned():
     cfg = configure_optimal(weight_pattern("ave", 3), 1e6, 0.5, eta_dis=0.95)
     traces = synthesize(cfg, 1e-6, FAST, seed=7)
     assert hashlib.sha256(traces.samples.tobytes()).hexdigest() == (
-        "3009732beefde29850cb43fe88eb67f75e74fdb9d6ca21529fa234878ad99f57")
+        "7b4440c7d6621334c6b7538e27088fd5cf4485704b3071e78f1358944675cc1f")
+
+
+def test_driven_analysis_is_pinned():
+    # the analysis of a driven run reads only analysis segments, so a change
+    # of the drive at samples of Hann weight 0 leaves every bit of it
+    cfg = configure_optimal(weight_pattern("asym", 3), 1e8, 0.3, eta_dis=0.95)
+    traces = synthesize(cfg, np.array([2e-4, -1e-4, 3e-4]), FAST, seed=8)
+    assert repr(joint_noise_analysis(traces, cfg)) == (
+        "JointNoiseResult(db_below_sql=2.0053690299324516, "
+        "snr_db=13.85623689012585, delta_theta_hat=6.664769760127187e-05, "
+        "noise_power=6.35440605424434e-11, signal_power=1.5441825923926368e-09, "
+        "reference_power=1.0083513087686998e-10)")
 
 
 def test_synthesize_vacuum_floor_variance():
@@ -129,55 +167,45 @@ def test_synthesize_weighted_sum_hits_squeezed_floor():
     assert ratio == pytest.approx(math.exp(-1.5), rel=0.05)
 
 
+def _gate_mask(params, n_total):
+    """Samples n with n % N in [lo, hi): the cycle and the gate edges
+    rounded to whole samples."""
+    n, lo, hi = (round(x * params.sample_rate) for x in (params.cycle, *params.gate))
+    in_cycle = np.arange(n_total) % n
+    return (in_cycle >= lo) & (in_cycle < hi)
+
+
 def test_synthesize_gated_drive_only_inside_window():
     cfg = _ideal_config(d=1)
     delta = 5e-3
     traces = synthesize(cfg, delta, FAST, seed=9)
     quiet = synthesize(cfg, 0.0, FAST, seed=9)
     diff = traces.samples - quiet.samples
-    t = np.arange(traces.n_samples) / traces.sample_rate
-    in_gate = (t % traces.cycle >= traces.gate[0]) & (t % traces.cycle < traces.gate[1])
+    in_gate = _gate_mask(FAST, traces.n_samples)
     assert np.max(np.abs(diff[:, ~in_gate])) == 0.0
     assert np.max(np.abs(diff[:, in_gate])) > 0.0
 
 
-def _gate_mask(params, n_total):
-    t = np.arange(n_total) / params.sample_rate
-    in_cycle = t % params.cycle
-    return (in_cycle >= params.gate[0]) & (in_cycle < params.gate[1])
-
-
 @pytest.mark.parametrize("params", GATE_CASES)
-def test_gated_tone_matches_full_mask_rule(params, monkeypatch):
+def test_drive_fills_exactly_the_gate_spans(params, monkeypatch):
     n_total = tracelab._n_samples(params)
-    mask = _gate_mask(params, n_total)
-    first, last = tracelab._gate_runs(params, n_total)
-    index = np.concatenate([np.arange(a, b) for a, b in zip(first, last)])
-    assert np.array_equal(index, np.flatnonzero(mask))
+    spans = tracelab._window_spans(n_total, params, False)
+    index = np.concatenate([np.arange(a, b) for a, b in spans])
+    assert np.array_equal(index, np.flatnonzero(_gate_mask(params, n_total)))
     # with no noise and a unit response, synthesize's samples are the tone
     monkeypatch.setattr(tracelab, "_noise_factor", np.zeros_like)
     monkeypatch.setattr(tracelab, "response", lambda cfg: np.ones(cfg.d))
     tone = synthesize(_ideal_config(d=1), 1.0, params, seed=0).samples[0]
-    t = np.arange(n_total) / params.sample_rate
-    assert np.array_equal(tone[mask], np.sin(2.0 * math.pi * params.drive_freq * t)[mask])
-    assert not tone[~mask].any()
-
-
-def test_gate_between_two_samples_drives_none():
-    # the gate is 0.6 samples wide and holds no sample time
-    params = TraceParams(sample_rate=2e7, cycle=1e-3, gate=(1.0001e-4, 1.0004e-4),
-                         n_cycles=2, drive_freq=4e6)
-    first, last = tracelab._gate_runs(params, tracelab._n_samples(params))
-    assert first.size == 0 and last.size == 0
-    cfg = _ideal_config(d=1)
-    assert np.array_equal(synthesize(cfg, 1e-3, params, seed=5).samples,
-                          synthesize(cfg, 0.0, params, seed=5).samples)
+    t = index / params.sample_rate
+    assert np.array_equal(tone[index], np.sin(2.0 * math.pi * params.drive_freq * t))
+    tone[index] = 0.0
+    assert not tone.any()
 
 
 def _whole_product_synthesis(cfg, delta, params, seed):
     """synthesize's samples as the whole product of the noise factor and the
     per-channel draws, plus the outer product of the drive amplitudes and the
-    gated tone at the samples the full mask rule selects."""
+    gated tone at the samples of `_gate_mask`."""
     n_total = tracelab._n_samples(params)
     z = np.empty((cfg.d, n_total))
     for j in range(cfg.d):
@@ -362,7 +390,7 @@ def test_joint_series_is_the_sum_in_channel_order(d, monkeypatch):
     # time order: the blocks cover exactly these samples, in this order
     length = 200
     spans = [(a, b) for invert in (False, True)
-             for a, b in tracelab._window_spans(n, 2e7, 8e-3, (2.4e-3, 4e-3), invert)]
+             for a, b in tracelab._window_spans(n, VERIFY, invert)]
     full = b"".join(expected[a:a + (b - a) // length * length].tobytes()
                     for a, b in spans)
     assert b"".join(block.tobytes() for block in blocks) == full
@@ -389,8 +417,7 @@ def test_block_powers_equal_one_product_per_span(monkeypatch):
     for invert in (False, True):
         tracelab._window_powers(np.ones(1), series[None], VERIFY, 1e5, invert)
     per_span = [analyse(series[a:b], 2e7, 4e6, 1e5) for invert in (False, True)
-                for a, b in tracelab._window_spans(series.size, 2e7, 8e-3,
-                                                   (2.4e-3, 4e-3), invert)]
+                for a, b in tracelab._window_spans(series.size, VERIFY, invert)]
     assert np.concatenate(read).tobytes() == np.concatenate(per_span).tobytes()
 
 
@@ -711,8 +738,7 @@ def test_sampled_noise_matches_segment_statistics_over_seeds():
     params = trace.params
     length = int(round(params.sample_rate / scenario.trace["rbw"]))
     n_idle = sum((b - a) // length for a, b in tracelab._window_spans(
-        tracelab._n_samples(params), params.sample_rate, params.cycle,
-        params.gate, invert=True))
+        tracelab._n_samples(params), params, invert=True))
     sd_model = 10.0 / math.log(10.0) * math.sqrt(2.0 / n_idle)
     for row in rows:
         errors = np.array([
@@ -893,3 +919,28 @@ def test_trace_file_truncation_guards(tmp_path):
     path.write_bytes(data[: len(data) - 7])  # breaks the channel alignment
     with pytest.raises(AnalysisError):
         read_trace(path)
+    # whole samples of two channels, but one short of FAST's 80 000-sample cycle
+    short = TraceSet(d=2, sample_rate=2e7, duration=79_999 / 2e7,
+                     samples=np.zeros((2, 79_999)), gate=FAST.gate,
+                     drive_freq=4e6, seed=3, cycle=FAST.cycle)
+    path = write_trace(tmp_path / "short_cycle.mztr", short)
+    with pytest.raises(AnalysisError) as err:
+        read_trace(path)
+    assert str(path) in str(err.value) and "shorter than one cycle" in str(err.value)
+
+
+@pytest.mark.parametrize("gate, message", [
+    ((2.0e-3, 1.2e-3), "gate window must fit inside one cycle"),
+    ((1.2e-3, 4.5e-3), "gate window must fit inside one cycle"),
+    ((1.2e-3, 2.00001e-3), "gate must be a whole number of samples"),
+], ids=["reversed", "outside_the_cycle", "not_whole_samples"])
+def test_trace_header_gate_is_the_timing_trace_params_accepts(tmp_path, gate, message):
+    path = write_trace(tmp_path / "run.mztr", synthesize(_ideal_config(), 0.0, FAST, seed=3))
+    data = bytearray(path.read_bytes())
+    fields = list(tracelab._HEADER.unpack_from(data))
+    fields[5:7] = gate
+    tracelab._HEADER.pack_into(data, 0, *fields)
+    path.write_bytes(bytes(data))
+    with pytest.raises(AnalysisError) as err:
+        read_trace(path)
+    assert str(path) in str(err.value) and message in str(err.value)
