@@ -13,8 +13,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import laws, optimize, scenarios, tracelab
 from .errors import ConfigError
 from .network import sensitivity_numeric, sensitivity_separable
@@ -78,8 +76,8 @@ def _cmd_sensitivity(args):
         variance = sensitivity_separable(cfg)
     else:
         variance = sensitivity_numeric(cfg)
-    nu = np.asarray(cfg.weights)
-    scale = float(np.sum(np.abs(nu)))
+    nu = cfg.weights
+    scale = laws.weight_sum(nu)
     sql = laws.sql_variance(cfg.n_T, K=1.0) * scale**2
     limits = laws.regime_limits(cfg.n_T, cfg.Lambda, K=cfg.enhancement)
     # the shared-resource advantage over per-node-optimized sensors is

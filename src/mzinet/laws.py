@@ -230,7 +230,7 @@ def gain(nu, regime="low") -> float:
     is realized at the Heisenberg window boundary, see the project notes.
     """
     v = np.abs(np.asarray(nu, dtype=float))
-    total = float(v.sum())
+    total = weight_sum(nu)
     if total == 0.0:
         raise ValueError("weight vector must be nonzero")
     if regime == "high":

@@ -92,7 +92,7 @@ def optimal_allocation(nu, n_c) -> Allocation:
     """Lagrangian optimum: |alpha_j|^2 = n_c |nu_j|/sum|nu|, P_j = |nu_j|/sum|nu|,
     phi_j = 0 for nu_j >= 0 else pi."""
     nu = np.asarray(nu, dtype=float)
-    scale = float(np.sum(np.abs(nu)))
+    scale = laws.weight_sum(nu)
     if scale == 0.0:
         raise AllocationError("weight vector must be nonzero")
     if n_c <= 0:
@@ -248,7 +248,7 @@ def _evaluate_point(axis, value, base, engines):
         cfg, row.n_s_opt = _config_for_point(axis, value, base)
         row.config = cfg
         weights = np.asarray(cfg.weights)
-        scale = float(np.sum(np.abs(weights)))
+        scale = laws.weight_sum(weights)
         norm = weights / scale
         enhancement = cfg.enhancement
         row.variance_closed_form = laws.optimized_variance(

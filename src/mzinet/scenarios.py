@@ -33,7 +33,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +136,14 @@ def _finite(name: str, value) -> float:
     return float(value)
 
 
+def _typed(name: str, value, kind):
+    """value if it is a JSON object (kind dict) or list; else ConfigError(name)."""
+    if not isinstance(value, kind):
+        raise ConfigError(name, f"must be {'an object' if kind is dict else 'a list'}, "
+                                f"got {value!r}")
+    return value
+
+
 def _required(doc: dict, name: str):
     """doc[name]; a missing field raises ConfigError(name)."""
     if name not in doc:
@@ -190,9 +198,10 @@ def _config_from_spec(spec: dict) -> NetworkConfig:
         )
     return NetworkConfig(
         d=d, r=r,
-        alphas=tuple(tuple(_finite("alphas", x) for x in a) for a in alphas),
+        alphas=tuple(tuple(_finite("alphas", x) for x in _typed("alphas", a, list))
+                     for a in _typed("alphas", alphas, list)),
         thetas=thetas if thetas is not None else (0.0,) * d,
-        weights=weights, P=tuple(_finite("P", x) for x in P),
+        weights=weights, P=tuple(_finite("P", x) for x in _typed("P", P, list)),
         topology=topology, **kwargs,
     )
 
@@ -219,7 +228,8 @@ def _expand_grid(grid):
         # 1e-9 relative (values below 1e-12 would collapse to 0)
         rounded = np.round(values, 12)
         values = np.where(abs(rounded - values) <= 1e-9 * abs(values), rounded, values)
-        extra = [_number("include", x) for x in grid.get("include", [])]
+        extra = [_number("include", x)
+                 for x in _typed("include", grid.get("include", []), list)]
         return sorted(set(values.tolist()) | set(extra))
     if not isinstance(grid, list) or not grid:
         raise ScenarioParseError("grid must be a nonempty list or range spec")
@@ -242,15 +252,12 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         raise ScenarioParseError(
             f"schema {doc.get('schema')!r} not supported (want {SCHEMA_VERSION})"
         )
-    try:
-        name = doc["name"]
-        network = doc["network"]
-        scans_doc = doc["scans"]
-    except KeyError as exc:
-        raise ScenarioParseError(f"missing field {exc.args[0]!r}") from exc
+    name = _required(doc, "name")
+    network = _typed("network", _required(doc, "network"), dict)
     scans = []
-    for entry in scans_doc:
-        engines = tuple(entry.get("engines", ("analytic",)))
+    for entry in _typed("scans", _required(doc, "scans"), list):
+        _typed("scans", entry, dict)
+        engines = tuple(_typed("engines", entry.get("engines", ["analytic"]), list))
         for engine in engines:
             if engine not in ENGINES:
                 raise ScenarioParseError(f"unknown engine {engine!r}")
@@ -261,7 +268,7 @@ def _scenario_from_doc(doc: dict) -> Scenario:
                 axis=axis,
                 grid=_expand_grid(_required(entry, "grid")),
                 engines=engines,
-                overrides=dict(entry.get("overrides", {})),
+                overrides=dict(_typed("overrides", entry.get("overrides", {}), dict)),
             )
         )
     scenario = Scenario(
@@ -269,7 +276,7 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         seed=_integer("seed", doc.get("seed", 0)),
         network=dict(network),
         scans=scans,
-        trace=dict(doc.get("trace", {})),
+        trace=dict(_typed("trace", doc.get("trace", {}), dict)),
     )
     _validate_scenario(scenario)
     return scenario
@@ -401,6 +408,7 @@ def _write_csv(path: Path, axis: str, rows):
 
 def run_scenario(path_or_scenario, out_dir, seed=None):
     """Run every scan of a scenario; returns the list of CSV paths written.
+    A `seed` replaces the scenario's for this run only.
 
     Per-point engine errors land in the row status column and the run
     continues, and each CSV with failed rows is counted on stderr;
@@ -411,7 +419,7 @@ def run_scenario(path_or_scenario, out_dir, seed=None):
     else:
         scenario = load_scenario(path_or_scenario)
     if seed is not None:
-        scenario.seed = int(seed)
+        scenario = replace(scenario, seed=int(seed))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

@@ -10,9 +10,10 @@ The dB-below-SQL reference is the ideal lossless coherent single-pass run
 with the same photon budget; both sides of the ratio go through the same
 band-power kernel and calibration, so the spectral calibration cancels.
 
-Trace files keep per-channel traces (`synthesize`, `joint_noise_analysis`).
-`synthesize` allocates its d x n output and nothing else of that size: each
-channel's Philox stream draws into its row, the rows on up to one thread per
+A `TraceSet` holds per-channel traces with their one `TraceParams`, whose
+n_cycles is the samples' whole cycles.  `synthesize` allocates its d x n
+output and nothing else of that size: each channel's Philox stream draws
+into its row, the rows on up to one thread per
 core at once (each row depends only on its own stream, so the bytes do not
 depend on the thread count), the noise factor mixes the rows in place by
 column blocks, and the drive is added one gate span at a time.  The analysis
@@ -56,8 +57,9 @@ plan is built by the same operations as a per-call build, so the bits do
 not depend on whether it was cached.
 
 Trace file layout (little endian): magic "MZTR", version u32, d u32,
-sample_rate f64, duration f64, gate 2*f64, seed u64, then channel-major f64
-samples.  Cycle length and drive frequency travel in a JSON sidecar.
+sample_rate f64, duration f64 (derived, n_samples / sample_rate, and not
+read), gate 2*f64, seed u64, then channel-major f64 samples.  Cycle length
+and drive frequency travel in a JSON sidecar.
 """
 
 from __future__ import annotations
@@ -69,11 +71,12 @@ import os
 import struct
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import laws
 from .errors import AnalysisError, ConfigError, RegularizationError
 from .network import (
     NetworkConfig,
@@ -149,22 +152,26 @@ class TraceParams:
 
 @dataclass
 class TraceSet:
-    d: int
-    sample_rate: float
-    duration: float
+    """Per-channel traces and their one timing record: `samples` holds
+    `params.n_cycles` whole cycles, and possibly part of one more."""
     samples: np.ndarray      # shape (d, n_samples)
-    gate: tuple              # per-cycle (t_on, t_off), seconds
-    drive_freq: float
+    params: TraceParams
     seed: int
-    cycle: float
+
+    def __post_init__(self):
+        whole = self.n_samples // _whole_samples("cycle", self.params.cycle,
+                                                 self.params.sample_rate)
+        if whole != self.params.n_cycles:
+            raise ValueError(f"the samples hold {whole} whole cycles but "
+                             f"params.n_cycles is {self.params.n_cycles}")
+
+    @property
+    def d(self) -> int:
+        return self.samples.shape[0]
 
     @property
     def n_samples(self) -> int:
         return self.samples.shape[1]
-
-    @property
-    def n_cycles(self) -> int:
-        return self.n_samples // _whole_samples("cycle", self.cycle, self.sample_rate)
 
 
 def _whole_samples(name, seconds, sample_rate) -> int:
@@ -268,23 +275,14 @@ def synthesize(config: NetworkConfig, delta_thetas, params: TraceParams,
     amps = response(config) * delta
     if np.any(amps != 0.0):
         omega = 2.0 * math.pi * params.drive_freq
-        for first, last in _window_spans(n_total, params):
+        for first, last in _window_spans(params):
             tone = np.arange(first, last) / params.sample_rate
             tone *= omega
             np.sin(tone, out=tone)
             for j in range(d):
                 samples[j, first:last] += amps[j] * tone
 
-    return TraceSet(
-        d=d,
-        sample_rate=params.sample_rate,
-        duration=n_total / params.sample_rate,
-        samples=samples,
-        gate=params.gate,
-        drive_freq=params.drive_freq,
-        seed=int(seed),
-        cycle=params.cycle,
-    )
+    return TraceSet(samples, params, int(seed))
 
 
 def _hann(length: int) -> np.ndarray:
@@ -365,9 +363,9 @@ def segment_band_powers(series, sample_rate, center, rbw):
         for a in range(0, n_segments, per_block)])
 
 
-def _window_spans(n_samples, params: TraceParams, invert=False):
-    """The gate span [k N + lo, k N + hi) of each whole cycle k of
-    `n_samples` (or, with invert, the two idle spans [k N, k N + lo) and
+def _window_spans(params: TraceParams, invert=False):
+    """The gate span [k N + lo, k N + hi) of each cycle k < params.n_cycles
+    (or, with invert, the two idle spans [k N, k N + lo) and
     [k N + hi, (k + 1) N) around it), in time order; N, lo and hi are the
     cycle and the gate edges in whole samples (`_whole_samples`).
 
@@ -377,18 +375,16 @@ def _window_spans(n_samples, params: TraceParams, invert=False):
     n = _whole_samples("cycle", params.cycle, params.sample_rate)
     lo, hi = (_whole_samples("gate", edge, params.sample_rate) for edge in params.gate)
     spans = [(0, lo), (hi, n)] if invert else [(lo, hi)]
-    return [(base + a, base + b)
-            for base in range(0, n_samples // n * n, n)
-            for a, b in spans]
+    return [(k * n + a, k * n + b) for k in range(params.n_cycles) for a, b in spans]
 
 
-def _segment_layout(n_samples, params: TraceParams, length, invert):
+def _segment_layout(params: TraceParams, length, invert):
     """(start, count) of the full analysis segments of `length` samples from
     the start of each span of `_window_spans` that holds one, in time order
     (empty when no span holds one): the one segment layout of both paths and
     of the load check."""
     return [(a, (b - a) // length)
-            for a, b in _window_spans(n_samples, params, invert)
+            for a, b in _window_spans(params, invert)
             if b - a >= length]
 
 
@@ -403,9 +399,9 @@ def _check_analysis(params: TraceParams, rbw):
     segment fits in a gated span and in an idle span."""
     length = _check_rbw(params.sample_rate, params.drive_freq, rbw)
     # every cycle has the same spans, so one cycle is checked
-    n = _whole_samples("cycle", params.cycle, params.sample_rate)
+    cycle = replace(params, n_cycles=1)
     for invert in (False, True):
-        if not _segment_layout(n, params, length, invert):
+        if not _segment_layout(cycle, length, invert):
             raise _no_segment(length, invert)
 
 
@@ -419,7 +415,7 @@ def _window_powers(weights, samples, params: TraceParams, rbw, invert):
     bins are read by `segment_band_powers`; the series is never built."""
     length = _check_rbw(params.sample_rate, params.drive_freq, rbw)
     per_block = _segments_per_block(length)
-    layout = _segment_layout(samples.shape[1], params, length, invert)
+    layout = _segment_layout(params, length, invert)
     if not layout:
         raise _no_segment(length, invert)
     powers = []
@@ -464,7 +460,7 @@ def _joint_result(config: NetworkConfig, params: TraceParams, seed: int, rbw,
     return JointNoiseResult(
         db_below_sql=10.0 * math.log10(ref_noise / noise),
         snr_db=10.0 * math.log10(signal / noise),
-        delta_theta_hat=amp / float(np.sum(np.abs(config.weights))),
+        delta_theta_hat=amp / laws.weight_sum(config.weights),
         noise_power=noise,
         signal_power=signal,
         reference_power=ref_noise,
@@ -491,16 +487,9 @@ def joint_noise_analysis(traces: TraceSet, config: NetworkConfig,
         raise ConfigError("d", f"the config has {config.d} channels but the "
                                f"traces have {traces.d}")
     weights = _joint_weights(config)
-    params = TraceParams(
-        sample_rate=traces.sample_rate,
-        cycle=traces.cycle,
-        gate=traces.gate,
-        n_cycles=traces.n_cycles,
-        drive_freq=traces.drive_freq,
-    )
-    signal, noise = (_window_powers(weights, traces.samples, params, rbw, invert)
+    signal, noise = (_window_powers(weights, traces.samples, traces.params, rbw, invert)
                      for invert in (False, True))
-    return _joint_result(config, params, traces.seed, rbw, signal, noise)
+    return _joint_result(config, traces.params, traces.seed, rbw, signal, noise)
 
 
 def _tone_parts(starts, kernel, params: TraceParams) -> np.ndarray:
@@ -553,8 +542,7 @@ def _segment_plan(params: TraceParams, rbw) -> _SegmentPlan:
     so its size does not grow with the trace.  A refused rbw, or a timing
     with no segment in either window, raises on every call."""
     length = _check_rbw(params.sample_rate, params.drive_freq, rbw)
-    n_total = _n_samples(params)
-    gated, idle = (_segment_layout(n_total, params, length, invert)
+    gated, idle = (_segment_layout(params, length, invert)
                    for invert in (False, True))
     # the layout is checked before the kernel of `length` samples is built
     if not (gated or idle):
@@ -679,18 +667,22 @@ def _replacing(path: Path):
 
 
 def write_trace(path, traces: TraceSet):
+    """Write `traces` to `path` and its cycle, drive and cycle count to the
+    `.meta.json` sidecar, each through a temporary file; the header's
+    duration is the derived n_samples / sample_rate."""
     path = Path(path)
+    params = traces.params
     header = _HEADER.pack(
-        MAGIC, VERSION, traces.d, traces.sample_rate, traces.duration,
-        traces.gate[0], traces.gate[1], traces.seed,
+        MAGIC, VERSION, traces.d, params.sample_rate,
+        traces.n_samples / params.sample_rate, *params.gate, traces.seed,
     )
     with _replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(traces.samples, dtype="<f8").data)
     meta = {
-        "cycle": traces.cycle,
-        "drive_freq": traces.drive_freq,
-        "n_cycles": traces.n_cycles,
+        "cycle": params.cycle,
+        "drive_freq": params.drive_freq,
+        "n_cycles": params.n_cycles,
     }
     with _replacing(Path(str(path) + ".meta.json")) as tmp:
         tmp.write_text(json.dumps(meta, sort_keys=True) + "\n")
@@ -698,10 +690,15 @@ def write_trace(path, traces: TraceSet):
 
 
 def read_trace(path) -> TraceSet:
+    """The traces of `path` and its sidecar, with one `TraceParams` whose
+    n_cycles is the payload's whole cycles; the payload is kept in full and
+    the derived duration and cycle count are not read.  A malformed file or
+    sidecar, a timing `TraceParams` refuses or a payload shorter than one
+    cycle raises AnalysisError naming the file."""
     path = Path(path)
     with open(path, "rb") as fh:
         try:
-            magic, version, d, sample_rate, duration, g0, g1, seed = _HEADER.unpack(
+            magic, version, d, sample_rate, _, g0, g1, seed = _HEADER.unpack(
                 fh.read(_HEADER.size))
         except struct.error as exc:
             raise AnalysisError(f"truncated trace header in {path}") from exc
@@ -734,23 +731,17 @@ def read_trace(path) -> TraceSet:
                 or not 0.0 < value < math.inf):
             raise AnalysisError(f"trace sidecar {meta_path} has no number "
                                 f"{key!r} > 0, got {value!r}")
-    # the header's rate and gate with the sidecar's cycle and drive: the
-    # timing that `TraceParams` accepts, with at least one whole cycle
+    # the header's rate and gate with the sidecar's cycle and drive, over
+    # the payload's whole cycles: the timing that `TraceParams` accepts
     try:
-        params = TraceParams(sample_rate=sample_rate, cycle=meta["cycle"],
-                             gate=(g0, g1), drive_freq=meta["drive_freq"])
+        cycle = _whole_samples("cycle", meta["cycle"], sample_rate)
+        if samples.shape[1] < cycle:
+            raise AnalysisError(f"trace payload in {path} is shorter than one cycle: "
+                                f"{samples.shape[1]} of {cycle} samples")
+        # a rate that TraceParams refuses may leave a cycle no sample
+        params = TraceParams(sample_rate=sample_rate, cycle=float(meta["cycle"]),
+                             gate=(g0, g1), n_cycles=samples.shape[1] // max(cycle, 1),
+                             drive_freq=float(meta["drive_freq"]))
     except ValueError as exc:
         raise AnalysisError(f"trace {path} with sidecar {meta_path}: {exc}") from exc
-    if samples.shape[1] < _n_samples(params):
-        raise AnalysisError(f"trace payload in {path} is shorter than one cycle: "
-                            f"{samples.shape[1]} of {_n_samples(params)} samples")
-    return TraceSet(
-        d=d,
-        sample_rate=sample_rate,
-        duration=duration,
-        samples=samples,
-        gate=(g0, g1),
-        drive_freq=float(meta["drive_freq"]),
-        seed=seed,
-        cycle=float(meta["cycle"]),
-    )
+    return TraceSet(samples, params, seed)

@@ -17,11 +17,10 @@ def per_segment_powers(sigma, amp, params, seed, rbw, windows):
     """Mean band power of each window in `windows` (False: gated, True:
     idle), drawn one normal pair per segment."""
     length = tracelab._check_rbw(params.sample_rate, params.drive_freq, rbw)
-    n_total = tracelab._n_samples(params)
     kernel, norm = tracelab._bin_kernel(params.sample_rate, params.drive_freq, rbw)
     starts = []
     for invert in windows:
-        layout = tracelab._segment_layout(n_total, params, length, invert)
+        layout = tracelab._segment_layout(params, length, invert)
         if not layout:
             raise tracelab._no_segment(length, invert)
         starts.append(np.concatenate([a + length * np.arange(count)

@@ -72,6 +72,14 @@ def test_run_scenario_writes_expected_columns(tmp_path):
     assert (tmp_path / "out" / "demo_meta.txt").exists()
 
 
+def test_run_scenario_leaves_a_passed_scenario_unchanged(tmp_path):
+    scenario = load_scenario(_write_scenario(tmp_path))
+    run_scenario(scenario, tmp_path / "out", seed=7)
+    assert scenario.seed == 123
+    meta = (tmp_path / "out" / "demo_meta.txt").read_text().splitlines()
+    assert meta[1] == "seed: 7"
+
+
 def test_run_scenario_float_format_round_trips(tmp_path):
     path = _write_scenario(tmp_path)
     (csv_path,) = run_scenario(path, tmp_path / "out")
@@ -351,7 +359,21 @@ def test_scan_grid_repeat_names_the_point(axis, grid, repeat):
     ("d", lambda doc: doc["network"].pop("d")),
     ("seed", lambda doc: doc.update(seed=1.5)),
     ("seed", lambda doc: doc.update(seed=True)),
-], ids=["network_d_missing", "seed_fraction", "seed_bool"])
+    ("include", lambda doc: doc["scans"][0].update(
+        grid={"start": 0.2, "stop": 1.0, "num": 5, "include": 5})),
+    ("overrides", lambda doc: doc["scans"][0].update(overrides=5)),
+    ("overrides", lambda doc: doc["scans"][0].update(overrides=[1, 2])),
+    ("scans", lambda doc: doc.update(scans=[5])),
+    ("scans", lambda doc: doc.update(scans={"a": 1})),
+    ("network", lambda doc: doc.update(network=[1, 2])),
+    ("trace", lambda doc: doc.update(trace=[1, 2])),
+    ("engines", lambda doc: doc["scans"][0].update(engines=5)),
+    ("alphas", lambda doc: doc["network"].update(alphas=5, P=[0.5, 0.25, 0.25])),
+    ("P", lambda doc: doc["network"].update(alphas=[[1.0, 0.0]] * 3, P=1.0)),
+], ids=["network_d_missing", "seed_fraction", "seed_bool", "include_number",
+        "overrides_number", "overrides_list", "scan_number", "scans_object",
+        "network_list", "trace_list", "engines_number", "alphas_number",
+        "P_number"])
 def test_cli_rejects_bad_document_fields_at_load(tmp_path, capsys, field, edit):
     doc = json.loads(json.dumps(SCENARIO))
     edit(doc)

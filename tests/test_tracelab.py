@@ -85,10 +85,14 @@ def test_cycle_is_a_whole_number_of_samples():
     # the float product 3.3e7 * 7.77e-4 is whole; a file's cycles are counted
     # in whole cycles of its samples, 2 of 2.6 here
     assert tracelab._whole_samples("cycle", 7.77e-4, 3.3e7) == 25641
-    traces = TraceSet(d=1, sample_rate=1e6, duration=2.6e-3,
-                      samples=np.zeros((1, 2600)), gate=(2e-4, 4e-4),
-                      drive_freq=1e5, seed=0, cycle=1e-3)
-    assert traces.n_cycles == 2
+    params = TraceParams(sample_rate=1e6, cycle=1e-3, gate=(2e-4, 4e-4),
+                         n_cycles=2, drive_freq=1e5)
+    assert TraceSet(np.zeros((1, 2600)), params, seed=0).params.n_cycles == 2
+    for n_cycles in (1, 3):
+        with pytest.raises(ValueError, match=f"hold 2 whole cycles but "
+                                             f"params.n_cycles is {n_cycles}"):
+            TraceSet(np.zeros((1, 2600)), dataclasses.replace(params, n_cycles=n_cycles),
+                     seed=0)
 
 
 @pytest.mark.parametrize("gate", [(2.0004e-4, 4e-4), (2e-4, 3.9996e-4),
@@ -110,11 +114,11 @@ def test_edges_within_four_ulps_are_rounded():
     params = TraceParams(sample_rate=2e7, cycle=1e-3, gate=(2e-4, 6e-4),
                          n_cycles=3, drive_freq=4e6)
     assert 6e-4 * 2e7 < 12000
-    assert tracelab._window_spans(tracelab._n_samples(params), params) == [
+    assert tracelab._window_spans(params) == [
         (4000, 12000), (24000, 32000), (44000, 52000)]
     assert tracelab._segment_plan(params, 1e5).windows[0][0] == 3 * 40
     assert [count for _, count in tracelab._segment_layout(
-        tracelab._n_samples(params), params, 200, True)] == [20, 40] * 3
+        params, 200, True)] == [20, 40] * 3
 
 
 def test_synthesize_deterministic_given_seed():
@@ -145,6 +149,18 @@ def test_driven_analysis_is_pinned():
         "snr_db=13.85623689012585, delta_theta_hat=6.664769760127187e-05, "
         "noise_power=6.35440605424434e-11, signal_power=1.5441825923926368e-09, "
         "reference_power=1.0083513087686998e-10)")
+
+
+def test_trace_file_bytes_are_pinned(tmp_path):
+    # the pinned noise streams above, written as a trace file: any change to
+    # the header, the payload or the sidecar moves a digest
+    cfg = configure_optimal(weight_pattern("ave", 3), 1e6, 0.5, eta_dis=0.95)
+    path = write_trace(tmp_path / "run.mztr", synthesize(cfg, 1e-6, FAST, seed=7))
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (path, tmp_path / "run.mztr.meta.json")]
+    assert digests == [
+        "5247de11c1042babe8459b245c102c95eeb12c5c9369818b10be3213b59c52e1",
+        "79262a2a7e66db862e17897f2c956b19056a78bc8ce74753c1a939713e237d70"]
 
 
 def test_synthesize_vacuum_floor_variance():
@@ -189,7 +205,7 @@ def test_synthesize_gated_drive_only_inside_window():
 @pytest.mark.parametrize("params", GATE_CASES)
 def test_drive_fills_exactly_the_gate_spans(params, monkeypatch):
     n_total = tracelab._n_samples(params)
-    spans = tracelab._window_spans(n_total, params, False)
+    spans = tracelab._window_spans(params, False)
     index = np.concatenate([np.arange(a, b) for a, b in spans])
     assert np.array_equal(index, np.flatnonzero(_gate_mask(params, n_total)))
     # with no noise and a unit response, synthesize's samples are the tone
@@ -371,8 +387,7 @@ def test_joint_series_is_the_sum_in_channel_order(d, monkeypatch):
     n = 1_280_013
     cfg = configure_optimal(weight_pattern("asym", d), 1e10, 0.5, eta_dis=0.95)
     samples = np.random.default_rng(d).standard_normal((d, n))
-    traces = TraceSet(d=d, sample_rate=2e7, duration=n / 2e7, samples=samples,
-                      gate=(2.4e-3, 4e-3), drive_freq=4e6, seed=1, cycle=8e-3)
+    traces = TraceSet(samples, VERIFY, seed=1)
     blocks = []
     analyse = tracelab.segment_band_powers
 
@@ -390,7 +405,7 @@ def test_joint_series_is_the_sum_in_channel_order(d, monkeypatch):
     # time order: the blocks cover exactly these samples, in this order
     length = 200
     spans = [(a, b) for invert in (False, True)
-             for a, b in tracelab._window_spans(n, VERIFY, invert)]
+             for a, b in tracelab._window_spans(VERIFY, invert)]
     full = b"".join(expected[a:a + (b - a) // length * length].tobytes()
                     for a, b in spans)
     assert b"".join(block.tobytes() for block in blocks) == full
@@ -417,7 +432,7 @@ def test_block_powers_equal_one_product_per_span(monkeypatch):
     for invert in (False, True):
         tracelab._window_powers(np.ones(1), series[None], VERIFY, 1e5, invert)
     per_span = [analyse(series[a:b], 2e7, 4e6, 1e5) for invert in (False, True)
-                for a, b in tracelab._window_spans(series.size, VERIFY, invert)]
+                for a, b in tracelab._window_spans(VERIFY, invert)]
     assert np.concatenate(read).tobytes() == np.concatenate(per_span).tobytes()
 
 
@@ -737,8 +752,8 @@ def test_sampled_noise_matches_segment_statistics_over_seeds():
     trace = scenarios._trace_block(scenario.trace)
     params = trace.params
     length = int(round(params.sample_rate / scenario.trace["rbw"]))
-    n_idle = sum((b - a) // length for a, b in tracelab._window_spans(
-        tracelab._n_samples(params), params, invert=True))
+    n_idle = sum((b - a) // length
+                 for a, b in tracelab._window_spans(params, invert=True))
     sd_model = 10.0 / math.log(10.0) * math.sqrt(2.0 / n_idle)
     for row in rows:
         errors = np.array([
@@ -823,12 +838,8 @@ def test_trace_file_round_trip(tmp_path):
     traces = synthesize(cfg, 1e-3, FAST, seed=77)
     path = write_trace(tmp_path / "run.mztr", traces)
     loaded = read_trace(path)
-    assert loaded.d == traces.d
-    assert loaded.sample_rate == traces.sample_rate
-    assert loaded.gate == traces.gate
+    assert loaded.params == traces.params
     assert loaded.seed == traces.seed
-    assert loaded.cycle == traces.cycle
-    assert loaded.drive_freq == traces.drive_freq
     assert np.array_equal(loaded.samples, traces.samples)
 
 
@@ -889,9 +900,8 @@ def test_failed_trace_write_leaves_no_partial_file(tmp_path):
     good = synthesize(cfg, 0.0, FAST, seed=3)
     path = write_trace(tmp_path / "run.mztr", good)
     # the header packs, then the samples fail to convert mid-write
-    bad = TraceSet(d=1, sample_rate=2e7, duration=1e-3,
-                   samples=np.array([["x"]], dtype=object), gate=(0.0, 1e-4),
-                   drive_freq=4e6, seed=1, cycle=1e-3)
+    params = TraceParams(sample_rate=2e7, cycle=1e-4, gate=(0.0, 5e-5), drive_freq=4e6)
+    bad = TraceSet(np.full((1, 2000), "x", dtype=object), params, seed=1)
     with pytest.raises(ValueError):
         write_trace(path, bad)
     with pytest.raises(ValueError):
@@ -919,11 +929,14 @@ def test_trace_file_truncation_guards(tmp_path):
     path.write_bytes(data[: len(data) - 7])  # breaks the channel alignment
     with pytest.raises(AnalysisError):
         read_trace(path)
-    # whole samples of two channels, but one short of FAST's 80 000-sample cycle
-    short = TraceSet(d=2, sample_rate=2e7, duration=79_999 / 2e7,
-                     samples=np.zeros((2, 79_999)), gate=FAST.gate,
-                     drive_freq=4e6, seed=3, cycle=FAST.cycle)
-    path = write_trace(tmp_path / "short_cycle.mztr", short)
+    # whole samples of two channels, but one short of FAST's 80 000-sample
+    # cycle: a TraceSet cannot hold that, so the file is written here
+    path = tmp_path / "short_cycle.mztr"
+    path.write_bytes(tracelab._HEADER.pack(tracelab.MAGIC, tracelab.VERSION, 2, 2e7,
+                                           79_999 / 2e7, *FAST.gate, 3)
+                     + np.zeros((2, 79_999)).tobytes())
+    Path(str(path) + ".meta.json").write_text(json.dumps(
+        {"cycle": FAST.cycle, "drive_freq": 4e6, "n_cycles": 0}))
     with pytest.raises(AnalysisError) as err:
         read_trace(path)
     assert str(path) in str(err.value) and "shorter than one cycle" in str(err.value)
