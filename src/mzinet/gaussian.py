@@ -6,16 +6,19 @@ in every quadrature, so the vacuum covariance matrix is the identity and a
 squeezed vacuum has Var(q) = e^{−2r}, Var(p) = e^{+2r}.
 
 A state holds its covariance in factored form, V = I + U diag(s) U^T, with
-one column of U per squeezed quadrature.  Every op keeps that form exactly:
-pure loss maps V -> L V L + (1 − eta) I_m = I + (L U) diag(s) (L U)^T, a row
-scale of U, and a squeezer scales two rows of U and appends the columns e_q,
-e_p with s += (expm1(−2r), expm1(2r)).  A passive orthogonal map O (a beam
-splitter or an interferometer) sends mean -> O mean and U -> O U, and a
-displacement moves only the mean; ``build_network`` applies those as array
+one column of U per squeezed quadrature, and stores its mean and U side by
+side as one 2n x (1 + k) row matrix [mean | U].  Every linear op of the
+engine is a row map, mean -> S mean and U -> S U (Weedbrook et al., RMP 84, 621 (2012)),
+so it acts on that one matrix and keeps the factored form exactly: pure loss
+maps V -> L V L + (1 − eta) I_m = I + (L U) diag(s) (L U)^T, a scale of the
+mode's two rows, and a squeezer scales two rows and appends the columns e_q,
+e_p to U with s += (expm1(−2r), expm1(2r)).  A passive orthogonal map O (a
+beam splitter or an interferometer) maps the rows by O, and a displacement
+adds to the mean column alone; ``build_network`` applies those as array
 operations over all nodes, and the tests keep the two-mode ops as the
 reference it is checked against (``tests/reference_ops.py``).  So a network
-with one squeezer is a 2n x 2 factor, and no 2n x 2n matrix is ever stored;
-``cov`` materializes it on read.
+with one squeezer is a 2n x 3 row matrix, and no 2n x 2n matrix is ever
+stored; ``cov`` materializes it on read.
 
 Every operation is pure by default: it returns a new state and never mutates
 its input.  The squeezer and the loss also take ``inplace=True``, which
@@ -43,19 +46,29 @@ __all__ = [
 class GaussianState:
     """Mean quadrature vector and factored covariance of an n-mode state.
 
-    The covariance is V = I + U diag(s) U^T.
+    The covariance is V = I + U diag(s) U^T.  The mean and U are the columns
+    of one row matrix, since every op maps them by the same rows; ``mean``
+    and ``U`` are views into it, so writing to them writes to the state.
 
     Attributes:
         n_modes: number of optical modes.
-        mean: length 2n vector (q1, p1, ..., qn, pn).
-        U: 2n x k factor, rows in the same ordering.
+        rows: 2n x (1 + k) matrix [mean | U], rows ordered (q1, p1, ..., qn, pn).
         s: length k weights of the columns of U.
     """
 
     n_modes: int
-    mean: np.ndarray
-    U: np.ndarray
+    rows: np.ndarray
     s: np.ndarray
+
+    @property
+    def mean(self) -> np.ndarray:
+        """Length 2n mean vector, a view of column 0 of ``rows``."""
+        return self.rows[:, 0]
+
+    @property
+    def U(self) -> np.ndarray:
+        """2n x k covariance factor, a view of the other columns of ``rows``."""
+        return self.rows[:, 1:]
 
     @property
     def cov(self) -> np.ndarray:
@@ -63,8 +76,7 @@ class GaussianState:
         return _identity_plus(self.U, self.s)
 
     def copy(self) -> "GaussianState":
-        return GaussianState(self.n_modes, self.mean.copy(), self.U.copy(),
-                             self.s.copy())
+        return GaussianState(self.n_modes, self.rows.copy(), self.s.copy())
 
     def q_index(self, mode: int) -> int:
         return 2 * mode
@@ -89,12 +101,7 @@ def vacuum_state(n_modes: int) -> GaussianState:
     """n-mode vacuum: zero mean, identity covariance (an empty factor)."""
     if n_modes < 1:
         raise ValueError("n_modes must be a positive integer")
-    return GaussianState(
-        n_modes=n_modes,
-        mean=np.zeros(2 * n_modes),
-        U=np.zeros((2 * n_modes, 0)),
-        s=np.zeros(0),
-    )
+    return GaussianState(n_modes, np.zeros((2 * n_modes, 1)), np.zeros(0))
 
 
 def apply_squeezer(state: GaussianState, mode: int, r: float, *,
@@ -115,14 +122,11 @@ def apply_squeezer(state: GaussianState, mode: int, r: float, *,
     out = state if inplace else state.copy()
     iq, ip = out.q_index(mode), out.p_index(mode)
     weights = (math.expm1(-2.0 * r), math.expm1(2.0 * r))
-    sq, sp = math.exp(-r), math.exp(r)
-    out.mean[iq] *= sq
-    out.mean[ip] *= sp
-    out.U[iq] *= sq
-    out.U[ip] *= sp
+    out.rows[iq] *= math.exp(-r)
+    out.rows[ip] *= math.exp(r)
     columns = np.zeros((2 * out.n_modes, 2))
     columns[iq, 0] = columns[ip, 1] = 1.0
-    out.U = np.hstack((out.U, columns))
+    out.rows = np.hstack((out.rows, columns))
     out.s = np.append(out.s, weights)
     return out
 
@@ -133,20 +137,17 @@ def apply_loss(state: GaussianState, mode: int, eta: float, *,
 
     Mean scales by sqrt(eta); the mode's covariance block maps to
     eta*V + (1-eta)*I and cross covariances scale by sqrt(eta).  Since
-    L I L + (1-eta) I_m = I, this is the sqrt(eta) scale of the mode's rows
-    of U.
+    L I L + (1-eta) I_m = I, this is the sqrt(eta) scale of the mode's two
+    rows of [mean | U].
     Pure unless a caller that owns the state passes inplace=True.
     """
     _check_mode(state, mode)
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     out = state if inplace else state.copy()
-    iq, ip = out.q_index(mode), out.p_index(mode)
-    # q and p of a mode are adjacent, so its rows are one slice
-    block = slice(iq, ip + 1)
-    root = math.sqrt(eta)
-    out.mean[block] *= root
-    out.U[block] *= root
+    # q and p of a mode are adjacent rows; scale that view where it stands
+    block = out.rows[2 * mode: 2 * mode + 2]
+    block *= math.sqrt(eta)
     return out
 
 

@@ -252,12 +252,12 @@ def build_network(config: NetworkConfig) -> g.GaussianState:
     state = g.vacuum_state(2 * d)  # owned here, so the ops update it in place
     g.apply_squeezer(state, 0, float(config.r), inplace=True)
     # The split, the displacements and the interferometers act on all d nodes
-    # at once.  Row views: [b modes, a modes] x node x (q, p) [x column of U].
-    mean = state.mean.reshape(2, d, 2)
-    rows = state.U.reshape(2, d, 2, -1)
+    # at once.  A view of [mean | U]: [b modes, a modes] x node x (q, p) x
+    # (mean, columns of U).
+    rows = state.rows.reshape(2, d, 2, -1)
     # The cascade on the carrier and d - 1 vacuum inputs hands mode j the
     # carrier's rows times sqrt(1 - T_j) and the carrier left before it (the
-    # squeezed vacuum has zero mean, so only U moves).
+    # squeezed vacuum has zero mean, so its mean column stays zero).
     t = np.array([t_j for _, t_j in qc_cascade(config.P)])
     carrier = np.cumprod(np.concatenate(([1.0], np.sqrt(t))))
     amps = np.append(carrier[-1], np.sqrt(1.0 - t) * carrier[:-1])
@@ -266,15 +266,15 @@ def build_network(config: NetworkConfig) -> g.GaussianState:
     # last bit
     mags = np.array([2.0 * mag for mag, _ in config.alphas])
     phis = [phi for _, phi in config.alphas]
-    mean[1, :, 0] += mags * [math.cos(phi) for phi in phis]
-    mean[1, :, 1] += mags * [math.sin(phi) for phi in phis]
+    rows[1, :, 0, 0] += mags * [math.cos(phi) for phi in phis]
+    rows[1, :, 1, 0] += mags * [math.sin(phi) for phi in phis]
     for j in range(d):
         g.apply_loss(state, j, config.eta_dis, inplace=True)
         g.apply_loss(state, d + j, config.eta_dis, inplace=True)
-    half = [config.signal_gain * theta / 2.0 for theta in config.thetas]
+    gain = config.signal_gain
+    half = [gain * theta / 2.0 for theta in config.thetas]
     c = np.array([math.cos(x) for x in half])
     s = np.array([math.sin(x) for x in half])
-    _interfere(mean, c[:, None], s[:, None])
     _interfere(rows, c[:, None, None], s[:, None, None])
     eta_out = config.eta_mzi * config.eta_m ** (2 * config.K - 1)
     for j in range(d):
@@ -286,9 +286,10 @@ def _interfere(rows, c, s):
     """The interferometer of every node, as the reference op apply_mzi of
     tests/reference_ops.py applies it to one: a' = c a - s b, b' = s a + c b,
     with b the measured rows[0] and a the coherent rows[1].  Here one of a
-    and b is exactly zero (the a-rows of U, the b-entries of the mean), so
-    each entry is one rounded product, as in the op; + 0.0 turns an exact
-    -0.0 into the +0.0 the op's matrix product sums to."""
+    and b is exactly zero in every entry (the b-entries of the mean column,
+    the a-rows of U), so each entry is one rounded product, as in the op;
+    + 0.0 turns an exact -0.0 into the +0.0 the op's matrix product sums
+    to."""
     b, a = rows
     measured = s * a + c * b
     rows[1] = c * a - s * b

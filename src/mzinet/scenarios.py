@@ -21,8 +21,9 @@ A scenario is a JSON document (schema 1):
 
 Each scan emits one CSV (atomic write, LF endings, 17-significant-digit
 scientific notation) named <name>_<label>.csv plus a sidecar metadata text
-block <name>_meta.txt.  Identical scenario + seed gives byte-identical
-outputs.
+block <name>_meta.txt.  So a name and a label must be plain file-name parts,
+matching [A-Za-z0-9][A-Za-z0-9_.-]*: no path separator and no leading dot.
+Identical scenario + seed gives byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import importlib.resources
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -144,6 +146,18 @@ def _typed(name: str, value, kind):
     return value
 
 
+FILE_PART = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
+
+
+def _file_part(name: str, value) -> str:
+    """value if it is a string that can stand in an output file name without
+    leaving the output directory; else ConfigError(name)."""
+    if not (isinstance(value, str) and FILE_PART.fullmatch(value)):
+        raise ConfigError(name, f"must be a plain file-name part "
+                                f"({FILE_PART.pattern}), got {value!r}")
+    return value
+
+
 def _required(doc: dict, name: str):
     """doc[name]; a missing field raises ConfigError(name)."""
     if name not in doc:
@@ -223,7 +237,7 @@ def _expand_grid(grid):
         elif spacing == "linear":
             values = np.linspace(start, stop, num)
         else:
-            raise ScenarioParseError(f"unknown grid spacing {spacing!r}")
+            raise ConfigError("spacing", f"unknown grid spacing {spacing!r}")
         # round off last-digit noise, unless that moves a point by more than
         # 1e-9 relative (values below 1e-12 would collapse to 0)
         rounded = np.round(values, 12)
@@ -252,7 +266,7 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         raise ScenarioParseError(
             f"schema {doc.get('schema')!r} not supported (want {SCHEMA_VERSION})"
         )
-    name = _required(doc, "name")
+    name = _file_part("name", _required(doc, "name"))
     network = _typed("network", _required(doc, "network"), dict)
     scans = []
     for entry in _typed("scans", _required(doc, "scans"), list):
@@ -260,11 +274,13 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         engines = tuple(_typed("engines", entry.get("engines", ["analytic"]), list))
         for engine in engines:
             if engine not in ENGINES:
-                raise ScenarioParseError(f"unknown engine {engine!r}")
+                raise ConfigError("engines", f"unknown engine {engine!r}")
         axis = _required(entry, "axis")
+        # a missing label is the axis, which _validate_scenario checks
+        label = _file_part("label", entry["label"]) if "label" in entry else axis
         scans.append(
             ScanSpec(
-                label=entry.get("label", axis),
+                label=label,
                 axis=axis,
                 grid=_expand_grid(_required(entry, "grid")),
                 engines=engines,

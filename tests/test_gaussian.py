@@ -317,6 +317,18 @@ def test_inplace_op_updates_its_argument_to_the_pure_result(op, args):
     assert same.cov.tobytes() == pure.cov.tobytes()
 
 
+@pytest.mark.parametrize("op, args", INPLACE_OPS)
+def test_pure_op_leaves_the_callers_views_unchanged(op, args):
+    # mean and U are views into the state's one row matrix: a pure op must
+    # write to its copy, never through a view its caller holds
+    given_state = _correlated_state()
+    mean, U = given_state.mean, given_state.U
+    mean_bytes, U_bytes = mean.tobytes(), U.tobytes()
+    pure = op(given_state, *args)
+    assert mean.tobytes() == mean_bytes and U.tobytes() == U_bytes
+    assert not np.shares_memory(pure.rows, given_state.rows)
+    assert pure.mean.tobytes() != mean_bytes or pure.U.tobytes() != U_bytes
+
 
 # --- the dense covariance formulas, as a reference for the factored engine ---
 

@@ -370,14 +370,32 @@ def test_scan_grid_repeat_names_the_point(axis, grid, repeat):
     ("engines", lambda doc: doc["scans"][0].update(engines=5)),
     ("alphas", lambda doc: doc["network"].update(alphas=5, P=[0.5, 0.25, 0.25])),
     ("P", lambda doc: doc["network"].update(alphas=[[1.0, 0.0]] * 3, P=1.0)),
+    ("name", lambda doc: doc.update(name="../escaped")),
+    ("name", lambda doc: doc.update(name="a/b")),
+    ("name", lambda doc: doc.update(name=".hidden")),
+    ("name", lambda doc: doc.update(name=5)),
+    ("name", lambda doc: doc.update(name="")),
+    ("label", lambda doc: doc["scans"][0].update(label="../escaped")),
+    ("label", lambda doc: doc["scans"][0].update(label="a/b")),
+    ("label", lambda doc: doc["scans"][0].update(label=".hidden")),
+    ("label", lambda doc: doc["scans"][0].update(label=5)),
+    ("label", lambda doc: doc["scans"][0].update(label="")),
+    ("engines", lambda doc: doc["scans"][0].update(engines=["fast"])),
+    ("spacing", lambda doc: doc["scans"][0].update(
+        grid={"start": 0.2, "stop": 1.0, "num": 5, "spacing": "cubic"})),
 ], ids=["network_d_missing", "seed_fraction", "seed_bool", "include_number",
         "overrides_number", "overrides_list", "scan_number", "scans_object",
         "network_list", "trace_list", "engines_number", "alphas_number",
-        "P_number"])
+        "P_number", "name_parent_path", "name_slash", "name_leading_dot",
+        "name_number", "name_empty", "label_parent_path", "label_slash",
+        "label_leading_dot", "label_number", "label_empty", "engines_unknown",
+        "spacing_unknown"])
 def test_cli_rejects_bad_document_fields_at_load(tmp_path, capsys, field, edit):
     doc = json.loads(json.dumps(SCENARIO))
     edit(doc)
     _assert_rejected_at_load(tmp_path, capsys, doc, field)
+    # nothing but the scenario file, in or outside the output directory
+    assert [path.name for path in tmp_path.rglob("*")] == ["demo.json"]
 
 
 def test_failed_rows_are_counted_on_stderr(tmp_path, capsys):
