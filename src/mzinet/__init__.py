@@ -51,7 +51,6 @@ from .network import (
 from .optimize import (
     Allocation,
     configure_optimal,
-    golden_min,
     optimal_allocation,
     optimize_squeezing,
     scan,

@@ -141,8 +141,8 @@ def variance_vs_ns(n_T, n_s, Lambda=0.0, K=1.0, nu=None):
 
 @dataclass
 class SqueezingOptimum:
-    """Numeric minimum over the squeezing fraction plus the closed-form
-    large-n_s asymptote; the numeric pair is authoritative."""
+    """Exact minimum over the squeezing fraction plus the large-n_s
+    asymptote it approaches."""
 
     n_s_opt: float
     variance: float
@@ -153,20 +153,21 @@ class SqueezingOptimum:
 def min_variance_over_r(n_T, Lambda=0.0, K=1.0) -> SqueezingOptimum:
     """Minimize variance_vs_ns over n_s for a fixed total budget n_T.
 
-    Returns both the numerically minimized value and the asymptotic pair
+    Returns both the exact minimum (optimize_squeezing's closed form) and
+    the asymptotic pair
         n_s = n_T / (1 + sqrt(1 + 4 Lambda n_T)),
         variance = (1 + sqrt(1 + 4 Lambda n_T))^2 / (4 K n_T^2),
-    which is exact in the n_s >> 1 regime.
+    which the minimum approaches in the n_s >> 1 regime.
     """
     if n_T <= 0:
         raise AllocationError("n_T must be > 0")
     from .optimize import optimize_squeezing  # local import avoids a cycle
 
-    n_s_num, var_num = optimize_squeezing(n_T, Lambda=Lambda, K=K)
+    n_s_opt, variance = optimize_squeezing(n_T, Lambda=Lambda, K=K)
     root = math.sqrt(1.0 + 4.0 * Lambda * n_T)
     return SqueezingOptimum(
-        n_s_opt=n_s_num,
-        variance=var_num,
+        n_s_opt=n_s_opt,
+        variance=variance,
         n_s_asymptotic=n_T / (1.0 + root),
         variance_asymptotic=(1.0 + root) ** 2 / (4.0 * K * n_T**2),
     )

@@ -1,7 +1,8 @@
 """Resource-allocation optimization and parameter scans.
 
-The scalar workhorse is a bracketed golden-section minimizer seeded by a
-guard grid (protects against undetected multimodality).
+Both optima are closed forms: the Lagrangian allocation of the coherent
+light over the nodes, and the squeezed/coherent split of a photon budget,
+the root of a quadratic.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .network import (
 )
 
 __all__ = [
-    "golden_min",
     "Allocation",
     "optimal_allocation",
     "configure_optimal",
@@ -37,48 +37,6 @@ __all__ = [
     "ScanRow",
     "scan",
 ]
-
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-GOLDEN_MAX_ITER = 200
-GOLDEN_REL_TOL = 1e-10
-SEED_POINTS = 64
-
-
-def golden_min(f, lo, hi):
-    """Bounded scalar minimization: seed grid + golden-section refinement.
-
-    Returns (argmin, minimum).  The seed grid picks the best starting
-    bracket, so a narrow interior dip near a bound is still found even when
-    the function is almost flat elsewhere.
-    """
-    if hi <= lo:
-        raise ValueError("need lo < hi")
-    xs = np.linspace(lo, hi, SEED_POINTS)
-    fs = [f(x) for x in xs]
-    best = int(np.argmin(fs))
-    a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, SEED_POINTS - 1)]
-    x1 = b - INV_PHI * (b - a)
-    x2 = a + INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(GOLDEN_MAX_ITER):
-        if (b - a) <= GOLDEN_REL_TOL * max(abs(x1), abs(x2), GOLDEN_REL_TOL):
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - INV_PHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + INV_PHI * (b - a)
-            f2 = f(x2)
-    x = x1 if f1 <= f2 else x2
-    fx = min(f1, f2)
-    # never report worse than a seed or boundary evaluation
-    if fs[best] < fx:
-        x, fx = xs[best], fs[best]
-    return float(x), float(fx)
-
 
 @dataclass
 class Allocation:
@@ -133,9 +91,33 @@ def configure_optimal(nu, n_c, r, K=1, mu=None, eta_dis=1.0, eta_mzi=1.0,
 
 def optimize_squeezing(n_T, Lambda=0.0, K=1.0):
     """Best split of a fixed photon budget between squeezing and coherent
-    light: minimizes variance_vs_ns over n_s in [0, n_T).
+    light: the exact minimum of variance_vs_ns over n_s in [0, n_T).
 
-    Returns (n_s_opt, variance).
+    With x = e^{2r} >= 1 the squeezed photons are n_s = sinh^2 r =
+    (x - 1)^2 / (4x) and V = (1/x + Lambda) / (K (n_T - n_s)).  Since
+    dn_s/dx = (x^2 - 1)/(4x^2) > 0 for x > 1, dV/dn_s = 0 where dV/dx = 0,
+    and 4x^2 K (n_T - n_s)^2 dV/dx reduces to the quadratic
+
+        Lambda x^2 + 2x - (4 n_T + 2 + Lambda) = 0.
+
+    Its root x >= 1 is x* = (4 n_T + 2 + Lambda) / (1 + D), with
+    D = sqrt((1 + Lambda)^2 + 4 Lambda n_T); for Lambda > 0 the other root
+    is negative.  The quadratic is negative below x* and positive above, so
+    V falls and then rises: x* is the minimum, and it lies below the split
+    n_s = n_T, where V diverges.  K scales V and does not move it.
+    Lambda = 0 gives x* = 2 n_T + 1 and n_s* = n_T^2 / (2 n_T + 1).
+
+    x* - 1 is evaluated without cancellation: it is the positive root
+    of the shifted quadratic Lambda y^2 + 2(1 + Lambda) y - 4 n_T = 0,
+
+        y = x* - 1 = 4 n_T / (1 + Lambda + D),
+        q = (x* - 1) / x* = y / (1 + y) = 4 n_T / (1 + Lambda + 4 n_T + D),
+
+    and n_s* = y q / 4.  Both ratios are finite wherever 4 n_T is, and
+    y q = 4 n_s* < 4 n_T, so no product overflows.
+
+    Returns (n_s_opt, variance).  Raises OverflowError when an intermediate
+    leaves the float range (4 n_T overflows above about 4.5e307).
     """
     if n_T <= 0:
         raise AllocationError("n_T must be > 0")
@@ -143,20 +125,14 @@ def optimize_squeezing(n_T, Lambda=0.0, K=1.0):
         raise AllocationError("Lambda must be >= 0")
     if K <= 0:
         raise AllocationError("K must be > 0")
-
-    def objective(n_s):
-        return laws.variance_vs_ns(n_T, n_s, Lambda=Lambda, K=K)
-
-    hi = n_T * (1.0 - 1e-9)
-    n_s, variance = golden_min(objective, 0.0, hi)
-    # tiny-budget optima sit at n_s ~ n_T^2, far below the seed grid pitch;
-    # refine inside the first grid cell when the coarse answer is the origin
-    cell = hi / (SEED_POINTS - 1)
-    if n_s <= cell:
-        n_s2, var2 = golden_min(objective, 0.0, cell)
-        if var2 < variance:
-            n_s, variance = n_s2, var2
-    return n_s, variance
+    four_n = 4.0 * n_T
+    root = math.sqrt((1.0 + Lambda) ** 2 + 4.0 * Lambda * n_T)
+    outer = 1.0 + Lambda + four_n + root
+    if not math.isfinite(outer):
+        raise OverflowError(f"squeezing optimum at n_T = {n_T} is out of float range")
+    y = four_n / (1.0 + Lambda + root)
+    n_s = y * (four_n / outer) / 4.0
+    return n_s, laws.variance_vs_ns(n_T, n_s, Lambda=Lambda, K=K)
 
 
 # ---------------------------------------------------------------------------

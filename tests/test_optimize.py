@@ -1,43 +1,22 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 
 from mzinet import laws
 from mzinet.errors import AllocationError, ConfigError
 from mzinet.network import sensitivity_numeric, weight_pattern
 from mzinet.optimize import (
     configure_optimal,
-    golden_min,
     optimal_allocation,
     optimize_squeezing,
     scan,
 )
 
 from separable_reference import separable_min_variance
-
-
-def test_golden_min_quadratic():
-    x, fx = golden_min(lambda x: (x - 0.3) ** 2, -2.0, 2.0)
-    assert x == pytest.approx(0.3, abs=1e-9)
-    assert fx <= 1e-18
-    # with a flat offset the argmin is only defined to sqrt(eps)
-    x, fx = golden_min(lambda x: (x - 0.3) ** 2 + 1.0, -2.0, 2.0)
-    assert x == pytest.approx(0.3, abs=1e-7)
-    assert fx == pytest.approx(1.0, abs=1e-12)
-
-
-def test_golden_min_boundary_minimum():
-    x, _ = golden_min(lambda x: x, 0.0, 5.0)
-    assert x == pytest.approx(0.0, abs=1e-6)
-
-
-def test_golden_min_narrow_dip_found_by_seed_grid():
-    def f(x):
-        return -1.0 if 0.611 < x < 0.617 else math.sin(5 * x)
-
-    x, fx = golden_min(f, 0.0, 1.0)
-    assert fx == -1.0
 
 
 # --- allocation --------------------------------------------------------------
@@ -97,6 +76,81 @@ def test_allocation_saturates_cauchy_schwarz():
 
 
 # --- squeezing optimization --------------------------------------------------
+
+
+def test_optimum_derivation_quadratic():
+    x, n_t, lam, k, d = sp.symbols("x n_T Lambda K D", positive=True)
+    n_s = (x - 1) ** 2 / (4 * x)                       # sinh^2 r, x = e^{2r}
+    variance = (1 / x + lam) / (k * (n_t - n_s))
+    assert sp.simplify(sp.diff(n_s, x) - (x**2 - 1) / (4 * x**2)) == 0
+    # dV/dn_s = (dV/dx) / (dn_s/dx) vanishes where this quadratic does
+    quadratic = lam * x**2 + 2 * x - (4 * n_t + 2 + lam)
+    assert sp.simplify(4 * x**2 * k * (n_t - n_s) ** 2 * sp.diff(variance, x)
+                       - quadratic) == 0
+
+    # with D^2 = (1 + Lambda)^2 + 4 Lambda n_T, x* is a root, and x* - 1 and
+    # (x* - 1)/x* have the cancellation-free forms the optimizer evaluates
+    d_squared = (1 + lam) ** 2 + 4 * lam * n_t
+    x_star = (4 * n_t + 2 + lam) / (1 + d)
+
+    def vanishes(expr):
+        numerator = sp.numer(sp.together(expr))
+        return sp.expand(sp.rem(sp.expand(numerator), d**2 - d_squared, d)) == 0
+
+    assert vanishes(quadratic.subs(x, x_star))
+    assert vanishes(x_star - 1 - 4 * n_t / (1 + lam + d))
+    assert vanishes((x_star - 1) / x_star - 4 * n_t / (1 + lam + 4 * n_t + d))
+    # x* - 1 = 4 n_T / (1 + Lambda + D) >= 0 and D > 0, so x* is the root
+    # >= 1; the other root, -(1 + D)/Lambda by Vieta, is negative
+    assert vanishes(quadratic.subs(x, -(1 + d) / lam))
+
+    # lossless: x* = 2 n_T + 1, n_s* = n_T^2 / (2 n_T + 1)
+    lossless = x_star.subs({lam: 0, d: 1})
+    assert sp.simplify(lossless - (2 * n_t + 1)) == 0
+    assert sp.simplify(n_s.subs(x, lossless) - n_t**2 / (2 * n_t + 1)) == 0
+
+
+def _mp_optimum(n_t, lam):
+    """n_s* from a 50-digit Newton root of the shifted quadratic
+    Lambda y^2 + 2(1 + Lambda) y - 4 n_T = 0 in y = x - 1, started above
+    the root so that it converges monotonically."""
+    with mpmath.workdps(50):
+        n_t, lam = mpmath.mpf(n_t), mpmath.mpf(lam)
+        y = 2 * n_t / (1 + lam)
+        if lam > 0:
+            y = min(y, 2 * mpmath.sqrt(n_t / lam))
+        for _ in range(200):
+            step = ((lam * y + 2 * (1 + lam)) * y - 4 * n_t) / (2 * lam * y + 2 * (1 + lam))
+            y -= step
+            if abs(step) <= abs(y) * mpmath.mpf(10) ** -45:
+                break
+        return y * y / (4 * (1 + y))
+
+
+@pytest.mark.filterwarnings("error")
+def test_optimize_squeezing_matches_mpmath_root():
+    # 2e-15 relative; below the normal range the float itself carries an
+    # absolute rounding of one subnormal step, 2^-1074
+    for n_t in np.logspace(-300, 300, 121):
+        for lam in (0.0, 1e-10, 1e-3, 0.1, 10.0):
+            n_s, _ = optimize_squeezing(float(n_t), Lambda=lam)
+            exact = _mp_optimum(float(n_t), lam)
+            assert abs(mpmath.mpf(n_s) - exact) <= 2e-15 * exact + 2.0**-1074, (n_t, lam)
+
+
+def test_optimize_squeezing_lossless_exact_values():
+    for n_t in (1e-12, 0.03, 1.0, 100.0, 2.7e16, 1e150):
+        n_s, variance = optimize_squeezing(n_t, K=3.0)
+        exact = Fraction(n_t) ** 2 / (2 * Fraction(n_t) + 1)
+        assert abs(Fraction(n_s) - exact) <= Fraction(2e-15) * exact
+        assert variance == laws.variance_vs_ns(n_t, n_s, K=3.0)
+
+
+def test_optimize_squeezing_out_of_float_range():
+    with pytest.raises(OverflowError):
+        optimize_squeezing(1e308)
+    with pytest.raises(OverflowError):
+        optimize_squeezing(1e308, Lambda=0.1)
 
 
 def test_optimize_squeezing_lossless_half_split():

@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import numpy as np
@@ -585,6 +586,33 @@ def test_cli_optimize(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["n_s_opt"] == pytest.approx(50, abs=0.5)
     assert payload["variance_rad2"] == pytest.approx(1e-4, rel=0.02)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_optimize_extreme_budget(capsys):
+    assert cli.main(["optimize", "--n-total", "1e300", "--loss", "0.1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    with mpmath.workdps(50):
+        n_t, lam = mpmath.mpf(1e300), mpmath.mpf(0.1)
+        x = (4 * n_t + 2 + lam) / (1 + mpmath.sqrt((1 + lam) ** 2 + 4 * lam * n_t))
+        exact = (x - 1) ** 2 / (4 * x)
+        assert abs(payload["n_s_opt"] - exact) <= 2e-15 * exact
+
+
+def test_cli_optimize_budget_out_of_float_range(tmp_path, capsys):
+    assert cli.main(["optimize", "--n-total", "1e308"]) == 3
+    captured = capsys.readouterr()
+    assert "numerical failure: OverflowError" in captured.err
+    assert captured.out == ""
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["scans"] = [{"label": "huge", "axis": "n_T", "grid": [1e308],
+                     "engines": ["analytic"]}]
+    path = _write_scenario(tmp_path, doc)
+    out = tmp_path / "o"
+    assert cli.main(["scan", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == ["demo_huge.csv: 1 of 1 rows failed"]
+    _, rows = _read_csv(out / "demo_huge.csv")
+    assert [row["status"].split(":")[:2] for row in rows] == [["error", "OverflowError"]]
 
 
 def test_cli_sensitivity(tmp_path, capsys):
