@@ -232,12 +232,15 @@ def _evaluate_point(axis, value, base, engines):
         ) * scale**2
         row.variance_qcrb = laws.qcrb(cfg.n_c, float(cfg.r), K=enhancement,
                                       nu=norm) * scale**2
-        row.sql = laws.sql_variance(cfg.n_T, K=1.0, nu=norm) * scale**2
+        # on the n_T axis the budget is the grid value itself; cfg.n_T is
+        # (n_T - n_s) + n_s, which rounds with the split
+        n_total = float(value) if axis == "n_T" else cfg.n_T
+        row.sql = laws.sql_variance(n_total, K=1.0, nu=norm) * scale**2
         ratio = row.sql / row.variance_closed_form
         if not 0.0 < ratio < math.inf:
             raise OverflowError("closed-form variance out of float range")
         row.db_below_sql = 10.0 * math.log10(ratio)
-        limits = laws.regime_limits(cfg.n_T, cfg.Lambda, K=enhancement)
+        limits = laws.regime_limits(n_total, cfg.Lambda, K=enhancement)
         row.regime = limits.active
         row.branch_low = limits.low_n * scale**2
         row.branch_heisenberg = limits.heisenberg * scale**2

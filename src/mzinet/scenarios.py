@@ -571,7 +571,10 @@ def _rel_dev(a, b):
 def verify(level="quick", seed=20260808) -> VerifyReport:
     """Run the cross-engine agreement suites.
 
-    quick takes about 0.05 s; full also exercises the trace pipeline.
+    quick takes about 0.05 s and full about 0.2 s (2-core host, in process).
+    full adds the trace check (`_trace_noise_deviation`): one synthesized
+    and analysed d = 4 run, plus the mean of 16 window-sampler runs at each
+    of three squeezing points.
     """
     start = time.perf_counter()
     full = level == "full"
@@ -670,24 +673,53 @@ def verify(level="quick", seed=20260808) -> VerifyReport:
     checks.append(VerifyCheck("resource conversion identities", dev, 1e-12))
 
     if full:
-        dev = 0.0
-        params = tracelab.TraceParams(sample_rate=2e7, cycle=8e-3,
-                                      gate=(2.4e-3, 4e-3), n_cycles=8,
-                                      drive_freq=4e6)
-        for r in (0.0, 0.3, 0.75):
-            cfg = optimize.configure_optimal(
-                weight_pattern("ave", 4), 1e12, r,
-                eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
-            # no name holds the traces, so each set is freed before the
-            # next is synthesized
-            result = tracelab.joint_noise_analysis(
-                tracelab.synthesize(cfg, 0.0, params,
-                                    seed=int(rng.integers(2**62))), cfg)
-            model = laws.db_below_sql(r, cfg.Lambda)
-            dev = max(dev, abs(result.db_below_sql - model))
-        checks.append(VerifyCheck("trace noise recovery (dB)", dev, 0.2))
+        checks.append(VerifyCheck("trace noise recovery (dB)",
+                                  _trace_noise_deviation(rng), 0.2))
 
     return VerifyReport(level=level, checks=checks, elapsed=time.perf_counter() - start)
+
+
+# Sampler runs averaged per squeezing point by the trace check.  One run's
+# db_below_sql scatters by about 0.086 dB at the check's timing (5120 idle
+# segments), so the mean of 16 scatters by about 0.02 dB.
+_TRACE_SAMPLER_RUNS = 16
+
+
+def _trace_noise_deviation(rng) -> float:
+    """Deviation in dB of the recovered joint noise from the model
+    `laws.db_below_sql(r, Lambda)` at r = 0, 0.3 and 0.75 of a d = 4 network
+    (1.28 M samples per channel).
+
+    Draws one series seed per r, then `_TRACE_SAMPLER_RUNS` sampler seeds
+    per r.  Only the r = 0.75 series is synthesized and analysed: it is the
+    most squeezed point, where Gamma's off-diagonal mixing matters most, and
+    the only check of the correlated per-channel path; the two unused seeds
+    keep its seed at the same place in the generator's stream.  At every r
+    the mean db_below_sql of the sampler runs (`tracelab.simulate_joint_noise`,
+    which draws each window's band power from its exact distribution) is
+    checked as well.  Returns the largest |estimate - model|."""
+    params = tracelab.TraceParams(sample_rate=2e7, cycle=8e-3,
+                                  gate=(2.4e-3, 4e-3), n_cycles=8,
+                                  drive_freq=4e6)
+    points = [(r, int(rng.integers(2**62))) for r in (0.0, 0.3, 0.75)]
+    dev = 0.0
+    for r, series_seed in points:
+        cfg = optimize.configure_optimal(
+            weight_pattern("ave", 4), 1e12, r,
+            eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
+        model = laws.db_below_sql(r, cfg.Lambda)
+        if r == 0.75:
+            # no name holds the traces, so they are freed once analysed
+            result = tracelab.joint_noise_analysis(
+                tracelab.synthesize(cfg, 0.0, params, seed=series_seed), cfg)
+            dev = max(dev, abs(result.db_below_sql - model))
+        variance = sensitivity_numeric(cfg)
+        mean = math.fsum(
+            tracelab.simulate_joint_noise(cfg, variance, 0.0, params, seed).db_below_sql
+            for seed in rng.integers(2**62, size=_TRACE_SAMPLER_RUNS).tolist()
+        ) / _TRACE_SAMPLER_RUNS
+        dev = max(dev, abs(mean - model))
+    return dev
 
 
 def _response_fd_deviation(cfg, step=1e-6):

@@ -8,14 +8,14 @@ import pytest
 
 import numpy as np
 
-from mzinet import cli, optimize, scenarios
+from mzinet import cli, optimize, scenarios, tracelab
 from mzinet.errors import (
     AnalysisError,
     ConfigError,
     DarkResponseError,
     ScenarioParseError,
 )
-from mzinet.network import noise_matrix, response
+from mzinet.network import noise_matrix, response, weight_pattern
 from mzinet.scenarios import (
     FIGURES,
     bundled_scenario_path,
@@ -535,6 +535,47 @@ def test_verify_flags_injected_noise_sign_bug(monkeypatch):
     assert not report.ok
     bad = [c for c in report.checks if not c.ok]
     assert any("oracle" in c.name for c in bad)
+
+
+def test_verify_full_checks_match_the_benchmark_reference():
+    reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                            / "reference.json").read_text())
+    report = verify("full")
+    assert report.ok, report.text()
+    assert ([[c.name, c.bound] for c in report.checks]
+            == reference["verify_full"]["verify"])
+
+
+def _trace_check_config(r):
+    return optimize.configure_optimal(
+        weight_pattern("ave", 4), 1e12, r, eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
+
+
+def test_trace_check_synthesizes_only_the_most_squeezed_run(monkeypatch):
+    calls = []
+    real = tracelab.synthesize
+
+    def recording(config, delta_thetas, params, seed):
+        calls.append((config, delta_thetas, seed))
+        return real(config, delta_thetas, params, seed=seed)
+
+    monkeypatch.setattr(tracelab, "synthesize", recording)
+    deviation = scenarios._trace_noise_deviation(np.random.default_rng(7))
+    twin = np.random.default_rng(7)
+    seeds = [int(twin.integers(2**62)) for _ in range(3)]
+    assert calls == [(_trace_check_config(0.75), 0.0, seeds[2])]
+    assert deviation <= 0.2
+
+
+def test_trace_check_fails_on_a_biased_sampler_variance(monkeypatch):
+    real = tracelab.simulate_joint_noise
+
+    def biased(config, variance, *args, **kwargs):
+        return real(config, 1.1 * variance, *args, **kwargs)
+
+    monkeypatch.setattr(tracelab, "simulate_joint_noise", biased)
+    # a 10% variance bias is 0.41 dB, about 20 standard errors of the mean
+    assert scenarios._trace_noise_deviation(np.random.default_rng(7)) > 0.2
 
 
 # --- command line ------------------------------------------------------------

@@ -36,3 +36,9 @@ def test_crossover_study_writes_its_table(tmp_path):
     lines = table.read_text().splitlines()
     assert lines[0].startswith("Lambda,n_T,n_s_opt")
     assert len(lines) == 1 + 2 * 51
+
+
+def test_verify_sweep_reports_each_seed(tmp_path):
+    result = _run_script("verify_sweep.py", 0, 2, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 of 2 seeds failed (0..1)"
