@@ -571,10 +571,11 @@ def _rel_dev(a, b):
 def verify(level="quick", seed=20260808) -> VerifyReport:
     """Run the cross-engine agreement suites.
 
-    quick takes about 0.05 s and full about 0.2 s (2-core host, in process).
-    full adds the trace check (`_trace_noise_deviation`): one synthesized
-    and analysed d = 4 run, plus the mean of 16 window-sampler runs at each
-    of three squeezing points.
+    quick takes about 0.02 s and full about 0.13 s (2-core host, in
+    process, warm).  full adds the trace check (`_trace_noise_deviation`):
+    one synthesized and analysed d = 4 run, which holds one cycle (~5 MB)
+    at a time, not the whole 41 MB run, plus the mean of 16 window-sampler
+    runs at each of three squeezing points.
     """
     start = time.perf_counter()
     full = level == "full"
@@ -691,10 +692,11 @@ def _trace_noise_deviation(rng) -> float:
     (1.28 M samples per channel).
 
     Draws one series seed per r, then `_TRACE_SAMPLER_RUNS` sampler seeds
-    per r.  Only the r = 0.75 series is synthesized and analysed: it is the
-    most squeezed point, where Gamma's off-diagonal mixing matters most, and
-    the only check of the correlated per-channel path; the two unused seeds
-    keep its seed at the same place in the generator's stream.  At every r
+    per r.  Only the r = 0.75 series is synthesized and analysed, one cycle
+    at a time (`tracelab.synthesize_and_analyse`): it is the most squeezed
+    point, where Gamma's off-diagonal mixing matters most, and the only
+    check of the correlated per-channel path; the two unused seeds keep its
+    seed at the same place in the generator's stream.  At every r
     the mean db_below_sql of the sampler runs (`tracelab.simulate_joint_noise`,
     which draws each window's band power from its exact distribution) is
     checked as well.  Returns the largest |estimate - model|."""
@@ -709,9 +711,7 @@ def _trace_noise_deviation(rng) -> float:
             eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
         model = laws.db_below_sql(r, cfg.Lambda)
         if r == 0.75:
-            # no name holds the traces, so they are freed once analysed
-            result = tracelab.joint_noise_analysis(
-                tracelab.synthesize(cfg, 0.0, params, seed=series_seed), cfg)
+            result = tracelab.synthesize_and_analyse(cfg, 0.0, params, seed=series_seed)
             dev = max(dev, abs(result.db_below_sql - model))
         variance = sensitivity_numeric(cfg)
         mean = math.fsum(

@@ -11,28 +11,33 @@ with the same photon budget; both sides of the ratio go through the same
 band-power kernel and calibration, so the spectral calibration cancels.
 
 A `TraceSet` holds per-channel traces with their one `TraceParams`, whose
-n_cycles is the samples' whole cycles.  `synthesize` allocates its d x n
-output and nothing else of that size: each channel's Philox stream draws
-into its row, the rows on up to one thread per
-core at once (each row depends only on its own stream, so the bytes do not
-depend on the thread count), the noise factor mixes the rows in place by
-column blocks, and the drive is added one gate span at a time.  The analysis
-reads one Hann-weighted DFT bin of each analysis segment of the joint
-estimator y = sum_j nu_j x_j / C_jj, averaged over the gated and over the
-idle segments as in a Welch periodogram (Welch, IEEE Trans. Audio
-Electroacoust. 15, 70 (1967)).  It forms y one block of whole segments of
-one span at a time, in channel order without BLAS, and never builds the
-series: besides the traces it allocates about one block and one band power
-per segment.  Each block's bin product is too small for OpenBLAS to thread,
-so the bits do not depend on the BLAS thread count and no BLAS thread is
-left spinning.  The joint noise is white with variance w^T Gamma w
-(w_j = nu_j / C_jj), which is the engine's `sensitivity_numeric`, and the
-segments are disjoint, so each window's summed bin power, with the gated
-tone's share of it, is a sum of two scaled noncentral chi-square variates:
-`simulate_joint_noise` draws that sum directly, two gamma and two normal
-variates per window, and never builds the series or its segments.  It
-takes the variance from its caller (a scan row's `variance_numeric`), so a
-scan point builds the network once.  The reference run has r = 0, no
+n_cycles is the samples' whole cycles.  A run is made and read one cycle of
+N samples at a time, by two rules.  The fill rule (`_cycle_filler`) writes
+cycle k into a (d, N) array: each channel's Philox stream draws its next N
+normals into its row, the rows on up to one thread per core at once (each
+row depends only on its own stream, so the bytes do not depend on the
+thread count), the noise factor mixes the rows in place by column blocks,
+and the drive is added over the cycle's gate span.  `synthesize` applies it
+to each cycle of its d x n output and allocates nothing else of that size.
+The analysis rule (`_cycle_powers`) reads one Hann-weighted DFT bin of each
+analysis segment of one cycle's joint estimator y = sum_j nu_j x_j / C_jj;
+`joint_noise_analysis` averages those band powers over the gated and over
+the idle segments of every cycle as in a Welch periodogram (Welch, IEEE
+Trans. Audio Electroacoust. 15, 70 (1967)).  It forms y one block of whole
+segments of one span at a time, in channel order without BLAS, and never
+builds the series: besides the traces it allocates about one block and one
+band power per segment.  `synthesize_and_analyse` fills one reused cycle
+and analyses it before drawing the next, so it returns the analysis of the
+synthesized run, bit for bit, holding one cycle of samples.  Each block's
+bin product is too small for OpenBLAS to thread, so the bits do not depend
+on the BLAS thread count and no BLAS thread is left spinning.  The joint
+noise is white with variance w^T Gamma w (w_j = nu_j / C_jj), which is the
+engine's `sensitivity_numeric`, and the segments are disjoint, so each
+window's summed bin power, with the gated tone's share of it, is a sum of
+two scaled noncentral chi-square variates: `simulate_joint_noise` draws
+that sum directly, two gamma and two normal variates per window, and never
+builds the series or its segments.  It takes the variance from its caller
+(a scan row's `variance_numeric`), so a scan point builds the network once.  The reference run has r = 0, no
 loss and theta = 0, so its Gamma is exactly the identity and its variance
 is x . x over the kept channels, with no network build; both paths draw
 its idle power the same way (`_reference_power`).  The gate is one rule
@@ -93,6 +98,7 @@ __all__ = [
     "segment_band_powers",
     "JointNoiseResult",
     "joint_noise_analysis",
+    "synthesize_and_analyse",
     "simulate_joint_noise",
     "write_trace",
     "read_trace",
@@ -144,7 +150,7 @@ class TraceParams:
             raise ValueError("sample_rate must be >= 5x the drive frequency")
         if self.n_cycles < 1:
             raise ValueError("n_cycles must be >= 1")
-        n = _whole_samples("cycle", self.cycle, self.sample_rate)
+        n = _cycle_samples(self)
         lo, hi = (_whole_samples("gate", edge, self.sample_rate) for edge in self.gate)
         if not 0 <= lo < hi <= n:
             raise ValueError("gate window must fit inside one cycle")
@@ -159,8 +165,7 @@ class TraceSet:
     seed: int
 
     def __post_init__(self):
-        whole = self.n_samples // _whole_samples("cycle", self.params.cycle,
-                                                 self.params.sample_rate)
+        whole = self.n_samples // _cycle_samples(self.params)
         if whole != self.params.n_cycles:
             raise ValueError(f"the samples hold {whole} whole cycles but "
                              f"params.n_cycles is {self.params.n_cycles}")
@@ -213,8 +218,20 @@ def _reference_seed(seed: int) -> int:
     return (seed ^ 0x9E3779B97F4A7C15) & (2**64 - 1)
 
 
+def _cycle_samples(params: TraceParams) -> int:
+    """N, the samples in one cycle."""
+    return _whole_samples("cycle", params.cycle, params.sample_rate)
+
+
 def _n_samples(params: TraceParams) -> int:
-    return _whole_samples("cycle", params.cycle, params.sample_rate) * params.n_cycles
+    return _cycle_samples(params) * params.n_cycles
+
+
+def _cycle_views(samples: np.ndarray, params: TraceParams):
+    """The (d, N) views of cycles 0, ..., params.n_cycles - 1 of `samples`,
+    in order; samples past the last whole cycle are not viewed."""
+    n = _cycle_samples(params)
+    return (samples[:, k * n:(k + 1) * n] for k in range(params.n_cycles))
 
 
 def _draw_rows(rngs, samples: np.ndarray):
@@ -244,6 +261,47 @@ def _draw_rows(rngs, samples: np.ndarray):
         raise errors[0]
 
 
+def _cycle_filler(config: NetworkConfig, delta_thetas, params: TraceParams,
+                  seed: int):
+    """The fill rule of the run of `seed`: returns fill(out, k), which writes
+    cycle k of the run into the (d, N) array `out` and returns it, for
+    k = 0, 1, ... in turn (each channel's stream continues where cycle k - 1
+    stopped).  The noise factor, the streams and the drive amplitudes are
+    set up here, so a bad config, seed or delta raises at this call.
+
+    fill draws each channel's next N normals into its row (`_draw_rows`),
+    mixes the rows in place by the noise factor `_MIX_BLOCK` columns at a
+    time from the cycle's start, and adds the drive over the cycle's gate
+    span [k N + lo, k N + hi) (`_window_spans`).  Each element gets the same
+    products and sums as from the whole product factor @ z over the run plus
+    the outer product of the amplitudes and the gated tone: a stream drawn
+    N normals at a time draws the same normals, and a column's mix does not
+    depend on the block it is mixed in."""
+    d = config.d
+    delta = np.broadcast_to(np.asarray(delta_thetas, dtype=float), (d,))
+    factor = _noise_factor(noise_matrix(config))
+    rngs = [_channel_rng(seed, j) for j in range(d)]
+    amps = response(config) * delta
+    n = _cycle_samples(params)
+    ((lo, hi),) = _window_spans(replace(params, n_cycles=1))
+    omega = 2.0 * math.pi * params.drive_freq
+
+    def fill(out, k):
+        _draw_rows(rngs, out)
+        for start in range(0, n, _MIX_BLOCK):
+            block = out[:, start:start + _MIX_BLOCK]
+            block[...] = factor @ block
+        if np.any(amps != 0.0):
+            tone = np.arange(k * n + lo, k * n + hi) / params.sample_rate
+            tone *= omega
+            np.sin(tone, out=tone)
+            for j in range(d):
+                out[j, lo:hi] += amps[j] * tone
+        return out
+
+    return fill
+
+
 def synthesize(config: NetworkConfig, delta_thetas, params: TraceParams,
                seed: int) -> TraceSet:
     """Gaussian noise floor with the network's cross-covariance plus a gated
@@ -252,36 +310,17 @@ def synthesize(config: NetworkConfig, delta_thetas, params: TraceParams,
     delta_thetas are phase amplitudes in radians (scalar or one per channel).
     Deterministic for a given seed.
 
-    Allocates the d x n output and nothing else of that size: each channel's
-    stream draws into its row, on min(d, cpu count) workers at once
-    (`_draw_rows`; the bytes do not depend on the worker count), the noise
-    factor mixes the rows in place `_MIX_BLOCK` columns at a time, and the
-    drive is added over exactly the gate spans of `_window_spans`, one span
-    at a time.  Each element gets the same products and sums as from the
-    whole product factor @ z plus the outer product of the amplitudes and
-    the gated tone.
+    Allocates the d x n output and nothing else of that size, and fills it
+    one cycle at a time by the fill rule (`_cycle_filler`), so each element
+    gets the same products and sums as from the whole product factor @ z
+    plus the outer product of the amplitudes and the gated tone, whatever
+    the worker count of the draws.  `synthesize_and_analyse` analyses the
+    same run without holding it.
     """
-    d = config.d
-    delta = np.broadcast_to(np.asarray(delta_thetas, dtype=float), (d,))
-    n_total = _n_samples(params)
-    factor = _noise_factor(noise_matrix(config))
-
-    samples = np.empty((d, n_total))
-    _draw_rows([_channel_rng(seed, j) for j in range(d)], samples)
-    for start in range(0, n_total, _MIX_BLOCK):
-        block = samples[:, start:start + _MIX_BLOCK]
-        block[...] = factor @ block
-
-    amps = response(config) * delta
-    if np.any(amps != 0.0):
-        omega = 2.0 * math.pi * params.drive_freq
-        for first, last in _window_spans(params):
-            tone = np.arange(first, last) / params.sample_rate
-            tone *= omega
-            np.sin(tone, out=tone)
-            for j in range(d):
-                samples[j, first:last] += amps[j] * tone
-
+    fill = _cycle_filler(config, delta_thetas, params, seed)
+    samples = np.empty((config.d, _n_samples(params)))
+    for k, cycle in enumerate(_cycle_views(samples, params)):
+        fill(cycle, k)
     return TraceSet(samples, params, int(seed))
 
 
@@ -372,7 +411,7 @@ def _window_spans(params: TraceParams, invert=False):
     The one gate rule: `synthesize` drives exactly the gate spans, and the
     analysis reads the full segments of round(sample_rate/rbw) samples from
     each span's start."""
-    n = _whole_samples("cycle", params.cycle, params.sample_rate)
+    n = _cycle_samples(params)
     lo, hi = (_whole_samples("gate", edge, params.sample_rate) for edge in params.gate)
     spans = [(0, lo), (hi, n)] if invert else [(lo, hi)]
     return [(k * n + a, k * n + b) for k in range(params.n_cycles) for a, b in spans]
@@ -405,28 +444,43 @@ def _check_analysis(params: TraceParams, rbw):
             raise _no_segment(length, invert)
 
 
-def _window_powers(weights, samples, params: TraceParams, rbw, invert):
-    """Mean linear band power of the joint series y = sum_j weights_j
-    samples_j over the full analysis segments inside (or, with invert,
-    outside) the per-cycle gate window.
+def _cycle_powers(weights, cycle, params: TraceParams, rbw):
+    """Band powers of the joint series y = sum_j weights_j cycle_j over each
+    full analysis segment of the gated and of the idle spans of one cycle:
+    `cycle` is a (d, N) array of one cycle and `params` its timing with
+    n_cycles = 1.  Returns the (gated, idle) arrays, in time order.
 
-    y is formed one block of whole segments of one span at a time, summed in
-    channel order with einsum (no BLAS, so no BLAS thread), and each block's
-    bins are read by `segment_band_powers`; the series is never built."""
+    y is formed one block of whole segments of one span at a time, blocks
+    starting at the span's start, summed in channel order with einsum (no
+    BLAS, so no BLAS thread), and each block's bins are read by
+    `segment_band_powers`; the series is never built."""
     length = _check_rbw(params.sample_rate, params.drive_freq, rbw)
-    per_block = _segments_per_block(length)
-    layout = _segment_layout(params, length, invert)
-    if not layout:
-        raise _no_segment(length, invert)
-    powers = []
-    for start, count in layout:
-        stop = start + count * length
-        for a in range(start, stop, per_block * length):
-            block = samples[:, a:min(a + per_block * length, stop)]
-            powers.append(segment_band_powers(
-                np.einsum("j,jn->n", weights, block), params.sample_rate,
-                params.drive_freq, rbw))
-    return float(np.concatenate(powers).mean())
+    step = _segments_per_block(length) * length
+    windows = []
+    for invert in (False, True):
+        powers = []
+        for start, count in _segment_layout(params, length, invert):
+            stop = start + count * length
+            for a in range(start, stop, step):
+                block = cycle[:, a:min(a + step, stop)]
+                powers.append(segment_band_powers(
+                    np.einsum("j,jn->n", weights, block), params.sample_rate,
+                    params.drive_freq, rbw))
+        windows.append(np.concatenate(powers))
+    return windows
+
+
+def _joint_powers(weights, cycles, params: TraceParams, rbw):
+    """(signal, noise): the mean band power of the joint series over the
+    gated and over the idle segments of a run, whose cycles 0, ...,
+    params.n_cycles - 1 `cycles` yields in turn as (d, N) arrays.  Each
+    cycle is read (`_cycle_powers`) before the next is asked for, so a
+    caller may refill one buffer.  Raises AnalysisError, before reading a
+    cycle, for a refused rbw or a window with no segment."""
+    _check_analysis(params, rbw)
+    one = replace(params, n_cycles=1)
+    per_cycle = [_cycle_powers(weights, cycle, one, rbw) for cycle in cycles]
+    return tuple(float(np.concatenate(window).mean()) for window in zip(*per_cycle))
 
 
 @dataclass
@@ -474,22 +528,39 @@ def joint_noise_analysis(traces: TraceSet, config: NetworkConfig,
 
     Forms the estimator y[n] = sum_j nu_j x_j[n] / C_jj (phase units) and
     measures the drive-band power in the gated (signal) and idle (noise)
-    windows, one block of whole segments at a time (`_window_powers`): y is
-    accumulated in channel order without BLAS, and each block's bin product
-    stays below OpenBLAS's threading size, so the bits do not depend on a
-    BLAS thread count.  Besides the traces, the call allocates about one
-    block of y (`_ANALYSIS_BLOCK` samples) and one band power per segment.
-    The idle noise is referenced to the ideal shot-noise run with the
-    traces' timing (`_reference_power`), whose idle power is drawn as one
-    window sum from a seed derived from the traces' seed.
+    windows, one cycle of the traces at a time and within it one block of
+    whole segments at a time (`_joint_powers`): y is accumulated in channel
+    order without BLAS, and each block's bin product stays below OpenBLAS's
+    threading size, so the bits do not depend on a BLAS thread count.
+    Besides the traces, the call allocates about one block of y
+    (`_ANALYSIS_BLOCK` samples) and one band power per segment.  The idle
+    noise is referenced to the ideal shot-noise run with the traces' timing
+    (`_reference_power`), whose idle power is drawn as one window sum from a
+    seed derived from the traces' seed.
     """
     if traces.d != config.d:
         raise ConfigError("d", f"the config has {config.d} channels but the "
                                f"traces have {traces.d}")
     weights = _joint_weights(config)
-    signal, noise = (_window_powers(weights, traces.samples, traces.params, rbw, invert)
-                     for invert in (False, True))
+    signal, noise = _joint_powers(weights, _cycle_views(traces.samples, traces.params),
+                                  traces.params, rbw)
     return _joint_result(config, traces.params, traces.seed, rbw, signal, noise)
+
+
+def synthesize_and_analyse(config: NetworkConfig, delta_thetas,
+                           params: TraceParams, seed: int,
+                           rbw=DEFAULT_RBW) -> JointNoiseResult:
+    """``joint_noise_analysis(synthesize(config, delta_thetas, params, seed),
+    config, rbw)``, bit for bit and with the same errors, without holding
+    the run: one (d, N) buffer is filled with each cycle in turn
+    (`_cycle_filler`) and analysed (`_joint_powers`) before the next is
+    drawn, so the call holds one cycle of samples, not params.n_cycles."""
+    fill = _cycle_filler(config, delta_thetas, params, seed)
+    weights = _joint_weights(config)
+    cycle = np.empty((config.d, _cycle_samples(params)))
+    signal, noise = _joint_powers(
+        weights, (fill(cycle, k) for k in range(params.n_cycles)), params, rbw)
+    return _joint_result(config, params, int(seed), rbw, signal, noise)
 
 
 def _tone_parts(starts, kernel, params: TraceParams) -> np.ndarray:
@@ -566,7 +637,7 @@ def _sampled_powers(sigma: float, amp: float, params: TraceParams, seed: int,
                     rbw, windows) -> list:
     """Mean band power over the analysis segments of each window in
     `windows` (False: inside the gate window, True: outside it; both in that
-    order, or one) that `_window_powers` reads from a joint series of white
+    order, or one) that `_joint_powers` reads from a joint series of white
     noise of standard deviation `sigma` plus the unit gated tone times
     `amp`, drawn without the series or its segments.
 

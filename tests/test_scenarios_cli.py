@@ -553,13 +553,17 @@ def _trace_check_config(r):
 
 def test_trace_check_synthesizes_only_the_most_squeezed_run(monkeypatch):
     calls = []
-    real = tracelab.synthesize
+    real = tracelab.synthesize_and_analyse
 
     def recording(config, delta_thetas, params, seed):
         calls.append((config, delta_thetas, seed))
         return real(config, delta_thetas, params, seed=seed)
 
-    monkeypatch.setattr(tracelab, "synthesize", recording)
+    def whole_run(*args, **kwargs):
+        raise AssertionError("the trace check holds a whole synthesized run")
+
+    monkeypatch.setattr(tracelab, "synthesize_and_analyse", recording)
+    monkeypatch.setattr(tracelab, "synthesize", whole_run)
     deviation = scenarios._trace_noise_deviation(np.random.default_rng(7))
     twin = np.random.default_rng(7)
     seeds = [int(twin.integers(2**62)) for _ in range(3)]

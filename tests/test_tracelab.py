@@ -261,8 +261,8 @@ def test_synthesize_bytes_do_not_depend_on_the_thread_count(d, cpus, monkeypatch
     cfg = configure_optimal(weight_pattern("asym", d), 1e8, 0.5, eta_dis=0.95)
     delta = np.linspace(-2e-3, 3e-3, d)
     samples = synthesize(cfg, delta, FAST, seed=40 + d).samples
-    # the calling thread is one of the min(d, cpus) workers
-    assert len(started) == min(d, cpus) - 1
+    # each cycle is drawn on min(d, cpus) workers, the calling thread one
+    assert len(started) == FAST.n_cycles * (min(d, cpus) - 1)
     expected = _whole_product_synthesis(cfg, delta, FAST, 40 + d)
     assert samples.tobytes() == expected.tobytes()
 
@@ -281,7 +281,7 @@ def test_a_failed_row_draw_is_raised(monkeypatch):
 
 @pytest.mark.parametrize("delta", [0.0, 1e-3])
 def test_synthesize_allocates_only_its_output(delta, peak_bytes):
-    # verify's trace check: d = 4 and 1.28 M samples per channel (41 MB)
+    # d = 4 at verify's timing: 1.28 M samples per channel (41 MB)
     params = TraceParams(sample_rate=2e7, cycle=8e-3, gate=(2.4e-3, 4e-3),
                          n_cycles=8, drive_freq=4e6)
     cfg = configure_optimal(weight_pattern("ave", 4), 1e12, 0.75,
@@ -401,11 +401,10 @@ def test_joint_series_is_the_sum_in_channel_order(d, monkeypatch):
     expected = w[0] * samples[0]
     for j in range(1, d):
         expected += w[j] * samples[j]
-    # the full segments of every gated span, then of every idle span, in
-    # time order: the blocks cover exactly these samples, in this order
+    # cycle by cycle, the full segments of the gated span, then of the idle
+    # spans: the blocks cover exactly these samples, in this order
     length = 200
-    spans = [(a, b) for invert in (False, True)
-             for a, b in tracelab._window_spans(VERIFY, invert)]
+    spans = _spans_in_reading_order(VERIFY)
     full = b"".join(expected[a:a + (b - a) // length * length].tobytes()
                     for a, b in spans)
     assert b"".join(block.tobytes() for block in blocks) == full
@@ -414,6 +413,15 @@ def test_joint_series_is_the_sum_in_channel_order(d, monkeypatch):
     assert all(block.size % length == 0 and block.size <= tracelab._ANALYSIS_BLOCK
                for block in blocks)
     assert len(blocks) > len(spans)
+
+
+def _spans_in_reading_order(params):
+    """The gated span, then the idle spans, of each cycle in turn: the order
+    in which the analysis reads them."""
+    n = tracelab._cycle_samples(params)
+    one = dataclasses.replace(params, n_cycles=1)
+    return [(k * n + a, k * n + b) for k in range(params.n_cycles)
+            for invert in (False, True) for a, b in tracelab._window_spans(one, invert)]
 
 
 def test_block_powers_equal_one_product_per_span(monkeypatch):
@@ -429,10 +437,10 @@ def test_block_powers_equal_one_product_per_span(monkeypatch):
         return read[-1]
 
     monkeypatch.setattr(tracelab, "segment_band_powers", recording)
-    for invert in (False, True):
-        tracelab._window_powers(np.ones(1), series[None], VERIFY, 1e5, invert)
-    per_span = [analyse(series[a:b], 2e7, 4e6, 1e5) for invert in (False, True)
-                for a, b in tracelab._window_spans(VERIFY, invert)]
+    tracelab._joint_powers(np.ones(1), tracelab._cycle_views(series[None], VERIFY),
+                           VERIFY, 1e5)
+    per_span = [analyse(series[a:b], 2e7, 4e6, 1e5)
+                for a, b in _spans_in_reading_order(VERIFY)]
     assert np.concatenate(read).tobytes() == np.concatenate(per_span).tobytes()
 
 
@@ -484,6 +492,41 @@ def test_joint_noise_analysis_holds_no_joint_series(d, params, peak_bytes):
     traces = synthesize(cfg, 0.0, params, seed=3)
     # the whole joint series alone would take 10.24 MB and 32 MB
     assert peak_bytes(lambda: joint_noise_analysis(traces, cfg)) < 2e6
+
+
+@pytest.mark.parametrize("driven", [False, True], ids=["undriven", "driven"])
+@pytest.mark.parametrize("params", [FAST, VERIFY, dataclasses.replace(FAST, n_cycles=1)],
+                         ids=["fast", "verify", "one_cycle"])
+@pytest.mark.parametrize("d", [1, 3, 4])
+def test_synthesize_and_analyse_equals_the_analysis_of_the_whole_run(d, params, driven):
+    # FAST's cycle (80 000 samples) is no multiple of _MIX_BLOCK, so each
+    # cycle ends on a short mix block
+    cfg = _lossy_config(d)
+    delta = np.linspace(-2e-3, 3e-3, d) if driven else 0.0
+    whole = joint_noise_analysis(synthesize(cfg, delta, params, seed=11 + d), cfg)
+    assert repr(tracelab.synthesize_and_analyse(cfg, delta, params, seed=11 + d)) == repr(whole)
+
+
+@pytest.mark.parametrize("seed, rbw, error", [
+    (-1, 1e5, ConfigError), (3, 0.0, AnalysisError), (3, 6e6, AnalysisError),
+    (3, 1e3, AnalysisError)])
+def test_synthesize_and_analyse_raises_what_the_analysis_of_the_whole_run_raises(
+        seed, rbw, error):
+    cfg = _ideal_config(d=2)
+    with pytest.raises(error) as whole:
+        joint_noise_analysis(synthesize(cfg, 0.0, FAST, seed=seed), cfg, rbw)
+    with pytest.raises(error) as cycled:
+        tracelab.synthesize_and_analyse(cfg, 0.0, FAST, seed=seed, rbw=rbw)
+    assert str(cycled.value) == str(whole.value)
+
+
+def test_synthesize_and_analyse_holds_one_cycle(peak_bytes):
+    # verify's trace check: one cycle is 4 x 160 000 samples (5.12 MB), the
+    # whole run 41 MB
+    cfg = _lossy_config(4)
+    cycle_bytes = 4 * tracelab._cycle_samples(VERIFY) * 8
+    assert peak_bytes(lambda: tracelab.synthesize_and_analyse(
+        cfg, 0.0, VERIFY, seed=3)) < cycle_bytes + 2e6
 
 
 def test_joint_noise_analysis_leaves_no_thread_spinning():
@@ -545,15 +588,19 @@ def test_sampled_tone_matches_materialized_joint_series(params, monkeypatch):
     monkeypatch.setattr(tracelab, "_noise_factor", lambda gamma: np.zeros_like(gamma))
     joint = w @ (synthesize(cfg, delta, params, seed=8).samples
                  - synthesize(cfg, 0.0, params, seed=8).samples)
+    length = tracelab._check_rbw(params.sample_rate, params.drive_freq, 1e5)
     read = 0
     for invert in (False, True):
-        try:
-            expected = tracelab._window_powers(np.ones(1), joint[None], params,
-                                               1e5, invert)
-        except AnalysisError:
+        # the materialized series' band powers over the window's segments
+        layout = tracelab._segment_layout(params, length, invert)
+        if not layout:
             with pytest.raises(AnalysisError):
                 tracelab._sampled_powers(0.0, amp, params, 8, 1e5, (invert,))
             continue
+        expected = float(np.concatenate([
+            segment_band_powers(joint[a:a + count * length], params.sample_rate,
+                                params.drive_freq, 1e5)
+            for a, count in layout]).mean())
         (sampled,) = tracelab._sampled_powers(0.0, amp, params, 8, 1e5, (invert,))
         assert sampled == pytest.approx(expected, rel=1e-9, abs=0.0)
         read += expected > 0.0
@@ -677,8 +724,8 @@ def test_sampled_reference_matches_synthesized_reference_over_seeds():
     for seed in range(64):
         sampled.append(tracelab._reference_power(cfg, FAST, seed, 1e5))
         series = w_ref @ synthesize(ref, 0.0, FAST, seed).samples
-        synthesized.append(tracelab._window_powers(np.ones(1), series[None],
-                                                   FAST, 1e5, True))
+        synthesized.append(tracelab._joint_powers(
+            np.ones(1), tracelab._cycle_views(series[None], FAST), FAST, 1e5)[1])
     a, b = 10.0 * np.log10(sampled), 10.0 * np.log10(synthesized)
     n = a.size
     mean_se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(n)
