@@ -69,7 +69,6 @@ from .tracelab import (
     read_trace,
     simulate_joint_noise,
     synthesize,
-    synthesize_and_analyse,
     write_trace,
 )
 from .scenarios import (

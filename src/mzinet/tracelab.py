@@ -271,12 +271,15 @@ def _cycle_filler(config: NetworkConfig, delta_thetas, params: TraceParams,
 
     fill draws each channel's next N normals into its row (`_draw_rows`),
     mixes the rows in place by the noise factor `_MIX_BLOCK` columns at a
-    time from the cycle's start, and adds the drive over the cycle's gate
-    span [k N + lo, k N + hi) (`_window_spans`).  Each element gets the same
-    products and sums as from the whole product factor @ z over the run plus
-    the outer product of the amplitudes and the gated tone: a stream drawn
-    N normals at a time draws the same normals, and a column's mix does not
-    depend on the block it is mixed in."""
+    time from the cycle's start, the last block taking one more column
+    rather than leaving one alone, and adds the drive over the cycle's gate
+    span [k N + lo, k N + hi) (`_window_spans`).  For N > 1 each element
+    gets the same products and sums as from the whole product factor @ z
+    over the run plus the outer product of the amplitudes and the gated
+    tone: a stream drawn N normals at a time draws the same normals, and a
+    column's mix does not depend on the block of two or more columns it is
+    mixed in.  A block of one column is mixed by gemv, whose sums differ in
+    the last bits from gemm's for d >= 4."""
     d = config.d
     delta = np.broadcast_to(np.asarray(delta_thetas, dtype=float), (d,))
     factor = _noise_factor(noise_matrix(config))
@@ -288,9 +291,12 @@ def _cycle_filler(config: NetworkConfig, delta_thetas, params: TraceParams,
 
     def fill(out, k):
         _draw_rows(rngs, out)
-        for start in range(0, n, _MIX_BLOCK):
-            block = out[:, start:start + _MIX_BLOCK]
+        start = 0
+        while start < n:
+            stop = n if n - start <= _MIX_BLOCK + 1 else start + _MIX_BLOCK
+            block = out[:, start:stop]
             block[...] = factor @ block
+            start = stop
         if np.any(amps != 0.0):
             tone = np.arange(k * n + lo, k * n + hi) / params.sample_rate
             tone *= omega
@@ -311,11 +317,11 @@ def synthesize(config: NetworkConfig, delta_thetas, params: TraceParams,
     Deterministic for a given seed.
 
     Allocates the d x n output and nothing else of that size, and fills it
-    one cycle at a time by the fill rule (`_cycle_filler`), so each element
-    gets the same products and sums as from the whole product factor @ z
-    plus the outer product of the amplitudes and the gated tone, whatever
-    the worker count of the draws.  `synthesize_and_analyse` analyses the
-    same run without holding it.
+    one cycle at a time by the fill rule (`_cycle_filler`), so for cycles of
+    more than one sample each element gets the same products and sums as
+    from the whole product factor @ z plus the outer product of the
+    amplitudes and the gated tone, whatever the worker count of the draws.
+    `synthesize_and_analyse` analyses the same run without holding it.
     """
     fill = _cycle_filler(config, delta_thetas, params, seed)
     samples = np.empty((config.d, _n_samples(params)))
@@ -548,10 +554,9 @@ def joint_noise_analysis(traces: TraceSet, config: NetworkConfig,
 
 
 def synthesize_and_analyse(config: NetworkConfig, delta_thetas,
-                           params: TraceParams, seed: int,
-                           rbw=DEFAULT_RBW) -> JointNoiseResult:
+                           params: TraceParams, seed: int) -> JointNoiseResult:
     """``joint_noise_analysis(synthesize(config, delta_thetas, params, seed),
-    config, rbw)``, bit for bit and with the same errors, without holding
+    config)``, bit for bit and with the same errors, without holding
     the run: one (d, N) buffer is filled with each cycle in turn
     (`_cycle_filler`) and analysed (`_joint_powers`) before the next is
     drawn, so the call holds one cycle of samples, not params.n_cycles."""
@@ -559,8 +564,9 @@ def synthesize_and_analyse(config: NetworkConfig, delta_thetas,
     weights = _joint_weights(config)
     cycle = np.empty((config.d, _cycle_samples(params)))
     signal, noise = _joint_powers(
-        weights, (fill(cycle, k) for k in range(params.n_cycles)), params, rbw)
-    return _joint_result(config, params, int(seed), rbw, signal, noise)
+        weights, (fill(cycle, k) for k in range(params.n_cycles)), params,
+        DEFAULT_RBW)
+    return _joint_result(config, params, int(seed), DEFAULT_RBW, signal, noise)
 
 
 def _tone_parts(starts, kernel, params: TraceParams) -> np.ndarray:

@@ -246,6 +246,20 @@ def test_synthesize_equals_the_whole_product_and_outer_drive(d, params):
         assert samples.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("d", [4, 6])
+def test_a_cycle_of_one_sample_past_whole_mix_blocks_equals_the_whole_product(d):
+    # N = 8193: a one-column last block would be mixed by gemv, whose sums
+    # differ in the last bits from gemm's for d >= 4
+    params = TraceParams(sample_rate=2e7, cycle=8193 / 2e7, gate=(1e-4, 2e-4),
+                         n_cycles=3, drive_freq=4e6)
+    assert tracelab._cycle_samples(params) % tracelab._MIX_BLOCK == 1
+    cfg = configure_optimal(weight_pattern("asym", d), 1e8, 0.5, eta_dis=0.95)
+    for delta in (0.0, np.linspace(-2e-3, 3e-3, d)):
+        samples = synthesize(cfg, delta, params, seed=23 + d).samples
+        expected = _whole_product_synthesis(cfg, delta, params, 23 + d)
+        assert samples.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_synthesize_bytes_do_not_depend_on_the_thread_count(d, cpus, monkeypatch):
@@ -507,16 +521,17 @@ def test_synthesize_and_analyse_equals_the_analysis_of_the_whole_run(d, params, 
     assert repr(tracelab.synthesize_and_analyse(cfg, delta, params, seed=11 + d)) == repr(whole)
 
 
-@pytest.mark.parametrize("seed, rbw, error", [
-    (-1, 1e5, ConfigError), (3, 0.0, AnalysisError), (3, 6e6, AnalysisError),
-    (3, 1e3, AnalysisError)])
+# a bad seed, and a gate of 100 samples, which holds no segment of 200
+@pytest.mark.parametrize("seed, params, error", [
+    (-1, FAST, ConfigError),
+    (3, dataclasses.replace(FAST, gate=(1.2e-3, 1.205e-3)), AnalysisError)])
 def test_synthesize_and_analyse_raises_what_the_analysis_of_the_whole_run_raises(
-        seed, rbw, error):
+        seed, params, error):
     cfg = _ideal_config(d=2)
     with pytest.raises(error) as whole:
-        joint_noise_analysis(synthesize(cfg, 0.0, FAST, seed=seed), cfg, rbw)
+        joint_noise_analysis(synthesize(cfg, 0.0, params, seed=seed), cfg)
     with pytest.raises(error) as cycled:
-        tracelab.synthesize_and_analyse(cfg, 0.0, FAST, seed=seed, rbw=rbw)
+        tracelab.synthesize_and_analyse(cfg, 0.0, params, seed=seed)
     assert str(cycled.value) == str(whole.value)
 
 
