@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ResourceLimitError, TruncationError
-from .network import NetworkConfig, active_channels, response
+from .network import NetworkConfig, _estimator_variance, _kept_weights
 
 __all__ = [
     "FockStateVector",
@@ -171,7 +171,8 @@ def oracle_sensitivity(config: NetworkConfig) -> float:
     Output-quadrature moments are assembled in the Heisenberg picture from
     the split squeezed resource (Fock tensor), exact coherent moments and
     vacuum loss ancillas; the responses are the analytic C_jj of
-    network.response.
+    network.response, and the variance keeps the engine's channels and
+    rounding check.
     """
     if config.topology != "entangled":
         raise ConfigError("topology", "oracle handles the entangled topology")
@@ -182,7 +183,6 @@ def oracle_sensitivity(config: NetworkConfig) -> float:
         raise ResourceLimitError(f"oracle limited to r <= {ORACLE_MAX_R}")
     if any(mag > ORACLE_MAX_ALPHA for mag, _ in config.alphas):
         raise ResourceLimitError(f"oracle limited to |alpha| <= {ORACLE_MAX_ALPHA}")
-    nu = np.asarray(config.weights, dtype=float)
 
     split = multinomial_split(squeezed_vacuum_fock(r, _pick_cutoff(r)), config.P)
     if split.truncation_budget > ORACLE_NORM_DEFICIT:
@@ -202,8 +202,5 @@ def oracle_sensitivity(config: NetworkConfig) -> float:
 
     gamma = eta * np.outer(cos, cos) * cov_b
     gamma[np.diag_indices(d)] += eta * sin**2 + (1.0 - eta)
-    c_diag = response(config)
-
-    keep = active_channels(config, c_diag, nu)
-    x = nu[keep] / c_diag[keep]
-    return float(x @ gamma[np.ix_(keep, keep)] @ x)
+    x, keep = _kept_weights(config)
+    return _estimator_variance(x, keep, gamma)

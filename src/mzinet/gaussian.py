@@ -155,18 +155,21 @@ def homodyne_moments(state: GaussianState, modes):
     """First and second moments of the q quadratures of selected modes.
 
     Args:
-        modes: mode indices, no duplicates.
+        modes: mode indices, no duplicates, as a sequence or an integer array.
 
     Returns:
         (mean vector, covariance submatrix) restricted to the selection;
         only that block is materialized.  Read-only: the state is not
         modified.
     """
-    modes = list(modes)
-    if len(set(modes)) != len(modes):
+    modes = np.asarray(modes)
+    if not modes.size:
+        modes = modes.astype(np.intp)  # an empty list reads as floats
+    ordered = np.sort(modes)
+    if (ordered[1:] == ordered[:-1]).any():
         raise IndexError("duplicate mode index in homodyne selection")
-    for mode in modes:
-        _check_mode(state, mode)
-    sel = [state.q_index(mode) for mode in modes]
-    rows = state.U[sel]
-    return state.mean[sel], _identity_plus(rows, state.s)
+    if modes.size and not 0 <= ordered[0] <= ordered[-1] < state.n_modes:
+        for mode in modes:  # raises at the first mode out of range
+            _check_mode(state, mode)
+    sel = 2 * modes  # the q rows
+    return state.mean[sel], _identity_plus(state.U[sel], state.s)

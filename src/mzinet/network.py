@@ -213,25 +213,34 @@ def qc_cascade(P) -> list:
 
     The resulting single-photon output distribution equals P exactly.
     """
-    P = [float(p) for p in P]
-    if any(p < 0 for p in P):
+    return [((j, 0), t) for j, t in enumerate(_transmissivities(P).tolist(), 1)]
+
+
+def _transmissivities(P) -> np.ndarray:
+    """The d - 1 transmissivities T_j = 1 - R_j of `qc_cascade`, j = 1..d-1.
+
+    The remaining mass before output j is 1 - P_1 - ... - P_{j-1}, subtracted
+    in that order (np.subtract.accumulate runs left to right).  Below
+    REMAINDER_FLOOR it counts as empty, and an output that still asks for
+    mass is infeasible."""
+    P = np.array(P, dtype=float)
+    if (P < 0).any():
         raise InfeasibleSplitError("probabilities must be >= 0")
-    if abs(sum(P) - 1.0) > PROB_TOL:
-        raise InfeasibleSplitError(f"probabilities sum to {sum(P)!r}, not 1")
-    ops = []
-    remaining = 1.0
-    for j in range(1, len(P)):
-        if remaining < REMAINDER_FLOOR:
-            if P[j] > 0:
-                raise InfeasibleSplitError(
-                    f"no probability mass left for output {j} (P_j = {P[j]})"
-                )
-            reflectivity = 0.0
-        else:
-            reflectivity = min(max(P[j] / remaining, 0.0), 1.0)
-        ops.append(((j, 0), 1.0 - reflectivity))
-        remaining -= P[j]
-    return ops
+    total = sum(P.tolist())
+    if abs(total - 1.0) > PROB_TOL:
+        raise InfeasibleSplitError(f"probabilities sum to {total!r}, not 1")
+    peeled = P[1:]
+    remaining = np.subtract.accumulate(np.concatenate(([1.0], peeled)))[:-1]
+    starved = np.flatnonzero((remaining < REMAINDER_FLOOR) & (peeled > 0))
+    if starved.size:
+        j = int(starved[0]) + 1
+        raise InfeasibleSplitError(
+            f"no probability mass left for output {j} (P_j = {float(P[j])})"
+        )
+    # an empty remainder now faces P_j = 0, so the floor gives it R_j = 0;
+    # R_j >= 0, and rounding can put it above 1
+    reflectivity = peeled / np.maximum(remaining, REMAINDER_FLOOR)
+    return 1.0 - np.minimum(reflectivity, 1.0)
 
 
 def _require_entangled(config: NetworkConfig):
@@ -258,7 +267,7 @@ def build_network(config: NetworkConfig) -> g.GaussianState:
     # The cascade on the carrier and d - 1 vacuum inputs hands mode j the
     # carrier's rows times sqrt(1 - T_j) and the carrier left before it (the
     # squeezed vacuum has zero mean, so its mean column stays zero).
-    t = np.array([t_j for _, t_j in qc_cascade(config.P)])
+    t = _transmissivities(config.P)
     carrier = np.cumprod(np.concatenate(([1.0], np.sqrt(t))))
     amps = np.append(carrier[-1], np.sqrt(1.0 - t) * carrier[:-1])
     rows[0] = amps[:, None, None] * rows[0, 0]
@@ -324,7 +333,7 @@ def noise_matrix(config: NetworkConfig) -> np.ndarray:
     convention-dependent sign, which only matters off the working point.
     """
     state = build_network(config)
-    _, cov = g.homodyne_moments(state, range(config.d))
+    _, cov = g.homodyne_moments(state, np.arange(config.d))
     return cov
 
 
@@ -371,9 +380,19 @@ def sensitivity_numeric(config: NetworkConfig) -> float:
     """
     _require_entangled(config)
     x, keep = _kept_weights(config)
-    gamma = noise_matrix(config)[np.ix_(keep, keep)]
+    return _estimator_variance(x, keep, noise_matrix(config))
+
+
+def _estimator_variance(x, keep, gamma) -> float:
+    """x^T Gamma x over the kept channels of the full d x d `gamma`, the one
+    kept-channel rule of the engine and the oracle, rounding-checked against
+    |x|^T |Gamma| |x| by `_significant`.  `gamma` is consumed: |Gamma| is
+    taken in its place, so a d x d array is the only one held."""
+    if not keep.all():
+        gamma = gamma[np.ix_(keep, keep)]
     variance = float(x @ gamma @ x)
-    scale = float(np.abs(x) @ np.abs(gamma) @ np.abs(x))
+    x_abs = np.abs(x)
+    scale = float(x_abs @ np.abs(gamma, out=gamma) @ x_abs)
     return _significant(variance, scale, x.size)
 
 

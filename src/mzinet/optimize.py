@@ -55,10 +55,10 @@ def optimal_allocation(nu, n_c) -> Allocation:
         raise AllocationError("weight vector must be nonzero")
     if n_c <= 0:
         raise AllocationError("n_c must be > 0")
-    frac = np.abs(nu) / scale
+    frac = (np.abs(nu) / scale).tolist()
     alphas = tuple(
         (math.sqrt(n_c * fj), 0.0 if nuj >= 0 else math.pi)
-        for fj, nuj in zip(frac, nu)
+        for fj, nuj in zip(frac, nu.tolist())
     )
     return Allocation(alphas=alphas, P=tuple(frac))
 
@@ -227,14 +227,15 @@ def _evaluate_point(axis, value, base, engines):
         scale = laws.weight_sum(weights)
         norm = weights / scale
         enhancement = cfg.enhancement
+        n_c = cfg.n_c
         row.variance_closed_form = laws.optimized_variance(
-            cfg.n_c, float(cfg.r), Lambda=cfg.Lambda, K=enhancement, nu=norm
+            n_c, float(cfg.r), Lambda=cfg.Lambda, K=enhancement, nu=norm
         ) * scale**2
-        row.variance_qcrb = laws.qcrb(cfg.n_c, float(cfg.r), K=enhancement,
+        row.variance_qcrb = laws.qcrb(n_c, float(cfg.r), K=enhancement,
                                       nu=norm) * scale**2
-        # on the n_T axis the budget is the grid value itself; cfg.n_T is
+        # on the n_T axis the budget is the grid value itself; n_c + n_s is
         # (n_T - n_s) + n_s, which rounds with the split
-        n_total = float(value) if axis == "n_T" else cfg.n_T
+        n_total = float(value) if axis == "n_T" else n_c + cfg.n_s
         row.sql = laws.sql_variance(n_total, K=1.0, nu=norm) * scale**2
         ratio = row.sql / row.variance_closed_form
         if not 0.0 < ratio < math.inf:

@@ -1,18 +1,63 @@
-"""Two-mode Gaussian ops on a GaussianState: the reference for the network
-build.
+"""Loop and two-mode forms of the network's array code: the references it is
+checked against bit for bit.
 
 ``network.build_network`` applies the split, the displacements and the
-interferometers of all d nodes as array operations; these ops apply one of
-them to one mode or one pair of modes, and the tests check the build
-against a sequence of them bit for bit.  Each is pure: it returns a new
-state.
+interferometers of all d nodes as array operations; the ops here apply one
+of them to one mode or one pair of modes, and the tests check the build
+against a sequence of them.  Each op is pure: it returns a new state.
+``qc_cascade`` is the cascade as a loop over the outputs, and
+``sensitivity_three_arrays`` the engine's variance read from a copied
+kept-channel block and a separate |Gamma|.
 """
 
 import math
 
 import numpy as np
 
+from mzinet.errors import InfeasibleSplitError
 from mzinet.gaussian import GaussianState, _check_mode
+from mzinet.network import (
+    PROB_TOL,
+    REMAINDER_FLOOR,
+    _kept_weights,
+    _significant,
+    noise_matrix,
+)
+
+
+def qc_cascade(P) -> list:
+    """network.qc_cascade, one output at a time: peel R_j = P_j / (mass left)
+    off the carrier, with the mass left below REMAINDER_FLOOR counted as
+    empty."""
+    P = [float(p) for p in P]
+    if any(p < 0 for p in P):
+        raise InfeasibleSplitError("probabilities must be >= 0")
+    if abs(sum(P) - 1.0) > PROB_TOL:
+        raise InfeasibleSplitError(f"probabilities sum to {sum(P)!r}, not 1")
+    ops = []
+    remaining = 1.0
+    for j in range(1, len(P)):
+        if remaining < REMAINDER_FLOOR:
+            if P[j] > 0:
+                raise InfeasibleSplitError(
+                    f"no probability mass left for output {j} (P_j = {P[j]})"
+                )
+            reflectivity = 0.0
+        else:
+            reflectivity = min(max(P[j] / remaining, 0.0), 1.0)
+        ops.append(((j, 0), 1.0 - reflectivity))
+        remaining -= P[j]
+    return ops
+
+
+def sensitivity_three_arrays(config) -> float:
+    """network.sensitivity_numeric with a copy of the kept block of Gamma and
+    a separate |Gamma|: three d x d arrays where the engine holds one."""
+    x, keep = _kept_weights(config)
+    gamma = noise_matrix(config)[np.ix_(keep, keep)]
+    variance = float(x @ gamma @ x)
+    scale = float(np.abs(x) @ np.abs(gamma) @ np.abs(x))
+    return _significant(variance, scale, x.size)
 
 
 def apply_displacement(state: GaussianState, mode: int, amplitude: float,

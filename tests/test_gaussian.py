@@ -230,6 +230,20 @@ def test_homodyne_rejects_duplicates():
         homodyne_moments(vacuum_state(2), [0, 0])
 
 
+def test_homodyne_names_the_first_mode_out_of_range():
+    state = vacuum_state(2)
+    with pytest.raises(IndexError, match="duplicate"):
+        homodyne_moments(state, np.array([5, 1, 5]))  # duplicates are checked first
+    # the first mode out of range, in selection order, is named
+    for modes, bad in (([1, 5, -1], 5), ([-1, 5], -1), (range(3), 2)):
+        with pytest.raises(IndexError, match=f"^mode {bad} out of range for 2-mode state$"):
+            homodyne_moments(state, modes)
+    with pytest.raises(IndexError):
+        homodyne_moments(state, [1.0])  # not an integer index
+    mean, cov = homodyne_moments(state, [])
+    assert mean.shape == (0,) and cov.shape == (0, 0)
+
+
 def _random_passive_circuit(rng, state):
     for _ in range(6):
         i, j = rng.choice(state.n_modes, size=2, replace=False)

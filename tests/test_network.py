@@ -13,6 +13,7 @@ from mzinet.errors import (
 from mzinet.fock import oracle_sensitivity
 from mzinet.gaussian import homodyne_moments
 from mzinet.network import (
+    REMAINDER_FLOOR,
     NetworkConfig,
     build_network,
     closed_form_variance,
@@ -116,6 +117,44 @@ def test_cascade_distribution_matches_p_exactly(rng):
         assert np.all(amp >= -1e-15)  # all-positive splitting amplitudes
 
 
+def _cascade_outcome(cascade, P):
+    try:
+        return repr(cascade(P))
+    except InfeasibleSplitError as exc:
+        return f"InfeasibleSplitError: {exc}"
+
+
+def test_cascade_equals_the_loop_bit_for_bit(rng):
+    for d in [1, 2, 3, 4, 7, 64, 513, 4096] + [int(x) for x in rng.integers(1, 40, 30)]:
+        P = rng.uniform(0.0, 1.0, d)
+        P[rng.uniform(size=d) < 0.3] = 0.0
+        P[0] = P[0] or 1.0
+        P /= P.sum()
+        assert _cascade_outcome(qc_cascade, P) == _cascade_outcome(ref.qc_cascade, P)
+    # the mass left meets the floor exactly, then falls below it
+    edges = [
+        [1.0 - REMAINDER_FLOOR, REMAINDER_FLOOR / 2, REMAINDER_FLOOR / 2, 0.0],
+        [0.0, 1.0 - REMAINDER_FLOOR, REMAINDER_FLOOR, 0.0],
+        [0.5, 0.5 - REMAINDER_FLOOR, 0.0, REMAINDER_FLOOR],
+        [0.5, -0.0, 0.5, 0.0],
+    ]
+    for P in edges:
+        assert _cascade_outcome(qc_cascade, P) == _cascade_outcome(ref.qc_cascade, P)
+
+
+def test_cascade_errors_match_the_loop():
+    cases = (
+        [0.0, 1.0 - 1e-16, 1e-16],  # no mass left for output 2
+        [0.25, 0.75, 0.0, 0.0, 1e-3, 1e-3],  # the first starved output is named
+        [0.5, 0.5, 0.1],  # does not sum to one
+        [0.5, -0.5, 1.0],  # negative
+    )
+    for P in cases:
+        with pytest.raises(InfeasibleSplitError) as err:
+            qc_cascade(P)
+        assert f"InfeasibleSplitError: {err.value}" == _cascade_outcome(ref.qc_cascade, P)
+
+
 # --- build_network -----------------------------------------------------------
 
 
@@ -147,11 +186,11 @@ def test_build_network_mean_response():
 
 def _pure_build(config):
     """build_network written out with the pure ops, one fresh state per op
-    (the two-mode ops from the test reference)."""
+    (the cascade loop and the two-mode ops from the test reference)."""
     d = config.d
     state = g.vacuum_state(2 * d)
     state = g.apply_squeezer(state, 0, float(config.r))
-    for (i, j), t in qc_cascade(config.P):
+    for (i, j), t in ref.qc_cascade(config.P):
         state = ref.apply_beam_splitter(state, i, j, t)
     gain = config.signal_gain
     eta_out = config.eta_mzi * config.eta_m ** (2 * config.K - 1)
@@ -375,6 +414,42 @@ def test_engine_matches_closed_form_and_one_over_d_law_at_d_2048():
     assert numeric == pytest.approx(closed_form_variance(large), rel=1e-9, abs=0)
     scaled = sensitivity_numeric(_large_network(512)) * 512
     assert numeric * 2048 == pytest.approx(scaled, rel=1e-9, abs=0)
+
+
+def _engine_outcome(engine, config):
+    try:
+        return repr(engine(config))
+    except PrecisionLossError as exc:
+        return f"PrecisionLossError: {exc}"
+
+
+def test_sensitivity_equals_the_three_array_formula_bit_for_bit(rng):
+    configs = [_random_config(rng, d_max=4, optimal_p=bool(rng.integers(0, 2)))
+               for _ in range(100)]
+    configs += [cfg.with_updates(thetas=tuple(rng.uniform(-0.5, 0.5, cfg.d)))
+                for cfg in configs[:40]]
+    # the large_network scan's grid, then beyond it
+    base = configure_optimal(weight_pattern("ave", 6), 2.7e16, 0.75,
+                             eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
+    grid = (32, 48, 64, 96, 128, 160, 192, 256)
+    configs += [row.config for row in scan("d", grid, base, engines=("analytic",))]
+    configs += [_large_network(512), _large_network(2048)]
+    # an unweighted dark channel: the keep mask drops it
+    configs.append(_dim_channel_config((1.0, 0.0)))
+    # the variance cancels to rounding noise: PrecisionLossError
+    configs.append(configure_optimal(weight_pattern("ave", 2), 100.0, 100))
+    outcomes = [(_engine_outcome(sensitivity_numeric, cfg),
+                 _engine_outcome(ref.sensitivity_three_arrays, cfg)) for cfg in configs]
+    assert [new for new, old in outcomes if new != old] == []
+    assert outcomes[-1][0].startswith("PrecisionLossError: variance")
+
+
+def test_sensitivity_holds_one_d_by_d_array(peak_bytes):
+    d = 2048
+    cfg = _large_network(d)
+    # Gamma alone is d * d * 8 = 33.6 MB here; the three-array form peaks at
+    # twice that
+    assert peak_bytes(lambda: sensitivity_numeric(cfg)) < d * d * 8 + 2e6
 
 
 def test_build_network_memory_is_linear_in_d(peak_bytes):

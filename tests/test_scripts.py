@@ -42,3 +42,11 @@ def test_verify_sweep_reports_each_seed(tmp_path):
     result = _run_script("verify_sweep.py", 0, 2, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "0 of 2 seeds failed (0..1)"
+
+
+def test_engine_scaling_reports_each_size(tmp_path):
+    result = _run_script("engine_scaling.py", 32, 64, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0].split() == ["d", "wall_ms", "peak_mb"]
+    assert [line.split()[0] for line in lines[1:]] == ["32", "64"]
