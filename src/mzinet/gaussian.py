@@ -165,10 +165,9 @@ def homodyne_moments(state: GaussianState, modes):
     modes = np.asarray(modes)
     if not modes.size:
         modes = modes.astype(np.intp)  # an empty list reads as floats
-    ordered = np.sort(modes)
-    if (ordered[1:] == ordered[:-1]).any():
+    if len(set(modes.tolist())) != modes.size:
         raise IndexError("duplicate mode index in homodyne selection")
-    if modes.size and not 0 <= ordered[0] <= ordered[-1] < state.n_modes:
+    if modes.size and not 0 <= modes.min() <= modes.max() < state.n_modes:
         for mode in modes:  # raises at the first mode out of range
             _check_mode(state, mode)
     sel = 2 * modes  # the q rows

@@ -211,29 +211,33 @@ def qc_cascade(P) -> list:
     apply_beam_splitter of tests/reference_ops.py applies it; the carrier is
     mode 0.
 
-    The resulting single-photon output distribution equals P exactly.
+    The resulting single-photon output distribution equals P exactly.  P
+    must pass NetworkConfig's checks (P_j >= 0, which NaN fails, and a sum
+    within PROB_TOL of 1).
     """
+    P = np.array(P, dtype=float)
+    if not (P >= 0).all():
+        raise InfeasibleSplitError("probabilities must be >= 0")
+    total = sum(P.tolist())
+    if abs(total - 1.0) > PROB_TOL:
+        raise InfeasibleSplitError(f"probabilities sum to {total!r}, not 1")
     return [((j, 0), t) for j, t in enumerate(_transmissivities(P).tolist(), 1)]
 
 
 def _transmissivities(P) -> np.ndarray:
-    """The d - 1 transmissivities T_j = 1 - R_j of `qc_cascade`, j = 1..d-1.
+    """The d - 1 transmissivities T_j = 1 - R_j of `qc_cascade`, j = 1..d-1,
+    of splitting probabilities P that pass NetworkConfig's checks.
 
     The remaining mass before output j is 1 - P_1 - ... - P_{j-1}, subtracted
     in that order (np.subtract.accumulate runs left to right).  Below
     REMAINDER_FLOOR it counts as empty, and an output that still asks for
     mass is infeasible."""
-    P = np.array(P, dtype=float)
-    if (P < 0).any():
-        raise InfeasibleSplitError("probabilities must be >= 0")
-    total = sum(P.tolist())
-    if abs(total - 1.0) > PROB_TOL:
-        raise InfeasibleSplitError(f"probabilities sum to {total!r}, not 1")
+    P = np.asarray(P, dtype=float)
     peeled = P[1:]
     remaining = np.subtract.accumulate(np.concatenate(([1.0], peeled)))[:-1]
-    starved = np.flatnonzero((remaining < REMAINDER_FLOOR) & (peeled > 0))
-    if starved.size:
-        j = int(starved[0]) + 1
+    starved = (remaining < REMAINDER_FLOOR) & (peeled > 0)
+    if starved.any():
+        j = int(starved.argmax()) + 1
         raise InfeasibleSplitError(
             f"no probability mass left for output {j} (P_j = {float(P[j])})"
         )
@@ -267,7 +271,7 @@ def build_network(config: NetworkConfig) -> g.GaussianState:
     # The cascade on the carrier and d - 1 vacuum inputs hands mode j the
     # carrier's rows times sqrt(1 - T_j) and the carrier left before it (the
     # squeezed vacuum has zero mean, so its mean column stays zero).
-    t = _transmissivities(config.P)
+    t = _transmissivities(config.P)  # config.P passed the config's checks
     carrier = np.cumprod(np.concatenate(([1.0], np.sqrt(t))))
     amps = np.append(carrier[-1], np.sqrt(1.0 - t) * carrier[:-1])
     rows[0] = amps[:, None, None] * rows[0, 0]
@@ -361,8 +365,8 @@ def active_channels(config: NetworkConfig, response, nu) -> np.ndarray:
 def _kept_weights(config: NetworkConfig):
     """(x, keep): the keep mask of `active_channels` and the estimator
     weights x_j = nu_j / C_jj over the kept channels, the one rule of the
-    engine's variance and of the trace estimator; a weighted dark channel
-    raises DarkResponseError."""
+    engine's and the oracle's variance and of the trace estimator; a
+    weighted dark channel raises DarkResponseError."""
     nu = np.asarray(config.weights, dtype=float)
     c_diag = response(config)
     keep = active_channels(config, c_diag, nu)

@@ -153,6 +153,10 @@ def test_cascade_errors_match_the_loop():
         with pytest.raises(InfeasibleSplitError) as err:
             qc_cascade(P)
         assert f"InfeasibleSplitError: {err.value}" == _cascade_outcome(ref.qc_cascade, P)
+    # the loop let NaN through (NaN < 0 is false); the array pass refuses it
+    # by NetworkConfig's rule, P_j >= 0
+    with pytest.raises(InfeasibleSplitError, match="must be >= 0"):
+        qc_cascade([0.0, 1.0, math.nan])
 
 
 # --- build_network -----------------------------------------------------------
