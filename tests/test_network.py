@@ -131,11 +131,17 @@ def test_cascade_equals_the_loop_bit_for_bit(rng):
         P[0] = P[0] or 1.0
         P /= P.sum()
         assert _cascade_outcome(qc_cascade, P) == _cascade_outcome(ref.qc_cascade, P)
-    # the mass left meets the floor exactly, then falls below it
+    # outputs 1 and 2 leave exactly REMAINDER_FLOOR (both subtractions are
+    # exact), which still counts as mass; output 3 then leaves half of it,
+    # which is empty
+    left = 19 * 2.0**-53
+    p1, p2 = 1.0 - left, left - REMAINDER_FLOOR
+    assert (1.0 - p1) - p2 == REMAINDER_FLOOR
+    half = REMAINDER_FLOOR / 2
     edges = [
-        [1.0 - REMAINDER_FLOOR, REMAINDER_FLOOR / 2, REMAINDER_FLOOR / 2, 0.0],
-        [0.0, 1.0 - REMAINDER_FLOOR, REMAINDER_FLOOR, 0.0],
-        [0.5, 0.5 - REMAINDER_FLOOR, 0.0, REMAINDER_FLOOR],
+        [0.0, p1, p2, half, 0.0],
+        [0.0, p1, p2, half, half],  # starved at output 4
+        [0.0, p1, p2, REMAINDER_FLOOR, 0.0],
         [0.5, -0.0, 0.5, 0.0],
     ]
     for P in edges:
