@@ -71,19 +71,20 @@ def _build_parser():
 
 def _cmd_sensitivity(args):
     scenario = scenarios.load_scenario(args.config)
-    cfg = scenario.base_config()
-    if cfg.topology == "separable":
-        variance = sensitivity_separable(cfg)
+    cfg, rs = scenarios._config_from_spec(scenario.network)
+    if rs is None:
+        variance, n_T, r = sensitivity_numeric(cfg), cfg.n_T, cfg.r
     else:
-        variance = sensitivity_numeric(cfg)
+        # d squeezers: their photons add to the budget, the strongest bounds
+        variance = sensitivity_separable(cfg, rs)
+        n_T, r = cfg.n_c + sum(math.sinh(x) ** 2 for x in rs), max(rs)
     nu = cfg.weights
     scale = laws.weight_sum(nu)
-    sql = laws.sql_variance(cfg.n_T, K=1.0) * scale**2
-    limits = laws.regime_limits(cfg.n_T, cfg.Lambda, K=cfg.enhancement)
+    sql = laws.sql_variance(n_T, K=1.0) * scale**2
+    limits = laws.regime_limits(n_T, cfg.Lambda, K=cfg.enhancement)
     # the shared-resource advantage over per-node-optimized sensors is
     # realized in the Heisenberg window and collapses to 1 elsewhere
     gain_regime = "low" if limits.active == laws.REGIME_HL else "high"
-    r = float(cfg.r) if cfg.topology == "entangled" else max(cfg.r)
     print(json.dumps({
         "variance_rad2": variance,
         "std_rad": math.sqrt(variance),

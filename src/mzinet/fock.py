@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ResourceLimitError, TruncationError
+from .errors import ResourceLimitError, TruncationError
 from .network import NetworkConfig, _estimator_variance, _kept_weights
 
 __all__ = [
@@ -174,11 +174,9 @@ def oracle_sensitivity(config: NetworkConfig) -> float:
     network.response, and the variance keeps the engine's channels and
     rounding check.
     """
-    if config.topology != "entangled":
-        raise ConfigError("topology", "oracle handles the entangled topology")
     if config.d > ORACLE_MAX_D:
         raise ResourceLimitError(f"oracle limited to d <= {ORACLE_MAX_D}")
-    r = float(config.r)
+    r = config.r
     if r > ORACLE_MAX_R:
         raise ResourceLimitError(f"oracle limited to r <= {ORACLE_MAX_R}")
     if any(mag > ORACLE_MAX_ALPHA for mag, _ in config.alphas):

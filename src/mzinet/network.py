@@ -63,24 +63,23 @@ ROUNDING_FACTOR = 4.0
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Immutable description of one sensor network.
+    """Immutable description of one network of d sensors that share one
+    split squeezed-vacuum resource.
 
     Fields:
         d: number of interferometers.
         K: multipass count (integer >= 1).
         mu: multipass coefficient; None means the default 1/K.
-        r: squeezing strength of the shared resource (scalar), or a per-node
-           tuple for the separable topology.
+        r: squeezing strength of the shared resource.
         alphas: d pairs (|alpha_j|, phi_j) of coherent amplitudes/phases.
-        thetas: d working-point phases (radians).
+        thetas: d working-point phases (radians); empty means all zero.
         weights: weight vector nu of the estimated phase combination.
         P: splitting probabilities of the shared resource (sum to 1).
         eta_dis, eta_mzi, eta_m: efficiencies in (0, 1].
-        topology: "entangled" or "separable".
     """
 
     d: int
-    r: float | tuple = 0.0
+    r: float = 0.0
     K: int = 1
     mu: float | None = None
     alphas: tuple = ()
@@ -90,14 +89,12 @@ class NetworkConfig:
     eta_dis: float = 1.0
     eta_mzi: float = 1.0
     eta_m: float = 1.0
-    topology: str = "entangled"
 
     def __post_init__(self):
+        object.__setattr__(self, "r", float(self.r))
         object.__setattr__(self, "alphas", tuple(tuple(a) for a in self.alphas))
         for name in ("thetas", "weights", "P"):
             object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
-        if isinstance(self.r, (list, tuple, np.ndarray)):
-            object.__setattr__(self, "r", tuple(float(x) for x in self.r))
         if not self.thetas:
             object.__setattr__(self, "thetas", (0.0,) * self.d)
         self.validate()
@@ -109,14 +106,7 @@ class NetworkConfig:
             raise ConfigError("K", "multipass count must be an integer >= 1")
         if self.mu is not None and not 0.0 < self.mu < math.inf:
             raise ConfigError("mu", "multipass coefficient must be finite and > 0")
-        if self.topology not in ("entangled", "separable"):
-            raise ConfigError("topology", f"unknown topology {self.topology!r}")
-        rs = self.r if isinstance(self.r, tuple) else (self.r,)
-        if isinstance(self.r, tuple) and self.topology == "entangled":
-            raise ConfigError("r", "entangled topology uses one shared squeezer")
-        if isinstance(self.r, tuple) and len(self.r) != self.d:
-            raise ConfigError("r", f"need {self.d} per-node squeezing strengths")
-        if not all(0.0 <= x < math.inf for x in rs):
+        if not 0.0 <= self.r < math.inf:
             raise ConfigError("r", "squeezing strength must be finite and >= 0")
         if len(self.alphas) != self.d:
             raise ConfigError("alphas", f"need {self.d} (magnitude, phase) pairs")
@@ -174,8 +164,7 @@ class NetworkConfig:
 
     @property
     def n_s(self) -> float:
-        rs = self.r if isinstance(self.r, tuple) else (self.r,)
-        return sum(math.sinh(x) ** 2 for x in rs)
+        return math.sinh(self.r) ** 2
 
     @property
     def n_T(self) -> float:
@@ -247,11 +236,6 @@ def _transmissivities(P) -> np.ndarray:
     return 1.0 - np.minimum(reflectivity, 1.0)
 
 
-def _require_entangled(config: NetworkConfig):
-    if config.topology != "entangled":
-        raise ConfigError("topology", "this operation needs the entangled topology")
-
-
 def build_network(config: NetworkConfig) -> g.GaussianState:
     """Assemble the network and return its 2d-mode output state.
 
@@ -260,10 +244,9 @@ def build_network(config: NetworkConfig) -> g.GaussianState:
     coherent inputs, interfere with phase g*theta_j, and apply the readout
     loss eta_mzi * eta_m^(2K-1) to each measured port.
     """
-    _require_entangled(config)
     d = config.d
     state = g.vacuum_state(2 * d)  # owned here, so the ops update it in place
-    g.apply_squeezer(state, 0, float(config.r), inplace=True)
+    g.apply_squeezer(state, 0, config.r, inplace=True)
     # The split, the displacements and the interferometers act on all d nodes
     # at once.  A view of [mean | U]: [b modes, a modes] x node x (q, p) x
     # (mean, columns of U).
@@ -318,7 +301,6 @@ def response(config: NetworkConfig) -> np.ndarray:
     This is the exact derivative of the engine's measured means with respect
     to theta_j (cross-validated against finite differences in the tests).
     """
-    _require_entangled(config)
     root_eta = math.sqrt(config.eta_total)
     gain = config.signal_gain
     return np.array([
@@ -382,7 +364,6 @@ def sensitivity_numeric(config: NetworkConfig) -> float:
     own rounding error (extreme squeezing, where Gamma's squeezed term sits
     far below eps of its vacuum term) raises PrecisionLossError.
     """
-    _require_entangled(config)
     x, keep = _kept_weights(config)
     return _estimator_variance(x, keep, noise_matrix(config))
 
@@ -417,18 +398,16 @@ def _working_point_response(config: NetworkConfig) -> np.ndarray:
     return math.sqrt(config.eta_total) * config.signal_gain * mags
 
 
-def sensitivity_separable(config: NetworkConfig) -> float:
-    """Variance of d independent sensors with per-node squeezed inputs:
+def sensitivity_separable(config: NetworkConfig, rs) -> float:
+    """Variance of d independent sensors, sensor j squeezed by its own
+    r_j = rs[j] in place of the shared resource:
 
         sum_j nu_j^2 (e^{-2 r_j} + Lambda) / |alpha_j|^2 / (mu K^2)
 
-    using the same loss model and multipass enhancement as the shared
-    resource network.
+    with `config`'s amplitudes, weights, loss model and multipass
+    enhancement; its shared r and split P play no part.
     """
-    if config.topology != "separable":
-        raise ConfigError("topology", "sensitivity_separable needs topology='separable'")
     nu = np.asarray(config.weights, dtype=float)
-    rs = config.r if isinstance(config.r, tuple) else (config.r,) * config.d
     active_channels(config, _working_point_response(config), nu)
     total = 0.0
     for j in range(config.d):
@@ -450,12 +429,11 @@ def closed_form_variance(config: NetworkConfig) -> float:
     PrecisionLossError where the squeezed and vacuum terms cancel to
     rounding noise.
     """
-    _require_entangled(config)
     nu = np.asarray(config.weights, dtype=float)
     if any(abs(t) > 1e-12 for t in config.thetas):
         raise ConfigError("thetas", "closed form is valid at theta = 0 only")
     active_channels(config, _working_point_response(config), nu)
-    varq = math.exp(-2.0 * float(config.r))
+    varq = math.exp(-2.0 * config.r)
     cross = 0.0
     direct = 0.0
     for j in range(config.d):
@@ -483,5 +461,4 @@ def sql_reference_config(config: NetworkConfig) -> NetworkConfig:
         eta_mzi=1.0,
         eta_m=1.0,
         thetas=(0.0,) * config.d,
-        topology="entangled",
     )

@@ -64,14 +64,8 @@ def optimal_allocation(nu, n_c) -> Allocation:
 
 
 def configure_optimal(nu, n_c, r, K=1, mu=None, eta_dis=1.0, eta_mzi=1.0,
-                      eta_m=1.0, thetas=None, topology="entangled") -> NetworkConfig:
-    """NetworkConfig with the optimal allocation for the given weights.
-
-    r may be a per-node sequence for the separable topology; a scalar is
-    broadcast to every node there."""
-    nu = tuple(float(x) for x in nu)
-    if topology == "separable" and not isinstance(r, (list, tuple, np.ndarray)):
-        r = (r,) * len(nu)
+                      eta_m=1.0, thetas=()) -> NetworkConfig:
+    """NetworkConfig with the optimal allocation for the given weights."""
     alloc = optimal_allocation(nu, n_c)
     return NetworkConfig(
         d=len(nu),
@@ -79,13 +73,12 @@ def configure_optimal(nu, n_c, r, K=1, mu=None, eta_dis=1.0, eta_mzi=1.0,
         K=K,
         mu=mu,
         alphas=alloc.alphas,
-        thetas=thetas if thetas is not None else (0.0,) * len(nu),
+        thetas=thetas,
         weights=nu,
         P=alloc.P,
         eta_dis=eta_dis,
         eta_mzi=eta_mzi,
         eta_m=eta_m,
-        topology=topology,
     )
 
 
@@ -188,7 +181,7 @@ def _config_for_point(axis, value, base: NetworkConfig):
     weights switches the estimated combination by pattern name.
     """
     nu = base.weights
-    r = float(base.r)
+    r = base.r
     kw = dict(
         K=base.K, mu=base.mu, eta_dis=base.eta_dis, eta_mzi=base.eta_mzi,
         eta_m=base.eta_m,
@@ -229,9 +222,9 @@ def _evaluate_point(axis, value, base, engines):
         enhancement = cfg.enhancement
         n_c = cfg.n_c
         row.variance_closed_form = laws.optimized_variance(
-            n_c, float(cfg.r), Lambda=cfg.Lambda, K=enhancement, nu=norm
+            n_c, cfg.r, Lambda=cfg.Lambda, K=enhancement, nu=norm
         ) * scale**2
-        row.variance_qcrb = laws.qcrb(n_c, float(cfg.r), K=enhancement,
+        row.variance_qcrb = laws.qcrb(n_c, cfg.r, K=enhancement,
                                       nu=norm) * scale**2
         # on the n_T axis the budget is the grid value itself; n_c + n_s is
         # (n_T - n_s) + n_s, which rounds with the split

@@ -110,10 +110,15 @@ class Scenario:
     trace: dict = field(default_factory=dict)
 
     def base_config(self, overrides=None) -> NetworkConfig:
+        """The document's shared-resource network with `overrides` applied;
+        a separable network raises ConfigError("topology")."""
         spec = dict(self.network)
         if overrides:
             spec.update(overrides)
-        return _config_from_spec(spec)
+        config, rs = _config_from_spec(spec)
+        if rs is not None:
+            raise ConfigError("topology", "scans need the entangled topology")
+        return config
 
 
 def _integer(name: str, value) -> int:
@@ -165,7 +170,11 @@ def _required(doc: dict, name: str):
     return doc[name]
 
 
-def _config_from_spec(spec: dict) -> NetworkConfig:
+def _config_from_spec(spec: dict):
+    """(config, rs) of a network block.  rs is None for the shared resource
+    ("topology": "entangled", the default).  A "separable" network has d
+    independent squeezers, rs[j] on node j (a scalar r is every node's), and
+    its config has no shared squeezer, r = 0."""
     spec = dict(spec)
     d = _integer("d", _required(spec, "d"))
     del spec["d"]
@@ -180,7 +189,15 @@ def _config_from_spec(spec: dict) -> NetworkConfig:
         raise ConfigError("weights", f"must be a pattern name or a list of "
                                      f"{d} numbers, got {weights!r}")
     r = spec.pop("r", 0.0)
-    r = tuple(_finite("r", x) for x in r) if isinstance(r, list) else _finite("r", r)
+    topology = spec.pop("topology", "entangled")
+    if topology == "entangled":
+        r, rs = _finite("r", r), None
+    elif topology == "separable":
+        rs = (tuple(_finite("r", x) for x in r) if isinstance(r, list)
+              else (_finite("r", r),) * d)
+        r = 0.0
+    else:
+        raise ConfigError("topology", f"unknown topology {topology!r}")
     mu = spec.pop("mu", None)
     kwargs = {
         "K": _integer("K", spec.pop("K", 1)),
@@ -193,11 +210,10 @@ def _config_from_spec(spec: dict) -> NetworkConfig:
     P = spec.pop("P", None)
     thetas = spec.pop("thetas", None)
     if isinstance(thetas, list):
-        thetas = tuple(_finite("thetas", t) for t in thetas)
+        kwargs["thetas"] = tuple(_finite("thetas", t) for t in thetas)
     elif thetas is not None:
-        thetas = (_finite("thetas", thetas),) * d
+        kwargs["thetas"] = (_finite("thetas", thetas),) * d
     n_c = spec.pop("n_c", None)
-    topology = spec.pop("topology", "entangled")
     if spec:
         raise ConfigError(sorted(spec)[0], "unknown network field")
     if (alphas is None) != (P is None):
@@ -206,18 +222,21 @@ def _config_from_spec(spec: dict) -> NetworkConfig:
     if alphas is None:
         if n_c is None:
             raise ConfigError("n_c", "need n_c when alphas/P are not explicit")
-        return optimize.configure_optimal(
-            weights, _finite("n_c", n_c), r, thetas=thetas,
-            topology=topology, **kwargs,
+        config = optimize.configure_optimal(weights, _finite("n_c", n_c), r, **kwargs)
+    else:
+        config = NetworkConfig(
+            d=d, r=r,
+            alphas=tuple(tuple(_finite("alphas", x) for x in _typed("alphas", a, list))
+                         for a in _typed("alphas", alphas, list)),
+            weights=weights, P=tuple(_finite("P", x) for x in _typed("P", P, list)),
+            **kwargs,
         )
-    return NetworkConfig(
-        d=d, r=r,
-        alphas=tuple(tuple(_finite("alphas", x) for x in _typed("alphas", a, list))
-                     for a in _typed("alphas", alphas, list)),
-        thetas=thetas if thetas is not None else (0.0,) * d,
-        weights=weights, P=tuple(_finite("P", x) for x in _typed("P", P, list)),
-        topology=topology, **kwargs,
-    )
+    if rs is not None:
+        if len(rs) != d:
+            raise ConfigError("r", f"need {d} per-node squeezing strengths")
+        if not all(x >= 0.0 for x in rs):
+            raise ConfigError("r", "squeezing strength must be finite and >= 0")
+    return config, rs
 
 
 def _expand_grid(grid):
@@ -302,8 +321,6 @@ def _validate_scenario(scenario: Scenario):
     for spec in scenario.scans:
         optimize._check_axis(spec.axis)
         cfg = scenario.base_config(spec.overrides)
-        if cfg.topology != "entangled":
-            raise ConfigError("topology", "scans need the entangled topology")
         for value in spec.grid:
             if spec.axis in ("K", "d"):
                 _integer(spec.axis, value)
@@ -315,7 +332,7 @@ def _validate_scenario(scenario: Scenario):
         if "oracle" in spec.engines:
             if cfg.d > ORACLE_MAX_D:
                 raise ConfigError("engines", f"oracle refuses d > {ORACLE_MAX_D}")
-            if float(cfg.r) > ORACLE_MAX_R:
+            if cfg.r > ORACLE_MAX_R:
                 raise ConfigError("engines", f"oracle refuses r > {ORACLE_MAX_R}")
         if "trace" in spec.engines and not scenario.trace:
             raise ConfigError("trace", "trace engine needs a trace block")
@@ -571,7 +588,7 @@ def _rel_dev(a, b):
 def verify(level="quick", seed=20260808) -> VerifyReport:
     """Run the cross-engine agreement suites.
 
-    quick takes about 0.02 s and full about 0.13 s (2-core host, in
+    quick takes about 0.04 s and full about 0.23 s (2-core host, in
     process, warm).  full adds the trace check (`_trace_noise_deviation`):
     one synthesized and analysed d = 4 run, which holds one cycle (~5 MB)
     at a time, not the whole 41 MB run, plus the mean of 16 window-sampler
@@ -603,8 +620,8 @@ def verify(level="quick", seed=20260808) -> VerifyReport:
     dev = 0.0
     for _ in range(10):
         cfg = _random_config(rng, optimal_p=True)
-        sep = cfg.with_updates(topology="separable", r=(float(cfg.r),) * cfg.d)
-        dev = max(dev, _rel_dev(sensitivity_numeric(cfg), sensitivity_separable(sep)))
+        dev = max(dev, _rel_dev(sensitivity_numeric(cfg),
+                                sensitivity_separable(cfg, (cfg.r,) * cfg.d)))
     checks.append(VerifyCheck("entangled vs separable (fixed r)", dev, 1e-10))
 
     # weight/phase sign flips leave the variance unchanged

@@ -714,8 +714,8 @@ def simulate_joint_noise(config: NetworkConfig, variance: float,
     call builds no network.  The run and its reference share the timing's
     cached `_segment_plan`, so a call past the first at one timing computes
     only the draws and a few scalar sums.  The config meets the
-    engine's guards all the same: a topology other than entangled raises
-    ConfigError and a weighted dark channel raises DarkResponseError.
+    engine's guard all the same: a weighted dark channel raises
+    DarkResponseError.
     """
     _kept_weights(config)
     delta = np.broadcast_to(np.asarray(delta_thetas, dtype=float), (config.d,))

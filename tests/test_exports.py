@@ -68,3 +68,20 @@ def test_every_exported_name_has_a_program_caller():
             break
         unused = now
     assert sorted(q for name, q in exported if name in unused) == []
+
+
+def test_every_imported_name_is_read():
+    # an import that its module no longer reads is left over from removed code
+    unread = []
+    for path in sorted((ROOT / "src" / "mzinet").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.stem}.{name}" for name in sorted(imported - read)]
+    assert unread == []

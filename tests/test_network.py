@@ -249,12 +249,6 @@ def test_build_network_equals_the_pure_op_sequence_at_large_d(rng, d):
     _assert_same_state(build_network(cfg), _pure_build(cfg))
 
 
-def test_build_network_rejects_separable_topology():
-    cfg = configure_optimal((1.0, 1.0), 10.0, 0.1, topology="separable")
-    with pytest.raises(ConfigError):
-        build_network(cfg)
-
-
 # --- response matrix ---------------------------------------------------------
 
 
@@ -505,34 +499,35 @@ def test_multipass_enhancement_scaling():
 def test_separable_equals_entangled_at_fixed_r(rng):
     for _ in range(10):
         cfg = _random_config(rng, optimal_p=True)
-        sep = cfg.with_updates(topology="separable", r=(float(cfg.r),) * cfg.d)
         ent = sensitivity_numeric(cfg)
-        assert sensitivity_separable(sep) == pytest.approx(ent, rel=1e-10)
+        assert sensitivity_separable(cfg, (cfg.r,) * cfg.d) == pytest.approx(
+            ent, rel=1e-10)
 
 
 def test_separable_shot_noise_and_single_node():
-    cfg = configure_optimal((0.5, 0.5), 100.0, 0.0, topology="separable")
+    cfg = configure_optimal((0.5, 0.5), 100.0, 0.0)
     expected = sum(0.25 / 50 for _ in range(2))
-    assert sensitivity_separable(cfg) == pytest.approx(expected, rel=1e-12)
+    assert sensitivity_separable(cfg, (0.0, 0.0)) == pytest.approx(expected, rel=1e-12)
 
     single = configure_optimal((1.0,), 100.0, 0.3)
-    sep = single.with_updates(topology="separable", r=(0.3,))
-    assert sensitivity_separable(sep) == pytest.approx(
+    assert sensitivity_separable(single, (0.3,)) == pytest.approx(
         sensitivity_numeric(single), rel=1e-12)
 
 
 def test_separable_per_node_squeezing():
-    cfg = configure_optimal((0.5, 0.5), 100.0, [0.3, 0.6], topology="separable")
-    assert cfg.r == (0.3, 0.6)
-    expected = 0.25 * (math.exp(-0.6) + math.exp(-1.2)) / 50
-    assert sensitivity_separable(cfg) == pytest.approx(expected, rel=1e-12)
+    # the config's shared r plays no part
+    for r in (0.0, 0.9):
+        cfg = configure_optimal((0.5, 0.5), 100.0, r)
+        expected = 0.25 * (math.exp(-0.6) + math.exp(-1.2)) / 50
+        assert sensitivity_separable(cfg, (0.3, 0.6)) == pytest.approx(
+            expected, rel=1e-12)
 
 
 def test_separable_dark_node_raises():
-    cfg = NetworkConfig(d=2, r=(0.0, 0.0), alphas=((1, 0), (0, 0)),
-                        weights=(0.5, 0.5), P=(1.0, 0.0), topology="separable")
+    cfg = NetworkConfig(d=2, alphas=((1, 0), (0, 0)),
+                        weights=(0.5, 0.5), P=(1.0, 0.0))
     with pytest.raises(DarkResponseError):
-        sensitivity_separable(cfg)
+        sensitivity_separable(cfg, (0.0, 0.0))
 
 
 def test_sign_structure_invariance(rng):
@@ -600,10 +595,8 @@ def test_dim_amplitude_is_dark_for_numeric_and_closed_forms():
     # channel 1 has 1e-14 of channel 0's amplitude: dark by the one rule
     cfg = NetworkConfig(d=2, r=0.3, alphas=((1.0, 0.0), (1e-14, 0.0)),
                         weights=(0.5, 0.5), P=(0.5, 0.5), eta_dis=0.9)
-    separable = cfg.with_updates(topology="separable", r=(0.3, 0.3))
-    for engine, config in ((sensitivity_numeric, cfg),
-                           (closed_form_variance, cfg),
-                           (sensitivity_separable, separable)):
+    for engine in (sensitivity_numeric, closed_form_variance,
+                   lambda config: sensitivity_separable(config, (0.3, 0.3))):
         with pytest.raises(DarkResponseError) as err:
-            engine(config)
+            engine(cfg)
         assert err.value.channels == (1,)

@@ -314,6 +314,11 @@ NAN, INF = float("nan"), float("inf")
     ("weights", {"weights": {"ave": 1}}, None, None),
     ("trace", {}, None, {"cycle": 4.00001e-3}),
     ("trace", {}, None, {"gate": [1.2e-3, 2.00001e-3]}),
+    ("topology", {"topology": "mesh"}, None, None),
+    ("r", {"r": [0.75, 0.75, 0.75]}, None, None),
+    ("r", {"topology": "separable", "r": [0.75, 0.75]}, None, None),
+    ("r", {"topology": "separable", "r": [0.75, -0.1, 0.75]}, None, None),
+    ("r", {"topology": "separable", "r": [0.75, NAN, 0.75]}, None, None),
 ], ids=["network_r_nan", "network_r_inf", "network_r_negative",
         "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
         "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
@@ -331,7 +336,9 @@ NAN, INF = float("nan"), float("inf")
         "trace_rbw_segment_longer_than_gate", "trace_rbw_segment_longer_than_idle",
         "network_K_bool", "network_eta_bool", "grid_bool", "range_num_bool",
         "trace_bool", "weights_bool", "weights_number", "weights_object",
-        "trace_cycle_not_whole_samples", "trace_gate_not_whole_samples"])
+        "trace_cycle_not_whole_samples", "trace_gate_not_whole_samples",
+        "network_topology_unknown", "network_r_list_shared",
+        "network_r_list_short", "network_r_list_negative", "network_r_list_nan"])
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)
@@ -351,7 +358,7 @@ def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, 
     ("weights", ["ave", "stag", "ave"], "'ave'"),
 ])
 def test_scan_grid_repeat_names_the_point(axis, grid, repeat):
-    base = scenarios._config_from_spec(SCENARIO["network"])
+    base, _ = scenarios._config_from_spec(SCENARIO["network"])
     with pytest.raises(ConfigError, match=f"grid: grid repeats the point {repeat}"):
         optimize.scan(axis, grid, base)
 
@@ -675,16 +682,36 @@ def test_cli_sensitivity(tmp_path, capsys):
     assert payload["qcrb_rad2"] <= variance
 
 
-def test_cli_sensitivity_of_a_separable_network(tmp_path, capsys):
+@pytest.mark.parametrize("network, rs", [
+    ({"r": 0.75}, (0.75, 0.75, 0.75)),
+    ({"r": [0.2, 1.1, 0.5]}, (0.2, 1.1, 0.5)),
+    # explicit amplitudes: a scalar r squeezes every node here as well
+    ({"r": 0.75, "alphas": [[60.0, 0.0], [50.0, 0.0], [40.0, 0.0]],
+      "P": [0.4, 0.35, 0.25]}, (0.75, 0.75, 0.75)),
+], ids=["scalar_r", "list_r", "explicit_alphas_scalar_r"])
+def test_cli_sensitivity_of_a_separable_network(tmp_path, capsys, network, rs):
     # only scans need the entangled topology; sensitivity reads the network
     doc = json.loads(json.dumps(SCENARIO))
-    doc["network"]["topology"] = "separable"
+    doc["network"].update(network, topology="separable")
     doc["scans"] = []
     path = _write_scenario(tmp_path, doc)
     assert cli.main(["sensitivity", "--config", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
-    expected = (math.exp(-1.5) + 1 / (0.99 * 0.89 * 0.9999) - 1) / 1e4
-    assert payload["variance_rad2"] == pytest.approx(expected, rel=1e-9)
+    n_c2 = [a[0] ** 2 for a in network.get("alphas", [])] or [1e4 / 3] * 3
+    n_c = sum(n_c2)
+    loss = 1 / (0.99 * 0.89 * 0.9999) - 1
+    # ave weights: nu_j = 1/3, sum|nu| = 1
+    expected = sum((math.exp(-2 * r) + loss) / 9 / m for r, m in zip(rs, n_c2))
+    variance = payload["variance_rad2"]
+    assert variance == pytest.approx(expected, rel=1e-9)
+    # the budget counts every node's squeezed photons
+    sql = 1.0 / (n_c + sum(math.sinh(r) ** 2 for r in rs))
+    assert payload["db_vs_sql"] == pytest.approx(
+        10 * math.log10(sql / variance), abs=1e-9)
+    # the lossless bound of the strongest squeezer
+    r = max(rs)
+    assert payload["qcrb_rad2"] == pytest.approx(
+        1.0 / (n_c * math.exp(2 * r) + math.sinh(r) ** 2), rel=1e-12)
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):

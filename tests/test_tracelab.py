@@ -870,9 +870,6 @@ def test_simulate_joint_noise_guards():
         with pytest.raises(DarkResponseError) as err:
             simulate_joint_noise(cfg, 1.0, 0.0, FAST, seed=1)
         assert err.value.channels == (1,)
-    separable = _ideal_config().with_updates(topology="separable")
-    with pytest.raises(ConfigError, match="topology"):
-        simulate_joint_noise(separable, 1.0, 0.0, FAST, seed=1)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
