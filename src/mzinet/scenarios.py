@@ -19,10 +19,15 @@ A scenario is a JSON document (schema 1):
                 "rbw": 1e5}
     }
 
+Each object of the document is read once, through the table of its
+fields (DOCUMENT, SCAN, RANGE, NETWORK, TRACE), by one walker, `_fields`:
+an unknown key, a missing field or a value that the table refuses raises
+ConfigError naming the field.  The rules across fields are in the code
+that reads the object.
+
 Each scan emits one CSV (atomic write, LF endings, 17-significant-digit
 scientific notation) named <name>_<label>.csv plus a sidecar metadata text
-block <name>_meta.txt.  So a name and a label must be plain file-name parts,
-matching [A-Za-z0-9][A-Za-z0-9_.-]*: no path separator and no leading dot.
+block <name>_meta.txt, so a name and a label must be plain file-name parts.
 Identical scenario + seed gives byte-identical outputs.
 """
 
@@ -121,13 +126,6 @@ class Scenario:
         return config
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; anything but a whole number raises ConfigError(name)."""
-    if not _number(name, value).is_integer():
-        raise ConfigError(name, f"must be an integer, got {value!r}")
-    return int(value)
-
-
 def _number(name: str, value) -> float:
     """value as a float; anything but a number raises ConfigError(name).
     JSON true and false are not numbers, although Python's bool is an int."""
@@ -136,137 +134,187 @@ def _number(name: str, value) -> float:
     return float(value)
 
 
-def _finite(name: str, value) -> float:
-    """value as a float; anything but a finite number raises ConfigError(name)."""
-    if not math.isfinite(_number(name, value)):
-        raise ConfigError(name, f"must be a finite number, got {value!r}")
-    return float(value)
+def _integer(name: str, value) -> int:
+    """value as an int; anything but a whole number raises ConfigError(name)."""
+    if not _number(name, value).is_integer():
+        raise ConfigError(name, f"must be an integer, got {value!r}")
+    return int(value)
 
 
-def _typed(name: str, value, kind):
-    """value if it is a JSON object (kind dict) or list; else ConfigError(name)."""
-    if not isinstance(value, kind):
-        raise ConfigError(name, f"must be {'an object' if kind is dict else 'a list'}, "
-                                f"got {value!r}")
+def _where(check, test, words):
+    """`check`, then `test` of its result: a result that fails raises
+    ConfigError(name), saying that the value must be `words`."""
+    def checked(name, value):
+        result = check(name, value)
+        if not test(result):
+            raise ConfigError(name, f"must be {words}, got {value!r}")
+        return result
+    return checked
+
+
+def _list_of(check):
+    """The check of a JSON list whose entries pass `check`, as a tuple."""
+    def checked(name, value):
+        if not isinstance(value, list):
+            raise ConfigError(name, f"must be a list, got {value!r}")
+        return tuple(check(name, x) for x in value)
+    return checked
+
+
+def _any(name: str, value):
+    """value as it stands, for a field checked outside its table."""
     return value
+
+
+def _one_of(*choices):
+    """The check that a value is one of `choices`."""
+    return _where(_any, lambda value: value in choices, f"one of {', '.join(choices)}")
 
 
 FILE_PART = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
+_finite = _where(_number, math.isfinite, "a finite number")
+_count = _where(_integer, lambda n: n >= 1, "an integer >= 1")
+_pair = _where(_list_of(_finite), lambda pair: len(pair) == 2, "[t_on, t_off]")
+_object = _where(_any, lambda value: isinstance(value, dict), "an object")
+# a name that keeps an output file in its directory
+_file_part = _where(_any, lambda value: isinstance(value, str) and FILE_PART.fullmatch(value),
+                    f"a plain file-name part ({FILE_PART.pattern})")
 
-def _file_part(name: str, value) -> str:
-    """value if it is a string that can stand in an output file name without
-    leaving the output directory; else ConfigError(name)."""
-    if not (isinstance(value, str) and FILE_PART.fullmatch(value)):
-        raise ConfigError(name, f"must be a plain file-name part "
-                                f"({FILE_PART.pattern}), got {value!r}")
-    return value
+
+def _finites(name: str, value):
+    """A finite number as a float, or a list of them as a tuple."""
+    return _list_of(_finite)(name, value) if isinstance(value, list) else _finite(name, value)
 
 
-def _required(doc: dict, name: str):
-    """doc[name]; a missing field raises ConfigError(name)."""
-    if name not in doc:
-        raise ConfigError(name, "missing field")
-    return doc[name]
+REQUIRED = object()  # the default of a field that its object must have
+
+
+def _fields(doc, table: dict, what: str) -> dict:
+    """{name: value} of the JSON object `doc` (a `what`) read through
+    `table`, which maps each field to (check, default).  check(name, value)
+    returns the value to keep or raises ConfigError(name); an absent field,
+    or a null one whose default is None, takes its default.  An unknown key
+    or an absent REQUIRED field raises ConfigError naming it."""
+    for key in _object(what, doc):
+        if key not in table:
+            raise ConfigError(key, f"unknown field of {what}")
+    fields = {}
+    for name, (check, default) in table.items():
+        if name in doc and not (doc[name] is None and default is None):
+            fields[name] = check(name, doc[name])
+        elif default is REQUIRED:
+            raise ConfigError(name, f"missing field of {what}")
+        else:
+            fields[name] = default
+    return fields
+
+
+# The field tables: name -> (check, default)
+DOCUMENT = {
+    "schema": (_any, None),  # checked first, as a parse error
+    "name": (_file_part, REQUIRED),
+    "seed": (_integer, 0),
+    "network": (_object, REQUIRED),
+    "scans": (_list_of(_object), REQUIRED),
+    "trace": (_object, {}),
+}
+SCAN = {
+    "label": (_file_part, ""),  # "": the axis
+    "axis": (_one_of(*optimize.SCAN_AXES), REQUIRED),
+    "grid": (lambda name, grid: _expand_grid(grid), REQUIRED),
+    "engines": (_list_of(_one_of(*ENGINES)), ("analytic",)),
+    "overrides": (_object, {}),
+}
+RANGE = {
+    "num": (_count, REQUIRED),
+    # NaN and inf pass here: the scan names them under its axis
+    "start": (_number, REQUIRED),
+    "stop": (_number, REQUIRED),
+    "spacing": (_one_of("linear", "log"), "linear"),
+    "include": (_list_of(_number), ()),
+}
+NETWORK = {
+    "d": (_count, REQUIRED),
+    "weights": (lambda name, value: value if isinstance(value, str)
+                else _list_of(_finite)(name, value), "ave"),
+    "r": (_finites, 0.0),
+    "topology": (_one_of("entangled", "separable"), "entangled"),
+    "mu": (_finite, None),
+    "K": (_integer, 1),
+    "eta_dis": (_finite, 1.0),
+    "eta_mzi": (_finite, 1.0),
+    "eta_m": (_finite, 1.0),
+    "alphas": (_list_of(_list_of(_finite)), None),
+    "P": (_list_of(_finite), None),
+    "thetas": (_finites, None),
+    "n_c": (_any, None),  # read only without alphas and P
+}
+TRACE = {
+    "sample_rate": (_finite, tracelab.DEFAULT_SAMPLE_RATE),
+    "cycle": (_finite, tracelab.DEFAULT_CYCLE),
+    "gate": (_pair, tracelab.DEFAULT_GATE),
+    "n_cycles": (_integer, 1),
+    "drive_freq": (_finite, tracelab.DEFAULT_DRIVE),
+    "delta_theta": (_finite, 1e-7),
+    "rbw": (_finite, tracelab.DEFAULT_RBW),
+}
 
 
 def _config_from_spec(spec: dict):
-    """(config, rs) of a network block.  rs is None for the shared resource
-    ("topology": "entangled", the default).  A "separable" network has d
-    independent squeezers, rs[j] on node j (a scalar r is every node's), and
-    its config has no shared squeezer, r = 0."""
-    spec = dict(spec)
-    d = _integer("d", _required(spec, "d"))
-    del spec["d"]
-    weights = spec.pop("weights", "ave")
+    """(config, rs) of a network block read through NETWORK.  rs is None for
+    the shared resource ("topology": "entangled", the default).  A
+    "separable" network has d independent squeezers, rs[j] on node j (a
+    scalar r is every node's), and its config has no shared squeezer, r = 0."""
+    fields = _fields(spec, NETWORK, "network")
+    d, weights, r, rs = fields["d"], fields["weights"], fields["r"], None
     if isinstance(weights, str):
         weights = weight_pattern(weights, d)
-    elif isinstance(weights, list):
-        weights = tuple(_finite("weights", w) for w in weights)
-        if len(weights) != d:
-            raise ConfigError("weights", f"need {d} weights")
-    else:
-        raise ConfigError("weights", f"must be a pattern name or a list of "
-                                     f"{d} numbers, got {weights!r}")
-    r = spec.pop("r", 0.0)
-    topology = spec.pop("topology", "entangled")
-    if topology == "entangled":
-        r, rs = _finite("r", r), None
-    elif topology == "separable":
-        rs = (tuple(_finite("r", x) for x in r) if isinstance(r, list)
-              else (_finite("r", r),) * d)
-        r = 0.0
-    else:
-        raise ConfigError("topology", f"unknown topology {topology!r}")
-    mu = spec.pop("mu", None)
-    kwargs = {
-        "K": _integer("K", spec.pop("K", 1)),
-        "mu": None if mu is None else _finite("mu", mu),
-        "eta_dis": _finite("eta_dis", spec.pop("eta_dis", 1.0)),
-        "eta_mzi": _finite("eta_mzi", spec.pop("eta_mzi", 1.0)),
-        "eta_m": _finite("eta_m", spec.pop("eta_m", 1.0)),
-    }
-    alphas = spec.pop("alphas", None)
-    P = spec.pop("P", None)
-    thetas = spec.pop("thetas", None)
-    if isinstance(thetas, list):
-        kwargs["thetas"] = tuple(_finite("thetas", t) for t in thetas)
-    elif thetas is not None:
-        kwargs["thetas"] = (_finite("thetas", thetas),) * d
-    n_c = spec.pop("n_c", None)
-    if spec:
-        raise ConfigError(sorted(spec)[0], "unknown network field")
-    if (alphas is None) != (P is None):
-        missing = "alphas" if alphas is None else "P"
-        raise ConfigError(missing, "alphas and P are given together or not at all")
-    if alphas is None:
-        if n_c is None:
-            raise ConfigError("n_c", "need n_c when alphas/P are not explicit")
-        config = optimize.configure_optimal(weights, _finite("n_c", n_c), r, **kwargs)
-    else:
-        config = NetworkConfig(
-            d=d, r=r,
-            alphas=tuple(tuple(_finite("alphas", x) for x in _typed("alphas", a, list))
-                         for a in _typed("alphas", alphas, list)),
-            weights=weights, P=tuple(_finite("P", x) for x in _typed("P", P, list)),
-            **kwargs,
-        )
-    if rs is not None:
+    if len(weights) != d:
+        raise ConfigError("weights", f"need a pattern name or a list of {d} numbers")
+    if fields["topology"] == "separable":
+        rs, r = ((r,) * d if isinstance(r, float) else r), 0.0
         if len(rs) != d:
             raise ConfigError("r", f"need {d} per-node squeezing strengths")
         if not all(x >= 0.0 for x in rs):
             raise ConfigError("r", "squeezing strength must be finite and >= 0")
-    return config, rs
+    elif isinstance(r, tuple):
+        raise ConfigError("r", f"the shared squeezer takes one number, got {spec['r']!r}")
+    kwargs = {name: fields[name] for name in ("K", "mu", "eta_dis", "eta_mzi", "eta_m")}
+    thetas = fields["thetas"]
+    kwargs["thetas"] = (thetas,) * d if isinstance(thetas, float) else thetas or ()
+    alphas, P, n_c = fields["alphas"], fields["P"], fields["n_c"]
+    if (alphas is None) != (P is None):
+        raise ConfigError("alphas" if alphas is None else "P",
+                          "alphas and P are given together or not at all")
+    if alphas is not None:
+        return NetworkConfig(d=d, r=r, alphas=alphas, weights=weights, P=P, **kwargs), rs
+    if n_c is None or _finite("n_c", n_c) <= 0:
+        raise ConfigError("n_c", f"need n_c > 0 when alphas/P are not explicit, got {n_c!r}")
+    return optimize.configure_optimal(weights, float(n_c), r, **kwargs), rs
 
 
 def _expand_grid(grid):
-    if isinstance(grid, dict):
-        num = _integer("num", _required(grid, "num"))
-        if num < 1:
-            raise ConfigError("num", f"need at least one grid point, got {num}")
-        # NaN and inf pass here: _validate_scenario names them under the axis
-        start = _number("start", _required(grid, "start"))
-        stop = _number("stop", _required(grid, "stop"))
-        spacing = grid.get("spacing", "linear")
-        if spacing == "log":
-            for name, value in (("start", start), ("stop", stop)):
-                if value <= 0:
-                    raise ConfigError(name, f"log grid needs a value > 0, got {value!r}")
-            values = np.logspace(math.log10(start), math.log10(stop), num)
-        elif spacing == "linear":
-            values = np.linspace(start, stop, num)
-        else:
-            raise ConfigError("spacing", f"unknown grid spacing {spacing!r}")
-        # round off last-digit noise, unless that moves a point by more than
-        # 1e-9 relative (values below 1e-12 would collapse to 0)
-        rounded = np.round(values, 12)
-        values = np.where(abs(rounded - values) <= 1e-9 * abs(values), rounded, values)
-        extra = [_number("include", x)
-                 for x in _typed("include", grid.get("include", []), list)]
-        return sorted(set(values.tolist()) | set(extra))
-    if not isinstance(grid, list) or not grid:
-        raise ScenarioParseError("grid must be a nonempty list or range spec")
-    return list(grid)
+    """The points of a scan grid: a nonempty list as it stands, or the range
+    object read through RANGE."""
+    if isinstance(grid, list) and grid:
+        return list(grid)
+    if not isinstance(grid, dict):
+        raise ConfigError("grid", f"must be a nonempty list or a range object, got {grid!r}")
+    fields = _fields(grid, RANGE, "grid")
+    start, stop, num = fields["start"], fields["stop"], fields["num"]
+    if fields["spacing"] == "log":
+        for name in ("start", "stop"):
+            if fields[name] <= 0:
+                raise ConfigError(name, f"log grid needs a value > 0, got {fields[name]!r}")
+        values = np.logspace(math.log10(start), math.log10(stop), num)
+    else:
+        values = np.linspace(start, stop, num)
+    # round off last-digit noise, unless that moves a point by more than
+    # 1e-9 relative (values below 1e-12 would collapse to 0)
+    rounded = np.round(values, 12)
+    values = np.where(abs(rounded - values) <= 1e-9 * abs(values), rounded, values)
+    return sorted(set(values.tolist()) | set(fields["include"]))
 
 
 def load_scenario(path) -> Scenario:
@@ -279,69 +327,36 @@ def load_scenario(path) -> Scenario:
 
 
 def _scenario_from_doc(doc: dict) -> Scenario:
+    """The scenario of a parsed document, each object read once through its
+    table, each scan with the rules that need the network or the trace block."""
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
     if doc.get("schema") != SCHEMA_VERSION:
-        raise ScenarioParseError(
-            f"schema {doc.get('schema')!r} not supported (want {SCHEMA_VERSION})"
-        )
-    name = _file_part("name", _required(doc, "name"))
-    network = _typed("network", _required(doc, "network"), dict)
-    scans = []
-    for entry in _typed("scans", _required(doc, "scans"), list):
-        _typed("scans", entry, dict)
-        engines = tuple(_typed("engines", entry.get("engines", ["analytic"]), list))
-        for engine in engines:
-            if engine not in ENGINES:
-                raise ConfigError("engines", f"unknown engine {engine!r}")
-        axis = _required(entry, "axis")
-        # a missing label is the axis, which _validate_scenario checks
-        label = _file_part("label", entry["label"]) if "label" in entry else axis
-        scans.append(
-            ScanSpec(
-                label=label,
-                axis=axis,
-                grid=_expand_grid(_required(entry, "grid")),
-                engines=engines,
-                overrides=dict(_typed("overrides", entry.get("overrides", {}), dict)),
-            )
-        )
-    scenario = Scenario(
-        name=name,
-        seed=_integer("seed", doc.get("seed", 0)),
-        network=dict(network),
-        scans=scans,
-        trace=dict(_typed("trace", doc.get("trace", {}), dict)),
-    )
-    _validate_scenario(scenario)
-    return scenario
-
-
-def _validate_scenario(scenario: Scenario):
-    for spec in scenario.scans:
-        optimize._check_axis(spec.axis)
-        cfg = scenario.base_config(spec.overrides)
-        for value in spec.grid:
-            if spec.axis in ("K", "d"):
-                _integer(spec.axis, value)
-            elif spec.axis == "weights":
+        raise ScenarioParseError(f"schema {doc.get('schema')!r} not supported "
+                                 f"(want {SCHEMA_VERSION})")
+    fields = _fields(doc, DOCUMENT, "scenario")
+    scenario = Scenario(fields["name"], fields["seed"], dict(fields["network"]), [],
+                        dict(fields["trace"]))
+    for entry in fields["scans"]:
+        scan = _fields(entry, SCAN, "scans")
+        axis, grid, engines = scan["axis"], scan["grid"], scan["engines"]
+        cfg = scenario.base_config(scan["overrides"])
+        for value in grid:
+            if axis == "weights":
                 weight_pattern(str(value), cfg.d)
             else:
-                _finite(spec.axis, value)
-        optimize._check_grid(spec.axis, spec.grid)
-        if "oracle" in spec.engines:
-            if cfg.d > ORACLE_MAX_D:
-                raise ConfigError("engines", f"oracle refuses d > {ORACLE_MAX_D}")
-            if cfg.r > ORACLE_MAX_R:
-                raise ConfigError("engines", f"oracle refuses r > {ORACLE_MAX_R}")
-        if "trace" in spec.engines and not scenario.trace:
+                (_integer if axis in ("K", "d") else _finite)(axis, value)
+        optimize._check_grid(axis, grid)
+        if "oracle" in engines and (cfg.d > ORACLE_MAX_D or cfg.r > ORACLE_MAX_R):
+            raise ConfigError("engines", f"the oracle refuses d > {ORACLE_MAX_D} "
+                                         f"and r > {ORACLE_MAX_R}")
+        if "trace" in engines and not scenario.trace:
             raise ConfigError("trace", "trace engine needs a trace block")
+        scenario.scans.append(ScanSpec(scan["label"] or axis, axis, grid, engines,
+                                       dict(scan["overrides"])))
     if scenario.trace:
         _trace_block(scenario.trace)
-
-
-TRACE_FIELDS = ("sample_rate", "cycle", "gate", "n_cycles", "drive_freq",
-                "delta_theta", "rbw")
+    return scenario
 
 
 @dataclass(frozen=True)
@@ -354,41 +369,23 @@ class _TraceBlock:
 
 
 def _trace_block(trace_doc: dict) -> _TraceBlock:
-    """A trace block, checked field by field: the one check of the scenario
-    loader and of the trace commands.
-
-    An unknown key raises ConfigError naming it.  A value that is not a
-    finite number (the gate: a pair of them), or timing that TraceParams
-    refuses, raises ConfigError("trace") with the field in its message, and
-    an rbw that the band-power kernel refuses, or whose analysis segment
-    fits in no gated or in no idle span, raises ConfigError("rbw")."""
-    for key in trace_doc:
-        if key not in TRACE_FIELDS:
-            raise ConfigError(key, "unknown trace field")
+    """A trace block read through TRACE, for the scenario loader and the
+    trace commands.  A value that TRACE or TraceParams refuses raises
+    ConfigError("trace") naming the field, and an rbw whose analysis segment
+    the kernel refuses or fits in no gated or no idle span ConfigError("rbw")."""
     try:
-        for key, value in trace_doc.items():
-            if key != "gate":
-                _finite(key, value)
-            elif isinstance(value, list) and len(value) == 2:
-                for x in value:
-                    _finite(key, x)
-            else:
-                raise ConfigError(key, f"must be [t_on, t_off], got {value!r}")
-        params = tracelab.TraceParams(
-            sample_rate=float(trace_doc.get("sample_rate", tracelab.DEFAULT_SAMPLE_RATE)),
-            cycle=float(trace_doc.get("cycle", tracelab.DEFAULT_CYCLE)),
-            gate=tuple(trace_doc.get("gate", tracelab.DEFAULT_GATE)),
-            n_cycles=_integer("n_cycles", trace_doc.get("n_cycles", 1)),
-            drive_freq=float(trace_doc.get("drive_freq", tracelab.DEFAULT_DRIVE)),
-        )
+        fields = _fields(trace_doc, TRACE, "trace")
+        rbw, delta_theta = fields.pop("rbw"), fields.pop("delta_theta")
+        params = tracelab.TraceParams(**fields)
     except ValueError as exc:
+        if isinstance(exc, ConfigError) and exc.field not in TRACE:
+            raise  # an unknown key, or a block that is not an object
         raise ConfigError("trace", str(exc)) from exc
-    rbw = float(trace_doc.get("rbw", tracelab.DEFAULT_RBW))
     try:
         tracelab._check_analysis(params, rbw)
     except AnalysisError as exc:
         raise ConfigError("rbw", str(exc)) from exc
-    return _TraceBlock(params, rbw, float(trace_doc.get("delta_theta", 1e-7)))
+    return _TraceBlock(params, rbw, delta_theta)
 
 
 def _signed_drive(cfg: NetworkConfig, trace: _TraceBlock) -> np.ndarray:

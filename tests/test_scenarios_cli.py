@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -319,6 +320,10 @@ NAN, INF = float("nan"), float("inf")
     ("r", {"topology": "separable", "r": [0.75, 0.75]}, None, None),
     ("r", {"topology": "separable", "r": [0.75, -0.1, 0.75]}, None, None),
     ("r", {"topology": "separable", "r": [0.75, NAN, 0.75]}, None, None),
+    ("d", {"d": 0}, None, None),
+    ("d", {"d": -1}, None, None),
+    ("n_c", {"n_c": 0}, None, None),
+    ("n_c", {"n_c": -1e4}, None, None),
 ], ids=["network_r_nan", "network_r_inf", "network_r_negative",
         "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
         "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
@@ -338,7 +343,9 @@ NAN, INF = float("nan"), float("inf")
         "trace_bool", "weights_bool", "weights_number", "weights_object",
         "trace_cycle_not_whole_samples", "trace_gate_not_whole_samples",
         "network_topology_unknown", "network_r_list_shared",
-        "network_r_list_short", "network_r_list_negative", "network_r_list_nan"])
+        "network_r_list_short", "network_r_list_negative", "network_r_list_nan",
+        "network_d_zero", "network_d_negative", "network_n_c_zero",
+        "network_n_c_negative"])
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)
@@ -391,19 +398,164 @@ def test_scan_grid_repeat_names_the_point(axis, grid, repeat):
     ("engines", lambda doc: doc["scans"][0].update(engines=["fast"])),
     ("spacing", lambda doc: doc["scans"][0].update(
         grid={"start": 0.2, "stop": 1.0, "num": 5, "spacing": "cubic"})),
+    ("sedd", lambda doc: doc.update(sedd=1)),
+    ("engine", lambda doc: doc["scans"][0].update(engine=["numeric"])),
+    ("steps", lambda doc: doc["scans"][0].update(
+        grid={"start": 0.2, "stop": 1.0, "num": 5, "steps": 2})),
+    ("grid", lambda doc: doc["scans"][0].update(grid=5)),
 ], ids=["network_d_missing", "seed_fraction", "seed_bool", "include_number",
         "overrides_number", "overrides_list", "scan_number", "scans_object",
         "network_list", "trace_list", "engines_number", "alphas_number",
         "P_number", "name_parent_path", "name_slash", "name_leading_dot",
         "name_number", "name_empty", "label_parent_path", "label_slash",
         "label_leading_dot", "label_number", "label_empty", "engines_unknown",
-        "spacing_unknown"])
+        "spacing_unknown", "unknown_top_level_key", "unknown_scan_key",
+        "unknown_range_key", "grid_number"])
 def test_cli_rejects_bad_document_fields_at_load(tmp_path, capsys, field, edit):
     doc = json.loads(json.dumps(SCENARIO))
     edit(doc)
     _assert_rejected_at_load(tmp_path, capsys, doc, field)
     # nothing but the scenario file, in or outside the output directory
     assert [path.name for path in tmp_path.rglob("*")] == ["demo.json"]
+
+
+TABLES = (scenarios.DOCUMENT, scenarios.SCAN, scenarios.RANGE, scenarios.NETWORK,
+          scenarios.TRACE)
+
+
+@pytest.mark.parametrize("field", ["mu", "alphas", "P", "thetas"])
+def test_null_network_field_loads_as_if_absent(tmp_path, field):
+    doc = json.loads(json.dumps(SCENARIO))
+    absent = load_scenario(_write_scenario(tmp_path, doc, name="absent.json"))
+    doc["network"][field] = None
+    null = load_scenario(_write_scenario(tmp_path, doc, name="null.json"))
+    # the document's network block keeps its keys; nothing else differs
+    assert null.network == dict(absent.network, **{field: None})
+    assert replace(null, network=absent.network) == absent
+    assert null.base_config() == absent.base_config()
+
+
+def test_null_is_refused_under_the_fields_name(tmp_path):
+    """Every field of a document that uses each object kind refuses a JSON
+    null under its own name, but the schema (a parse error) and a trace
+    field (the trace block)."""
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["network"]["topology"] = "entangled"
+    doc["scans"] = [
+        {"label": "loss", "axis": "eta_dis", "grid": [0.5, 1.0],
+         "engines": ["analytic", "trace"], "overrides": {"K": 2}},
+        {"label": "budget", "axis": "n_T", "engines": ["analytic"],
+         "grid": {"start": 1e2, "stop": 1e4, "num": 3, "spacing": "log",
+                  "include": [5e2]}},
+    ]
+    doc["trace"] = dict(TRACE_BLOCK)
+    load_scenario(_write_scenario(tmp_path, doc))
+    refused = set()
+    for path, _ in _json_values(doc):
+        if not path or not isinstance(path[-1], str):
+            continue
+        mutant = json.loads(json.dumps(doc))
+        _json_at(mutant, path[:-1])[path[-1]] = None
+        field = ("trace" if path[0] == "trace" else
+                 "scenario" if path == ("schema",) else path[-1])
+        with pytest.raises(ConfigError) as info:
+            load_scenario(_write_scenario(tmp_path, mutant))
+        assert info.value.field == field, path
+        refused.add(path[-1])
+    assert refused == set().union(*TABLES) - {"mu", "alphas", "P", "thetas"}
+
+
+WRONG_KINDS = {"string": "x", "number": 1, "list": [], "object": {}, "null": None,
+               "boolean": True}
+UNKNOWN_KEY = "zz_unknown"
+
+
+def _json_values(node, path=()):
+    """(path, value) of a JSON value and of every value within it."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _json_values(value, path + (key,))
+
+
+def _json_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _json_kind(value):
+    return {type(None): "null", bool: "boolean", str: "string", int: "number",
+            float: "number", list: "list", dict: "object"}[type(value)]
+
+
+def _one_field_mutants(doc):
+    """(mutant, added key or None) of each mutant of a scenario document
+    that differs from it in one place: a value (a field's or a list
+    entry's) of each other JSON kind, a number that is NaN, inf or false, a
+    name or label with a path separator, `..` or a leading dot, a field
+    dropped, or an unknown key added to an object."""
+    text = json.dumps(doc)
+    for path, value in _json_values(doc):
+        if isinstance(value, dict):
+            mutant = json.loads(text)
+            _json_at(mutant, path)[UNKNOWN_KEY] = 1
+            yield mutant, UNKNOWN_KEY
+        if not path:
+            continue
+        kind = _json_kind(value)
+        substitutes = [sub for name, sub in WRONG_KINDS.items() if name != kind]
+        if kind == "number":
+            substitutes += [NAN, INF, False]
+        if path[-1] in ("name", "label"):
+            substitutes += ["a/b", "..", ".hidden"]
+        for sub in substitutes:
+            mutant = json.loads(text)
+            _json_at(mutant, path[:-1])[path[-1]] = sub
+            yield mutant, None
+        if isinstance(path[-1], str):
+            mutant = json.loads(text)
+            del _json_at(mutant, path[:-1])[path[-1]]
+            yield mutant, None
+
+
+def test_one_field_mutants_of_the_bundled_documents_load_or_fail_at_load(
+        tmp_path, capsys, monkeypatch):
+    """Every one-field mutant of a bundled document loads, or fails with a
+    ConfigError naming a table field, the key it added, a scan axis, the
+    document or the trace block; the scan command then exits 2 and writes
+    nothing.  No count is mutated to a large value, which would allocate
+    that many grid points or weights."""
+    fields = set().union(*TABLES, optimize.SCAN_AXES, {"scenario", "trace"})
+    # one parser for every run of the command
+    monkeypatch.setattr(cli, "_build_parser", lambda parser=cli._build_parser(): parser)
+    path, out = tmp_path / "mutant.json", tmp_path / "o"
+    counts = {"loaded": 0, "refused": 0}
+    # one file rewritten in place: a write that truncates on open takes
+    # about 0.1 ms on some file systems, 20 times longer
+    with path.open("w") as handle:
+        for figure in FIGURES:
+            doc = json.loads(bundled_scenario_path(figure).read_text())
+            for mutant, added in _one_field_mutants(doc):
+                try:
+                    scenarios._scenario_from_doc(mutant)
+                except ConfigError as exc:
+                    field = exc.field
+                else:
+                    counts["loaded"] += 1
+                    assert added is None, (figure, mutant)
+                    continue
+                counts["refused"] += 1
+                assert field == added if added else field in fields, (figure, mutant)
+                handle.seek(0)
+                handle.write(json.dumps(mutant))
+                handle.truncate()
+                handle.flush()
+                assert cli.main(["scan", "--config", str(path), "--out", str(out)]) == 2
+                assert f"configuration error: {field}:" in capsys.readouterr().err
+                assert not out.exists()
+    assert counts["refused"] > 2000 and counts["loaded"] > 100, counts
+    assert [p.name for p in tmp_path.rglob("*")] == ["mutant.json"]
 
 
 def test_failed_rows_are_counted_on_stderr(tmp_path, capsys):
