@@ -48,8 +48,10 @@ import numpy as np
 from . import laws, optimize, tracelab
 from .errors import AnalysisError, ConfigError, ScenarioParseError
 from .fock import ORACLE_MAX_D, ORACLE_MAX_R, oracle_sensitivity
+from .gaussian import homodyne_moments
 from .network import (
     NetworkConfig,
+    build_network,
     closed_form_variance,
     noise_matrix,
     qc_cascade,
@@ -270,8 +272,8 @@ def _config_from_spec(spec: dict):
     d, weights, r, rs = fields["d"], fields["weights"], fields["r"], None
     if isinstance(weights, str):
         weights = weight_pattern(weights, d)
-    if len(weights) != d:
-        raise ConfigError("weights", f"need a pattern name or a list of {d} numbers")
+    if len(weights) != d or not any(weights):
+        raise ConfigError("weights", f"need a pattern name or {d} numbers, not all 0")
     if fields["topology"] == "separable":
         rs, r = ((r,) * d if isinstance(r, float) else r), 0.0
         if len(rs) != d:
@@ -331,7 +333,8 @@ def _scenario_from_doc(doc: dict) -> Scenario:
     table, each scan with the rules that need the network or the trace block."""
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
-    if doc.get("schema") != SCHEMA_VERSION:
+    schema = doc.get("schema")
+    if isinstance(schema, bool) or schema != SCHEMA_VERSION:  # _integer's rule, as for K
         raise ScenarioParseError(f"schema {doc.get('schema')!r} not supported "
                                  f"(want {SCHEMA_VERSION})")
     fields = _fields(doc, DOCUMENT, "scenario")
@@ -354,6 +357,8 @@ def _scenario_from_doc(doc: dict) -> Scenario:
             raise ConfigError("trace", "trace engine needs a trace block")
         scenario.scans.append(ScanSpec(scan["label"] or axis, axis, grid, engines,
                                        dict(scan["overrides"])))
+    if not scenario.scans:  # each scan reads the network, with its overrides
+        _config_from_spec(scenario.network)
     if scenario.trace:
         _trace_block(scenario.trace)
     return scenario
@@ -579,69 +584,78 @@ def _random_config(rng, d_max=4, r_max=1.0, optimal_p=True):
 
 
 def _rel_dev(a, b):
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+    dev = abs(a - b) / max(abs(a), abs(b), 1e-300)
+    return dev if dev == dev else math.inf  # max() would drop a NaN; inf fails
 
 
-def verify(level="quick", seed=20260808) -> VerifyReport:
-    """Run the cross-engine agreement suites.
-
-    quick takes about 0.04 s and full about 0.23 s (2-core host, in
-    process, warm).  full adds the trace check (`_trace_noise_deviation`):
-    one synthesized and analysed d = 4 run, which holds one cycle (~5 MB)
-    at a time, not the whole 41 MB run, plus the mean of 16 window-sampler
-    runs at each of three squeezing points.
-    """
-    start = time.perf_counter()
-    full = level == "full"
-    if level not in ("quick", "full"):
-        raise ConfigError("level", "level must be 'quick' or 'full'")
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    # engine vs closed form at the working point
+def _closed_form_check(rng, count):
     dev = 0.0
-    for _ in range(200 if full else 40):
+    for _ in range(count):
         cfg = _random_config(rng, optimal_p=bool(rng.integers(0, 2)))
         dev = max(dev, _rel_dev(sensitivity_numeric(cfg), closed_form_variance(cfg)))
-    checks.append(VerifyCheck("engine vs closed form", dev, 1e-9))
+    return dev
 
-    # analytic response vs finite differences of the engine means
-    dev = 0.0
-    for _ in range(10 if full else 3):
+
+def _response_check(rng, count):
+    """Largest deviation of the central differences (1e-6 rad steps) of the
+    engine's measured means from the response matrix (the diagonal C_jj of
+    `response`, its only entries), relative to its largest entry."""
+    dev, step = 0.0, 1e-6
+    for _ in range(count):
         cfg = _random_config(rng)
         cfg = cfg.with_updates(thetas=tuple(rng.uniform(-0.3, 0.3, cfg.d)))
-        dev = max(dev, _response_fd_deviation(cfg))
-    checks.append(VerifyCheck("response matrix vs finite differences", dev, 1e-6))
+        analytic = response(cfg)
+        scale = np.max(np.abs(analytic))
+        for j in range(cfg.d):
+            thetas = list(cfg.thetas)
+            thetas[j] += step
+            up, _ = homodyne_moments(build_network(cfg.with_updates(thetas=tuple(thetas))),
+                                     range(cfg.d))
+            thetas[j] -= 2 * step
+            dn, _ = homodyne_moments(build_network(cfg.with_updates(thetas=tuple(thetas))),
+                                     range(cfg.d))
+            fd = (up - dn) / (2 * step)
+            fd[j] -= analytic[j]
+            dev = max(dev, np.max(np.abs(fd)) / scale)
+    return dev
 
-    # shared resource vs separable nodes at equal fixed squeezing
+
+def _separable_check(rng, count):
     dev = 0.0
-    for _ in range(10):
+    for _ in range(count):
         cfg = _random_config(rng, optimal_p=True)
         dev = max(dev, _rel_dev(sensitivity_numeric(cfg),
                                 sensitivity_separable(cfg, (cfg.r,) * cfg.d)))
-    checks.append(VerifyCheck("entangled vs separable (fixed r)", dev, 1e-10))
+    return dev
 
-    # weight/phase sign flips leave the variance unchanged
+
+def _sign_check(rng, count):
     dev = 0.0
-    for _ in range(10):
+    for _ in range(count):
         cfg = _random_config(rng, optimal_p=True)
-        flipped = _flip_signs(cfg)
+        flipped = cfg.with_updates(weights=tuple(-w for w in cfg.weights),
+                                   alphas=tuple((m, ph + math.pi) for m, ph in cfg.alphas))
         dev = max(dev, _rel_dev(sensitivity_numeric(cfg), sensitivity_numeric(flipped)))
-    checks.append(VerifyCheck("sign-structure invariance", dev, 1e-10))
+    return dev
 
-    # lumped vs placed losses at the measured port
+
+def _lumped_loss_check(rng, count):
+    """Losses placed along the network against one loss at the measured port:
+    the largest entry difference of the noise matrices and the responses."""
     dev = 0.0
-    for _ in range(5):
+    for _ in range(count):
         cfg = _random_config(rng)
-        lumped = cfg.with_updates(
-            eta_dis=1.0, eta_mzi=cfg.eta_total / cfg.eta_m ** (2 * cfg.K - 1))
-        dev = max(dev, float(np.max(np.abs(noise_matrix(cfg) - noise_matrix(lumped)))))
-        dev = max(dev, float(np.max(np.abs(response(cfg) - response(lumped)))))
-    checks.append(VerifyCheck("lumped-loss equivalence", dev, 1e-12))
+        lumped = cfg.with_updates(eta_dis=1.0,
+                                  eta_mzi=cfg.eta_total / cfg.eta_m ** (2 * cfg.K - 1))
+        # np.maximum keeps a NaN entry, which fails the bound
+        dev = float(np.maximum(dev, np.max(np.abs(noise_matrix(cfg) - noise_matrix(lumped)))))
+        dev = float(np.maximum(dev, np.max(np.abs(response(cfg) - response(lumped)))))
+    return dev
 
-    # cascade realizes the requested splitting exactly
+
+def _cascade_check(rng, count):
     dev = 0.0
-    for _ in range(10):
+    for _ in range(count):
         d = int(rng.integers(1, 8))
         p = rng.uniform(0.0, 1.0, d)
         p = p / p.sum()
@@ -652,24 +666,24 @@ def verify(level="quick", seed=20260808) -> VerifyReport:
             amp[i] = math.sqrt(t) * ai + math.sqrt(1 - t) * aj
             amp[j] = -math.sqrt(1 - t) * ai + math.sqrt(t) * aj
         dev = max(dev, float(np.max(np.abs(amp**2 - p))))
-    checks.append(VerifyCheck("cascade splitting distribution", dev, 1e-12))
+    return dev
 
-    # fock oracle vs engine vs closed form
+
+def _oracle_check(rng, count):
     dev = 0.0
-    for _ in range(25 if full else 5):
+    for _ in range(count):
         cfg = _random_config(rng, d_max=3, r_max=0.4, optimal_p=True)
-        cfg = cfg.with_updates(
-            alphas=tuple((min(m, 0.95), ph) for m, ph in cfg.alphas),
-            K=1,
-        )
+        cfg = cfg.with_updates(alphas=tuple((min(m, 0.95), ph) for m, ph in cfg.alphas), K=1)
         oracle = oracle_sensitivity(cfg)
         dev = max(dev, _rel_dev(oracle, sensitivity_numeric(cfg)))
         dev = max(dev, _rel_dev(oracle, closed_form_variance(cfg)))
-    checks.append(VerifyCheck("fock oracle agreement", dev, 1e-6))
+    return dev
 
-    # optimizer never loses to a brute-force grid
+
+def _optimizer_check(rng, count):
+    """How far the squeezing optimizer's variance lies above a brute-force grid's."""
     dev = 0.0
-    for _ in range(30 if full else 10):
+    for _ in range(count):
         n_t = float(10 ** rng.uniform(-2, 3))
         lam = float(10 ** rng.uniform(-4, 0))
         k = float(rng.integers(1, 6))
@@ -677,21 +691,16 @@ def verify(level="quick", seed=20260808) -> VerifyReport:
         ns_grid = np.linspace(0.0, n_t * (1 - 1e-9), 10_000)
         grid_best = laws.variance_vs_ns(n_t, ns_grid, Lambda=lam, K=k).min()
         dev = max(dev, max(0.0, (best - grid_best) / grid_best))
-    checks.append(VerifyCheck("squeezing optimizer vs grid", dev, 1e-8))
+    return dev
 
-    # closed-form identities
+
+def _identities_check(rng, count):
+    """Closed-form resource identities at `count` photon numbers; draws nothing."""
     dev = 0.0
-    for n_s in np.logspace(-6, 6, 25):
-        dev = max(dev, abs(laws.varq_from_ns(n_s)
-                           - math.exp(-2 * laws.ns_to_r(n_s))))
+    for n_s in np.logspace(-6, 6, count):
+        dev = max(dev, abs(laws.varq_from_ns(n_s) - math.exp(-2 * laws.ns_to_r(n_s))))
     dev = max(dev, abs(laws.db_below_sql(0.75, 1 - math.exp(-1.5))))
-    checks.append(VerifyCheck("resource conversion identities", dev, 1e-12))
-
-    if full:
-        checks.append(VerifyCheck("trace noise recovery (dB)",
-                                  _trace_noise_deviation(rng), 0.2))
-
-    return VerifyReport(level=level, checks=checks, elapsed=time.perf_counter() - start)
+    return dev
 
 
 # Sampler runs averaged per squeezing point by the trace check.  One run's
@@ -736,32 +745,33 @@ def _trace_noise_deviation(rng) -> float:
     return dev
 
 
-def _response_fd_deviation(cfg, step=1e-6):
-    """Largest deviation of the central differences of the engine's measured
-    means from the response matrix, whose only entries are the diagonal
-    C_jj of `response`, relative to its largest entry."""
-    from .network import build_network
-    from .gaussian import homodyne_moments
-
-    analytic = response(cfg)
-    scale = np.max(np.abs(analytic))
-    dev = 0.0
-    for j in range(cfg.d):
-        thetas = list(cfg.thetas)
-        thetas[j] += step
-        up, _ = homodyne_moments(build_network(cfg.with_updates(thetas=tuple(thetas))),
-                                 range(cfg.d))
-        thetas[j] -= 2 * step
-        dn, _ = homodyne_moments(build_network(cfg.with_updates(thetas=tuple(thetas))),
-                                 range(cfg.d))
-        fd = (up - dn) / (2 * step)
-        fd[j] -= analytic[j]
-        dev = max(dev, np.max(np.abs(fd)) / scale)
-    return dev
+# verify's checks in the order they draw from its one generator: (name, bound,
+# quick count, full count, run(rng, count) -> deviation); a count of 0 skips.
+_CHECKS = (
+    ("engine vs closed form", 1e-9, 40, 200, _closed_form_check),
+    ("response matrix vs finite differences", 1e-6, 3, 10, _response_check),
+    ("entangled vs separable (fixed r)", 1e-10, 10, 10, _separable_check),
+    ("sign-structure invariance", 1e-10, 10, 10, _sign_check),
+    ("lumped-loss equivalence", 1e-12, 5, 5, _lumped_loss_check),
+    ("cascade splitting distribution", 1e-12, 10, 10, _cascade_check),
+    ("fock oracle agreement", 1e-6, 5, 25, _oracle_check),
+    ("squeezing optimizer vs grid", 1e-8, 10, 30, _optimizer_check),
+    ("resource conversion identities", 1e-12, 25, 25, _identities_check),
+    ("trace noise recovery (dB)", 0.2, 0, 1, lambda rng, count: _trace_noise_deviation(rng)),
+)
 
 
-def _flip_signs(cfg: NetworkConfig) -> NetworkConfig:
-    flipped_nu = tuple(-w for w in cfg.weights)
-    flipped_alphas = tuple((m, ph + math.pi) for m, ph in cfg.alphas)
-    return cfg.with_updates(weights=flipped_nu, alphas=flipped_alphas)
-
+def verify(level="quick", seed=20260808) -> VerifyReport:
+    """Run `_CHECKS` in order at the level's counts, on one generator seeded
+    with `seed`.  quick takes about 0.04 s; full, which adds the trace check,
+    about 0.23 s (2-core host, in process, warm)."""
+    start = time.perf_counter()
+    if level not in ("quick", "full"):
+        raise ConfigError("level", "level must be 'quick' or 'full'")
+    rng = np.random.default_rng(seed)
+    checks = []
+    for name, bound, quick, full, run in _CHECKS:
+        count = full if level == "full" else quick
+        if count:
+            checks.append(VerifyCheck(name, run(rng, count), bound))
+    return VerifyReport(level=level, checks=checks, elapsed=time.perf_counter() - start)

@@ -324,6 +324,7 @@ NAN, INF = float("nan"), float("inf")
     ("d", {"d": -1}, None, None),
     ("n_c", {"n_c": 0}, None, None),
     ("n_c", {"n_c": -1e4}, None, None),
+    ("weights", {"weights": [0, 0, 0]}, None, None),
 ], ids=["network_r_nan", "network_r_inf", "network_r_negative",
         "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
         "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
@@ -345,7 +346,7 @@ NAN, INF = float("nan"), float("inf")
         "network_topology_unknown", "network_r_list_shared",
         "network_r_list_short", "network_r_list_negative", "network_r_list_nan",
         "network_d_zero", "network_d_negative", "network_n_c_zero",
-        "network_n_c_negative"])
+        "network_n_c_negative", "weights_all_zero"])
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)
@@ -403,6 +404,8 @@ def test_scan_grid_repeat_names_the_point(axis, grid, repeat):
     ("steps", lambda doc: doc["scans"][0].update(
         grid={"start": 0.2, "stop": 1.0, "num": 5, "steps": 2})),
     ("grid", lambda doc: doc["scans"][0].update(grid=5)),
+    ("scenario", lambda doc: doc.update(schema=True)),
+    ("d", lambda doc: doc.update(scans=[], network={"d": "bogus"})),
 ], ids=["network_d_missing", "seed_fraction", "seed_bool", "include_number",
         "overrides_number", "overrides_list", "scan_number", "scans_object",
         "network_list", "trace_list", "engines_number", "alphas_number",
@@ -410,7 +413,7 @@ def test_scan_grid_repeat_names_the_point(axis, grid, repeat):
         "name_number", "name_empty", "label_parent_path", "label_slash",
         "label_leading_dot", "label_number", "label_empty", "engines_unknown",
         "spacing_unknown", "unknown_top_level_key", "unknown_scan_key",
-        "unknown_range_key", "grid_number"])
+        "unknown_range_key", "grid_number", "schema_true", "no_scans_network_d"])
 def test_cli_rejects_bad_document_fields_at_load(tmp_path, capsys, field, edit):
     doc = json.loads(json.dumps(SCENARIO))
     edit(doc)
@@ -674,8 +677,9 @@ def test_photon_flux_values():
         photon_flux(1.0, -1.0)
 
 
-def test_verify_quick_passes():
-    report = verify("quick")
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])  # None: verify's own seed
+def test_verify_quick_passes(seed):
+    report = verify("quick") if seed is None else verify("quick", seed=seed)
     assert report.ok, report.text()
     assert report.elapsed < 30.0
     assert any("oracle" in check.name for check in report.checks)
@@ -694,6 +698,12 @@ def test_verify_flags_injected_noise_sign_bug(monkeypatch):
     assert not report.ok
     bad = [c for c in report.checks if not c.ok]
     assert any("oracle" in c.name for c in bad)
+
+
+def test_verify_fails_a_nan_variance(monkeypatch):
+    # max() alone would drop a NaN deviation, and the checks would pass
+    monkeypatch.setattr(scenarios, "sensitivity_numeric", lambda cfg: math.nan)
+    assert not verify("quick").ok
 
 
 def test_verify_full_checks_match_the_benchmark_reference():
