@@ -173,42 +173,27 @@ ROW_ERRORS = (
 
 
 def _config_for_point(axis, value, base: NetworkConfig):
-    """Derive the operating point for one grid value.
-
-    n_c / eta_dis / K keep the weight structure and reallocate optimally;
-    d rebuilds the weight pattern at fixed per-node coherent intensity;
-    n_T additionally optimizes the squeezing split (n_s_opt reported);
-    weights switches the estimated combination by pattern name.
-    """
-    nu = base.weights
-    r = base.r
-    kw = dict(
-        K=base.K, mu=base.mu, eta_dis=base.eta_dis, eta_mzi=base.eta_mzi,
-        eta_m=base.eta_m,
-    )
+    """The operating point of one grid value: `configure_optimal` on the base
+    network's weights, n_c, r, K, mu and efficiencies, the axis replacing its
+    own input (d: the 'ave' pattern of d nodes at the base's n_c per node;
+    n_T: n_c = n_T - n_s_opt and the r of the optimal split n_s_opt, also
+    returned; weights: the named pattern).  No point reads the base's
+    amplitudes, splitting or working points."""
+    inputs = dict(nu=base.weights, n_c=base.n_c, r=base.r, K=base.K, mu=base.mu,
+                  eta_dis=base.eta_dis, eta_mzi=base.eta_mzi, eta_m=base.eta_m)
     n_s_opt = None
-    if axis == "n_c":
-        cfg = configure_optimal(nu, float(value), r, **kw)
-    elif axis == "eta_dis":
-        kw["eta_dis"] = float(value)
-        cfg = configure_optimal(nu, base.n_c, r, **kw)
-    elif axis == "K":
-        kw["K"] = int(value)
-        cfg = configure_optimal(nu, base.n_c, r, **kw)
-    elif axis == "d":
-        d = int(value)
-        n_c_per_node = base.n_c / base.d
-        pattern = weight_pattern("ave", d)
-        cfg = configure_optimal(pattern, n_c_per_node * d, r, **kw)
+    if axis == "d":
+        inputs.update(nu=weight_pattern("ave", int(value)),
+                      n_c=base.n_c / base.d * int(value))
     elif axis == "n_T":
         n_s_opt, _ = optimize_squeezing(float(value), Lambda=base.Lambda,
                                         K=base.enhancement)
-        n_c = float(value) - n_s_opt
-        cfg = configure_optimal(nu, n_c, laws.ns_to_r(n_s_opt), **kw)
+        inputs.update(n_c=float(value) - n_s_opt, r=laws.ns_to_r(n_s_opt))
     elif axis == "weights":
-        pattern = weight_pattern(str(value), base.d)
-        cfg = configure_optimal(pattern, base.n_c, r, **kw)
-    return cfg, n_s_opt
+        inputs["nu"] = weight_pattern(str(value), base.d)
+    else:  # n_c, eta_dis, K
+        inputs[axis] = int(value) if axis == "K" else float(value)
+    return configure_optimal(**inputs), n_s_opt
 
 
 def _evaluate_point(axis, value, base, engines):
@@ -256,11 +241,42 @@ def _check_axis(axis):
         raise ConfigError("axis", f"unknown scan axis {axis!r}")
 
 
+def _number(name: str, value) -> float:
+    """value as a float; anything but a number raises ConfigError(name).
+    JSON true and false are not numbers, although Python's bool is an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)):
+        raise ConfigError(name, f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; anything but a whole number raises ConfigError(name)."""
+    if not _number(name, value).is_integer():
+        raise ConfigError(name, f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _finite(name: str, value) -> float:
+    """value as a float; anything but a finite number raises ConfigError(name)."""
+    number = _number(name, value)
+    if not math.isfinite(number):
+        raise ConfigError(name, f"must be a finite number, got {value!r}")
+    return number
+
+
 def _check_grid(axis, grid):
-    """A scan grid must be nonempty and repeat no point, and on a numeric
-    axis it must be monotone (so strictly monotone)."""
+    """A scan grid must be nonempty, hold values of its axis (a pattern
+    name on weights, a whole number on K and d, a finite number elsewhere:
+    ConfigError(axis)) and repeat no point, and on a numeric axis it must be
+    monotone (so strictly monotone).  The loader and `scan` check a grid
+    here, before any point is evaluated."""
     if not grid:
         raise ConfigError("grid", "grid must be nonempty")
+    for point in grid:
+        if axis == "weights":
+            weight_pattern(str(point), 1)
+        else:
+            (_integer if axis in ("K", "d") else _finite)(axis, point)
     seen = set()
     for point in grid:
         if point in seen:
@@ -276,8 +292,9 @@ def scan(axis, grid, base: NetworkConfig,
          engines=("analytic", "numeric")) -> list:
     """Evaluate a grid of operating points; one ScanRow per grid value.
 
-    Rows are evaluated and returned in grid order, and per-point failures
-    are recorded in the row status.
+    A grid that `_check_grid` refuses raises ConfigError before any row is
+    computed; then rows are evaluated and returned in grid order, and
+    per-point failures are recorded in the row status.
     """
     grid = list(grid)
     _check_axis(axis)

@@ -33,6 +33,7 @@ Identical scenario + seed gives byte-identical outputs.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.resources
 import json
 import math
@@ -60,6 +61,7 @@ from .network import (
     sensitivity_separable,
     weight_pattern,
 )
+from .optimize import _finite, _integer, _number  # the scan's rules for a number
 
 __all__ = [
     "Scenario",
@@ -79,22 +81,8 @@ FIGURES = ("fig2", "fig3a", "fig3b", "fig3c", "fig4", "fig5a", "fig5b")
 PLANCK = 6.62607015e-34
 LIGHT_SPEED = 299792458.0
 
-CSV_COLUMNS = (
-    "variance_numeric",
-    "variance_closed_form",
-    "variance_oracle",
-    "variance_qcrb",
-    "sql",
-    "db_below_sql",
-    "regime",
-    "n_s_opt",
-    "branch_low",
-    "branch_heisenberg",
-    "branch_floor",
-    "db_below_sql_mc",
-    "snr_db_mc",
-    "status",
-)
+# a scan row's fields after its grid value and its operating point, in order
+CSV_COLUMNS = tuple(column.name for column in dataclasses.fields(optimize.ScanRow))[2:]
 
 ENGINES = ("numeric", "analytic", "oracle", "trace")
 
@@ -126,21 +114,6 @@ class Scenario:
         if rs is not None:
             raise ConfigError("topology", "scans need the entangled topology")
         return config
-
-
-def _number(name: str, value) -> float:
-    """value as a float; anything but a number raises ConfigError(name).
-    JSON true and false are not numbers, although Python's bool is an int."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(name, f"must be a number, got {value!r}")
-    return float(value)
-
-
-def _integer(name: str, value) -> int:
-    """value as an int; anything but a whole number raises ConfigError(name)."""
-    if not _number(name, value).is_integer():
-        raise ConfigError(name, f"must be an integer, got {value!r}")
-    return int(value)
 
 
 def _where(check, test, words):
@@ -175,13 +148,16 @@ def _one_of(*choices):
 
 FILE_PART = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
-_finite = _where(_number, math.isfinite, "a finite number")
 _count = _where(_integer, lambda n: n >= 1, "an integer >= 1")
-_pair = _where(_list_of(_finite), lambda pair: len(pair) == 2, "[t_on, t_off]")
 _object = _where(_any, lambda value: isinstance(value, dict), "an object")
 # a name that keeps an output file in its directory
 _file_part = _where(_any, lambda value: isinstance(value, str) and FILE_PART.fullmatch(value),
                     f"a plain file-name part ({FILE_PART.pattern})")
+
+
+def _pair(words):
+    """The check of a list of two finite numbers, described as `words`."""
+    return _where(_list_of(_finite), lambda pair: len(pair) == 2, words)
 
 
 def _finites(name: str, value):
@@ -247,7 +223,7 @@ NETWORK = {
     "eta_dis": (_finite, 1.0),
     "eta_mzi": (_finite, 1.0),
     "eta_m": (_finite, 1.0),
-    "alphas": (_list_of(_list_of(_finite)), None),
+    "alphas": (_list_of(_pair("[magnitude, phase]")), None),
     "P": (_list_of(_finite), None),
     "thetas": (_finites, None),
     "n_c": (_any, None),  # read only without alphas and P
@@ -255,7 +231,7 @@ NETWORK = {
 TRACE = {
     "sample_rate": (_finite, tracelab.DEFAULT_SAMPLE_RATE),
     "cycle": (_finite, tracelab.DEFAULT_CYCLE),
-    "gate": (_pair, tracelab.DEFAULT_GATE),
+    "gate": (_pair("[t_on, t_off]"), tracelab.DEFAULT_GATE),
     "n_cycles": (_integer, 1),
     "drive_freq": (_finite, tracelab.DEFAULT_DRIVE),
     "delta_theta": (_finite, 1e-7),
@@ -344,11 +320,12 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         scan = _fields(entry, SCAN, "scans")
         axis, grid, engines = scan["axis"], scan["grid"], scan["engines"]
         cfg = scenario.base_config(scan["overrides"])
-        for value in grid:
-            if axis == "weights":
-                weight_pattern(str(value), cfg.d)
-            else:
-                (_integer if axis in ("K", "d") else _finite)(axis, value)
+        # points read only the optimal network's inputs (optimize._config_for_point),
+        # and a d scan's points the ave pattern: a field no point reads is refused
+        network = dict(scenario.network, **scan["overrides"])
+        for name in ("alphas", "P", "thetas") + (("weights",) if axis == "d" else ()):
+            if network.get(name) not in (None, "ave"):
+                raise ConfigError(name, f"no point of a {axis} scan reads it")
         optimize._check_grid(axis, grid)
         if "oracle" in engines and (cfg.d > ORACLE_MAX_D or cfg.r > ORACLE_MAX_R):
             raise ConfigError("engines", f"the oracle refuses d > {ORACLE_MAX_D} "
@@ -584,15 +561,20 @@ def _random_config(rng, d_max=4, r_max=1.0, optimal_p=True):
 
 
 def _rel_dev(a, b):
-    dev = abs(a - b) / max(abs(a), abs(b), 1e-300)
-    return dev if dev == dev else math.inf  # max() would drop a NaN; inf fails
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def _worse(dev, x):
+    """The larger of two deviations, NaN if either is NaN: max() would drop
+    a NaN x, and a NaN deviation fails its bound.  Every check folds with it."""
+    return float(np.maximum(dev, x))
 
 
 def _closed_form_check(rng, count):
     dev = 0.0
     for _ in range(count):
         cfg = _random_config(rng, optimal_p=bool(rng.integers(0, 2)))
-        dev = max(dev, _rel_dev(sensitivity_numeric(cfg), closed_form_variance(cfg)))
+        dev = _worse(dev, _rel_dev(sensitivity_numeric(cfg), closed_form_variance(cfg)))
     return dev
 
 
@@ -616,7 +598,7 @@ def _response_check(rng, count):
                                      range(cfg.d))
             fd = (up - dn) / (2 * step)
             fd[j] -= analytic[j]
-            dev = max(dev, np.max(np.abs(fd)) / scale)
+            dev = _worse(dev, np.max(np.abs(fd)) / scale)
     return dev
 
 
@@ -624,8 +606,8 @@ def _separable_check(rng, count):
     dev = 0.0
     for _ in range(count):
         cfg = _random_config(rng, optimal_p=True)
-        dev = max(dev, _rel_dev(sensitivity_numeric(cfg),
-                                sensitivity_separable(cfg, (cfg.r,) * cfg.d)))
+        dev = _worse(dev, _rel_dev(sensitivity_numeric(cfg),
+                                   sensitivity_separable(cfg, (cfg.r,) * cfg.d)))
     return dev
 
 
@@ -635,7 +617,7 @@ def _sign_check(rng, count):
         cfg = _random_config(rng, optimal_p=True)
         flipped = cfg.with_updates(weights=tuple(-w for w in cfg.weights),
                                    alphas=tuple((m, ph + math.pi) for m, ph in cfg.alphas))
-        dev = max(dev, _rel_dev(sensitivity_numeric(cfg), sensitivity_numeric(flipped)))
+        dev = _worse(dev, _rel_dev(sensitivity_numeric(cfg), sensitivity_numeric(flipped)))
     return dev
 
 
@@ -647,9 +629,8 @@ def _lumped_loss_check(rng, count):
         cfg = _random_config(rng)
         lumped = cfg.with_updates(eta_dis=1.0,
                                   eta_mzi=cfg.eta_total / cfg.eta_m ** (2 * cfg.K - 1))
-        # np.maximum keeps a NaN entry, which fails the bound
-        dev = float(np.maximum(dev, np.max(np.abs(noise_matrix(cfg) - noise_matrix(lumped)))))
-        dev = float(np.maximum(dev, np.max(np.abs(response(cfg) - response(lumped)))))
+        dev = _worse(dev, np.max(np.abs(noise_matrix(cfg) - noise_matrix(lumped))))
+        dev = _worse(dev, np.max(np.abs(response(cfg) - response(lumped))))
     return dev
 
 
@@ -665,7 +646,7 @@ def _cascade_check(rng, count):
             ai, aj = amp[i], amp[j]
             amp[i] = math.sqrt(t) * ai + math.sqrt(1 - t) * aj
             amp[j] = -math.sqrt(1 - t) * ai + math.sqrt(t) * aj
-        dev = max(dev, float(np.max(np.abs(amp**2 - p))))
+        dev = _worse(dev, np.max(np.abs(amp**2 - p)))
     return dev
 
 
@@ -675,8 +656,8 @@ def _oracle_check(rng, count):
         cfg = _random_config(rng, d_max=3, r_max=0.4, optimal_p=True)
         cfg = cfg.with_updates(alphas=tuple((min(m, 0.95), ph) for m, ph in cfg.alphas), K=1)
         oracle = oracle_sensitivity(cfg)
-        dev = max(dev, _rel_dev(oracle, sensitivity_numeric(cfg)))
-        dev = max(dev, _rel_dev(oracle, closed_form_variance(cfg)))
+        dev = _worse(dev, _rel_dev(oracle, sensitivity_numeric(cfg)))
+        dev = _worse(dev, _rel_dev(oracle, closed_form_variance(cfg)))
     return dev
 
 
@@ -690,7 +671,7 @@ def _optimizer_check(rng, count):
         _, best = optimize.optimize_squeezing(n_t, Lambda=lam, K=k)
         ns_grid = np.linspace(0.0, n_t * (1 - 1e-9), 10_000)
         grid_best = laws.variance_vs_ns(n_t, ns_grid, Lambda=lam, K=k).min()
-        dev = max(dev, max(0.0, (best - grid_best) / grid_best))
+        dev = _worse(dev, (best - grid_best) / grid_best)  # dev >= 0: a lower best reads 0
     return dev
 
 
@@ -698,8 +679,8 @@ def _identities_check(rng, count):
     """Closed-form resource identities at `count` photon numbers; draws nothing."""
     dev = 0.0
     for n_s in np.logspace(-6, 6, count):
-        dev = max(dev, abs(laws.varq_from_ns(n_s) - math.exp(-2 * laws.ns_to_r(n_s))))
-    dev = max(dev, abs(laws.db_below_sql(0.75, 1 - math.exp(-1.5))))
+        dev = _worse(dev, abs(laws.varq_from_ns(n_s) - math.exp(-2 * laws.ns_to_r(n_s))))
+    dev = _worse(dev, abs(laws.db_below_sql(0.75, 1 - math.exp(-1.5))))
     return dev
 
 
@@ -735,13 +716,13 @@ def _trace_noise_deviation(rng) -> float:
         model = laws.db_below_sql(r, cfg.Lambda)
         if r == 0.75:
             result = tracelab.synthesize_and_analyse(cfg, 0.0, params, seed=series_seed)
-            dev = max(dev, abs(result.db_below_sql - model))
+            dev = _worse(dev, abs(result.db_below_sql - model))
         variance = sensitivity_numeric(cfg)
         mean = math.fsum(
             tracelab.simulate_joint_noise(cfg, variance, 0.0, params, seed).db_below_sql
             for seed in rng.integers(2**62, size=_TRACE_SAMPLER_RUNS).tolist()
         ) / _TRACE_SAMPLER_RUNS
-        dev = max(dev, abs(mean - model))
+        dev = _worse(dev, abs(mean - model))
     return dev
 
 

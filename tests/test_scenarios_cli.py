@@ -9,7 +9,7 @@ import pytest
 
 import numpy as np
 
-from mzinet import cli, optimize, scenarios, tracelab
+from mzinet import cli, laws, optimize, scenarios, tracelab
 from mzinet.errors import (
     AnalysisError,
     ConfigError,
@@ -325,6 +325,17 @@ NAN, INF = float("nan"), float("inf")
     ("n_c", {"n_c": 0}, None, None),
     ("n_c", {"n_c": -1e4}, None, None),
     ("weights", {"weights": [0, 0, 0]}, None, None),
+    ("thetas", {"thetas": [0.4, -0.3, 0.1]}, None, None),
+    ("thetas", {}, {"axis": "n_c", "grid": [1e3, 1e5], "overrides": {"thetas": 0.1}}, None),
+    ("alphas", {"alphas": [[900.0, 0.0], [300.0, 0.0], [300.0, 0.0]],
+                "P": [0.2, 0.4, 0.4]}, None, None),
+    ("weights", {"weights": "stag"}, {"axis": "d", "grid": [2, 4]}, None),
+    ("weights", {}, {"axis": "d", "grid": [2, 4], "overrides": {"weights": [1, 1, 1]}},
+     None),
+    ("alphas", {"alphas": [[1.0, 0.0, 5.0], [1.0, 0.0], [1.0, 0.0]],
+                "P": [0.2, 0.4, 0.4]}, None, None),
+    ("alphas", {"alphas": [[1.0], [1.0, 0.0], [1.0, 0.0]], "P": [0.2, 0.4, 0.4]},
+     None, None),
 ], ids=["network_r_nan", "network_r_inf", "network_r_negative",
         "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
         "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
@@ -346,7 +357,9 @@ NAN, INF = float("nan"), float("inf")
         "network_topology_unknown", "network_r_list_shared",
         "network_r_list_short", "network_r_list_negative", "network_r_list_nan",
         "network_d_zero", "network_d_negative", "network_n_c_zero",
-        "network_n_c_negative", "weights_all_zero"])
+        "network_n_c_negative", "weights_all_zero", "scan_network_thetas",
+        "scan_overrides_thetas", "scan_network_alphas_P", "d_scan_weights_pattern",
+        "d_scan_weights_list", "alphas_triple", "alphas_single"])
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)
@@ -369,6 +382,112 @@ def test_scan_grid_repeat_names_the_point(axis, grid, repeat):
     base, _ = scenarios._config_from_spec(SCENARIO["network"])
     with pytest.raises(ConfigError, match=f"grid: grid repeats the point {repeat}"):
         optimize.scan(axis, grid, base)
+
+
+@pytest.mark.parametrize("axis, grid", [
+    ("K", [2.5, 3]),
+    ("d", [2.7, 4]),
+    ("K", [True, 3]),
+    ("n_c", [NAN, 1e4]),
+    ("eta_dis", [0.5, "0.9"]),
+    ("weights", ["ave", "bogus"]),
+], ids=["K_fraction", "d_fraction", "K_bool", "n_c_nan", "eta_dis_string",
+        "weights_unknown"])
+def test_scan_refuses_the_points_the_loader_refuses(monkeypatch, axis, grid):
+    def evaluated(*args):
+        raise AssertionError("a point was evaluated before the grid was checked")
+
+    monkeypatch.setattr(optimize, "_evaluate_point", evaluated)
+    base, _ = scenarios._config_from_spec(SCENARIO["network"])
+    with pytest.raises(ConfigError) as info:
+        optimize.scan(axis, grid, base)
+    assert info.value.field == axis
+
+
+def test_scan_takes_numpy_grid_points():
+    base, _ = scenarios._config_from_spec(SCENARIO["network"])
+    rows = optimize.scan("K", np.arange(1, 3), base)
+    assert [(row.config.K, row.status) for row in rows] == [(1, "ok"), (2, "ok")]
+
+
+@pytest.mark.parametrize("alphas", [
+    [[1.0, 0.0, 5.0], [1.0, 0.0], [1.0, 0.0]],
+    [[1.0], [1.0, 0.0], [1.0, 0.0]],
+], ids=["triple", "single"])
+def test_cli_sensitivity_refuses_an_alphas_entry_that_is_not_a_pair(
+        tmp_path, capsys, alphas):
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["network"].update(alphas=alphas, P=[0.2, 0.4, 0.4])
+    doc["scans"] = []
+    path = _write_scenario(tmp_path, doc)
+    assert cli.main(["sensitivity", "--config", str(path)]) == 2
+    assert "configuration error: alphas: must be [magnitude, phase]" in (
+        capsys.readouterr().err)
+
+
+def test_a_document_without_scans_keeps_the_fields_no_scan_reads(tmp_path, capsys):
+    """`sensitivity` evaluates the network as written: its working points,
+    amplitudes and splitting, which no scan point reads."""
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["scans"] = []
+    variances = []
+    for network in ({}, {"thetas": [0.4, -0.3, 0.1]},
+                    {"alphas": [[90.0, 0.0], [30.0, 0.0], [30.0, 0.0]],
+                     "P": [0.2, 0.4, 0.4]}):
+        path = _write_scenario(tmp_path, dict(doc, network=dict(doc["network"], **network)))
+        assert cli.main(["sensitivity", "--config", str(path)]) == 0
+        variances.append(json.loads(capsys.readouterr().out)["variance_rad2"])
+    assert len(set(variances)) == 3
+
+
+# The network fields that each scan axis replaces (optimize._config_for_point)
+AXIS_INPUTS = {"n_c": {"n_c"}, "eta_dis": {"eta_dis"}, "K": {"K"}, "d": {"d"},
+               "n_T": {"n_c", "r"}, "weights": {"weights"}}
+AXIS_GRIDS = {"n_c": [1e3, 1e5], "eta_dis": [0.5, 0.9], "K": [1, 3], "d": [2, 4],
+              "n_T": [1e2, 1e4], "weights": ["ave", "asym"]}
+# another valid value of each network field; alphas and P change as a pair
+OTHER_VALUES = {
+    "d": {"d": 4},
+    "weights": {"weights": [1.0, 0.5, 0.25]},
+    "r": {"r": 0.5},
+    "topology": {"topology": "separable"},
+    "mu": {"mu": 0.5},
+    "K": {"K": 2},
+    "eta_dis": {"eta_dis": 0.9},
+    "eta_mzi": {"eta_mzi": 0.8},
+    "eta_m": {"eta_m": 0.95},
+    "alphas": {"alphas": [[60.0, 0.0], [50.0, 0.0], [40.0, 0.0]], "P": [0.4, 0.35, 0.25]},
+    "thetas": {"thetas": [0.4, -0.3, 0.1]},
+    "n_c": {"n_c": 2e4},
+}
+
+
+def test_every_network_field_reaches_a_scans_csv_or_fails_at_load(tmp_path):
+    """A network field that an axis leaves either moves the scan's CSV or
+    is refused at load under its own name: no field is silently unread."""
+    assert set().union(*OTHER_VALUES.values()) == set(scenarios.NETWORK)
+
+    def scan_csv(axis, network):
+        doc = dict(SCENARIO, network=network,
+                   scans=[{"axis": axis, "grid": AXIS_GRIDS[axis],
+                           "engines": ["analytic", "numeric"]}])
+        [path] = run_scenario(scenarios._scenario_from_doc(doc), tmp_path)
+        return path.read_bytes()
+
+    unread = []
+    for axis, replaced in AXIS_INPUTS.items():
+        base = scan_csv(axis, SCENARIO["network"])
+        for field, change in OTHER_VALUES.items():
+            if field in replaced:
+                continue
+            try:
+                changed = scan_csv(axis, dict(SCENARIO["network"], **change))
+            except ConfigError as exc:
+                assert exc.field in change, (axis, field, exc)
+            else:
+                if changed == base:
+                    unread.append((axis, field))
+    assert unread == [], unread
 
 
 @pytest.mark.parametrize("field, edit", [
@@ -700,10 +819,27 @@ def test_verify_flags_injected_noise_sign_bug(monkeypatch):
     assert any("oracle" in c.name for c in bad)
 
 
-def test_verify_fails_a_nan_variance(monkeypatch):
-    # max() alone would drop a NaN deviation, and the checks would pass
-    monkeypatch.setattr(scenarios, "sensitivity_numeric", lambda cfg: math.nan)
-    assert not verify("quick").ok
+@pytest.mark.parametrize("module, name, nan_version, check", [
+    (scenarios, "sensitivity_numeric", lambda real: lambda cfg: math.nan,
+     "engine vs closed form"),
+    (scenarios, "homodyne_moments",
+     lambda real: lambda state, modes: (np.full(len(modes), math.nan), None),
+     "response matrix vs finite differences"),
+    (scenarios, "qc_cascade",
+     lambda real: lambda p: [(pair, math.nan) for pair, _ in real(p)],
+     "cascade splitting distribution"),
+    (optimize, "optimize_squeezing",
+     lambda real: lambda n_t, Lambda, K: (real(n_t, Lambda, K)[0], math.nan),
+     "squeezing optimizer vs grid"),
+    (laws, "varq_from_ns", lambda real: lambda n_s: math.nan,
+     "resource conversion identities"),
+], ids=["sensitivity_numeric", "homodyne_moments", "qc_cascade", "optimize_squeezing",
+        "varq_from_ns"])
+def test_verify_fails_a_nan_variance(monkeypatch, module, name, nan_version, check):
+    # max() alone would drop a NaN deviation, and the check would pass
+    monkeypatch.setattr(module, name, nan_version(getattr(module, name)))
+    report = verify("quick")
+    assert check in [c.name for c in report.checks if not c.ok], report.text()
 
 
 def test_verify_full_checks_match_the_benchmark_reference():
