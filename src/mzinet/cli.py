@@ -96,15 +96,20 @@ def _cmd_sensitivity(args):
     return EXIT_OK
 
 
-def _require_finite(args, *names):
-    """A NaN or infinite value of an option is a configuration error that
-    names the option, by the scenario files' rule."""
-    for name in names:
-        scenarios._finite("--" + name.replace("_", "-"), getattr(args, name))
+_POSITIVE = scenarios._where(scenarios._finite, lambda x: x > 0, "a number > 0")
+_NONNEGATIVE = scenarios._where(scenarios._finite, lambda x: x >= 0, "a number >= 0")
+
+
+def _require(args, **checks):
+    """A NaN, infinite or out-of-domain value of an option is a
+    configuration error that names the option, by the scenario files' rule:
+    checks maps each option's attribute name to its check."""
+    for name, check in checks.items():
+        check("--" + name.replace("_", "-"), getattr(args, name))
 
 
 def _cmd_optimize(args):
-    _require_finite(args, "n_total", "loss", "passes")
+    _require(args, n_total=_POSITIVE, loss=_NONNEGATIVE, passes=_POSITIVE)
     n_s, variance = optimize.optimize_squeezing(
         args.n_total, Lambda=args.loss, K=args.passes)
     print(json.dumps({
@@ -161,7 +166,7 @@ def _cmd_trace(args):
 
 
 def _cmd_flux(args):
-    _require_finite(args, "power", "wavelength")
+    _require(args, power=_POSITIVE, wavelength=_POSITIVE)
     print(f"{scenarios.photon_flux(args.power, args.wavelength):.16e}")
     return EXIT_OK
 

@@ -256,6 +256,14 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _count(name: str, value) -> int:
+    """value as an int; anything but a whole number >= 1 raises ConfigError(name)."""
+    count = _integer(name, value)
+    if count < 1:
+        raise ConfigError(name, f"must be an integer >= 1, got {value!r}")
+    return count
+
+
 def _finite(name: str, value) -> float:
     """value as a float; anything but a finite number raises ConfigError(name)."""
     number = _number(name, value)
@@ -266,17 +274,17 @@ def _finite(name: str, value) -> float:
 
 def _check_grid(axis, grid):
     """A scan grid must be nonempty, hold values of its axis (a pattern
-    name on weights, a whole number on K and d, a finite number elsewhere:
-    ConfigError(axis)) and repeat no point, and on a numeric axis it must be
-    monotone (so strictly monotone).  The loader and `scan` check a grid
-    here, before any point is evaluated."""
+    name on weights, a whole number >= 1 on K and d, a finite number
+    elsewhere: ConfigError(axis)) and repeat no point, and on a numeric axis
+    it must be monotone (so strictly monotone).  The loader and `scan` check
+    a grid here, before any point is evaluated."""
     if not grid:
         raise ConfigError("grid", "grid must be nonempty")
     for point in grid:
         if axis == "weights":
             weight_pattern(str(point), 1)
         else:
-            (_integer if axis in ("K", "d") else _finite)(axis, point)
+            (_count if axis in ("K", "d") else _finite)(axis, point)
     seen = set()
     for point in grid:
         if point in seen:

@@ -11,45 +11,48 @@ with the same photon budget; both sides of the ratio go through the same
 band-power kernel and calibration, so the spectral calibration cancels.
 
 A `TraceSet` holds per-channel traces with their one `TraceParams`, whose
-n_cycles is the samples' whole cycles.  A run is made and read one cycle of
-N samples at a time, by two rules.  The fill rule (`_cycle_filler`) writes
-cycle k into a (d, N) array: each channel's Philox stream draws its next N
-normals into its row, the rows on up to one thread per core at once (each
-row depends only on its own stream, so the bytes do not depend on the
-thread count), the noise factor mixes the rows in place by column blocks,
-and the drive is added over the cycle's gate span.  `synthesize` applies it
-to each cycle of its d x n output and allocates nothing else of that size.
-The analysis rule (`_cycle_powers`) reads one Hann-weighted DFT bin of each
-analysis segment of one cycle's joint estimator y = sum_j nu_j x_j / C_jj;
-`joint_noise_analysis` averages those band powers over the gated and over
-the idle segments of every cycle as in a Welch periodogram (Welch, IEEE
-Trans. Audio Electroacoust. 15, 70 (1967)).  It forms y one block of whole
-segments of one span at a time, in channel order without BLAS, and never
-builds the series: besides the traces it allocates about one block and one
-band power per segment.  `synthesize_and_analyse` fills one reused cycle
-and analyses it before drawing the next, so it returns the analysis of the
-synthesized run, bit for bit, holding one cycle of samples.  Each block's
-bin product is too small for OpenBLAS to thread, so the bits do not depend
-on the BLAS thread count and no BLAS thread is left spinning.  The joint
-noise is white with variance w^T Gamma w (w_j = nu_j / C_jj), which is the
-engine's `sensitivity_numeric`, and the segments are disjoint, so each
-window's summed bin power, with the gated tone's share of it, is a sum of
-two scaled noncentral chi-square variates: `simulate_joint_noise` draws
-that sum directly, two gamma and two normal variates per window, and never
-builds the series or its segments.  It takes the variance from its caller
-(a scan row's `variance_numeric`), so a scan point builds the network once.  The reference run has r = 0, no
-loss and theta = 0, so its Gamma is exactly the identity and its variance
-is x . x over the kept channels, with no network build; both paths draw
-its idle power the same way (`_reference_power`).  The gate is one rule
-in whole samples: the cycle and both gate edges are whole numbers of
-samples (`_whole_samples`, which `TraceParams` applies), and each cycle's
-gate span is [k N + lo, k N + hi) (`_window_spans`).  The drive fills
-exactly those spans and the analysis reads its gated segments from them
-and its idle segments from outside them, so a gated segment holds the
-drive throughout and an idle segment holds none of it.  The spans, the
-segment layout (`_segment_layout`) and the kernel (`_bin_kernel`) have
-one definition each, shared by both paths and, for the layout, by the
-scenario load check.
+n_cycles is the samples' whole cycles.  A run is made and read by two
+rules.  The fill rule (`_cycle_filler`) writes any span [a, b) of one
+cycle k: each channel's Philox stream draws its next b - a normals into its
+row, the rows on up to one thread per core at once (each row depends only
+on its own stream, so the bytes do not depend on the thread count), the
+noise factor mixes the rows in place by column blocks, and the drive is
+added over the span's overlap with the cycle's gate span.  `synthesize`
+applies it to each whole cycle of its d x n output and allocates nothing
+else of that size.  The reading rule (`_read_pieces`) walks a run's pieces
+in time order: each gated or idle span's blocks of whole analysis segments,
+then the unread tail after its last full segment.  It reads one
+Hann-weighted DFT bin of each segment of a block of the joint estimator
+y = sum_j nu_j x_j / C_jj, and averages those band powers over the gated
+and over the idle segments of the run as in a Welch periodogram (Welch,
+IEEE Trans. Audio Electroacoust. 15, 70 (1967)).  It forms y one block at a
+time, in channel order without BLAS, and never builds the series: besides
+the samples it allocates about one block and one band power per segment.
+`joint_noise_analysis` reads the pieces as views of its traces, and
+`synthesize_and_analyse` fills each piece into one reused buffer of one
+analysis block and reads it before drawing the next, so it returns the
+analysis of the synthesized run, bit for bit, holding one block of samples.
+Each block's bin product is too small for OpenBLAS to thread, so the bits
+do not depend on the BLAS thread count and no BLAS thread is left spinning.
+The joint noise is white with variance w^T Gamma w (w_j = nu_j / C_jj),
+which is the engine's `sensitivity_numeric`, and the segments are disjoint,
+so each window's summed bin power, with the gated tone's share of it, is a
+sum of two scaled noncentral chi-square variates: `simulate_joint_noise`
+draws that sum directly, two gamma and two normal variates per window, and
+never builds the series or its segments.  It takes the variance from its
+caller (a scan row's `variance_numeric`), so a scan point builds the
+network once.  The reference run has r = 0, no loss and theta = 0, so its
+Gamma is exactly the identity and its variance is x . x over the kept
+channels, with no network build; both paths draw its idle power the same
+way (`_reference_power`).  The gate is one rule in whole samples: the cycle
+and both gate edges are whole numbers of samples (`_whole_samples`, which
+`TraceParams` applies), and each cycle's gate span is [k N + lo, k N + hi)
+(`_window_spans`).  The drive fills exactly those spans and the analysis
+reads its gated segments from them and its idle segments from outside them,
+so a gated segment holds the drive throughout and an idle segment holds
+none of it.  The spans, the segment layout (`_segment_layout`) and the
+kernel (`_bin_kernel`) have one definition each, shared by both paths and,
+for the layout, by the scenario load check.
 
 Two caches hold what depends only on the timing and rbw: `_bin_kernel`
 (the last four kernels, shared by the blocks of an analysis) and
@@ -227,13 +230,6 @@ def _n_samples(params: TraceParams) -> int:
     return _cycle_samples(params) * params.n_cycles
 
 
-def _cycle_views(samples: np.ndarray, params: TraceParams):
-    """The (d, N) views of cycles 0, ..., params.n_cycles - 1 of `samples`,
-    in order; samples past the last whole cycle are not viewed."""
-    n = _cycle_samples(params)
-    return (samples[:, k * n:(k + 1) * n] for k in range(params.n_cycles))
-
-
 def _draw_rows(rngs, samples: np.ndarray):
     """Fill row j of `samples` with standard normals from rngs[j], on
     w = min(d, cpu count) workers: the calling thread and w - 1 threads, with
@@ -263,46 +259,52 @@ def _draw_rows(rngs, samples: np.ndarray):
 
 def _cycle_filler(config: NetworkConfig, delta_thetas, params: TraceParams,
                   seed: int):
-    """The fill rule of the run of `seed`: returns fill(out, k), which writes
-    cycle k of the run into the (d, N) array `out` and returns it, for
-    k = 0, 1, ... in turn (each channel's stream continues where cycle k - 1
-    stopped).  The noise factor, the streams and the drive amplitudes are
-    set up here, so a bad config, seed or delta raises at this call.
+    """The fill rule of the run of `seed`: returns fill(out, a, b), which
+    writes the samples [a, b) of the run, a span inside one cycle, into the
+    (d, b - a) array `out` and returns it, for consecutive spans from a = 0
+    on (each channel's stream continues where the last span stopped).  The
+    noise factor, the streams and the drive amplitudes are set up here, so a
+    bad config, seed or delta raises at this call.
 
-    fill draws each channel's next N normals into its row (`_draw_rows`),
-    mixes the rows in place by the noise factor `_MIX_BLOCK` columns at a
-    time from the cycle's start, the last block taking one more column
-    rather than leaving one alone, and adds the drive over the cycle's gate
-    span [k N + lo, k N + hi) (`_window_spans`).  For N > 1 each element
-    gets the same products and sums as from the whole product factor @ z
-    over the run plus the outer product of the amplitudes and the gated
-    tone: a stream drawn N normals at a time draws the same normals, and a
+    fill draws each channel's next b - a normals into its row
+    (`_draw_rows`), mixes the rows in place by the noise factor `_MIX_BLOCK`
+    columns at a time from the span's start, the last block taking one more
+    column rather than leaving one alone, and adds the drive over the span's
+    overlap with its cycle's gate span [k N + lo, k N + hi)
+    (`_window_spans`).  However a run is cut into spans of two or more
+    columns, each element gets the same products and sums as from the whole
+    product factor @ z over the run plus the outer product of the amplitudes
+    and the gated tone: a stream drawn in pieces draws the same normals, a
     column's mix does not depend on the block of two or more columns it is
-    mixed in.  A block of one column is mixed by gemv, whose sums differ in
-    the last bits from gemm's for d >= 4."""
+    mixed in, and the tone is elementwise.  A span of one column is mixed by
+    gemv, whose sums differ in the last bits from gemm's for d >= 4."""
     d = config.d
     delta = np.broadcast_to(np.asarray(delta_thetas, dtype=float), (d,))
     factor = _noise_factor(noise_matrix(config))
     rngs = [_channel_rng(seed, j) for j in range(d)]
     amps = response(config) * delta
+    driven = bool(np.any(amps != 0.0))
     n = _cycle_samples(params)
     ((lo, hi),) = _window_spans(replace(params, n_cycles=1))
     omega = 2.0 * math.pi * params.drive_freq
 
-    def fill(out, k):
+    def fill(out, a, b):
         _draw_rows(rngs, out)
+        width = b - a
         start = 0
-        while start < n:
-            stop = n if n - start <= _MIX_BLOCK + 1 else start + _MIX_BLOCK
+        while start < width:
+            stop = width if width - start <= _MIX_BLOCK + 1 else start + _MIX_BLOCK
             block = out[:, start:stop]
             block[...] = factor @ block
             start = stop
-        if np.any(amps != 0.0):
-            tone = np.arange(k * n + lo, k * n + hi) / params.sample_rate
+        cycle = a - a % n
+        on, off = max(a, cycle + lo), min(b, cycle + hi)
+        if driven and on < off:
+            tone = np.arange(on, off) / params.sample_rate
             tone *= omega
             np.sin(tone, out=tone)
             for j in range(d):
-                out[j, lo:hi] += amps[j] * tone
+                out[j, on - a:off - a] += amps[j] * tone
         return out
 
     return fill
@@ -317,16 +319,17 @@ def synthesize(config: NetworkConfig, delta_thetas, params: TraceParams,
     Deterministic for a given seed.
 
     Allocates the d x n output and nothing else of that size, and fills it
-    one cycle at a time by the fill rule (`_cycle_filler`), so for cycles of
-    more than one sample each element gets the same products and sums as
-    from the whole product factor @ z plus the outer product of the
+    one whole cycle at a time by the fill rule (`_cycle_filler`), so for
+    cycles of more than one sample each element gets the same products and
+    sums as from the whole product factor @ z plus the outer product of the
     amplitudes and the gated tone, whatever the worker count of the draws.
     `synthesize_and_analyse` analyses the same run without holding it.
     """
     fill = _cycle_filler(config, delta_thetas, params, seed)
+    n = _cycle_samples(params)
     samples = np.empty((config.d, _n_samples(params)))
-    for k, cycle in enumerate(_cycle_views(samples, params)):
-        fill(cycle, k)
+    for a in range(0, samples.shape[1], n):
+        fill(samples[:, a:a + n], a, a + n)
     return TraceSet(samples, params, int(seed))
 
 
@@ -439,54 +442,51 @@ def _no_segment(length, invert) -> AnalysisError:
                          f"in the {window} window")
 
 
-def _check_analysis(params: TraceParams, rbw):
-    """Raises AnalysisError unless `_check_rbw` accepts rbw and one analysis
-    segment fits in a gated span and in an idle span."""
+def _check_analysis(params: TraceParams, rbw) -> int:
+    """The analysis segment length.  Raises AnalysisError unless
+    `_check_rbw` accepts rbw and one segment fits in a gated span and in an
+    idle span."""
     length = _check_rbw(params.sample_rate, params.drive_freq, rbw)
     # every cycle has the same spans, so one cycle is checked
     cycle = replace(params, n_cycles=1)
     for invert in (False, True):
         if not _segment_layout(cycle, length, invert):
             raise _no_segment(length, invert)
+    return length
 
 
-def _cycle_powers(weights, cycle, params: TraceParams, rbw):
-    """Band powers of the joint series y = sum_j weights_j cycle_j over each
-    full analysis segment of the gated and of the idle spans of one cycle:
-    `cycle` is a (d, N) array of one cycle and `params` its timing with
-    n_cycles = 1.  Returns the (gated, idle) arrays, in time order.
+def _read_pieces(weights, piece, params: TraceParams, rbw):
+    """(signal, noise): the mean band power of the joint series
+    y = sum_j weights_j x_j over the gated and over the idle analysis
+    segments of a run, read in one walk over its pieces in time order.
 
-    y is formed one block of whole segments of one span at a time, blocks
-    starting at the span's start, summed in channel order with einsum (no
-    BLAS, so no BLAS thread), and each block's bins are read by
-    `segment_band_powers`; the series is never built."""
-    length = _check_rbw(params.sample_rate, params.drive_freq, rbw)
+    The pieces of each span of `_window_spans`, gated or idle, are its
+    blocks of whole segments from its start, `_segments_per_block` segments
+    each but the last, and then the unread tail after its last full segment,
+    if any; a cycle's spans are taken in time order, so the pieces tile the
+    run.  piece(a, b) returns the (d, b - a) samples [a, b) of the run; it
+    is called for every piece in turn, tails included, and each block is
+    read before the next call, so a caller may refill one buffer.  y is
+    formed per block in channel order with einsum (no BLAS, so no BLAS
+    thread) and its bins are read by `segment_band_powers`: the series is
+    never built, and each window's band powers are averaged in time order.
+    Raises AnalysisError, before asking for a piece, for a refused rbw or a
+    window with no segment."""
+    length = _check_analysis(params, rbw)
     step = _segments_per_block(length) * length
-    windows = []
-    for invert in (False, True):
-        powers = []
-        for start, count in _segment_layout(params, length, invert):
-            stop = start + count * length
-            for a in range(start, stop, step):
-                block = cycle[:, a:min(a + step, stop)]
-                powers.append(segment_band_powers(
-                    np.einsum("j,jn->n", weights, block), params.sample_rate,
-                    params.drive_freq, rbw))
-        windows.append(np.concatenate(powers))
-    return windows
-
-
-def _joint_powers(weights, cycles, params: TraceParams, rbw):
-    """(signal, noise): the mean band power of the joint series over the
-    gated and over the idle segments of a run, whose cycles 0, ...,
-    params.n_cycles - 1 `cycles` yields in turn as (d, N) arrays.  Each
-    cycle is read (`_cycle_powers`) before the next is asked for, so a
-    caller may refill one buffer.  Raises AnalysisError, before reading a
-    cycle, for a refused rbw or a window with no segment."""
-    _check_analysis(params, rbw)
-    one = replace(params, n_cycles=1)
-    per_cycle = [_cycle_powers(weights, cycle, one, rbw) for cycle in cycles]
-    return tuple(float(np.concatenate(window).mean()) for window in zip(*per_cycle))
+    spans = sorted((a, b, invert) for invert in (False, True)
+                   for a, b in _window_spans(params, invert))
+    powers = ([], [])
+    for a, b, invert in spans:
+        stop = a + (b - a) // length * length
+        for start in range(a, stop, step):
+            block = piece(start, min(start + step, stop))
+            powers[invert].append(segment_band_powers(
+                np.einsum("j,jn->n", weights, block), params.sample_rate,
+                params.drive_freq, rbw))
+        if stop < b:
+            piece(stop, b)
+    return tuple(float(np.concatenate(window).mean()) for window in powers)
 
 
 @dataclass
@@ -534,22 +534,22 @@ def joint_noise_analysis(traces: TraceSet, config: NetworkConfig,
 
     Forms the estimator y[n] = sum_j nu_j x_j[n] / C_jj (phase units) and
     measures the drive-band power in the gated (signal) and idle (noise)
-    windows, one cycle of the traces at a time and within it one block of
-    whole segments at a time (`_joint_powers`): y is accumulated in channel
-    order without BLAS, and each block's bin product stays below OpenBLAS's
-    threading size, so the bits do not depend on a BLAS thread count.
-    Besides the traces, the call allocates about one block of y
-    (`_ANALYSIS_BLOCK` samples) and one band power per segment.  The idle
-    noise is referenced to the ideal shot-noise run with the traces' timing
-    (`_reference_power`), whose idle power is drawn as one window sum from a
-    seed derived from the traces' seed.
+    windows, one block of whole segments of the traces at a time
+    (`_read_pieces`, which reads each piece as a view of the traces): y is
+    accumulated in channel order without BLAS, and each block's bin product
+    stays below OpenBLAS's threading size, so the bits do not depend on a
+    BLAS thread count.  Besides the traces, the call allocates about one
+    block of y (`_ANALYSIS_BLOCK` samples) and one band power per segment.
+    The idle noise is referenced to the ideal shot-noise run with the
+    traces' timing (`_reference_power`), whose idle power is drawn as one
+    window sum from a seed derived from the traces' seed.
     """
     if traces.d != config.d:
         raise ConfigError("d", f"the config has {config.d} channels but the "
                                f"traces have {traces.d}")
     weights = _joint_weights(config)
-    signal, noise = _joint_powers(weights, _cycle_views(traces.samples, traces.params),
-                                  traces.params, rbw)
+    signal, noise = _read_pieces(weights, lambda a, b: traces.samples[:, a:b],
+                                 traces.params, rbw)
     return _joint_result(config, traces.params, traces.seed, rbw, signal, noise)
 
 
@@ -557,15 +557,19 @@ def synthesize_and_analyse(config: NetworkConfig, delta_thetas,
                            params: TraceParams, seed: int) -> JointNoiseResult:
     """``joint_noise_analysis(synthesize(config, delta_thetas, params, seed),
     config)``, bit for bit and with the same errors, without holding
-    the run: one (d, N) buffer is filled with each cycle in turn
-    (`_cycle_filler`) and analysed (`_joint_powers`) before the next is
-    drawn, so the call holds one cycle of samples, not params.n_cycles."""
+    the run: each piece of `_read_pieces` (a block of whole segments, or an
+    unread tail) is filled in turn into one reused (d, w) buffer by the fill
+    rule (`_cycle_filler`) and read before the next is drawn.  w is one
+    analysis block, `_segments_per_block(length) * length` samples (at most
+    `_ANALYSIS_BLOCK` when a segment fits in it), or the cycle if shorter,
+    so the call holds one block of samples, not a cycle or the run."""
     fill = _cycle_filler(config, delta_thetas, params, seed)
     weights = _joint_weights(config)
-    cycle = np.empty((config.d, _cycle_samples(params)))
-    signal, noise = _joint_powers(
-        weights, (fill(cycle, k) for k in range(params.n_cycles)), params,
-        DEFAULT_RBW)
+    length = _check_rbw(params.sample_rate, params.drive_freq, DEFAULT_RBW)
+    buffer = np.empty((config.d, min(_segments_per_block(length) * length,
+                                     _cycle_samples(params))))
+    signal, noise = _read_pieces(
+        weights, lambda a, b: fill(buffer[:, :b - a], a, b), params, DEFAULT_RBW)
     return _joint_result(config, params, int(seed), DEFAULT_RBW, signal, noise)
 
 
@@ -643,7 +647,7 @@ def _sampled_powers(sigma: float, amp: float, params: TraceParams, seed: int,
                     rbw, windows) -> list:
     """Mean band power over the analysis segments of each window in
     `windows` (False: inside the gate window, True: outside it; both in that
-    order, or one) that `_joint_powers` reads from a joint series of white
+    order, or one) that `_read_pieces` reads from a joint series of white
     noise of standard deviation `sigma` plus the unit gated tone times
     `amp`, drawn without the series or its segments.
 

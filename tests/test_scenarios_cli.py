@@ -264,7 +264,7 @@ NAN, INF = float("nan"), float("inf")
     ("n_c", {"n_c": NAN}, None, None),
     ("eta_dis", {}, {"axis": "eta_dis", "grid": [0.5, NAN]}, None),
     ("n_c", {}, {"axis": "n_c", "grid": [1e4, INF]}, None),
-    ("n_T", {}, {"axis": "n_T", "grid": {"start": 1.0, "stop": NAN, "num": 3}}, None),
+    ("stop", {}, {"axis": "n_T", "grid": {"start": 1.0, "stop": NAN, "num": 3}}, None),
     ("weights", {}, {"axis": "weights", "grid": ["ave", "bogus"]}, None),
     ("trace", {}, None, {"delta_theta": NAN}),
     ("trace", {}, None, {"gate": [1.2e-3, INF]}),
@@ -336,6 +336,8 @@ NAN, INF = float("nan"), float("inf")
                 "P": [0.2, 0.4, 0.4]}, None, None),
     ("alphas", {"alphas": [[1.0], [1.0, 0.0], [1.0, 0.0]], "P": [0.2, 0.4, 0.4]},
      None, None),
+    ("d", {}, {"axis": "d", "grid": [0, 2]}, None),
+    ("K", {}, {"axis": "K", "grid": [0, 2]}, None),
 ], ids=["network_r_nan", "network_r_inf", "network_r_negative",
         "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
         "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
@@ -359,7 +361,8 @@ NAN, INF = float("nan"), float("inf")
         "network_d_zero", "network_d_negative", "network_n_c_zero",
         "network_n_c_negative", "weights_all_zero", "scan_network_thetas",
         "scan_overrides_thetas", "scan_network_alphas_P", "d_scan_weights_pattern",
-        "d_scan_weights_list", "alphas_triple", "alphas_single"])
+        "d_scan_weights_list", "alphas_triple", "alphas_single", "grid_d_zero",
+        "grid_K_zero"])
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)
@@ -391,8 +394,10 @@ def test_scan_grid_repeat_names_the_point(axis, grid, repeat):
     ("n_c", [NAN, 1e4]),
     ("eta_dis", [0.5, "0.9"]),
     ("weights", ["ave", "bogus"]),
+    ("K", [0, 2]),
+    ("d", [0, 2]),
 ], ids=["K_fraction", "d_fraction", "K_bool", "n_c_nan", "eta_dis_string",
-        "weights_unknown"])
+        "weights_unknown", "K_zero", "d_zero"])
 def test_scan_refuses_the_points_the_loader_refuses(monkeypatch, axis, grid):
     def evaluated(*args):
         raise AssertionError("a point was evaluated before the grid was checked")
@@ -898,8 +903,13 @@ def test_cli_flux(capsys):
 
 
 def test_cli_flux_rejects_nonpositive(capsys):
-    code = cli.main(["flux", "--power", "0", "--wavelength", "895e-9"])
-    assert code == 3
+    for power, wavelength, option in (("0", "895e-9", "--power"),
+                                      ("9.6e-3", "-1", "--wavelength")):
+        code = cli.main(["flux", "--power", power, "--wavelength", wavelength])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"configuration error: {option}: must be a number > 0" in captured.err
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -920,13 +930,13 @@ def test_cli_rejects_non_finite_options(capsys, argv, option):
 
 
 @pytest.mark.parametrize("option, value", [
-    ("--loss", "-0.5"), ("--passes", "0"), ("--passes", "-2"),
-], ids=["loss_negative", "passes_zero", "passes_negative"])
+    ("--loss", "-0.5"), ("--passes", "0"), ("--passes", "-2"), ("--n-total", "-5"),
+], ids=["loss_negative", "passes_zero", "passes_negative", "n_total_negative"])
 def test_cli_optimize_rejects_out_of_range_values(capsys, option, value):
-    # the same typed range error as a non-positive --n-total
-    assert cli.main(["optimize", "--n-total", "100", option, value]) == 3
+    options = {"--n-total": "100", option: value}
+    assert cli.main(["optimize", *(word for pair in options.items() for word in pair)]) == 2
     captured = capsys.readouterr()
-    assert "numerical failure: AllocationError" in captured.err
+    assert f"configuration error: {option}: must be a number" in captured.err
     assert captured.out == ""
 
 

@@ -415,8 +415,8 @@ def test_joint_series_is_the_sum_in_channel_order(d, monkeypatch):
     expected = w[0] * samples[0]
     for j in range(1, d):
         expected += w[j] * samples[j]
-    # cycle by cycle, the full segments of the gated span, then of the idle
-    # spans: the blocks cover exactly these samples, in this order
+    # the full segments of the gated and idle spans in time order: the
+    # blocks cover exactly these samples, in this order
     length = 200
     spans = _spans_in_reading_order(VERIFY)
     full = b"".join(expected[a:a + (b - a) // length * length].tobytes()
@@ -430,12 +430,9 @@ def test_joint_series_is_the_sum_in_channel_order(d, monkeypatch):
 
 
 def _spans_in_reading_order(params):
-    """The gated span, then the idle spans, of each cycle in turn: the order
-    in which the analysis reads them."""
-    n = tracelab._cycle_samples(params)
-    one = dataclasses.replace(params, n_cycles=1)
-    return [(k * n + a, k * n + b) for k in range(params.n_cycles)
-            for invert in (False, True) for a, b in tracelab._window_spans(one, invert)]
+    """The gated and the idle spans of the run in time order: the order in
+    which the analysis reads them."""
+    return sorted(tracelab._window_spans(params) + tracelab._window_spans(params, True))
 
 
 def test_block_powers_equal_one_product_per_span(monkeypatch):
@@ -451,8 +448,7 @@ def test_block_powers_equal_one_product_per_span(monkeypatch):
         return read[-1]
 
     monkeypatch.setattr(tracelab, "segment_band_powers", recording)
-    tracelab._joint_powers(np.ones(1), tracelab._cycle_views(series[None], VERIFY),
-                           VERIFY, 1e5)
+    tracelab._read_pieces(np.ones(1), lambda a, b: series[None, a:b], VERIFY, 1e5)
     per_span = [analyse(series[a:b], 2e7, 4e6, 1e5)
                 for a, b in _spans_in_reading_order(VERIFY)]
     assert np.concatenate(read).tobytes() == np.concatenate(per_span).tobytes()
@@ -542,6 +538,39 @@ def test_synthesize_and_analyse_holds_one_cycle(peak_bytes):
     cycle_bytes = 4 * tracelab._cycle_samples(VERIFY) * 8
     assert peak_bytes(lambda: tracelab.synthesize_and_analyse(
         cfg, 0.0, VERIFY, seed=3)) < cycle_bytes + 2e6
+
+
+@pytest.mark.parametrize("d, params, bound", [
+    (4, VERIFY, 4 * tracelab._ANALYSIS_BLOCK * 8 + 2e6),
+    (2, TraceParams(), 4e6),
+], ids=["verify", "default_timing"])
+def test_synthesize_and_analyse_holds_one_analysis_block(d, params, bound, peak_bytes):
+    # one cycle is 5.12 MB at verify's timing and 64 MB at the default
+    # timing; one analysis block of 64 000 samples per channel is 2.05 MB at
+    # d = 4
+    cfg = _lossy_config(d)
+    assert peak_bytes(lambda: tracelab.synthesize_and_analyse(
+        cfg, 0.0, params, seed=3)) < bound
+
+
+@pytest.mark.parametrize("d", [1, 4, 6])
+def test_a_run_filled_in_spans_equals_synthesize(d):
+    # spans of 2 to 20 000 samples, some across a gate edge, each inside one
+    # cycle of 25 641 samples: the streams, the gemm mix and the tone are cut
+    # anywhere without moving a bit
+    params = GATE_CASES[3]
+    cfg = configure_optimal(weight_pattern("asym", d), 1e8, 0.5, eta_dis=0.95)
+    delta = np.linspace(-2e-3, 3e-3, d)
+    n = tracelab._cycle_samples(params)
+    fill = tracelab._cycle_filler(cfg, delta, params, seed=5)
+    cuts = np.random.default_rng(d).integers(2, 20_000, size=200).cumsum()
+    pieces = []
+    for k in range(params.n_cycles):
+        edges = [k * n] + [c for c in cuts if k * n + 2 <= c <= (k + 1) * n - 2] + [(k + 1) * n]
+        pieces += [fill(np.empty((d, b - a)), a, b) for a, b in zip(edges, edges[1:])]
+    assert len(pieces) > 2 * params.n_cycles
+    expected = synthesize(cfg, delta, params, seed=5).samples
+    assert np.concatenate(pieces, axis=1).tobytes() == expected.tobytes()
 
 
 def test_joint_noise_analysis_leaves_no_thread_spinning():
@@ -739,8 +768,8 @@ def test_sampled_reference_matches_synthesized_reference_over_seeds():
     for seed in range(64):
         sampled.append(tracelab._reference_power(cfg, FAST, seed, 1e5))
         series = w_ref @ synthesize(ref, 0.0, FAST, seed).samples
-        synthesized.append(tracelab._joint_powers(
-            np.ones(1), tracelab._cycle_views(series[None], FAST), FAST, 1e5)[1])
+        synthesized.append(tracelab._read_pieces(
+            np.ones(1), lambda a, b: series[None, a:b], FAST, 1e5)[1])
     a, b = 10.0 * np.log10(sampled), 10.0 * np.log10(synthesized)
     n = a.size
     mean_se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(n)
