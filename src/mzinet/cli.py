@@ -79,18 +79,17 @@ def _cmd_sensitivity(args):
         variance = sensitivity_separable(cfg, rs)
         n_T, r = cfg.n_c + sum(math.sinh(x) ** 2 for x in rs), max(rs)
     nu = cfg.weights
-    scale = laws.weight_sum(nu)
-    sql = laws.sql_variance(n_T, K=1.0) * scale**2
-    limits = laws.regime_limits(n_T, cfg.Lambda, K=cfg.enhancement)
+    report = optimize._point_report(variance, n_T, cfg.n_c, r, cfg.Lambda,
+                                    cfg.enhancement, laws.weight_sum(nu))
     # the shared-resource advantage over per-node-optimized sensors is
     # realized in the Heisenberg window and collapses to 1 elsewhere
-    gain_regime = "low" if limits.active == laws.REGIME_HL else "high"
+    gain_regime = "low" if report["regime"] == laws.REGIME_HL else "high"
     print(json.dumps({
         "variance_rad2": variance,
         "std_rad": math.sqrt(variance),
-        "db_vs_sql": 10.0 * math.log10(sql / variance),
-        "regime": limits.active,
-        "qcrb_rad2": laws.qcrb(cfg.n_c, r, K=cfg.enhancement) * scale**2,
+        "db_vs_sql": report["db_below_sql"],
+        "regime": report["regime"],
+        "qcrb_rad2": report["variance_qcrb"],
         "gain_vs_separable": laws.gain(nu, gain_regime),
     }, indent=2, sort_keys=True))
     return EXIT_OK

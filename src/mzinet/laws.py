@@ -7,17 +7,15 @@ Conventions used throughout:
   variance denominator.  A K-pass interrogation with multipass coefficient
   ``mu`` has effective enhancement ``mu*K**2``; at the default ``mu = 1/K``
   this equals the pass count, so callers can pass K directly.
-* Every law carries the full ``(sum_j |nu_j|)**2`` weight factor and reduces
-  to the normalized form when ``sum |nu_j| = 1``.  Passing ``nu=None`` means
-  "already normalized".  Normalization is the caller's responsibility; a
-  UserWarning (never an error) is emitted when a clearly unnormalized nu
-  is handed to a law that is usually quoted in normalized form.
+* Every variance law is per unit weight sum: for the weights nu of the
+  estimated combination nu . theta it scales by ``(sum_j |nu_j|)**2``,
+  which the caller applies once (`optimize._point_report`).  `gain` alone
+  takes nu, whose weights are its input rather than a factor.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,21 +52,6 @@ def weight_sum(nu) -> float:
     return float(np.sum(np.abs(np.asarray(nu, dtype=float))))
 
 
-def _weight_factor(nu, check=False) -> float:
-    if nu is None:
-        return 1.0
-    total = weight_sum(nu)
-    if total == 0.0:
-        raise ValueError("weight vector must be nonzero")
-    if check and abs(total - 1.0) > 1e-6:
-        warnings.warn(
-            f"weights have sum |nu_j| = {total:.6g}; laws carry the full "
-            "(sum|nu|)^2 factor, normalize if you want the quoted form",
-            stacklevel=3,
-        )
-    return total**2
-
-
 def ns_to_r(n_s: float) -> float:
     """Squeezing strength from mean photon number, r = asinh(sqrt(n_s))."""
     if n_s < 0:
@@ -95,10 +78,10 @@ def varq_from_ns(n_s):
     return 1.0 / (1.0 + 2.0 * n_s + 2.0 * root)
 
 
-def optimized_variance(n_c, r, Lambda=0.0, K=1.0, nu=None) -> float:
+def optimized_variance(n_c, r, Lambda=0.0, K=1.0) -> float:
     """Variance at the optimal splitting/intensity allocation:
 
-        (e^{-2r} + Lambda) * (sum|nu|)^2 / (K * n_c)
+        (e^{-2r} + Lambda) / (K * n_c)
 
     Exact for the optimally allocated network at the working point; equals
     the total-budget form in the regime n_c >> n_s.
@@ -109,13 +92,13 @@ def optimized_variance(n_c, r, Lambda=0.0, K=1.0, nu=None) -> float:
         raise ValueError("Lambda must be >= 0")
     if K <= 0:
         raise ValueError("K must be > 0")
-    return (math.exp(-2.0 * r) + Lambda) * _weight_factor(nu, check=True) / (K * n_c)
+    return (math.exp(-2.0 * r) + Lambda) / (K * n_c)
 
 
-def variance_vs_ns(n_T, n_s, Lambda=0.0, K=1.0, nu=None):
+def variance_vs_ns(n_T, n_s, Lambda=0.0, K=1.0):
     """Optimized variance as a function of the squeezed/coherent split:
 
-        (1 + 2 n_s - 2 sqrt(n_s + n_s^2) + Lambda) * (sum|nu|)^2 / (K (n_T - n_s))
+        (1 + 2 n_s - 2 sqrt(n_s + n_s^2) + Lambda) / (K (n_T - n_s))
 
     n_s is a float or an ndarray of splits; an array gives the array of
     variances, each element bit-identical to the scalar call.  Raises
@@ -132,11 +115,7 @@ def variance_vs_ns(n_T, n_s, Lambda=0.0, K=1.0, nu=None):
         raise AllocationError("n_s must be >= 0")
     if hi >= n_T:
         raise AllocationError(f"n_s = {hi} must be < n_T = {n_T}")
-    return (
-        (varq_from_ns(n_s) + Lambda)
-        * _weight_factor(nu)
-        / (K * (n_T - n_s))
-    )
+    return (varq_from_ns(n_s) + Lambda) / (K * (n_T - n_s))
 
 
 @dataclass
@@ -206,17 +185,17 @@ def regime_limits(n_T, Lambda=0.0, K=1.0) -> RegimeLimits:
     )
 
 
-def qcrb(n_c, r, K=1.0, nu=None) -> float:
+def qcrb(n_c, r, K=1.0) -> float:
     """Quantum Cramer-Rao bound of the lossless network:
 
-        (sum|nu|)^2 / (K * (n_c e^{2r} + sinh^2 r))
+        1 / (K * (n_c e^{2r} + sinh^2 r))
     """
     if n_c < 0:
         raise ValueError("n_c must be >= 0")
     denom = K * (n_c * math.exp(2.0 * r) + math.sinh(r) ** 2)
     if denom <= 0:
         raise ValueError("need n_c > 0 or r > 0 for a finite bound")
-    return _weight_factor(nu, check=True) / denom
+    return 1.0 / denom
 
 
 def gain(nu, regime="low") -> float:
@@ -266,8 +245,8 @@ def db_below_sql(r, Lambda=0.0) -> float:
     return -10.0 * math.log10(math.exp(-2.0 * r) + Lambda)
 
 
-def sql_variance(n_T, K=1.0, nu=None) -> float:
-    """Shot-noise-limited variance (sum|nu|)^2 / (K n_T)."""
+def sql_variance(n_T, K=1.0) -> float:
+    """Shot-noise-limited variance 1 / (K n_T)."""
     if n_T <= 0:
         raise AllocationError("n_T must be > 0")
-    return _weight_factor(nu) / (K * n_T)
+    return 1.0 / (K * n_T)

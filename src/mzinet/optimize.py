@@ -196,34 +196,43 @@ def _config_for_point(axis, value, base: NetworkConfig):
     return configure_optimal(**inputs), n_s_opt
 
 
+def _point_report(variance, n_total, n_c, r, Lambda, K, scale) -> dict:
+    """The laws' report on one operating point, keyed by ScanRow field: the
+    QCRB, the SQL of a budget of n_total photons, the dB of `variance`
+    below it, and the regime with its three branches.  `variance` is the
+    network's variance, or None for the closed form `optimized_variance`,
+    which the report then holds too.  The laws are per unit weight sum, and
+    each value is scaled here, once, by scale**2 = (sum|nu|)^2."""
+    factor = scale**2
+    report = {}
+    if variance is None:
+        variance = report["variance_closed_form"] = laws.optimized_variance(
+            n_c, r, Lambda=Lambda, K=K) * factor
+    report["variance_qcrb"] = laws.qcrb(n_c, r, K=K) * factor
+    report["sql"] = laws.sql_variance(n_total, K=1.0) * factor
+    ratio = report["sql"] / variance
+    if not 0.0 < ratio < math.inf:
+        raise OverflowError("variance out of float range")
+    report["db_below_sql"] = 10.0 * math.log10(ratio)
+    limits = laws.regime_limits(n_total, Lambda, K=K)
+    report.update(regime=limits.active, branch_low=limits.low_n * factor,
+                  branch_heisenberg=limits.heisenberg * factor,
+                  branch_floor=limits.loss_floor * factor)
+    return report
+
+
 def _evaluate_point(axis, value, base, engines):
     row = ScanRow(value=value)
     try:
         cfg, row.n_s_opt = _config_for_point(axis, value, base)
         row.config = cfg
-        weights = np.asarray(cfg.weights)
-        scale = laws.weight_sum(weights)
-        norm = weights / scale
-        enhancement = cfg.enhancement
-        n_c = cfg.n_c
-        row.variance_closed_form = laws.optimized_variance(
-            n_c, cfg.r, Lambda=cfg.Lambda, K=enhancement, nu=norm
-        ) * scale**2
-        row.variance_qcrb = laws.qcrb(n_c, cfg.r, K=enhancement,
-                                      nu=norm) * scale**2
-        # on the n_T axis the budget is the grid value itself; n_c + n_s is
-        # (n_T - n_s) + n_s, which rounds with the split
-        n_total = float(value) if axis == "n_T" else n_c + cfg.n_s
-        row.sql = laws.sql_variance(n_total, K=1.0, nu=norm) * scale**2
-        ratio = row.sql / row.variance_closed_form
-        if not 0.0 < ratio < math.inf:
-            raise OverflowError("closed-form variance out of float range")
-        row.db_below_sql = 10.0 * math.log10(ratio)
-        limits = laws.regime_limits(n_total, cfg.Lambda, K=enhancement)
-        row.regime = limits.active
-        row.branch_low = limits.low_n * scale**2
-        row.branch_heisenberg = limits.heisenberg * scale**2
-        row.branch_floor = limits.loss_floor * scale**2
+        if "analytic" in engines:
+            # on the n_T axis the budget is the grid value itself; n_c + n_s
+            # is (n_T - n_s) + n_s, which rounds with the split
+            n_total = float(value) if axis == "n_T" else cfg.n_T
+            vars(row).update(_point_report(
+                None, n_total, cfg.n_c, cfg.r, cfg.Lambda, cfg.enhancement,
+                laws.weight_sum(cfg.weights)))
         if "numeric" in engines:
             row.variance_numeric = sensitivity_numeric(cfg)
         if "oracle" in engines:

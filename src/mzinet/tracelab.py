@@ -14,20 +14,21 @@ A `TraceSet` holds per-channel traces with their one `TraceParams`, whose
 n_cycles is the samples' whole cycles.  A run is made and read by two
 rules.  The fill rule (`_cycle_filler`) writes any span [a, b) of one
 cycle k: each channel's Philox stream draws its next b - a normals into its
-row, the rows on up to one thread per core at once (each row depends only
-on its own stream, so the bytes do not depend on the thread count), the
-noise factor mixes the rows in place by column blocks, and the drive is
-added over the span's overlap with the cycle's gate span.  `synthesize`
-applies it to each whole cycle of its d x n output and allocates nothing
-else of that size.  The reading rule (`_read_pieces`) walks a run's pieces
-in time order: each gated or idle span's blocks of whole analysis segments,
-then the unread tail after its last full segment.  It reads one
-Hann-weighted DFT bin of each segment of a block of the joint estimator
-y = sum_j nu_j x_j / C_jj, and averages those band powers over the gated
-and over the idle segments of the run as in a Welch periodogram (Welch,
-IEEE Trans. Audio Electroacoust. 15, 70 (1967)).  It forms y one block at a
-time, in channel order without BLAS, and never builds the series: besides
-the samples it allocates about one block and one band power per segment.
+row, the rows on the run's one pool of up to one thread per core (each row
+depends only on its own stream, so the bytes do not depend on the thread
+count), the noise factor mixes the rows in place by column blocks, and the
+drive is added over the span's overlap with the cycle's gate span.
+`synthesize` applies it to each whole cycle of its d x n output and
+allocates nothing else of that size.  The reading rule (`_read_pieces`)
+walks a run's pieces in time order: each gated or idle span's blocks of
+whole analysis segments, then the unread tail after its last full segment.
+It reads one Hann-weighted DFT bin of each segment of a block of the joint
+estimator y = sum_j nu_j x_j / C_jj, and averages those band powers over
+the gated and over the idle segments of the run as in a Welch periodogram
+(Welch, IEEE Trans. Audio Electroacoust. 15, 70 (1967)).  It forms y one
+block at a time, in channel order without BLAS, and never builds the
+series: besides the samples it allocates about one block and one band
+power per segment.
 `joint_noise_analysis` reads the pieces as views of its traces, and
 `synthesize_and_analyse` fills each piece into one reused buffer of one
 analysis block and reads it before drawing the next, so it returns the
@@ -77,7 +78,6 @@ import json
 import math
 import os
 import struct
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -230,35 +230,29 @@ def _n_samples(params: TraceParams) -> int:
     return _cycle_samples(params) * params.n_cycles
 
 
-def _draw_rows(rngs, samples: np.ndarray):
-    """Fill row j of `samples` with standard normals from rngs[j], on
-    w = min(d, cpu count) workers: the calling thread and w - 1 threads, with
-    worker k drawing rows k, k + w, k + 2w, ...  `standard_normal(out=...)`
-    releases the GIL while it fills a row, and each stream writes only its
-    own row, so the bytes do not depend on w.  A worker's error is raised
-    here."""
-    workers = min(len(rngs), os.cpu_count() or 1)
-    errors = []
+def _draw_pool(d: int):
+    """The thread pool of one run's draws: min(d, cpu count) workers.
+    `concurrent.futures` is imported here, so `import mzinet` does not load
+    it."""
+    from concurrent.futures import ThreadPoolExecutor
 
-    def draw(k):
-        try:
-            for j in range(k, len(rngs), workers):
-                rngs[j].standard_normal(out=samples[j])
-        except BaseException as exc:
-            errors.append(exc)
+    return ThreadPoolExecutor(min(d, os.cpu_count() or 1))
 
-    threads = [threading.Thread(target=draw, args=(k,)) for k in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    draw(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+
+def _draw_rows(rngs, samples: np.ndarray, pool):
+    """Fill row j of `samples` with standard normals from rngs[j], one task
+    per row on `pool` (`_draw_pool`).  `standard_normal(out=...)` releases
+    the GIL while it fills a row, and each stream writes only its own row,
+    so the bytes do not depend on the worker count.  A row's error is
+    raised here."""
+    tasks = [pool.submit(rng.standard_normal, out=row)
+             for rng, row in zip(rngs, samples)]
+    for task in tasks:
+        task.result()
 
 
 def _cycle_filler(config: NetworkConfig, delta_thetas, params: TraceParams,
-                  seed: int):
+                  seed: int, pool):
     """The fill rule of the run of `seed`: returns fill(out, a, b), which
     writes the samples [a, b) of the run, a span inside one cycle, into the
     (d, b - a) array `out` and returns it, for consecutive spans from a = 0
@@ -266,7 +260,7 @@ def _cycle_filler(config: NetworkConfig, delta_thetas, params: TraceParams,
     noise factor, the streams and the drive amplitudes are set up here, so a
     bad config, seed or delta raises at this call.
 
-    fill draws each channel's next b - a normals into its row
+    fill draws each channel's next b - a normals into its row on `pool`
     (`_draw_rows`), mixes the rows in place by the noise factor `_MIX_BLOCK`
     columns at a time from the span's start, the last block taking one more
     column rather than leaving one alone, and adds the drive over the span's
@@ -289,7 +283,7 @@ def _cycle_filler(config: NetworkConfig, delta_thetas, params: TraceParams,
     omega = 2.0 * math.pi * params.drive_freq
 
     def fill(out, a, b):
-        _draw_rows(rngs, out)
+        _draw_rows(rngs, out, pool)
         width = b - a
         start = 0
         while start < width:
@@ -325,11 +319,12 @@ def synthesize(config: NetworkConfig, delta_thetas, params: TraceParams,
     amplitudes and the gated tone, whatever the worker count of the draws.
     `synthesize_and_analyse` analyses the same run without holding it.
     """
-    fill = _cycle_filler(config, delta_thetas, params, seed)
     n = _cycle_samples(params)
-    samples = np.empty((config.d, _n_samples(params)))
-    for a in range(0, samples.shape[1], n):
-        fill(samples[:, a:a + n], a, a + n)
+    with _draw_pool(config.d) as pool:
+        fill = _cycle_filler(config, delta_thetas, params, seed, pool)
+        samples = np.empty((config.d, _n_samples(params)))
+        for a in range(0, samples.shape[1], n):
+            fill(samples[:, a:a + n], a, a + n)
     return TraceSet(samples, params, int(seed))
 
 
@@ -563,13 +558,15 @@ def synthesize_and_analyse(config: NetworkConfig, delta_thetas,
     analysis block, `_segments_per_block(length) * length` samples (at most
     `_ANALYSIS_BLOCK` when a segment fits in it), or the cycle if shorter,
     so the call holds one block of samples, not a cycle or the run."""
-    fill = _cycle_filler(config, delta_thetas, params, seed)
-    weights = _joint_weights(config)
-    length = _check_rbw(params.sample_rate, params.drive_freq, DEFAULT_RBW)
-    buffer = np.empty((config.d, min(_segments_per_block(length) * length,
-                                     _cycle_samples(params))))
-    signal, noise = _read_pieces(
-        weights, lambda a, b: fill(buffer[:, :b - a], a, b), params, DEFAULT_RBW)
+    with _draw_pool(config.d) as pool:
+        fill = _cycle_filler(config, delta_thetas, params, seed, pool)
+        weights = _joint_weights(config)
+        length = _check_rbw(params.sample_rate, params.drive_freq, DEFAULT_RBW)
+        buffer = np.empty((config.d, min(_segments_per_block(length) * length,
+                                         _cycle_samples(params))))
+        signal, noise = _read_pieces(weights,
+                                     lambda a, b: fill(buffer[:, :b - a], a, b),
+                                     params, DEFAULT_RBW)
     return _joint_result(config, params, int(seed), DEFAULT_RBW, signal, noise)
 
 

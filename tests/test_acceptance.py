@@ -176,7 +176,8 @@ def test_criterion_07_weight_structure_invariance():
         nu = weight_pattern(name, 6)
         cfg = configure_optimal(nu, 2.7e16, 0.75, **CAPTION_EFFS)
         analytic[name] = laws.optimized_variance(
-            cfg.n_c, 0.75, Lambda=cfg.Lambda, K=cfg.enhancement, nu=nu)
+            cfg.n_c, 0.75, Lambda=cfg.Lambda,
+            K=cfg.enhancement) * laws.weight_sum(nu) ** 2
         numeric[name] = sensitivity_numeric(cfg)
         # independent noise draws per pattern: the 0.2 dB agreement is a
         # statistical statement, not a shared-seed identity

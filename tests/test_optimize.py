@@ -285,27 +285,34 @@ def test_scan_d_axis_keeps_per_node_power():
 
 
 def test_scan_n_t_axis_reports_optimal_split():
-    base = configure_optimal(weight_pattern("ave", 2), 10.0, 0.5, K=5,
-                             eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
-    rows = scan("n_T", np.logspace(-1.5, 1.5, 31).tolist(), base)
-    # config.n_T = (n_T - n_s) + n_s misses the grid value in the last bit
-    # at some points; the budget columns must not follow that rounding
-    assert any(row.config.n_T != row.value for row in rows)
-    for row in rows:
-        assert row.status == "ok"
-        assert row.n_s_opt is not None and 0 <= row.n_s_opt < row.value
-        # the row keeps the operating point it was evaluated at
-        assert row.config.n_T == pytest.approx(row.value, rel=1e-12)
-        assert row.config.n_s == pytest.approx(row.n_s_opt, rel=1e-9)
-        scale = laws.weight_sum(row.config.weights)
-        norm = np.asarray(row.config.weights) / scale
-        assert row.sql == laws.sql_variance(row.value, K=1.0, nu=norm) * scale**2
-        limits = laws.regime_limits(row.value, row.config.Lambda,
-                                    K=row.config.enhancement)
-        assert row.regime == limits.active
-        assert (row.branch_low, row.branch_heisenberg, row.branch_floor) == (
-            limits.low_n * scale**2, limits.heisenberg * scale**2,
-            limits.loss_floor * scale**2)
+    # d = 6 'ave' weights sum to 1 - 2**-53, so a factor taken from the
+    # normalized weights would miss (sum|nu|)^2 in the last bit
+    for d in (2, 6):
+        base = configure_optimal(weight_pattern("ave", d), 10.0, 0.5, K=5,
+                                 eta_dis=0.99, eta_mzi=0.89, eta_m=0.9999)
+        rows = scan("n_T", np.logspace(-1.5, 1.5, 31).tolist(), base)
+        # config.n_T = (n_T - n_s) + n_s misses the grid value in the last
+        # bit at some points; the budget columns must not follow that rounding
+        assert any(row.config.n_T != row.value for row in rows)
+        for row in rows:
+            cfg = row.config
+            assert row.status == "ok"
+            assert row.n_s_opt is not None and 0 <= row.n_s_opt < row.value
+            # the row keeps the operating point it was evaluated at
+            assert cfg.n_T == pytest.approx(row.value, rel=1e-12)
+            assert cfg.n_s == pytest.approx(row.n_s_opt, rel=1e-9)
+            # one rule: each law per unit weight sum, times (sum|nu|)^2 once
+            factor = laws.weight_sum(cfg.weights) ** 2
+            assert row.variance_closed_form == laws.optimized_variance(
+                cfg.n_c, cfg.r, Lambda=cfg.Lambda, K=cfg.enhancement) * factor
+            assert row.variance_qcrb == laws.qcrb(
+                cfg.n_c, cfg.r, K=cfg.enhancement) * factor
+            assert row.sql == laws.sql_variance(row.value, K=1.0) * factor
+            limits = laws.regime_limits(row.value, cfg.Lambda, K=cfg.enhancement)
+            assert row.regime == limits.active
+            assert (row.branch_low, row.branch_heisenberg, row.branch_floor) == (
+                limits.low_n * factor, limits.heisenberg * factor,
+                limits.loss_floor * factor)
 
 
 def test_scan_records_errors_per_row():

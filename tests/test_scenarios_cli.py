@@ -74,6 +74,27 @@ def test_run_scenario_writes_expected_columns(tmp_path):
     assert (tmp_path / "out" / "demo_meta.txt").exists()
 
 
+def test_the_analytic_engine_selects_the_laws_report(tmp_path):
+    # on the n_T axis every row also has its optimal split n_s_opt
+    report = ("variance_closed_form", "variance_qcrb", "sql", "db_below_sql",
+              "regime", "branch_low", "branch_heisenberg", "branch_floor")
+    tables = {}
+    for engines in (["numeric"], ["analytic", "numeric"]):
+        doc = json.loads(json.dumps(SCENARIO))
+        doc["scans"] = [{"label": "budget", "axis": "n_T",
+                         "grid": [0.1, 3.0, 1e4], "engines": engines}]
+        (path,) = run_scenario(_write_scenario(tmp_path, doc),
+                               tmp_path / "+".join(engines))
+        tables[len(engines)] = _read_csv(path)[1]
+    numeric, both = tables[1], tables[2]
+    assert [row["status"] for row in both] == ["ok"] * 3
+    for alone, with_laws in zip(numeric, both):
+        assert all(alone[column] == "" for column in report)
+        assert all(with_laws[column] != "" for column in report)
+        for column in ("variance_numeric", "n_s_opt", "status"):
+            assert alone[column] == with_laws[column]
+
+
 def test_run_scenario_leaves_a_passed_scenario_unchanged(tmp_path):
     scenario = load_scenario(_write_scenario(tmp_path))
     run_scenario(scenario, tmp_path / "out", seed=7)
@@ -759,6 +780,65 @@ def test_every_bundled_figure_runs_quickly(tmp_path):
     assert digests == expected, (
         "figure outputs moved; new digests:\n"
         + json.dumps(digests, indent=2, sort_keys=True))
+
+
+# worst errors over the 340 rows when these bounds were set: closed form
+# 2.47 ulp, QCRB 2.93, SQL 1.44, branches 1.97 / 2.07 / 2.03, n_s_opt 2.49,
+# and 2.7e-15 dB
+LAWS_ULPS = {"variance_closed_form": 3.0, "variance_qcrb": 3.5, "sql": 2.0,
+             "branch_low": 2.5, "branch_heisenberg": 2.5, "branch_floor": 2.5,
+             "n_s_opt": 3.0}
+LAWS_DB = 3e-15
+
+
+def _laws_reference(row, axis):
+    """60-digit values of the `laws` formulas on the row config's own floats
+    (n_c, r, Lambda, enhancement, weights) and on its float budget: the grid
+    value on the n_T axis, else the config's n_T."""
+    cfg = row.config
+    n_c, r, lam, k = map(mpmath.mpf, (cfg.n_c, cfg.r, cfg.Lambda, cfg.enhancement))
+    n_t = mpmath.mpf(float(row.value) if axis == "n_T" else cfg.n_T)
+    factor = mpmath.fsum(abs(mpmath.mpf(w)) for w in cfg.weights) ** 2
+    closed = (mpmath.exp(-2 * r) + lam) / (k * n_c) * factor
+    sql = factor / n_t
+    reference = {
+        "variance_closed_form": closed,
+        "variance_qcrb": factor / (k * (n_c * mpmath.exp(2 * r) + mpmath.sinh(r) ** 2)),
+        "sql": sql,
+        "db_below_sql": 10 * mpmath.log10(sql / closed),
+        "branch_low": (1 + lam) / (k * n_t) * factor,
+        "branch_heisenberg": factor / (k * n_t**2),
+        "branch_floor": lam / (k * n_t) * factor,
+    }
+    if axis == "n_T":
+        # n_s = (x - 1)^2 / (4x) at the optimal x = e^{2r} = 1 + y
+        y = 4 * n_t / (1 + lam + mpmath.sqrt((1 + lam) ** 2 + 4 * lam * n_t))
+        reference["n_s_opt"] = y * y / (4 * (1 + y))
+    return reference
+
+
+def test_bundled_laws_columns_against_60_digit_values():
+    worst = dict.fromkeys([*LAWS_ULPS, "db_below_sql"], 0.0)
+    count = 0
+    with mpmath.workdps(60):
+        for figure in FIGURES:
+            scenario = load_scenario(bundled_scenario_path(figure))
+            for spec in scenario.scans:
+                rows = optimize.scan(spec.axis, spec.grid,
+                                     scenario.base_config(spec.overrides),
+                                     engines=("analytic",))
+                for row in rows:
+                    assert row.status == "ok", (figure, row.value)
+                    count += 1
+                    for column, exact in _laws_reference(row, spec.axis).items():
+                        error = abs(mpmath.mpf(getattr(row, column)) - exact)
+                        if column != "db_below_sql":  # ulps; exactly 0 stays 0
+                            error /= math.ulp(float(exact))
+                        worst[column] = max(worst[column], float(error))
+    assert count == 340
+    assert worst["db_below_sql"] <= LAWS_DB
+    for column, bound in LAWS_ULPS.items():
+        assert worst[column] <= bound, (column, worst[column])
 
 
 def test_reproduce_fig3a_high_intensity_row(tmp_path):

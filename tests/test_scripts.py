@@ -1,11 +1,12 @@
 """Smoke tests: the scripts under scripts/ run end to end and exit 0."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-from mzinet.scenarios import FIGURES
+from mzinet.scenarios import FIGURES, reproduce
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,3 +51,25 @@ def test_engine_scaling_reports_each_size(tmp_path):
     lines = result.stdout.splitlines()
     assert lines[0].split() == ["d", "wall_ms", "peak_mb"]
     assert [line.split()[0] for line in lines[1:]] == ["32", "64"]
+
+
+def test_figure_diff_names_an_edited_cell(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    reproduce("fig5b", old / "fig5b")
+    shutil.copytree(old, new)
+    table = new / "fig5b" / "fig5b_patterns.csv"
+    lines = table.read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[2].split(",")
+    column = header.index("sql")
+    cells[column] = repr(float(cells[column]) * 1.5)
+    lines[2] = ",".join(cells)
+    table.write_text("\n".join(lines) + "\n")
+    (new / "fig5b" / "fig5b_meta.txt").write_text("edited\n")
+    result = _run_script("figure_diff.py", old, new, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    report = result.stdout.splitlines()
+    assert "fig5b/fig5b_patterns.csv: 1 cells moved in 3 rows" in report
+    assert "  sql: 1, largest relative move 0.5" in report
+    assert "fig5b/fig5b_meta.txt: differs" in report
+    assert report[-1] == "moved cells per column: sql 1"

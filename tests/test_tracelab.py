@@ -271,26 +271,24 @@ def test_synthesize_bytes_do_not_depend_on_the_thread_count(d, cpus, monkeypatch
             super().start()
 
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(tracelab.threading, "Thread", CountedThread)
+    monkeypatch.setattr(threading, "Thread", CountedThread)
     cfg = configure_optimal(weight_pattern("asym", d), 1e8, 0.5, eta_dis=0.95)
     delta = np.linspace(-2e-3, 3e-3, d)
     samples = synthesize(cfg, delta, FAST, seed=40 + d).samples
-    # each cycle is drawn on min(d, cpus) workers, the calling thread one
-    assert len(started) == FAST.n_cycles * (min(d, cpus) - 1)
+    # the run's draws share one pool of at most min(d, cpus) threads
+    assert 1 <= len(started) <= min(d, cpus)
     expected = _whole_product_synthesis(cfg, delta, FAST, 40 + d)
     assert samples.tobytes() == expected.tobytes()
 
 
-def test_a_failed_row_draw_is_raised(monkeypatch):
+def test_a_failed_row_draw_is_raised():
     class Broken:
         def standard_normal(self, out):
             raise MemoryError("row")
 
-    # row 1 is drawn by a started thread, not by the caller
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     rngs = [np.random.default_rng(0), Broken(), np.random.default_rng(2)]
-    with pytest.raises(MemoryError, match="row"):
-        tracelab._draw_rows(rngs, np.empty((3, 16)))
+    with tracelab._draw_pool(3) as pool, pytest.raises(MemoryError, match="row"):
+        tracelab._draw_rows(rngs, np.empty((3, 16)), pool)
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-3])
@@ -562,12 +560,13 @@ def test_a_run_filled_in_spans_equals_synthesize(d):
     cfg = configure_optimal(weight_pattern("asym", d), 1e8, 0.5, eta_dis=0.95)
     delta = np.linspace(-2e-3, 3e-3, d)
     n = tracelab._cycle_samples(params)
-    fill = tracelab._cycle_filler(cfg, delta, params, seed=5)
     cuts = np.random.default_rng(d).integers(2, 20_000, size=200).cumsum()
     pieces = []
-    for k in range(params.n_cycles):
-        edges = [k * n] + [c for c in cuts if k * n + 2 <= c <= (k + 1) * n - 2] + [(k + 1) * n]
-        pieces += [fill(np.empty((d, b - a)), a, b) for a, b in zip(edges, edges[1:])]
+    with tracelab._draw_pool(d) as pool:
+        fill = tracelab._cycle_filler(cfg, delta, params, seed=5, pool=pool)
+        for k in range(params.n_cycles):
+            edges = [k * n] + [c for c in cuts if k * n + 2 <= c <= (k + 1) * n - 2] + [(k + 1) * n]
+            pieces += [fill(np.empty((d, b - a)), a, b) for a, b in zip(edges, edges[1:])]
     assert len(pieces) > 2 * params.n_cycles
     expected = synthesize(cfg, delta, params, seed=5).samples
     assert np.concatenate(pieces, axis=1).tobytes() == expected.tobytes()
