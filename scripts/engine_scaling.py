@@ -4,10 +4,12 @@
 For each d, builds the scan's d-axis network (the "ave" weights with a fixed
 coherent intensity per node, r = 0.75, the bundled efficiencies) and prints
 the median wall time of ``sensitivity_numeric`` over five warm calls and the
-tracemalloc peak of one more call.  Sizes beyond a scan's grid show how the
-engine's time and memory grow with d.
+tracemalloc peak of one more call.  The default sizes start at verify's
+d = 4 and the bundled figures' d = 6, where fixed per-call costs dominate;
+sizes beyond a scan's grid show how the engine's time and memory grow
+with d.
 
-Usage: python scripts/engine_scaling.py [d ...]   (default: 32 64 ... 2048)
+Usage: python scripts/engine_scaling.py [d ...]   (default: 4 6 32 64 ... 2048)
 """
 
 import statistics
@@ -45,7 +47,7 @@ def measure(d):
 
 
 def main():
-    sizes = [int(a) for a in sys.argv[1:]] or [32 << k for k in range(7)]
+    sizes = [int(a) for a in sys.argv[1:]] or [4, 6] + [32 << k for k in range(7)]
     print(f"{'d':>6} {'wall_ms':>10} {'peak_mb':>9}")
     for d in sizes:
         wall, peak = measure(d)

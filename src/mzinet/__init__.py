@@ -19,13 +19,7 @@ from .errors import (
     ScenarioParseError,
     TruncationError,
 )
-from .gaussian import (
-    GaussianState,
-    apply_loss,
-    apply_squeezer,
-    homodyne_moments,
-    vacuum_state,
-)
+from .gaussian import GaussianState, apply_loss, homodyne_moments
 from .laws import (
     db_below_sql,
     gain,

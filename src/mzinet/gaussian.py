@@ -11,19 +11,20 @@ side as one 2n x (1 + k) row matrix [mean | U].  Every linear op of the
 engine is a row map, mean -> S mean and U -> S U (Weedbrook et al., RMP 84, 621 (2012)),
 so it acts on that one matrix and keeps the factored form exactly: pure loss
 maps V -> L V L + (1 − eta) I_m = I + (L U) diag(s) (L U)^T, a scale of the
-mode's two rows, and a squeezer scales two rows and appends the columns e_q,
-e_p to U with s += (expm1(−2r), expm1(2r)).  A passive orthogonal map O (a
-beam splitter or an interferometer) maps the rows by O, and a displacement
-adds to the mean column alone; ``build_network`` applies those as array
-operations over all nodes, and the tests keep the two-mode ops as the
-reference it is checked against (``tests/reference_ops.py``).  So a network
-with one squeezer is a 2n x 3 row matrix, and no 2n x 2n matrix is ever
-stored; ``cov`` materializes it on read.
+mode's two rows, and a squeezer on a vacuum mode leaves it zero mean and
+the columns e_q, e_p of U with s = (expm1(−2r), expm1(2r)).  A passive
+orthogonal map O (a beam splitter or an interferometer) maps the rows by O,
+and a displacement adds to the mean column alone.  ``build_network`` writes
+the squeezed, split carrier straight into its row matrix and applies the
+displacements and interferometers as array operations over all nodes; the
+tests keep the vacuum, the squeezer and the two-mode ops as the reference it
+is checked against (``tests/reference_ops.py``).  So a network with one
+squeezer is a 2n x 3 row matrix, and no 2n x 2n matrix is ever stored;
+``cov`` materializes it on read.
 
-Every operation is pure by default: it returns a new state and never mutates
-its input.  The squeezer and the loss also take ``inplace=True``, which
-updates a state its caller owns where it stands, with the same arithmetic;
-``build_network`` calls them that way.
+The loss is pure by default: it returns a new state and never mutates its
+input.  With ``inplace=True`` it updates a state its caller owns where it
+stands, with the same arithmetic; ``build_network`` calls it that way.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ import numpy as np
 
 __all__ = [
     "GaussianState",
-    "vacuum_state",
-    "apply_squeezer",
     "apply_loss",
     "homodyne_moments",
 ]
@@ -78,57 +77,17 @@ class GaussianState:
     def copy(self) -> "GaussianState":
         return GaussianState(self.n_modes, self.rows.copy(), self.s.copy())
 
-    def q_index(self, mode: int) -> int:
-        return 2 * mode
-
-    def p_index(self, mode: int) -> int:
-        return 2 * mode + 1
-
 
 def _identity_plus(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
     """I + rows diag(s) rows^T, built in the one array it returns."""
     out = (rows * s) @ rows.T
-    out.flat[:: len(rows) + 1] += 1.0
+    out.reshape(-1)[:: len(rows) + 1] += 1.0
     return out
 
 
 def _check_mode(state: GaussianState, mode: int):
     if not 0 <= mode < state.n_modes:
         raise IndexError(f"mode {mode} out of range for {state.n_modes}-mode state")
-
-
-def vacuum_state(n_modes: int) -> GaussianState:
-    """n-mode vacuum: zero mean, identity covariance (an empty factor)."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be a positive integer")
-    return GaussianState(n_modes, np.zeros((2 * n_modes, 1)), np.zeros(0))
-
-
-def apply_squeezer(state: GaussianState, mode: int, r: float, *,
-                   inplace: bool = False) -> GaussianState:
-    """Squeeze one mode: q -> e^{-r} q, p -> e^{+r} p.
-
-    The squeezing phase is fixed to zero (q is the squeezed quadrature);
-    r < 0 is rejected rather than interpreted as anti-squeezing.  With
-    S = diag(e^{-r}, e^{r}) on the mode, S V S = S^2 + (S U) diag(s) (S U)^T
-    and S^2 = I + expm1(-2r) e_q e_q^T + expm1(2r) e_p e_p^T, so U gains the
-    columns e_q and e_p; expm1 raises OverflowError once e^{2r} leaves the
-    float range.
-    Pure unless a caller that owns the state passes inplace=True.
-    """
-    _check_mode(state, mode)
-    if r < 0:
-        raise ValueError("squeezing strength r must be >= 0")
-    out = state if inplace else state.copy()
-    iq, ip = out.q_index(mode), out.p_index(mode)
-    weights = (math.expm1(-2.0 * r), math.expm1(2.0 * r))
-    out.rows[iq] *= math.exp(-r)
-    out.rows[ip] *= math.exp(r)
-    columns = np.zeros((2 * out.n_modes, 2))
-    columns[iq, 0] = columns[ip, 1] = 1.0
-    out.rows = np.hstack((out.rows, columns))
-    out.s = np.append(out.s, weights)
-    return out
 
 
 def apply_loss(state: GaussianState, mode: int, eta: float, *,

@@ -59,6 +59,7 @@ DARK_THRESHOLD = 1e-12  # relative to the brightest channel's theta = 0 response
 # |x^T Gamma x| at or below ROUNDING_FACTOR * d * eps * |x|^T |Gamma| |x| is
 # within the rounding error of the quadratic form: no digit is significant
 ROUNDING_FACTOR = 4.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -92,9 +93,9 @@ class NetworkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "alphas", tuple(tuple(a) for a in self.alphas))
+        object.__setattr__(self, "alphas", tuple(map(tuple, self.alphas)))
         for name in ("thetas", "weights", "P"):
-            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if not self.thetas:
             object.__setattr__(self, "thetas", (0.0,) * self.d)
         self.validate()
@@ -221,9 +222,10 @@ def _transmissivities(P) -> np.ndarray:
     in that order (np.subtract.accumulate runs left to right).  Below
     REMAINDER_FLOOR it counts as empty, and an output that still asks for
     mass is infeasible."""
-    P = np.asarray(P, dtype=float)
+    P = np.array(P, dtype=float)
     peeled = P[1:]
-    remaining = np.subtract.accumulate(np.concatenate(([1.0], peeled)))[:-1]
+    P[0] = 1.0  # the mass before output 1 (P_0 itself is not read)
+    remaining = np.subtract.accumulate(P[:-1])
     starved = (remaining < REMAINDER_FLOOR) & (peeled > 0)
     if starved.any():
         j = int(starved.argmax()) + 1
@@ -243,27 +245,32 @@ def build_network(config: NetworkConfig) -> g.GaussianState:
     distribute (loss eta_dis on both inputs of each sensor), displace the
     coherent inputs, interfere with phase g*theta_j, and apply the readout
     loss eta_mzi * eta_m^(2K-1) to each measured port.
+
+    The squeezed, split carrier is written straight into one zeroed 4d x 3
+    row matrix [mean | U], as the squeezer and the cascade of
+    tests/reference_ops.py leave it: zero mean, U's columns e_q and e_p of
+    the carrier times each output's cascade amplitude, and
+    s = (expm1(-2r), expm1(2r)), which raises OverflowError once e^{2r}
+    leaves the float range.
     """
     d = config.d
-    state = g.vacuum_state(2 * d)  # owned here, so the ops update it in place
-    g.apply_squeezer(state, 0, config.r, inplace=True)
-    # The split, the displacements and the interferometers act on all d nodes
-    # at once.  A view of [mean | U]: [b modes, a modes] x node x (q, p) x
-    # (mean, columns of U).
-    rows = state.rows.reshape(2, d, 2, -1)
-    # The cascade on the carrier and d - 1 vacuum inputs hands mode j the
-    # carrier's rows times sqrt(1 - T_j) and the carrier left before it (the
-    # squeezed vacuum has zero mean, so its mean column stays zero).
+    if config.r < 0:
+        raise ValueError("squeezing strength r must be >= 0")
+    weights = np.array([math.expm1(-2.0 * config.r), math.expm1(2.0 * config.r)])
+    # [b modes, a modes] x node x (q, p) x (mean, columns of U); the ops and
+    # the array steps below update it in place
+    rows = np.zeros((2, d, 2, 3))
+    # the cascade on the carrier and d - 1 vacuum inputs hands mode j the
+    # carrier's rows times sqrt(1 - T_j) and the carrier left before it
     t = _transmissivities(config.P)  # config.P passed the config's checks
     carrier = np.cumprod(np.concatenate(([1.0], np.sqrt(t))))
-    amps = np.append(carrier[-1], np.sqrt(1.0 - t) * carrier[:-1])
-    rows[0] = amps[:, None, None] * rows[0, 0]
+    rows[0, :, 0, 1] = rows[0, :, 1, 2] = np.concatenate(
+        (carrier[-1:], np.sqrt(1.0 - t) * carrier[:-1]))
+    state = g.GaussianState(2 * d, rows.reshape(4 * d, 3), weights)
     # cos and sin from math, as the ops take them: np.cos may differ in the
-    # last bit
-    mags = np.array([2.0 * mag for mag, _ in config.alphas])
-    phis = [phi for _, phi in config.alphas]
-    rows[1, :, 0, 0] += mags * [math.cos(phi) for phi in phis]
-    rows[1, :, 1, 0] += mags * [math.sin(phi) for phi in phis]
+    # last bit; added to the zero mean, which turns a -0.0 into +0.0
+    rows[1, :, :, 0] += [(2.0 * mag * math.cos(phi), 2.0 * mag * math.sin(phi))
+                         for mag, phi in config.alphas]
     for j in range(d):
         g.apply_loss(state, j, config.eta_dis, inplace=True)
         g.apply_loss(state, d + j, config.eta_dis, inplace=True)
@@ -319,8 +326,8 @@ def noise_matrix(config: NetworkConfig) -> np.ndarray:
     convention-dependent sign, which only matters off the working point.
     """
     state = build_network(config)
-    _, cov = g.homodyne_moments(state, np.arange(config.d))
-    return cov
+    # the q rows of the measured modes 0..d-1
+    return g._identity_plus(state.U[:2 * config.d:2], state.s)
 
 
 def active_channels(config: NetworkConfig, response, nu) -> np.ndarray:
@@ -338,9 +345,10 @@ def active_channels(config: NetworkConfig, response, nu) -> np.ndarray:
     )
     scale = full_response if full_response > 0 else 1.0
     dark = np.abs(response) <= DARK_THRESHOLD * scale
-    bad = np.flatnonzero(dark & (np.asarray(nu, dtype=float) != 0))
-    if bad.size:
-        raise DarkResponseError(bad.tolist())
+    if dark.any():
+        bad = np.flatnonzero(dark & (np.asarray(nu, dtype=float) != 0))
+        if bad.size:
+            raise DarkResponseError(bad.tolist())
     return ~dark
 
 
@@ -385,7 +393,7 @@ def _significant(variance: float, scale: float, n: int) -> float:
     """`variance`, a sum over n channels of terms whose magnitudes sum to
     `scale`; PrecisionLossError when it is within the rounding error of that
     sum, so no digit of it is significant."""
-    if abs(variance) <= ROUNDING_FACTOR * n * np.finfo(float).eps * scale:
+    if abs(variance) <= ROUNDING_FACTOR * n * _EPS * scale:
         raise PrecisionLossError(
             f"variance {variance:.3g} is rounding noise of terms of size {scale:.3g}")
     return variance

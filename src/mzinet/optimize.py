@@ -19,6 +19,7 @@ from .errors import (
     ConfigError,
     DarkResponseError,
     InfeasibleSplitError,
+    PrecisionLossError,
     RegularizationError,
     ResourceLimitError,
     TruncationError,
@@ -167,6 +168,7 @@ ROW_ERRORS = (
     ResourceLimitError,
     AnalysisError,
     RegularizationError,
+    PrecisionLossError,
     np.linalg.LinAlgError,
     ArithmeticError,
 )

@@ -531,11 +531,15 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+# rng.choice([-1.0, 1.0], d) draws these indices from the same stream
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def _random_config(rng, d_max=4, r_max=1.0, optimal_p=True):
     """Random valid working-point configuration (theta = 0, phi in {0, pi});
     the one generator of verify's checks and of the tests."""
     d = int(rng.integers(1, d_max + 1))
-    nu = rng.uniform(0.2, 1.0, d) * rng.choice([-1.0, 1.0], d)
+    nu = rng.uniform(0.2, 1.0, d) * _SIGNS[rng.integers(0, 2, d)]
     mags = rng.uniform(0.5, 3.0, d)
     alphas = tuple(
         (m, 0.0 if w >= 0 else math.pi) for m, w in zip(mags, nu)
@@ -744,8 +748,9 @@ _CHECKS = (
 def verify(level="quick", seed=20260808) -> VerifyReport:
     """Run `_CHECKS` in order at the level's counts, on one generator seeded
     with `seed`.  On a 2-core AVX-512 host, in process and warm, the median
-    of 7 calls was 0.02 to 0.04 s for quick and 0.15 to 0.16 s for full,
-    which adds the trace check."""
+    of 7 calls was 0.015 to 0.03 s for quick and 0.115 to 0.15 s for full,
+    which adds the trace check (`scripts/verify_timing.py` times each
+    check)."""
     start = time.perf_counter()
     if level not in ("quick", "full"):
         raise ConfigError("level", "level must be 'quick' or 'full'")

@@ -14,10 +14,12 @@ A `TraceSet` holds per-channel traces with their one `TraceParams`, whose
 n_cycles is the samples' whole cycles.  A run is made and read by two
 rules.  The fill rule (`_cycle_filler`) writes any span [a, b) of one
 cycle k: each channel's Philox stream draws its next b - a normals into its
-row, the rows on the run's one pool of up to one thread per core (each row
-depends only on its own stream, so the bytes do not depend on the thread
-count), the noise factor mixes the rows in place by column blocks, and the
-drive is added over the span's overlap with the cycle's gate span.
+row, the calling thread drawing one share of the rows and each of the
+run's min(d, cores) - 1 helper threads another, one hand-off per helper
+(each row depends only on its own stream, so the bytes do not depend on
+the thread count), the noise factor mixes the rows in place by column
+blocks, and the drive is added over the span's overlap with the cycle's
+gate span.
 `synthesize` applies it to each whole cycle of its d x n output and
 allocates nothing else of that size.  The reading rule (`_read_pieces`)
 walks a run's pieces in time order: each gated or idle span's blocks of
@@ -230,25 +232,47 @@ def _n_samples(params: TraceParams) -> int:
     return _cycle_samples(params) * params.n_cycles
 
 
+@contextmanager
 def _draw_pool(d: int):
-    """The thread pool of one run's draws: min(d, cpu count) workers.
-    `concurrent.futures` is imported here, so `import mzinet` does not load
-    it."""
+    """The helper threads of one run's draws: yields (pool, helpers), with
+    helpers = min(d, cpu count) - 1 threads, none (and no pool) at d = 1 or
+    on one CPU, since the calling thread draws a share itself
+    (`_draw_rows`).  `concurrent.futures` is imported here, so
+    `import mzinet` does not load it."""
+    helpers = min(d, os.cpu_count() or 1) - 1
+    if not helpers:
+        yield None, 0
+        return
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(min(d, os.cpu_count() or 1))
+    with ThreadPoolExecutor(helpers) as pool:
+        yield pool, helpers
+
+
+def _draw_share(rngs, rows):
+    for rng, row in zip(rngs, rows):
+        rng.standard_normal(out=row)
 
 
 def _draw_rows(rngs, samples: np.ndarray, pool):
-    """Fill row j of `samples` with standard normals from rngs[j], one task
-    per row on `pool` (`_draw_pool`).  `standard_normal(out=...)` releases
-    the GIL while it fills a row, and each stream writes only its own row,
-    so the bytes do not depend on the worker count.  A row's error is
-    raised here."""
-    tasks = [pool.submit(rng.standard_normal, out=row)
-             for rng, row in zip(rngs, samples)]
-    for task in tasks:
-        task.result()
+    """Fill row j of `samples` with standard normals from rngs[j].  With
+    (pool, helpers) from `_draw_pool` and w = helpers + 1, helper i draws
+    rows i::w as one task and the calling thread draws rows 0::w, so a call
+    costs one hand-off per helper, not one per row.
+    `standard_normal(out=...)` releases the GIL while it fills a row, and
+    each stream writes only its own row, so the bytes do not depend on the
+    thread count.  A row's error is raised here, after every helper has
+    finished."""
+    pool, helpers = pool
+    w = helpers + 1
+    tasks = [pool.submit(_draw_share, rngs[i::w], samples[i::w])
+             for i in range(1, w)]
+    try:
+        _draw_share(rngs[::w], samples[::w])
+    finally:
+        errors = [task.exception() for task in tasks]  # waits for each helper
+    for error in filter(None, errors):
+        raise error
 
 
 def _cycle_filler(config: NetworkConfig, delta_thetas, params: TraceParams,
@@ -260,8 +284,9 @@ def _cycle_filler(config: NetworkConfig, delta_thetas, params: TraceParams,
     noise factor, the streams and the drive amplitudes are set up here, so a
     bad config, seed or delta raises at this call.
 
-    fill draws each channel's next b - a normals into its row on `pool`
-    (`_draw_rows`), mixes the rows in place by the noise factor `_MIX_BLOCK`
+    fill draws each channel's next b - a normals into its row, shared
+    between the calling thread and the helpers of `pool` (`_draw_rows`),
+    mixes the rows in place by the noise factor `_MIX_BLOCK`
     columns at a time from the span's start, the last block taking one more
     column rather than leaving one alone, and adds the drive over the span's
     overlap with its cycle's gate span [k N + lo, k N + hi)

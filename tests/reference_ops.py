@@ -1,10 +1,13 @@
 """Loop and two-mode forms of the network's array code: the references it is
 checked against bit for bit.
 
-``network.build_network`` applies the split, the displacements and the
-interferometers of all d nodes as array operations; the ops here apply one
-of them to one mode or one pair of modes, and the tests check the build
-against a sequence of them.  Each op is pure: it returns a new state.
+``network.build_network`` writes the squeezed, split carrier straight into
+its row matrix and applies the displacements and the interferometers of all
+d nodes as array operations; the ops here start from the vacuum and apply
+one step to one mode or one pair of modes, and the tests check the build
+against a sequence of them.  Each op is pure: it returns a new state (the
+squeezer, like ``gaussian.apply_loss``, also updates a state in place on
+request).
 ``qc_cascade`` is the cascade as a loop over the outputs, and
 ``sensitivity_three_arrays`` the engine's variance read from a copied
 kept-channel block and a separate |Gamma|.
@@ -60,6 +63,41 @@ def sensitivity_three_arrays(config) -> float:
     return _significant(variance, scale, x.size)
 
 
+def vacuum_state(n_modes: int) -> GaussianState:
+    """n-mode vacuum: zero mean, identity covariance (an empty factor)."""
+    if n_modes < 1:
+        raise ValueError("n_modes must be a positive integer")
+    return GaussianState(n_modes, np.zeros((2 * n_modes, 1)), np.zeros(0))
+
+
+def apply_squeezer(state: GaussianState, mode: int, r: float, *,
+                   inplace: bool = False) -> GaussianState:
+    """Squeeze one mode: q -> e^{-r} q, p -> e^{+r} p.
+
+    The squeezing phase is fixed to zero (q is the squeezed quadrature);
+    r < 0 is rejected rather than interpreted as anti-squeezing.  With
+    S = diag(e^{-r}, e^{r}) on the mode, S V S = S^2 + (S U) diag(s) (S U)^T
+    and S^2 = I + expm1(-2r) e_q e_q^T + expm1(2r) e_p e_p^T, so U gains the
+    columns e_q and e_p; expm1 raises OverflowError once e^{2r} leaves the
+    float range.
+    Pure unless a caller that owns the state passes inplace=True.
+    """
+    _check_mode(state, mode)
+    if r < 0:
+        raise ValueError("squeezing strength r must be >= 0")
+    out = state if inplace else state.copy()
+    iq, ip = 2 * mode, 2 * mode + 1
+    weights = (math.expm1(-2.0 * r), math.expm1(2.0 * r))
+    out.rows[iq] *= math.exp(-r)
+    out.rows[ip] *= math.exp(r)
+    columns = np.zeros((2 * out.n_modes, 2))
+    columns[iq, 0] = columns[ip, 1] = 1.0
+    out.rows = np.hstack((out.rows, columns))
+    out.s = np.append(out.s, weights)
+    return out
+
+
+
 def apply_displacement(state: GaussianState, mode: int, amplitude: float,
                        phase: float = 0.0) -> GaussianState:
     """Displace one mode by alpha = amplitude * e^{i*phase}.
@@ -71,8 +109,8 @@ def apply_displacement(state: GaussianState, mode: int, amplitude: float,
     if amplitude < 0:
         raise ValueError("amplitude must be >= 0 (carry signs in the phase)")
     out = state.copy()
-    out.mean[out.q_index(mode)] += 2.0 * amplitude * math.cos(phase)
-    out.mean[out.p_index(mode)] += 2.0 * amplitude * math.sin(phase)
+    out.mean[2 * mode] += 2.0 * amplitude * math.cos(phase)
+    out.mean[2 * mode + 1] += 2.0 * amplitude * math.sin(phase)
     return out
 
 

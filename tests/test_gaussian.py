@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzinet.gaussian import (
-    apply_loss,
-    apply_squeezer,
-    homodyne_moments,
-    vacuum_state,
-)
+from mzinet.gaussian import apply_loss, homodyne_moments
 from mzinet.network import noise_matrix, qc_cascade
 from mzinet.scenarios import _random_config
 
-from reference_ops import apply_beam_splitter, apply_displacement, apply_mzi
+from reference_ops import (
+    apply_beam_splitter,
+    apply_displacement,
+    apply_mzi,
+    apply_squeezer,
+    vacuum_state,
+)
 
 
 def mode_photon_number(state, mode):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -65,6 +66,30 @@ def test_weight_patterns():
     assert weight_pattern("single", 3) == (1.0, 0.0, 0.0)
     assert weight_pattern("stag", 4) == (0.25, -0.25, 0.25, -0.25)
     assert weight_pattern("asym", 6) == (1 / 6, 1 / 6, 1 / 6, -1 / 6, -1 / 6, -1 / 6)
+
+
+# sha256 of the reprs, one per line, of the first 8 configs that
+# _random_config draws from default_rng(seed), as drawn with
+# rng.choice([-1.0, 1.0], d) for the signs (numpy 2 reprs)
+RANDOM_CONFIG_STREAMS = [
+    (0, 4, True, "6e7615d721a75fb37bd0610964f7135356ceb3e31e86b7df7ae0627dc2e7f55e"),
+    (0, 4, False, "be1fd26d689d9c31e2a9ad2ed51859f00aa5421c98755a6201449eef5e84aacb"),
+    (0, 8, True, "fefc812ef5375459d8ef847158da90e1eca1198a8b3cfdcf7a54524285e82580"),
+    (0, 8, False, "5eea38c9552f78a274571bcc3332c8ff64a26b2c7a432aba6a80f70ed4fef162"),
+    (20260808, 4, True, "3b65a91308e58e8447730ced11d29f007ff9ec45143bda1cc3a36105a53d82a1"),
+    (20260808, 4, False, "b6e30abcd0a6cbbe204984d1606e3e1823c6634c2bfdac2a930c4b5d9f32ac12"),
+    (20260808, 8, True, "ff0469902c2a113aa748b21c5055fb398f91387a482d98e61b97c8db34cdc187"),
+    (20260808, 8, False, "ec2bf6710c4dbd09815d6274918c4598e4af429d6a91abb2d009425624be4a80"),
+]
+
+
+@pytest.mark.parametrize("seed, d_max, optimal_p, digest", RANDOM_CONFIG_STREAMS)
+def test_random_config_stream_is_pinned(seed, d_max, optimal_p, digest):
+    # verify's checks and many tests draw from this one generator
+    rng = np.random.default_rng(seed)
+    text = "\n".join(repr(_random_config(rng, d_max=d_max, optimal_p=optimal_p))
+                     for _ in range(8))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # --- cascade -----------------------------------------------------------------
@@ -198,8 +223,8 @@ def _pure_build(config):
     """build_network written out with the pure ops, one fresh state per op
     (the cascade loop and the two-mode ops from the test reference)."""
     d = config.d
-    state = g.vacuum_state(2 * d)
-    state = g.apply_squeezer(state, 0, float(config.r))
+    state = ref.vacuum_state(2 * d)
+    state = ref.apply_squeezer(state, 0, float(config.r))
     for (i, j), t in ref.qc_cascade(config.P):
         state = ref.apply_beam_splitter(state, i, j, t)
     gain = config.signal_gain
@@ -323,6 +348,19 @@ def test_noise_matrix_positive_semidefinite(rng):
         cfg = _random_config(rng, optimal_p=False)
         eigs = np.linalg.eigvalsh(noise_matrix(cfg))
         assert eigs.min() > -1e-12
+
+
+def test_noise_matrix_is_the_homodyne_covariance_of_the_built_state(rng):
+    # noise_matrix reads Gamma from the measured q rows of the state it
+    # builds; the homodyne read of the same state must give the same bytes
+    configs = [_random_config(rng, d_max=8, optimal_p=bool(rng.integers(0, 2)))
+               for _ in range(60)]
+    configs = [c.with_updates(thetas=tuple(rng.uniform(-0.5, 0.5, c.d))) for c in configs]
+    assert {c.d for c in configs} == set(range(1, 9))
+    configs.append(configure_optimal(weight_pattern("asym", 257), 1e8, 0.8, eta_dis=0.9))
+    for cfg in configs:
+        _, cov = homodyne_moments(build_network(cfg), range(cfg.d))
+        assert noise_matrix(cfg).tobytes() == cov.tobytes(), cfg.d
 
 
 # --- sensitivities -----------------------------------------------------------

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from mzinet.scenarios import FIGURES, reproduce
+from mzinet.scenarios import _CHECKS, FIGURES, reproduce
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,6 +51,23 @@ def test_engine_scaling_reports_each_size(tmp_path):
     lines = result.stdout.splitlines()
     assert lines[0].split() == ["d", "wall_ms", "peak_mb"]
     assert [line.split()[0] for line in lines[1:]] == ["32", "64"]
+
+
+def test_engine_scaling_default_sizes_start_at_small_d(tmp_path):
+    result = _run_script("engine_scaling.py", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert [line.split()[0] for line in result.stdout.splitlines()[1:]] == [
+        str(d) for d in (4, 6, 32, 64, 128, 256, 512, 1024, 2048)]
+
+
+def test_verify_timing_reports_each_check(tmp_path):
+    result = _run_script("verify_timing.py", 1, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0].split() == ["check", "min_ms", "median_ms"]
+    rows = [line.rsplit(None, 2) for line in lines[1:]]
+    assert [name for name, _, _ in rows] == [name for name, *_ in _CHECKS] + ["total"]
+    assert all(float(low) <= float(mid) for _, low, mid in rows)
 
 
 def test_figure_diff_names_an_edited_cell(tmp_path):

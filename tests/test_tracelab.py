@@ -275,20 +275,25 @@ def test_synthesize_bytes_do_not_depend_on_the_thread_count(d, cpus, monkeypatch
     cfg = configure_optimal(weight_pattern("asym", d), 1e8, 0.5, eta_dis=0.95)
     delta = np.linspace(-2e-3, 3e-3, d)
     samples = synthesize(cfg, delta, FAST, seed=40 + d).samples
-    # the run's draws share one pool of at most min(d, cpus) threads
-    assert 1 <= len(started) <= min(d, cpus)
+    # the calling thread draws a share itself: the run starts at most
+    # min(d, cpus) - 1 helper threads, none at d = 1 or on one CPU
+    assert len(started) <= min(d, cpus) - 1
     expected = _whole_product_synthesis(cfg, delta, FAST, 40 + d)
     assert samples.tobytes() == expected.tobytes()
 
 
-def test_a_failed_row_draw_is_raised():
+def test_a_failed_row_draw_is_raised(monkeypatch):
+    # two CPUs: one helper draws row 1 and the calling thread rows 0 and 2
     class Broken:
         def standard_normal(self, out):
             raise MemoryError("row")
 
-    rngs = [np.random.default_rng(0), Broken(), np.random.default_rng(2)]
-    with tracelab._draw_pool(3) as pool, pytest.raises(MemoryError, match="row"):
-        tracelab._draw_rows(rngs, np.empty((3, 16)), pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for broken in (1, 2):
+        rngs = [np.random.default_rng(j) for j in range(3)]
+        rngs[broken] = Broken()
+        with tracelab._draw_pool(3) as pool, pytest.raises(MemoryError, match="row"):
+            tracelab._draw_rows(rngs, np.empty((3, 16)), pool)
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-3])
