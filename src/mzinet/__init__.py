@@ -12,7 +12,9 @@ from .errors import (
     AnalysisError,
     ConfigError,
     DarkResponseError,
+    FloatRangeError,
     InfeasibleSplitError,
+    MzinetError,
     PrecisionLossError,
     RegularizationError,
     ResourceLimitError,

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: sensitivity, optimize, scan, reproduce, verify, trace, flux.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 verification failure.
+Exit codes: 0 success, 2 configuration error or unreadable file, 3 any other
+MzinetError (numerical failure), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import laws, optimize, scenarios, tracelab
-from .errors import ConfigError
+from .errors import ConfigError, MzinetError
 from .network import sensitivity_numeric, sensitivity_separable
 
 EXIT_OK = 0
@@ -186,15 +186,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # an OSError names its path
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError,) + optimize.ROW_ERRORS as exc:
+    except MzinetError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

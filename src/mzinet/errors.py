@@ -1,12 +1,16 @@
-"""Typed errors shared across the toolkit.
-
-Plain ``ValueError``/``IndexError`` are used for simple argument violations;
-the classes here exist where callers need to react to a *named* failure mode
-(CLI exit codes, per-row scan statuses).
+"""Typed errors, and the one rule of what is a reported failure: only an
+`MzinetError`, the base of every class here, becomes a scan row's status or
+a command's exit code (2 for a ConfigError, which names its field, else 3).
+Any other exception, a bare ValueError or ArithmeticError included, is a
+programming error and propagates.  Each class keeps its builtin parent.
 """
 
 
-class ConfigError(ValueError):
+class MzinetError(Exception):
+    """The base of every typed error: the one class a row or a command catches."""
+
+
+class ConfigError(MzinetError, ValueError):
     """A network or scenario configuration field is invalid."""
 
     def __init__(self, field, message):
@@ -25,11 +29,11 @@ class ScenarioParseError(ConfigError):
         super().__init__("scenario", message)
 
 
-class InfeasibleSplitError(ValueError):
+class InfeasibleSplitError(MzinetError, ValueError):
     """Requested splitting probabilities cannot be realized by a cascade."""
 
 
-class DarkResponseError(RuntimeError):
+class DarkResponseError(MzinetError, RuntimeError):
     """One or more weighted channels have no phase response."""
 
     def __init__(self, channels, message=None):
@@ -39,26 +43,30 @@ class DarkResponseError(RuntimeError):
         )
 
 
-class AllocationError(ValueError):
+class AllocationError(MzinetError, ValueError):
     """Photon-budget allocation is out of range (e.g. n_s >= n_T)."""
 
 
-class TruncationError(RuntimeError):
+class TruncationError(MzinetError, RuntimeError):
     """Fock-space cutoff too small for the requested state."""
 
 
-class ResourceLimitError(RuntimeError):
+class ResourceLimitError(MzinetError, RuntimeError):
     """A brute-force computation would exceed the configured size guard."""
 
 
-class AnalysisError(RuntimeError):
+class AnalysisError(MzinetError, RuntimeError):
     """Trace analysis could not be carried out on the given data."""
 
 
-class RegularizationError(RuntimeError):
+class RegularizationError(MzinetError, RuntimeError):
     """A noise matrix is numerically not positive semidefinite."""
 
 
-class PrecisionLossError(ArithmeticError):
+class PrecisionLossError(MzinetError, ArithmeticError):
     """A computed result lies within its own rounding error, so it has no
     significant digit left."""
+
+
+class FloatRangeError(MzinetError, OverflowError):
+    """A quantity overflows, or a divisor underflows to 0; the message names it."""

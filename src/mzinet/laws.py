@@ -167,7 +167,7 @@ def regime_limits(n_T, Lambda=0.0, K=1.0) -> RegimeLimits:
 
     The labels use fixed bookkeeping thresholds (n_T < 0.1 low; below
     1/(10 Lambda) Heisenberg; loss floor beyond); the physical crossovers
-    are asymptotic, not sharp.
+    are asymptotic, not sharp.  A branch out of float range reads inf or 0.
     """
     if n_T <= 0:
         raise AllocationError("n_T must be > 0")
@@ -177,9 +177,10 @@ def regime_limits(n_T, Lambda=0.0, K=1.0) -> RegimeLimits:
         active = REGIME_HL
     else:
         active = REGIME_FLOOR
+    square = K * (n_T * n_T)
     return RegimeLimits(
         low_n=(1.0 + Lambda) / (K * n_T),
-        heisenberg=1.0 / (K * n_T**2),
+        heisenberg=1.0 / square if square else math.inf,
         loss_floor=Lambda / (K * n_T),
         active=active,
     )

@@ -27,6 +27,7 @@ eta = eta_dis * eta_mzi * eta_m^(2K-1) at any working point.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,6 +36,7 @@ from . import gaussian as g
 from .errors import (
     ConfigError,
     DarkResponseError,
+    FloatRangeError,
     InfeasibleSplitError,
     PrecisionLossError,
 )
@@ -60,6 +62,12 @@ DARK_THRESHOLD = 1e-12  # relative to the brightest channel's theta = 0 response
 # within the rounding error of the quadratic form: no digit is significant
 ROUNDING_FACTOR = 4.0
 _EPS = float(np.finfo(float).eps)
+R_MAX = math.log(sys.float_info.max) / 2.0  # the largest r whose e^{2r} is a float
+
+
+def _check_squeezing(r: float):
+    if not 0.0 <= r <= R_MAX:
+        raise ConfigError("r", f"squeezing strength must lie in [0, {R_MAX!r}], got {r!r}")
 
 
 @dataclass(frozen=True)
@@ -69,9 +77,9 @@ class NetworkConfig:
 
     Fields:
         d: number of interferometers.
-        K: multipass count (integer >= 1).
+        K: multipass count (integer in [1, 2**512), so K**2 is a float).
         mu: multipass coefficient; None means the default 1/K.
-        r: squeezing strength of the shared resource.
+        r: squeezing strength of the shared resource, in [0, R_MAX].
         alphas: d pairs (|alpha_j|, phi_j) of coherent amplitudes/phases.
         thetas: d working-point phases (radians); empty means all zero.
         weights: weight vector nu of the estimated phase combination.
@@ -93,7 +101,7 @@ class NetworkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "alphas", tuple(map(tuple, self.alphas)))
+        object.__setattr__(self, "alphas", tuple((float(m), float(p)) for m, p in self.alphas))
         for name in ("thetas", "weights", "P"):
             object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if not self.thetas:
@@ -103,12 +111,11 @@ class NetworkConfig:
     def validate(self):
         if self.d < 1:
             raise ConfigError("d", "need at least one interferometer")
-        if self.K < 1 or int(self.K) != self.K:
-            raise ConfigError("K", "multipass count must be an integer >= 1")
+        if not (1 <= self.K < 2**512 and int(self.K) == self.K):
+            raise ConfigError("K", "multipass count must be an integer in [1, 2**512)")
         if self.mu is not None and not 0.0 < self.mu < math.inf:
             raise ConfigError("mu", "multipass coefficient must be finite and > 0")
-        if not 0.0 <= self.r < math.inf:
-            raise ConfigError("r", "squeezing strength must be finite and >= 0")
+        _check_squeezing(self.r)
         if len(self.alphas) != self.d:
             raise ConfigError("alphas", f"need {self.d} (magnitude, phase) pairs")
         if not all(0.0 <= mag < math.inf and math.isfinite(phi)
@@ -250,12 +257,9 @@ def build_network(config: NetworkConfig) -> g.GaussianState:
     row matrix [mean | U], as the squeezer and the cascade of
     tests/reference_ops.py leave it: zero mean, U's columns e_q and e_p of
     the carrier times each output's cascade amplitude, and
-    s = (expm1(-2r), expm1(2r)), which raises OverflowError once e^{2r}
-    leaves the float range.
+    s = (expm1(-2r), expm1(2r)), finite since the config's r <= R_MAX.
     """
     d = config.d
-    if config.r < 0:
-        raise ValueError("squeezing strength r must be >= 0")
     weights = np.array([math.expm1(-2.0 * config.r), math.expm1(2.0 * config.r)])
     # [b modes, a modes] x node x (q, p) x (mean, columns of U); the ops and
     # the array steps below update it in place
@@ -380,12 +384,16 @@ def _estimator_variance(x, keep, gamma) -> float:
     """x^T Gamma x over the kept channels of the full d x d `gamma`, the one
     kept-channel rule of the engine and the oracle, rounding-checked against
     |x|^T |Gamma| |x| by `_significant`.  `gamma` is consumed: |Gamma| is
-    taken in its place, so a d x d array is the only one held."""
+    taken in its place, so a d x d array is the only one held.  A scale out
+    of float range raises FloatRangeError: no rounding bound is left."""
     if not keep.all():
         gamma = gamma[np.ix_(keep, keep)]
-    variance = float(x @ gamma @ x)
-    x_abs = np.abs(x)
-    scale = float(x_abs @ np.abs(gamma, out=gamma) @ x_abs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = float(x @ gamma @ x)
+        x_abs = np.abs(x)
+        scale = float(x_abs @ np.abs(gamma, out=gamma) @ x_abs)
+    if not (scale < math.inf and abs(variance) < math.inf):
+        raise FloatRangeError(f"variance_numeric: rounding scale {scale!r} out of float range")
     return _significant(variance, scale, x.size)
 
 

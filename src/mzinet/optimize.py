@@ -13,17 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import laws
-from .errors import (
-    AllocationError,
-    AnalysisError,
-    ConfigError,
-    DarkResponseError,
-    InfeasibleSplitError,
-    PrecisionLossError,
-    RegularizationError,
-    ResourceLimitError,
-    TruncationError,
-)
+from .errors import AllocationError, ConfigError, FloatRangeError, MzinetError
 from .network import (
     NetworkConfig,
     sensitivity_numeric,
@@ -110,8 +100,8 @@ def optimize_squeezing(n_T, Lambda=0.0, K=1.0):
     and n_s* = y q / 4.  Both ratios are finite wherever 4 n_T is, and
     y q = 4 n_s* < 4 n_T, so no product overflows.
 
-    Returns (n_s_opt, variance).  Raises OverflowError when an intermediate
-    leaves the float range (4 n_T overflows above about 4.5e307).
+    Returns (n_s_opt, variance).  Raises FloatRangeError when an
+    intermediate leaves the float range (4 n_T overflows above about 4.5e307).
     """
     if n_T <= 0:
         raise AllocationError("n_T must be > 0")
@@ -123,7 +113,7 @@ def optimize_squeezing(n_T, Lambda=0.0, K=1.0):
     root = math.sqrt((1.0 + Lambda) ** 2 + 4.0 * Lambda * n_T)
     outer = 1.0 + Lambda + four_n + root
     if not math.isfinite(outer):
-        raise OverflowError(f"squeezing optimum at n_T = {n_T} is out of float range")
+        raise FloatRangeError(f"n_s_opt: squeezing optimum at n_T = {n_T} out of float range")
     y = four_n / (1.0 + Lambda + root)
     n_s = y * (four_n / outer) / 4.0
     return n_s, laws.variance_vs_ns(n_T, n_s, Lambda=Lambda, K=K)
@@ -154,24 +144,6 @@ class ScanRow:
 
 
 SCAN_AXES = ("n_c", "eta_dis", "K", "d", "n_T", "weights")
-
-# Failures of one scan point that become its row status: the typed errors,
-# and float range failures (overflow, a divisor that underflows to zero) of
-# an extreme but valid point.  Anything else is a programming error and
-# propagates.
-ROW_ERRORS = (
-    ConfigError,
-    InfeasibleSplitError,
-    DarkResponseError,
-    AllocationError,
-    TruncationError,
-    ResourceLimitError,
-    AnalysisError,
-    RegularizationError,
-    PrecisionLossError,
-    np.linalg.LinAlgError,
-    ArithmeticError,
-)
 
 
 def _config_for_point(axis, value, base: NetworkConfig):
@@ -212,9 +184,9 @@ def _point_report(variance, n_total, n_c, r, Lambda, K, scale) -> dict:
             n_c, r, Lambda=Lambda, K=K) * factor
     report["variance_qcrb"] = laws.qcrb(n_c, r, K=K) * factor
     report["sql"] = laws.sql_variance(n_total, K=1.0) * factor
-    ratio = report["sql"] / variance
+    ratio = report["sql"] / variance if variance else math.inf  # 0: out of range too
     if not 0.0 < ratio < math.inf:
-        raise OverflowError("variance out of float range")
+        raise FloatRangeError(f"db_below_sql: sql {report['sql']!r} / variance {variance!r}")
     report["db_below_sql"] = 10.0 * math.log10(ratio)
     limits = laws.regime_limits(n_total, Lambda, K=K)
     report.update(regime=limits.active, branch_low=limits.low_n * factor,
@@ -241,7 +213,7 @@ def _evaluate_point(axis, value, base, engines):
             from .fock import oracle_sensitivity
 
             row.variance_oracle = oracle_sensitivity(cfg)
-    except ROW_ERRORS as exc:  # recorded per-row, scan continues
+    except MzinetError as exc:  # recorded per-row, scan continues; a bug raises
         row.status = f"error:{type(exc).__name__}: {exc}"
     return row
 

@@ -47,11 +47,12 @@ from pathlib import Path
 import numpy as np
 
 from . import laws, optimize, tracelab
-from .errors import AnalysisError, ConfigError, ScenarioParseError
+from .errors import AnalysisError, ConfigError, MzinetError, ScenarioParseError
 from .fock import ORACLE_MAX_D, ORACLE_MAX_R, oracle_sensitivity
 from .gaussian import homodyne_moments
 from .network import (
     NetworkConfig,
+    _check_squeezing,
     build_network,
     closed_form_variance,
     noise_matrix,
@@ -252,8 +253,8 @@ def _config_from_spec(spec: dict):
         rs, r = ((r,) * d if isinstance(r, float) else r), 0.0
         if len(rs) != d:
             raise ConfigError("r", f"need {d} per-node squeezing strengths")
-        if not all(x >= 0.0 for x in rs):
-            raise ConfigError("r", "squeezing strength must be finite and >= 0")
+        for x in rs:
+            _check_squeezing(x)
     elif isinstance(r, tuple):
         raise ConfigError("r", f"the shared squeezer takes one number, got {spec['r']!r}")
     kwargs = {name: fields[name] for name in ("K", "mu", "eta_dis", "eta_mzi", "eta_m")}
@@ -296,9 +297,11 @@ def _expand_grid(grid):
 def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"not UTF-8 text: {exc}") from exc
     return _scenario_from_doc(doc)
 
 
@@ -450,7 +453,7 @@ def run_scenario(path_or_scenario, out_dir, seed=None):
                                 + row_index) % 2**63
                     row.db_below_sql_mc, row.snr_db_mc = _run_trace_point(
                         row, trace, row_seed)
-                except optimize.ROW_ERRORS as exc:
+                except MzinetError as exc:
                     row.status = f"error:{type(exc).__name__}: {exc}"
         csv_path = out_dir / f"{scenario.name}_{spec.label}.csv"
         _write_csv(csv_path, spec.axis, rows)

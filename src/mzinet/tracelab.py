@@ -211,7 +211,10 @@ def _noise_factor(gamma: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(sym)
+        try:
+            vals, vecs = np.linalg.eigh(sym)
+        except np.linalg.LinAlgError as exc:
+            raise RegularizationError(f"noise matrix eigh failed: {exc}") from exc
         if vals.min() < -1e-10 * max(vals.max(), 1.0):
             raise RegularizationError(
                 f"noise matrix has negative eigenvalue {vals.min():.3e}"
@@ -533,8 +536,11 @@ def _joint_result(config: NetworkConfig, params: TraceParams, seed: int, rbw,
     """dB below the SQL, SNR and drive estimate from the joint estimator's
     mean band powers in the gated (signal) and idle (noise) windows of the
     run of `seed` and the idle power of its reference run
-    (`_reference_power`)."""
+    (`_reference_power`); a window mean outside (0, inf) raises AnalysisError."""
     ref_noise = _reference_power(config, params, seed, rbw)
+    for window, power in ("gated", signal), ("idle", noise), ("reference idle", ref_noise):
+        if not 0.0 < power < math.inf:
+            raise AnalysisError(f"the mean band power of the {window} window is {power!r}")
     tone = max(signal - noise, 0.0)
     amp = math.sqrt(SINE_POWER_FACTOR * tone)
     return JointNoiseResult(
@@ -696,9 +702,12 @@ def _sampled_powers(sigma: float, amp: float, params: TraceParams, seed: int,
     for count, *tone in reads:
         chi2 = 2.0 * rng.standard_gamma(0.5 * (count - 1), 2)
         normal = rng.standard_normal(2)
-        total = math.fsum(scale * scale * c + (scale * u + amp * math.sqrt(t)) ** 2
-                          for scale, c, u, t in zip(scales, chi2.tolist(),
-                                                    normal.tolist(), tone))
+        try:
+            total = math.fsum(scale * scale * c + (scale * u + amp * math.sqrt(t)) ** 2
+                              for scale, c, u, t in zip(scales, chi2.tolist(),
+                                                        normal.tolist(), tone))
+        except OverflowError:  # a square past the float range: so is the sum
+            total = math.inf
         powers.append(2.0 * total / (plan.norm * count) * rbw)
     return powers
 

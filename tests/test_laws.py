@@ -146,6 +146,15 @@ def test_regime_limits_branches():
     assert limits.heisenberg < numeric < limits.low_n
 
 
+def test_regime_branch_out_of_float_range_reads_inf_or_zero():
+    # n_T^2 underflows to 0 below about 1e-162 and overflows above about
+    # 1.3e154; the Heisenberg branch then reads inf or 0 and never raises
+    assert laws.regime_limits(1e-200, Lambda=0.1, K=2.0).heisenberg == math.inf
+    assert laws.regime_limits(1e-320, Lambda=0.1).heisenberg == math.inf
+    assert laws.regime_limits(1e200, Lambda=0.1, K=2.0).heisenberg == 0.0
+    assert laws.regime_limits(3.0, Lambda=0.1, K=2.0).heisenberg == 1.0 / 18.0
+
+
 def test_regime_limits_lossless_has_no_floor():
     limits = laws.regime_limits(1e4, Lambda=0.0)
     assert limits.loss_floor == 0.0

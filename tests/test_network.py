@@ -8,12 +8,14 @@ from mzinet import gaussian as g, scenarios
 from mzinet.errors import (
     ConfigError,
     DarkResponseError,
+    FloatRangeError,
     InfeasibleSplitError,
     PrecisionLossError,
 )
 from mzinet.fock import oracle_sensitivity
 from mzinet.gaussian import homodyne_moments
 from mzinet.network import (
+    R_MAX,
     REMAINDER_FLOOR,
     NetworkConfig,
     build_network,
@@ -70,20 +72,22 @@ def test_weight_patterns():
 
 # sha256 of the reprs, one per line, of the first 8 configs that
 # _random_config draws from default_rng(seed), as drawn with
-# rng.choice([-1.0, 1.0], d) for the signs (numpy 2 reprs)
+# rng.choice([-1.0, 1.0], d) for the signs; every field holds Python
+# floats, so the text does not depend on numpy's scalar repr
 RANDOM_CONFIG_STREAMS = [
-    (0, 4, True, "6e7615d721a75fb37bd0610964f7135356ceb3e31e86b7df7ae0627dc2e7f55e"),
-    (0, 4, False, "be1fd26d689d9c31e2a9ad2ed51859f00aa5421c98755a6201449eef5e84aacb"),
-    (0, 8, True, "fefc812ef5375459d8ef847158da90e1eca1198a8b3cfdcf7a54524285e82580"),
-    (0, 8, False, "5eea38c9552f78a274571bcc3332c8ff64a26b2c7a432aba6a80f70ed4fef162"),
-    (20260808, 4, True, "3b65a91308e58e8447730ced11d29f007ff9ec45143bda1cc3a36105a53d82a1"),
-    (20260808, 4, False, "b6e30abcd0a6cbbe204984d1606e3e1823c6634c2bfdac2a930c4b5d9f32ac12"),
-    (20260808, 8, True, "ff0469902c2a113aa748b21c5055fb398f91387a482d98e61b97c8db34cdc187"),
-    (20260808, 8, False, "ec2bf6710c4dbd09815d6274918c4598e4af429d6a91abb2d009425624be4a80"),
+    (0, 4, True, "0e5d49847627a336707d467935f697f04e847548bf3bf2ac6f11b5f9073687dd"),
+    (0, 4, False, "96c23dcfcb8c8a8d971732f052d5e68697e0da10e9d316ba92da08e74fdc36c7"),
+    (0, 8, True, "f225925eddc01da2e95fb9f28f84a5153a50a90018d0ca119819cb9e41aedd2f"),
+    (0, 8, False, "543d01593d56d545acd9146534740cf21f4b7fce4edd5276415dfccc623c7a54"),
+    (20260808, 4, True, "d8d3ac6a5bd434bed5bb068bee9c2b76f2f1f6e482f19da293251afe72cc37ff"),
+    (20260808, 4, False, "7ea5c25794b3baffd79b95fff9215dac8ed4150331e9f422887305cffd3b4c77"),
+    (20260808, 8, True, "e8d618ea45c701a3b2bc94161d655b40a5a7170c9c9a3dbc3b01ee62d1f2de0f"),
+    (20260808, 8, False, "375d57845c52f6bb553b4d4c7e4c4144b456f81a83d770f85fbb2b0aeb05848f"),
 ]
 
 
-@pytest.mark.parametrize("seed, d_max, optimal_p, digest", RANDOM_CONFIG_STREAMS)
+@pytest.mark.parametrize("seed, d_max, optimal_p, digest", RANDOM_CONFIG_STREAMS,
+                         ids=[f"{seed}-{d_max}-{p}" for seed, d_max, p, _ in RANDOM_CONFIG_STREAMS])
 def test_random_config_stream_is_pinned(seed, d_max, optimal_p, digest):
     # verify's checks and many tests draw from this one generator
     rng = np.random.default_rng(seed)
@@ -511,11 +515,27 @@ def test_variance_lost_to_rounding_is_an_error_row_not_ok():
 
 
 def test_squeezing_beyond_float_range_raises_overflow_not_nan():
-    # e^{2r} leaves the float range at r ~ 355
-    cfg = configure_optimal(weight_pattern("ave", 2), 100.0, 400.0)
-    with pytest.raises(OverflowError):
+    # e^{2r} leaves the float range just above R_MAX = ln(DBL_MAX)/2, where
+    # the config refuses r, naming it; at R_MAX the state is finite
+    for r in (400.0, math.nextafter(R_MAX, math.inf), math.inf, math.nan):
+        with pytest.raises(ConfigError) as info:
+            configure_optimal(weight_pattern("ave", 2), 100.0, r)
+        assert info.value.field == "r"
+    cfg = configure_optimal(weight_pattern("ave", 2), 100.0, R_MAX)
+    state = build_network(cfg)
+    assert np.isfinite(state.s).all() and np.isfinite(state.rows).all()
+    assert np.isfinite(noise_matrix(cfg)).all()
+
+
+def test_overflowed_rounding_scale_is_a_float_range_error():
+    # |x|^T |Gamma| |x| = 1 / n_c overflows while x^T Gamma x = e^{-2} / n_c
+    # would not: the variance's rounding cannot be judged, and no
+    # RuntimeWarning is emitted (Tier-1 turns one into a failure)
+    cfg = configure_optimal(weight_pattern("ave", 2), 4e-309, 1.0)
+    with pytest.raises(FloatRangeError, match="variance_numeric"):
         sensitivity_numeric(cfg)
-    assert scan("n_c", [1e2], cfg)[0].status.startswith("error:OverflowError")
+    (row,) = scan("n_c", [4e-309], cfg)
+    assert row.status.startswith("error:FloatRangeError: variance_numeric")
 
 
 def test_multipass_enhancement_scaling():

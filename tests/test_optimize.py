@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -6,8 +8,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from mzinet import laws
-from mzinet.errors import AllocationError, ConfigError
+from mzinet import errors, laws
+from mzinet.errors import AllocationError, ConfigError, FloatRangeError
 from mzinet.network import sensitivity_numeric, weight_pattern
 from mzinet.optimize import (
     configure_optimal,
@@ -15,6 +17,7 @@ from mzinet.optimize import (
     optimize_squeezing,
     scan,
 )
+from mzinet.scenarios import _random_config
 
 from separable_reference import separable_min_variance
 
@@ -147,9 +150,9 @@ def test_optimize_squeezing_lossless_exact_values():
 
 
 def test_optimize_squeezing_out_of_float_range():
-    with pytest.raises(OverflowError):
+    with pytest.raises(FloatRangeError, match="n_s_opt"):
         optimize_squeezing(1e308)
-    with pytest.raises(OverflowError):
+    with pytest.raises(FloatRangeError, match="n_s_opt"):
         optimize_squeezing(1e308, Lambda=0.1)
 
 
@@ -320,6 +323,74 @@ def test_scan_records_errors_per_row():
     rows = scan("n_c", [-5.0, 10.0], base)
     assert rows[0].status.startswith("error:")
     assert rows[1].status == "ok"
+    # a pass count whose square is no float fails its row, naming K
+    rows = scan("K", [2, 2**512], base)
+    assert [row.status[:17] for row in rows] == ["ok", "error:ConfigError"]
+    assert rows[1].status.startswith("error:ConfigError: K: ")
+
+
+def _extreme_points(seed, count):
+    """(axis, value, base): `count` points on random optimal networks of
+    d <= 6 (`_random_config`'s base), on the n_c, n_T or eta_dis axis, at a
+    value log-uniform over [1e-320, 1e308] (eta_dis: [1e-320, 1])."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        base = _random_config(rng, d_max=6)
+        axis = ("n_c", "n_T", "eta_dis")[int(rng.integers(3))]
+        yield axis, 10.0 ** rng.uniform(-320.0, 0.0 if axis == "eta_dis" else 308.0), base
+
+
+def _leaves_float_range(axis, value, row) -> bool:
+    """Whether a quantity of the row's point lies, in 60-digit arithmetic on
+    its own floats, at the edge of the float range or past it (above
+    DBL_MAX / 2 or below 1e-300): the closed-form variance, the SQL, their
+    ratio, or twice the numeric engine's vacuum term sum x_j^2, which bounds
+    its rounding scale |x|^T |Gamma| |x|.  Without a config, the n_T axis's
+    squeezing optimum, which needs 4 n_T."""
+    edge = mpmath.mpf(sys.float_info.max) / 2
+
+    def out(q):
+        return not mpmath.mpf("1e-300") <= q <= edge
+
+    if row.config is None:
+        return axis == "n_T" and out(4 * mpmath.mpf(value))
+    cfg = row.config
+    eta = mpmath.mpf(cfg.eta_total)
+    gain = mpmath.sqrt(mpmath.mpf(cfg.enhancement))
+    factor = mpmath.fsum(abs(mpmath.mpf(w)) for w in cfg.weights) ** 2
+    variance = ((mpmath.exp(-2 * mpmath.mpf(cfg.r)) + 1 / eta - 1)
+                / (mpmath.mpf(cfg.enhancement) * mpmath.mpf(cfg.n_c)) * factor)
+    sql = factor / mpmath.mpf(value if axis == "n_T" else cfg.n_T)
+    vacuum = mpmath.fsum((mpmath.mpf(w) / (mpmath.sqrt(eta) * gain * mpmath.mpf(mag))) ** 2
+                         for w, (mag, _) in zip(cfg.weights, cfg.alphas))
+    return any(map(out, (variance, sql, sql / variance, 2 * vacuum)))
+
+
+def test_extreme_points_fail_only_where_a_quantity_leaves_the_float_range():
+    """3000 seeded points up to the float range: every row is ok or carries
+    an errors.py class, no RuntimeWarning is emitted, an ok row's variances
+    are finite, and a row fails only where a quantity it reports leaves the
+    float range (`_leaves_float_range`), never for a bookkeeping column such
+    as the Heisenberg branch 1/(K n_T^2).  Before the failure rule was
+    typed, 832 of these rows failed, 756 of them on an OverflowError or a
+    ZeroDivisionError of that branch, and one emitted a RuntimeWarning; now
+    2924 are ok and 76 carry FloatRangeError."""
+    statuses = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mpmath.workdps(60):
+            for axis, value, base in _extreme_points(34, 3000):
+                (row,) = scan(axis, [value], base)
+                name = row.status.split(":")[1] if row.status != "ok" else "ok"
+                statuses[name] = statuses.get(name, 0) + 1
+                if row.status == "ok":
+                    assert all(0.0 < v < math.inf for v in (
+                        row.variance_closed_form, row.variance_numeric, row.sql))
+                    assert math.isfinite(row.db_below_sql)
+                else:
+                    assert issubclass(getattr(errors, name), errors.MzinetError), row.status
+                    assert _leaves_float_range(axis, value, row), (axis, value, row.status)
+    assert statuses["ok"] > 2900, statuses
 
 
 def test_scan_weights_axis():

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from mzinet.errors import (
     DarkResponseError,
     ScenarioParseError,
 )
-from mzinet.network import noise_matrix, response, weight_pattern
+from mzinet.network import ROUNDING_FACTOR, noise_matrix, response, weight_pattern
 from mzinet.scenarios import (
     FIGURES,
     bundled_scenario_path,
@@ -177,6 +179,21 @@ def _trace_scenario(tmp_path, **trace):
                      "engines": ["analytic", "trace"]}]
     doc["trace"] = dict(TRACE_BLOCK, **trace)
     return _write_scenario(tmp_path, doc)
+
+
+def test_trace_row_past_the_float_range_fails_by_name(tmp_path):
+    # at n_c = 1e-307 a sampled window power's square overflows: the row
+    # fails naming the window, and the next row runs
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["scans"] = [{"label": "mc", "axis": "n_c", "grid": [1e-307, 1e4],
+                     "engines": ["analytic", "trace"]}]
+    doc["trace"] = TRACE_BLOCK
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (csv_path,) = run_scenario(_write_scenario(tmp_path, doc), tmp_path / "o")
+    _, rows = _read_csv(csv_path)
+    assert [row["status"] for row in rows] == [
+        "error:AnalysisError: the mean band power of the gated window is inf", "ok"]
 
 
 def test_trace_row_status_only_for_typed_errors(tmp_path, monkeypatch):
@@ -359,6 +376,9 @@ NAN, INF = float("nan"), float("inf")
      None, None),
     ("d", {}, {"axis": "d", "grid": [0, 2]}, None),
     ("K", {}, {"axis": "K", "grid": [0, 2]}, None),
+    ("r", {"r": 400}, None, None),
+    ("r", {"topology": "separable", "r": [0.75, 400, 0.75]}, None, None),
+    ("K", {"K": 1e200}, None, None),
 ], ids=["network_r_nan", "network_r_inf", "network_r_negative",
         "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
         "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
@@ -383,7 +403,8 @@ NAN, INF = float("nan"), float("inf")
         "network_n_c_negative", "weights_all_zero", "scan_network_thetas",
         "scan_overrides_thetas", "scan_network_alphas_P", "d_scan_weights_pattern",
         "d_scan_weights_list", "alphas_triple", "alphas_single", "grid_d_zero",
-        "grid_K_zero"])
+        "grid_K_zero", "network_r_past_float_range",
+        "network_r_list_past_float_range", "network_K_past_float_range"])
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)
@@ -841,6 +862,44 @@ def test_bundled_laws_columns_against_60_digit_values():
         assert worst[column] <= bound, (column, worst[column])
 
 
+def test_bundled_numeric_variance_against_60_digit_values():
+    """variance_numeric of every numeric row of the bundled scans against
+    the working-point variance V = sum_j x_j^2 + (e^{-2r} - 1)
+    (sum_j x_j sqrt(eta P_j))^2, x_j = nu_j / (sqrt(eta) g |alpha_j| cos phi_j),
+    at 60 digits on the row config's own floats (eta the product of its
+    efficiencies), within the engine's own rounding rule:
+    |v - V| <= ROUNDING_FACTOR * d * eps * |x|^T |Gamma| |x|.  The worst
+    row read 2.94 of the factor 4 when this test was written."""
+    worst, count = 0.0, 0
+    with mpmath.workdps(60):
+        for figure in FIGURES:
+            scenario = load_scenario(bundled_scenario_path(figure))
+            for spec in scenario.scans:
+                if "numeric" not in spec.engines:
+                    continue
+                for row in optimize.scan(spec.axis, spec.grid,
+                                         scenario.base_config(spec.overrides),
+                                         engines=("numeric",)):
+                    assert row.status == "ok", (figure, row.value)
+                    cfg, mpf = row.config, mpmath.mpf
+                    eta = mpf(cfg.eta_dis) * mpf(cfg.eta_mzi) * mpf(cfg.eta_m) ** (2 * cfg.K - 1)
+                    gain = mpmath.sqrt(mpf(cfg.enhancement))
+                    x = [mpf(w) / (mpmath.sqrt(eta) * gain * mpf(mag) * mpmath.cos(mpf(phi)))
+                         for w, (mag, phi) in zip(cfg.weights, cfg.alphas)]
+                    amp = [mpmath.sqrt(eta * mpf(p)) for p in cfg.P]
+                    squeezed = mpmath.expm1(-2 * mpf(cfg.r))
+                    exact = (mpmath.fsum(v * v for v in x)
+                             + squeezed * mpmath.fsum(v * a for v, a in zip(x, amp)) ** 2)
+                    # |x|^T |Gamma| |x|, Gamma_jk = delta_jk + (e^{-2r} - 1) amp_j amp_k
+                    scale = mpmath.fsum(abs(x[j] * x[k] * ((j == k) + squeezed * amp[j] * amp[k]))
+                                        for j in range(cfg.d) for k in range(cfg.d))
+                    error = abs(mpf(row.variance_numeric) - exact) / (
+                        cfg.d * sys.float_info.epsilon * scale)
+                    worst, count = max(worst, float(error)), count + 1
+    assert count == 340
+    assert worst <= ROUNDING_FACTOR, worst
+
+
 def test_reproduce_fig3a_high_intensity_row(tmp_path):
     written = reproduce("fig3a", tmp_path)
     by_name = {p.name: p for p in written}
@@ -1042,7 +1101,7 @@ def test_cli_optimize_extreme_budget(capsys):
 def test_cli_optimize_budget_out_of_float_range(tmp_path, capsys):
     assert cli.main(["optimize", "--n-total", "1e308"]) == 3
     captured = capsys.readouterr()
-    assert "numerical failure: OverflowError" in captured.err
+    assert "numerical failure: FloatRangeError: n_s_opt: " in captured.err
     assert captured.out == ""
     doc = json.loads(json.dumps(SCENARIO))
     doc["scans"] = [{"label": "huge", "axis": "n_T", "grid": [1e308],
@@ -1052,7 +1111,8 @@ def test_cli_optimize_budget_out_of_float_range(tmp_path, capsys):
     assert cli.main(["scan", "--config", str(path), "--out", str(out)]) == 0
     assert capsys.readouterr().err.splitlines() == ["demo_huge.csv: 1 of 1 rows failed"]
     _, rows = _read_csv(out / "demo_huge.csv")
-    assert [row["status"].split(":")[:2] for row in rows] == [["error", "OverflowError"]]
+    assert [row["status"].split(":")[:3] for row in rows] == [
+        ["error", "FloatRangeError", " n_s_opt"]]
 
 
 def test_cli_sensitivity(tmp_path, capsys):
@@ -1103,12 +1163,34 @@ def test_cli_sensitivity_of_a_separable_network(tmp_path, capsys, network, rs):
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
-    # sinh(400)^2 overflows in NetworkConfig.n_s: a float-range failure
+    # x_j = nu_j / C_jj ~ 1e160 at n_c = 1e-320: the variance's rounding
+    # scale |x|^T |Gamma| |x| leaves the float range
     doc = json.loads(json.dumps(SCENARIO))
-    doc["network"]["r"] = 400
+    doc["network"]["n_c"] = 1e-320
     path = _write_scenario(tmp_path, doc)
     assert cli.main(["sensitivity", "--config", str(path)]) == 3
-    assert "numerical failure: OverflowError" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: FloatRangeError: variance_numeric: ")
+
+
+@pytest.mark.parametrize("bug", [ZeroDivisionError, ValueError])
+def test_a_bare_builtin_error_is_a_bug_that_propagates(tmp_path, monkeypatch, bug):
+    """Only an errors.py class becomes a row status or an exit code: a bare
+    ZeroDivisionError or ValueError raised inside a scan row, a trace row
+    or `mzinet sensitivity` propagates."""
+    def broken(*args, **kwargs):
+        raise bug("planted")
+
+    path = _write_scenario(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(laws, "qcrb", broken)  # every point report calls it
+        with pytest.raises(bug, match="planted"):
+            optimize.scan("n_c", [1e4], load_scenario(path).base_config())
+        with pytest.raises(bug, match="planted"):
+            cli.main(["sensitivity", "--config", str(path)])
+    monkeypatch.setattr(tracelab, "simulate_joint_noise", broken)
+    with pytest.raises(bug, match="planted"):
+        run_scenario(_trace_scenario(tmp_path), tmp_path / "o")
 
 
 def test_cli_scan_and_reproduce(tmp_path, capsys):
@@ -1134,6 +1216,39 @@ def test_cli_missing_file_exit_code(tmp_path, capsys):
     code = cli.main(["scan", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["scan", "--config", "{dir}", "--out", "{out}"],
+    ["sensitivity", "--config", "{dir}"],
+    ["trace", "synth", "--config", "{dir}", "--out", "{out}"],
+    ["trace", "analyze", "--trace", "{dir}", "--config", "{good}"],
+], ids=["scan_config", "sensitivity_config", "synth_config", "analyze_trace"])
+def test_cli_unreadable_input_path_exit_code(tmp_path, capsys, command):
+    # a directory cannot be read as a file: exit 2 naming the path, as a
+    # missing file does
+    good = _write_scenario(tmp_path, _trace_doc(3))
+    folder = tmp_path / "folder.json"
+    folder.mkdir()
+    code = cli.main([arg.format(dir=folder, good=good, out=tmp_path / "o")
+                     for arg in command])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("configuration error: ")
+    assert str(folder) in captured.err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_non_utf8_scenario_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(ScenarioParseError, match="not UTF-8"):
+        load_scenario(path)
+    for command in ("scan", "sensitivity"):
+        code = cli.main([command, "--config", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: scenario: not UTF-8 text: 'utf-8' codec ")
 
 
 def test_cli_trace_synth_and_analyze(tmp_path, capsys):
@@ -1206,6 +1321,18 @@ def test_cli_trace_analyze_needs_the_sidecar(tmp_path, capsys):
     assert "configuration error" in captured.err
     assert str(sidecar) in captured.err
     assert captured.out == ""
+
+
+def test_cli_trace_analyze_names_a_window_without_power(tmp_path, capsys):
+    path = _write_scenario(tmp_path, _trace_doc(2))
+    params = scenarios._trace_block(load_scenario(path).trace).params
+    zeros = tracelab.TraceSet(np.zeros((2, tracelab._n_samples(params))), params, 5)
+    trace_path = tracelab.write_trace(tmp_path / "zero.mztr", zeros)
+    code = cli.main(["trace", "analyze", "--trace", str(trace_path),
+                     "--config", str(path)])
+    assert code == 3
+    assert capsys.readouterr().err == ("numerical failure: AnalysisError: the mean "
+                                       "band power of the gated window is 0.0\n")
 
 
 @pytest.mark.parametrize("text, named", [

@@ -925,6 +925,30 @@ def test_noise_factor_rejects_indefinite_matrix():
     assert np.allclose(factor @ factor.T, np.ones((2, 2)), atol=1e-12)
 
 
+def test_noise_factor_maps_a_failed_decomposition_to_its_typed_error(monkeypatch):
+    from mzinet.errors import RegularizationError
+
+    def no_convergence(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(RegularizationError, match="did not converge"):
+        tracelab._noise_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_zero_band_power_names_its_window():
+    # all-zero samples, the record of a dead acquisition
+    cfg = _ideal_config(d=2)
+    samples = np.zeros((2, tracelab._n_samples(FAST)))
+    with pytest.raises(AnalysisError, match="gated window is 0.0"):
+        joint_noise_analysis(TraceSet(samples, FAST, 5), cfg)
+    # noise inside the gate spans only: the idle window reads 0
+    for a, b in tracelab._window_spans(FAST):
+        samples[:, a:b] = np.random.default_rng(a).standard_normal((2, b - a))
+    with pytest.raises(AnalysisError, match="idle window is 0.0"):
+        joint_noise_analysis(TraceSet(samples, FAST, 5), cfg)
+
+
 def test_trace_file_round_trip(tmp_path):
     cfg = _ideal_config()
     traces = synthesize(cfg, 1e-3, FAST, seed=77)
