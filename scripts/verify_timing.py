@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Wall time of each check of the full verification suite.
 
-Runs the rows of ``scenarios._CHECKS`` at their full counts N times in
-process, after one untimed warm-up run, each run on one generator seeded as
-``verify`` seeds it and in verify's order, so every run draws the same
-configs.  Prints each check's minimum and median wall time over the N runs,
-then those of the whole run.
+Folds the draws of each row of ``scenarios._CHECKS`` at its full count
+(``scenarios._deviation``, verify's fold) N times in process, after one
+untimed warm-up run, each run on one generator seeded as ``verify`` seeds it
+and in verify's order, so every run draws the same configs.  Prints each
+check's minimum and median wall time over the N runs, then those of the
+whole run.
 
 Usage: python scripts/verify_timing.py [N]   (default: 20)
 """
@@ -17,7 +18,7 @@ import time
 
 import numpy as np
 
-from mzinet.scenarios import _CHECKS, verify
+from mzinet.scenarios import _CHECKS, _deviation, verify
 
 SEED = inspect.signature(verify).parameters["seed"].default
 
@@ -26,9 +27,9 @@ def run_once():
     """Seconds of each check, in `_CHECKS` order, of one full run."""
     rng = np.random.default_rng(SEED)
     times = []
-    for _, _, _, full, run in _CHECKS:
+    for _, _, _, full, check in _CHECKS:
         start = time.perf_counter()
-        run(rng, full)
+        _deviation(check, rng, full)
         times.append(time.perf_counter() - start)
     return times
 

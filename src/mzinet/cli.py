@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import laws, optimize, scenarios, tracelab
-from .errors import ConfigError, MzinetError
+from .errors import ConfigError, FloatRangeError, MzinetError
 from .network import sensitivity_numeric, sensitivity_separable
 
 EXIT_OK = 0
@@ -111,6 +111,9 @@ def _cmd_optimize(args):
     _require(args, n_total=_POSITIVE, loss=_NONNEGATIVE, passes=_POSITIVE)
     n_s, variance = optimize.optimize_squeezing(
         args.n_total, Lambda=args.loss, K=args.passes)
+    if variance == math.inf:  # its divisor K (n_T - n_s) is too small to divide by
+        raise FloatRangeError(f"variance_rad2: optimum at n_T = {args.n_total!r} "
+                              "out of float range")
     print(json.dumps({
         "n_s_opt": n_s,
         "n_c_opt": args.n_total - n_s,

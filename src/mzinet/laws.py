@@ -7,6 +7,8 @@ Conventions used throughout:
   variance denominator.  A K-pass interrogation with multipass coefficient
   ``mu`` has effective enhancement ``mu*K**2``; at the default ``mu = 1/K``
   this equals the pass count, so callers can pass K directly.
+* A divisor K n that underflows to 0 gives inf, the float range's edge,
+  not a ZeroDivisionError; the caller's range guard reports it.
 * Every variance law is per unit weight sum: for the weights nu of the
   estimated combination nu . theta it scales by ``(sum_j |nu_j|)**2``,
   which the caller applies once (`optimize._point_report`).  `gain` alone
@@ -92,7 +94,8 @@ def optimized_variance(n_c, r, Lambda=0.0, K=1.0) -> float:
         raise ValueError("Lambda must be >= 0")
     if K <= 0:
         raise ValueError("K must be > 0")
-    return (math.exp(-2.0 * r) + Lambda) / (K * n_c)
+    divisor = K * n_c
+    return (math.exp(-2.0 * r) + Lambda) / divisor if divisor else math.inf
 
 
 def variance_vs_ns(n_T, n_s, Lambda=0.0, K=1.0):
@@ -115,7 +118,10 @@ def variance_vs_ns(n_T, n_s, Lambda=0.0, K=1.0):
         raise AllocationError("n_s must be >= 0")
     if hi >= n_T:
         raise AllocationError(f"n_s = {hi} must be < n_T = {n_T}")
-    return (varq_from_ns(n_s) + Lambda) / (K * (n_T - n_s))
+    divisor = K * (n_T - n_s)
+    if not (isinstance(divisor, np.ndarray) or divisor):
+        return math.inf
+    return (varq_from_ns(n_s) + Lambda) / divisor
 
 
 @dataclass
@@ -193,10 +199,11 @@ def qcrb(n_c, r, K=1.0) -> float:
     """
     if n_c < 0:
         raise ValueError("n_c must be >= 0")
-    denom = K * (n_c * math.exp(2.0 * r) + math.sinh(r) ** 2)
-    if denom <= 0:
+    photons = n_c * math.exp(2.0 * r) + math.sinh(r) ** 2
+    if photons <= 0:
         raise ValueError("need n_c > 0 or r > 0 for a finite bound")
-    return 1.0 / denom
+    divisor = K * photons
+    return 1.0 / divisor if divisor else math.inf
 
 
 def gain(nu, regime="low") -> float:

@@ -429,8 +429,9 @@ def sensitivity_separable(config: NetworkConfig, rs) -> float:
     for j in range(config.d):
         if nu[j] == 0.0:
             continue
-        mag = config.alphas[j][0]
-        total += nu[j] ** 2 * (math.exp(-2.0 * rs[j]) + config.Lambda) / mag**2
+        square = config.alphas[j][0] ** 2  # 0 when it underflows: the term is inf
+        total += (nu[j] ** 2 * (math.exp(-2.0 * rs[j]) + config.Lambda) / square
+                  if square else math.inf)
     return total / config.enhancement
 
 

@@ -177,7 +177,11 @@ def _point_report(variance, n_total, n_c, r, Lambda, K, scale) -> dict:
     network's variance, or None for the closed form `optimized_variance`,
     which the report then holds too.  The laws are per unit weight sum, and
     each value is scaled here, once, by scale**2 = (sum|nu|)^2."""
-    factor = scale**2
+    try:
+        factor = scale**2
+    except OverflowError:
+        raise FloatRangeError(f"(sum|nu|)^2: weight sum {scale!r} squared "
+                              "out of float range") from None
     report = {}
     if variance is None:
         variance = report["variance_closed_form"] = laws.optimized_variance(

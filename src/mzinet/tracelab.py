@@ -53,9 +53,10 @@ and both gate edges are whole numbers of samples (`_whole_samples`, which
 (`_window_spans`).  The drive fills exactly those spans and the analysis
 reads its gated segments from them and its idle segments from outside them,
 so a gated segment holds the drive throughout and an idle segment holds
-none of it.  The spans, the segment layout (`_segment_layout`) and the
-kernel (`_bin_kernel`) have one definition each, shared by both paths and,
-for the layout, by the scenario load check.
+none of it.  The spans, the segment layout (`_segment_layout`), its check
+(`_check_analysis`: the rbw, and one segment in a gated and in an idle
+span) and the kernel (`_bin_kernel`) have one definition each, shared by
+both paths and, for the layout and its check, by the scenario load check.
 
 Two caches hold what depends only on the timing and rbw: `_bin_kernel`
 (the last four kernels, shared by the blocks of an analysis) and
@@ -81,7 +82,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -307,7 +308,7 @@ def _cycle_filler(config: NetworkConfig, delta_thetas, params: TraceParams,
     amps = response(config) * delta
     driven = bool(np.any(amps != 0.0))
     n = _cycle_samples(params)
-    ((lo, hi),) = _window_spans(replace(params, n_cycles=1))
+    (lo, hi), *_ = _window_spans(params)
     omega = 2.0 * math.pi * params.drive_freq
 
     def fill(out, a, b):
@@ -459,22 +460,16 @@ def _segment_layout(params: TraceParams, length, invert):
             if b - a >= length]
 
 
-def _no_segment(length, invert) -> AnalysisError:
-    window = "idle" if invert else "gated"
-    return AnalysisError(f"no complete analysis segment ({length} samples) "
-                         f"in the {window} window")
-
-
 def _check_analysis(params: TraceParams, rbw) -> int:
-    """The analysis segment length.  Raises AnalysisError unless
+    """The analysis segment length: the one check of an analysis's rbw and
+    timing, for both paths and the load check.  Raises AnalysisError unless
     `_check_rbw` accepts rbw and one segment fits in a gated span and in an
     idle span."""
     length = _check_rbw(params.sample_rate, params.drive_freq, rbw)
-    # every cycle has the same spans, so one cycle is checked
-    cycle = replace(params, n_cycles=1)
-    for invert in (False, True):
-        if not _segment_layout(cycle, length, invert):
-            raise _no_segment(length, invert)
+    for invert, window in ((False, "gated"), (True, "idle")):
+        if not _segment_layout(params, length, invert):
+            raise AnalysisError(f"no complete analysis segment ({length} samples) "
+                                f"in the {window} window")
     return length
 
 
@@ -592,7 +587,7 @@ def synthesize_and_analyse(config: NetworkConfig, delta_thetas,
     with _draw_pool(config.d) as pool:
         fill = _cycle_filler(config, delta_thetas, params, seed, pool)
         weights = _joint_weights(config)
-        length = _check_rbw(params.sample_rate, params.drive_freq, DEFAULT_RBW)
+        length = _check_analysis(params, DEFAULT_RBW)
         buffer = np.empty((config.d, min(_segments_per_block(length) * length,
                                          _cycle_samples(params))))
         signal, noise = _read_pieces(weights,
@@ -631,7 +626,6 @@ def _kernel_eigen(kernel):
 class _SegmentPlan:
     """What `_sampled_powers` reads of one trace timing and rbw: a few
     numbers, whatever the segment count."""
-    length: int
     norm: float
     eigenvalues: tuple   # (lambda_1, lambda_2) of K^T K
     windows: tuple       # (N, T_1, T_2) of the gated and of the idle window
@@ -648,21 +642,17 @@ def _segment_plan(params: TraceParams, rbw) -> _SegmentPlan:
 
     Memoized on the frozen `params` and rbw, so a point and its reference
     run, and every point of a scan, share one plan; a plan holds no array,
-    so its size does not grow with the trace.  A refused rbw, or a timing
-    with no segment in either window, raises on every call."""
-    length = _check_rbw(params.sample_rate, params.drive_freq, rbw)
+    so its size does not grow with the trace.  A timing and rbw that
+    `_check_analysis` refuses raise on every call, before the kernel of a
+    segment is built."""
+    length = _check_analysis(params, rbw)
     gated, idle = (_segment_layout(params, length, invert)
                    for invert in (False, True))
-    # the layout is checked before the kernel of `length` samples is built
-    if not (gated or idle):
-        raise _no_segment(length, False)
-    starts = np.concatenate([np.empty(0, dtype=np.int64)]
-                            + [a + length * np.arange(count) for a, count in gated])
+    starts = np.concatenate([a + length * np.arange(count) for a, count in gated])
     kernel, norm = _bin_kernel(params.sample_rate, params.drive_freq, rbw)
     eigenvalues, basis = _kernel_eigen(kernel)
     tone = _tone_parts(starts, kernel, params)
     return _SegmentPlan(
-        length=length,
         norm=float(norm),
         eigenvalues=eigenvalues,
         windows=((starts.size, *(math.fsum((qx * tone[:, 0] + qy * tone[:, 1]) ** 2)
@@ -690,16 +680,13 @@ def _sampled_powers(sigma: float, amp: float, params: TraceParams, seed: int,
     and two standard normals from Philox channel 0 of `seed`, whatever N.
     Nothing is divided by sigma, so sigma = 0 gives the tone's power
     exactly.  Everything but the draws, `sigma` and `amp` comes from the
-    timing's cached `_segment_plan`."""
+    timing's cached `_segment_plan`, which raises AnalysisError for a timing
+    that `_check_analysis` refuses."""
     plan = _segment_plan(params, rbw)
-    reads = [plan.windows[invert] for invert in windows]
-    for invert, (count, *_) in zip(windows, reads):
-        if not count:
-            raise _no_segment(plan.length, invert)
     scales = [sigma * math.sqrt(lam) for lam in plan.eigenvalues]
     rng = _channel_rng(seed, 0)
     powers = []
-    for count, *tone in reads:
+    for count, *tone in (plan.windows[invert] for invert in windows):
         chi2 = 2.0 * rng.standard_gamma(0.5 * (count - 1), 2)
         normal = rng.standard_normal(2)
         try:

@@ -16,13 +16,11 @@ from mzinet import tracelab
 def per_segment_powers(sigma, amp, params, seed, rbw, windows):
     """Mean band power of each window in `windows` (False: gated, True:
     idle), drawn one normal pair per segment."""
-    length = tracelab._check_rbw(params.sample_rate, params.drive_freq, rbw)
+    length = tracelab._check_analysis(params, rbw)
     kernel, norm = tracelab._bin_kernel(params.sample_rate, params.drive_freq, rbw)
     starts = []
     for invert in windows:
         layout = tracelab._segment_layout(params, length, invert)
-        if not layout:
-            raise tracelab._no_segment(length, invert)
         starts.append(np.concatenate([a + length * np.arange(count)
                                       for a, count in layout]))
     every = np.concatenate(starts)

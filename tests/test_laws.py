@@ -155,6 +155,16 @@ def test_regime_branch_out_of_float_range_reads_inf_or_zero():
     assert laws.regime_limits(3.0, Lambda=0.1, K=2.0).heisenberg == 1.0 / 18.0
 
 
+def test_underflowed_divisor_reads_inf():
+    # K n_c = 1e-330 underflows to 0: each law reads inf, not a bare
+    # ZeroDivisionError, and the QCRB still refuses only n_c = r = 0
+    assert laws.optimized_variance(1e-30, 0.5, Lambda=0.1, K=1e-300) == math.inf
+    assert laws.variance_vs_ns(1e-30, 1e-31, Lambda=0.1, K=1e-300) == math.inf
+    assert laws.qcrb(1e-30, 0.0, K=1e-300) == math.inf
+    with pytest.raises(ValueError, match="need n_c > 0 or r > 0"):
+        laws.qcrb(0.0, 0.0, K=1e-300)
+
+
 def test_regime_limits_lossless_has_no_floor():
     limits = laws.regime_limits(1e4, Lambda=0.0)
     assert limits.loss_floor == 0.0

@@ -432,7 +432,7 @@ def test_unweighted_dark_channel_is_dropped_by_every_engine():
 
 def test_engine_matches_closed_form_on_random_configs(rng):
     # below b / (1 + b) relative to the larger side is below b relative to either
-    assert scenarios._closed_form_check(rng, 200) < 1e-9 / (1 + 1e-9)
+    assert scenarios._deviation(scenarios._closed_form_check, rng, 200) < 1e-9 / (1 + 1e-9)
 
 
 def _large_network(d):
@@ -550,7 +550,7 @@ def test_multipass_enhancement_scaling():
 
 
 def test_separable_equals_entangled_at_fixed_r(rng):
-    assert scenarios._separable_check(rng, 10) < 1e-10 / (1 + 1e-10)
+    assert scenarios._deviation(scenarios._separable_check, rng, 10) < 1e-10 / (1 + 1e-10)
 
 
 def test_separable_shot_noise_and_single_node():
@@ -580,7 +580,7 @@ def test_separable_dark_node_raises():
 
 
 def test_sign_structure_invariance(rng):
-    assert scenarios._sign_check(rng, 10) < 1e-10 / (1 + 1e-10)
+    assert scenarios._deviation(scenarios._sign_check, rng, 10) < 1e-10 / (1 + 1e-10)
 
 
 def test_variance_monotone_in_eta_and_k():
@@ -600,7 +600,7 @@ def test_variance_monotone_in_eta_and_k():
 
 
 def test_lumped_loss_equivalence_at_measured_port(rng):
-    assert scenarios._lumped_loss_check(rng, 6) < 1e-12
+    assert scenarios._deviation(scenarios._lumped_loss_check, rng, 6) < 1e-12
 
 
 def test_closed_form_requires_working_point():

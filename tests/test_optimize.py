@@ -156,6 +156,22 @@ def test_optimize_squeezing_out_of_float_range():
         optimize_squeezing(1e308, Lambda=0.1)
 
 
+_TINY_MU = configure_optimal(weight_pattern("ave", 2), 1e4, 0.5, mu=1e-300)
+
+
+@pytest.mark.parametrize("axis, value, base, quantity", [
+    # mu = 1e-300: the laws' K n divisors underflow to 0, the closed-form
+    # variance reads inf, and the report's range guard names the ratio
+    ("n_c", 1e-30, _TINY_MU, "db_below_sql"),
+    ("n_T", 1e-30, _TINY_MU, "db_below_sql"),
+    # sum|nu| = 3e200: its square, which scales every law, overflows
+    ("n_c", 1e4, configure_optimal((1e200,) * 3, 1e4, 0.5), "(sum|nu|)^2"),
+], ids=["n_c_divisor_underflow", "n_T_divisor_underflow", "weight_sum_squared"])
+def test_point_past_the_float_range_is_a_typed_row_error(axis, value, base, quantity):
+    (row,) = scan(axis, [value], base, engines=("analytic",))
+    assert row.status.startswith(f"error:FloatRangeError: {quantity}: "), row.status
+
+
 def test_optimize_squeezing_lossless_half_split():
     n_s, variance = optimize_squeezing(100.0)
     assert n_s == pytest.approx(50.0, abs=0.5)

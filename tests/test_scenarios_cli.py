@@ -986,6 +986,27 @@ def test_verify_fails_a_nan_variance(monkeypatch, module, name, nan_version, che
     assert check in [c.name for c in report.checks if not c.ok], report.text()
 
 
+@pytest.mark.parametrize("row", range(len(scenarios._CHECKS)),
+                         ids=[name for name, *_ in scenarios._CHECKS])
+def test_verify_fails_a_nan_last_draw(monkeypatch, row):
+    # the row's last draw draws as usual, so every later row draws the same
+    # numbers and passes, but it returns NaN, which only its own row fails on
+    name, bound, quick, full, check = scenarios._CHECKS[row]
+    level, count = ("quick", quick) if quick else ("full", full)
+    draws = []
+
+    def nan_last(rng):
+        draws.append(check(rng))
+        return math.nan if len(draws) == count else draws[-1]
+
+    table = list(scenarios._CHECKS)
+    table[row] = (name, bound, quick, full, nan_last)
+    monkeypatch.setattr(scenarios, "_CHECKS", tuple(table))
+    report = verify(level)
+    assert len(draws) == count
+    assert [c.name for c in report.checks if not c.ok] == [name], report.text()
+
+
 def test_verify_full_checks_match_the_benchmark_reference():
     reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
                             / "reference.json").read_text())
@@ -1115,6 +1136,15 @@ def test_cli_optimize_budget_out_of_float_range(tmp_path, capsys):
         ["error", "FloatRangeError", " n_s_opt"]]
 
 
+@pytest.mark.parametrize("n_total", ["1e-20", "1e-30"], ids=["overflow", "underflow"])
+def test_cli_optimize_variance_out_of_float_range(capsys, n_total):
+    # K (n_T - n_s) of 1e-320 (a subnormal) or 1e-330 (0): the variance is inf
+    assert cli.main(["optimize", "--n-total", n_total, "--passes", "1e-300"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: FloatRangeError: variance_rad2: ")
+    assert captured.out == ""
+
+
 def test_cli_sensitivity(tmp_path, capsys):
     path = _write_scenario(tmp_path)
     code = cli.main(["sensitivity", "--config", str(path)])
@@ -1162,15 +1192,27 @@ def test_cli_sensitivity_of_a_separable_network(tmp_path, capsys, network, rs):
         1.0 / (n_c * math.exp(2 * r) + math.sinh(r) ** 2), rel=1e-12)
 
 
-def test_cli_numerical_failure_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("network, quantity", [
     # x_j = nu_j / C_jj ~ 1e160 at n_c = 1e-320: the variance's rounding
     # scale |x|^T |Gamma| |x| leaves the float range
+    ({"n_c": 1e-320}, "variance_numeric"),
+    # sum|nu| = 3e154: its square, which scales the laws' report, overflows
+    ({"weights": [1e154] * 3}, "(sum|nu|)^2"),
+    ({"weights": [1e154] * 3, "topology": "separable"}, "(sum|nu|)^2"),
+    # |alpha_j|^2 underflows to 0: the separable variance reads inf, with no
+    # RuntimeWarning, and the report's range guard names the ratio
+    ({"d": 2, "weights": [0.5, 0.5], "alphas": [[1e-170, 0.0]] * 2,
+      "P": [0.5, 0.5], "topology": "separable"}, "db_below_sql"),
+], ids=["rounding_scale", "weight_sum_squared", "separable_weight_sum_squared",
+        "separable_amplitude_underflow"])
+def test_cli_numerical_failure_exit_code(tmp_path, capsys, network, quantity):
     doc = json.loads(json.dumps(SCENARIO))
-    doc["network"]["n_c"] = 1e-320
+    doc["network"].update(network)
+    doc["scans"] = []  # only scans need the entangled topology
     path = _write_scenario(tmp_path, doc)
     assert cli.main(["sensitivity", "--config", str(path)]) == 3
     assert capsys.readouterr().err.startswith(
-        "numerical failure: FloatRangeError: variance_numeric: ")
+        f"numerical failure: FloatRangeError: {quantity}: ")
 
 
 @pytest.mark.parametrize("bug", [ZeroDivisionError, ValueError])

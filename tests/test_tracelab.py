@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -634,25 +635,27 @@ def test_sampled_tone_matches_materialized_joint_series(params, monkeypatch):
     amp = float(np.dot(cfg.weights, delta))
     # zero noise factor: only the gated drive is left in either path
     monkeypatch.setattr(tracelab, "_noise_factor", lambda gamma: np.zeros_like(gamma))
-    joint = w @ (synthesize(cfg, delta, params, seed=8).samples
-                 - synthesize(cfg, 0.0, params, seed=8).samples)
-    length = tracelab._check_rbw(params.sample_rate, params.drive_freq, 1e5)
-    read = 0
-    for invert in (False, True):
-        # the materialized series' band powers over the window's segments
-        layout = tracelab._segment_layout(params, length, invert)
-        if not layout:
-            with pytest.raises(AnalysisError):
-                tracelab._sampled_powers(0.0, amp, params, 8, 1e5, (invert,))
-            continue
-        expected = float(np.concatenate([
-            segment_band_powers(joint[a:a + count * length], params.sample_rate,
-                                params.drive_freq, 1e5)
-            for a, count in layout]).mean())
-        (sampled,) = tracelab._sampled_powers(0.0, amp, params, 8, 1e5, (invert,))
-        assert sampled == pytest.approx(expected, rel=1e-9, abs=0.0)
-        read += expected > 0.0
-    assert read >= 1
+    traces = synthesize(cfg, delta, params, seed=8)
+    joint = w @ (traces.samples - synthesize(cfg, 0.0, params, seed=8).samples)
+    try:
+        length = tracelab._check_analysis(params, 1e5)
+    except AnalysisError as refused:
+        # a window without a segment: the sampler and the analysis of the
+        # materialized run refuse the timing with the same message
+        with pytest.raises(AnalysisError, match=re.escape(str(refused))):
+            simulate_joint_noise(cfg, 1.0, delta, params, seed=8)
+        with pytest.raises(AnalysisError, match=re.escape(str(refused))):
+            joint_noise_analysis(traces, cfg)
+        return
+    # the materialized series' band powers over each window's segments
+    expected = [float(np.concatenate([
+        segment_band_powers(joint[a:a + count * length], params.sample_rate,
+                            params.drive_freq, 1e5)
+        for a, count in tracelab._segment_layout(params, length, invert)]).mean())
+        for invert in (False, True)]
+    sampled = tracelab._sampled_powers(0.0, amp, params, 8, 1e5, (False, True))
+    assert sampled == pytest.approx(expected, rel=1e-9, abs=0.0)
+    assert expected[0] > 0.0
 
 
 def test_a_trace_scan_builds_one_segment_plan(tmp_path):
@@ -747,8 +750,9 @@ def test_refused_analysis_raises_on_every_call():
         with pytest.raises(AnalysisError, match="in the idle window"):
             simulate_joint_noise(cfg, sensitivity_numeric(cfg), 1e-3, no_idle,
                                  seed=2)
-    assert tracelab._segment_plan.cache_info().currsize == 1
-    assert tracelab._bin_kernel.cache_info().currsize == 1
+    # a refused analysis caches no plan and builds no kernel
+    assert tracelab._segment_plan.cache_info().currsize == 0
+    assert tracelab._bin_kernel.cache_info().currsize == 0
 
 
 def test_both_paths_share_the_reference_power():
