@@ -8,7 +8,7 @@ Conventions used throughout:
   ``mu`` has effective enhancement ``mu*K**2``; at the default ``mu = 1/K``
   this equals the pass count, so callers can pass K directly.
 * A divisor K n that underflows to 0 gives inf, the float range's edge,
-  not a ZeroDivisionError; the caller's range guard reports it.
+  not a ZeroDivisionError (`_divide`); the caller's range guard reports it.
 * Every variance law is per unit weight sum: for the weights nu of the
   estimated combination nu . theta it scales by ``(sum_j |nu_j|)**2``,
   which the caller applies once (`optimize._point_report`).  `gain` alone
@@ -47,6 +47,14 @@ REGIME_FLOOR = "loss-floor"
 
 # label thresholds only; the underlying limits are asymptotic, not sharp
 _LOW_N_EDGE = 0.1
+
+
+def _divide(numerator: float, divisor: float) -> float:
+    """numerator / divisor for numerator >= 0 and a divisor K n > 0 that
+    may underflow to 0: then inf, or 0 for a zero numerator."""
+    if divisor:
+        return numerator / divisor
+    return math.inf if numerator else 0.0
 
 
 def weight_sum(nu) -> float:
@@ -94,8 +102,7 @@ def optimized_variance(n_c, r, Lambda=0.0, K=1.0) -> float:
         raise ValueError("Lambda must be >= 0")
     if K <= 0:
         raise ValueError("K must be > 0")
-    divisor = K * n_c
-    return (math.exp(-2.0 * r) + Lambda) / divisor if divisor else math.inf
+    return _divide(math.exp(-2.0 * r) + Lambda, K * n_c)
 
 
 def variance_vs_ns(n_T, n_s, Lambda=0.0, K=1.0):
@@ -149,12 +156,12 @@ def min_variance_over_r(n_T, Lambda=0.0, K=1.0) -> SqueezingOptimum:
     from .optimize import optimize_squeezing  # local import avoids a cycle
 
     n_s_opt, variance = optimize_squeezing(n_T, Lambda=Lambda, K=K)
-    root = math.sqrt(1.0 + 4.0 * Lambda * n_T)
+    split = 1.0 + math.sqrt(1.0 + 4.0 * Lambda * n_T)
     return SqueezingOptimum(
         n_s_opt=n_s_opt,
         variance=variance,
-        n_s_asymptotic=n_T / (1.0 + root),
-        variance_asymptotic=(1.0 + root) ** 2 / (4.0 * K * n_T**2),
+        n_s_asymptotic=n_T / split,
+        variance_asymptotic=_divide(split * split, 4.0 * K * (n_T * n_T)),
     )
 
 
@@ -183,11 +190,10 @@ def regime_limits(n_T, Lambda=0.0, K=1.0) -> RegimeLimits:
         active = REGIME_HL
     else:
         active = REGIME_FLOOR
-    square = K * (n_T * n_T)
     return RegimeLimits(
-        low_n=(1.0 + Lambda) / (K * n_T),
-        heisenberg=1.0 / square if square else math.inf,
-        loss_floor=Lambda / (K * n_T),
+        low_n=_divide(1.0 + Lambda, K * n_T),
+        heisenberg=_divide(1.0, K * (n_T * n_T)),
+        loss_floor=_divide(Lambda, K * n_T),
         active=active,
     )
 
@@ -202,8 +208,7 @@ def qcrb(n_c, r, K=1.0) -> float:
     photons = n_c * math.exp(2.0 * r) + math.sinh(r) ** 2
     if photons <= 0:
         raise ValueError("need n_c > 0 or r > 0 for a finite bound")
-    divisor = K * photons
-    return 1.0 / divisor if divisor else math.inf
+    return _divide(1.0, K * photons)
 
 
 def gain(nu, regime="low") -> float:
@@ -237,7 +242,7 @@ def scaling_with_d(n_c_per_node, d, r, Lambda=0.0, K=1.0) -> float:
         raise ValueError("d must be >= 1")
     if n_c_per_node <= 0:
         raise AllocationError("n_c_per_node must be > 0")
-    return (math.exp(-2.0 * r) + Lambda) / (K * d * n_c_per_node)
+    return _divide(math.exp(-2.0 * r) + Lambda, K * d * n_c_per_node)
 
 
 def db_below_sql(r, Lambda=0.0) -> float:
@@ -257,4 +262,4 @@ def sql_variance(n_T, K=1.0) -> float:
     """Shot-noise-limited variance 1 / (K n_T)."""
     if n_T <= 0:
         raise AllocationError("n_T must be > 0")
-    return 1.0 / (K * n_T)
+    return _divide(1.0, K * n_T)

@@ -139,8 +139,9 @@ class NetworkConfig:
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ConfigError(name, f"must lie in (0, 1], got {value}")
-        if self.enhancement <= 0:
-            raise ConfigError("mu", "effective enhancement mu*K^2 must be > 0")
+        if not math.isfinite(self.enhancement):
+            raise ConfigError("mu", "effective enhancement mu*K^2 must be finite, "
+                                    f"got mu = {self.mu_value!r} and K = {self.K}")
 
     # -- derived quantities -------------------------------------------------
 
@@ -168,7 +169,7 @@ class NetworkConfig:
 
     @property
     def n_c(self) -> float:
-        return sum(mag**2 for mag, _ in self.alphas)
+        return sum(mag * mag for mag, _ in self.alphas)
 
     @property
     def n_s(self) -> float:
@@ -429,7 +430,8 @@ def sensitivity_separable(config: NetworkConfig, rs) -> float:
     for j in range(config.d):
         if nu[j] == 0.0:
             continue
-        square = config.alphas[j][0] ** 2  # 0 when it underflows: the term is inf
+        mag = config.alphas[j][0]
+        square = mag * mag  # 0 if it underflows (the term is inf), inf if it overflows (0)
         total += (nu[j] ** 2 * (math.exp(-2.0 * rs[j]) + config.Lambda) / square
                   if square else math.inf)
     return total / config.enhancement
@@ -461,9 +463,9 @@ def closed_form_variance(config: NetworkConfig) -> float:
         if abs(abs(sign) - 1.0) > 1e-12:
             raise ConfigError("alphas", "closed form needs phi_j in {0, pi}")
         cross += nu[j] * math.sqrt(config.P[j]) / (mag * sign)
-        direct += nu[j] ** 2 / (config.eta_total * mag**2)
-    variance = (varq - 1.0) * cross**2 + direct
-    scale = abs(varq - 1.0) * cross**2 + direct
+        direct += nu[j] ** 2 / (config.eta_total * (mag * mag))
+    variance = (varq - 1.0) * (cross * cross) + direct
+    scale = abs(varq - 1.0) * (cross * cross) + direct
     return _significant(variance, scale, np.count_nonzero(nu)) / config.enhancement
 
 

@@ -674,7 +674,7 @@ def _trace_noise_deviation(rng):
     Draws one series seed per r, then `_TRACE_SAMPLER_RUNS` sampler seeds
     per r.  Only the r = 0.75 series is synthesized and analysed, one
     analysis block at a time (`tracelab.synthesize_and_analyse`, which holds
-    4 x 64 000 samples, not the 4 x 1.28 M of the run): it is the most
+    4 x 65 400 samples, not the 4 x 1.28 M of the run): it is the most
     squeezed point, where Gamma's off-diagonal mixing matters most, and the
     only check of the correlated per-channel path; the two unused seeds keep
     its seed at the same place in the generator's stream.  At every r the

@@ -28,15 +28,14 @@ It reads one Hann-weighted DFT bin of each segment of a block of the joint
 estimator y = sum_j nu_j x_j / C_jj, and averages those band powers over
 the gated and over the idle segments of the run as in a Welch periodogram
 (Welch, IEEE Trans. Audio Electroacoust. 15, 70 (1967)).  It forms y one
-block at a time, in channel order without BLAS, and never builds the
-series: besides the samples it allocates about one block and one band
-power per segment.
+block at a time in channel order and reads its bins by einsum, so it runs
+no BLAS and its bits depend neither on the BLAS kernel or thread count nor
+on the blocks; it never builds the series: besides the samples it
+allocates about one block and one band power per segment.
 `joint_noise_analysis` reads the pieces as views of its traces, and
 `synthesize_and_analyse` fills each piece into one reused buffer of one
 analysis block and reads it before drawing the next, so it returns the
 analysis of the synthesized run, bit for bit, holding one block of samples.
-Each block's bin product is too small for OpenBLAS to thread, so the bits
-do not depend on the BLAS thread count and no BLAS thread is left spinning.
 The joint noise is white with variance w^T Gamma w (w_j = nu_j / C_jj),
 which is the engine's `sensitivity_numeric`, and the segments are disjoint,
 so each window's summed bin power, with the gated tone's share of it, is a
@@ -130,16 +129,9 @@ SINE_POWER_FACTOR = 3.0
 # columns per block when `synthesize` mixes its channel rows in place
 _MIX_BLOCK = 8192
 
-# joint samples per analysis block, rounded down to whole segments.  A
-# block's bin product `segments @ kernel` has m*n*k at most 2 * 2**16 =
-# 2**17, below the 4 * 65536 at which a default OpenBLAS build starts a
-# second thread, so it runs on the calling thread and leaves none spinning.
+# joint samples per analysis block, rounded down to whole segments: the
+# samples `synthesize_and_analyse` holds per channel
 _ANALYSIS_BLOCK = 1 << 16
-# segments per block are a multiple of this when more fit: OpenBLAS's dgemm
-# kernel takes a product's rows in groups of 8 (remainder rows go through
-# other code), so a segment of a span meets the same kernel code as in one
-# product over the span whenever that product was below the threading size
-_ROW_GROUP = 16
 
 
 @dataclass(frozen=True)
@@ -403,13 +395,9 @@ def _band_powers(parts, norm, rbw):
 
 
 def _segments_per_block(length: int) -> int:
-    """Segments of `length` samples per bin product: the whole segments in
-    `_ANALYSIS_BLOCK` samples (at least one), rounded down to a multiple of
-    `_ROW_GROUP` when more than that fit."""
-    per_block = max(_ANALYSIS_BLOCK // length, 1)
-    if per_block > _ROW_GROUP:
-        per_block -= per_block % _ROW_GROUP
-    return per_block
+    """Segments of `length` samples per analysis block: the whole segments
+    in `_ANALYSIS_BLOCK` samples, at least one."""
+    return max(_ANALYSIS_BLOCK // length, 1)
 
 
 def segment_band_powers(series, sample_rate, center, rbw):
@@ -419,20 +407,18 @@ def segment_band_powers(series, sample_rate, center, rbw):
 
     Only the bin at `center` is read, so each segment takes a single-bin
     Hann-weighted DFT (Goertzel, Am. Math. Monthly 65, 34 (1958)) in place
-    of a full FFT.  The bins are read `_segments_per_block` segments per
-    product, so a long series wakes no BLAS thread and its bits do not
-    depend on the BLAS thread count."""
-    series = np.asarray(series, dtype=float)
+    of a full FFT.  Every bin is read by one einsum (no BLAS) of the
+    contiguous series against the kernel's contiguous transpose (einsum's
+    sum order follows the operands' layout), so a segment's bits depend
+    neither on the BLAS kernel nor on the segments read with it."""
+    series = np.ascontiguousarray(series, dtype=float)
     kernel, norm = _bin_kernel(sample_rate, center, rbw)
     length = kernel.shape[0]
     if series.size < length:
         raise AnalysisError("analysis window longer than the trace")
-    n_segments = series.size // length
-    segments = series[: n_segments * length].reshape(n_segments, length)
-    per_block = _segments_per_block(length)
-    return np.concatenate([
-        _band_powers(segments[a:a + per_block] @ kernel, norm, rbw)
-        for a in range(0, n_segments, per_block)])
+    segments = series[: series.size // length * length].reshape(-1, length)
+    parts = np.einsum("sn,kn->sk", segments, np.ascontiguousarray(kernel.T))
+    return _band_powers(parts, norm, rbw)
 
 
 def _window_spans(params: TraceParams, invert=False):
@@ -557,10 +543,10 @@ def joint_noise_analysis(traces: TraceSet, config: NetworkConfig,
     measures the drive-band power in the gated (signal) and idle (noise)
     windows, one block of whole segments of the traces at a time
     (`_read_pieces`, which reads each piece as a view of the traces): y is
-    accumulated in channel order without BLAS, and each block's bin product
-    stays below OpenBLAS's threading size, so the bits do not depend on a
-    BLAS thread count.  Besides the traces, the call allocates about one
-    block of y (`_ANALYSIS_BLOCK` samples) and one band power per segment.
+    accumulated in channel order and its bins read by einsum, without BLAS,
+    so the bits depend neither on a BLAS kernel nor on its thread count.
+    Besides the traces, the call allocates about one block of y
+    (`_ANALYSIS_BLOCK` samples) and one band power per segment.
     The idle noise is referenced to the ideal shot-noise run with the
     traces' timing (`_reference_power`), whose idle power is drawn as one
     window sum from a seed derived from the traces' seed.

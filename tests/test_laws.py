@@ -153,6 +153,8 @@ def test_regime_branch_out_of_float_range_reads_inf_or_zero():
     assert laws.regime_limits(1e-320, Lambda=0.1).heisenberg == math.inf
     assert laws.regime_limits(1e200, Lambda=0.1, K=2.0).heisenberg == 0.0
     assert laws.regime_limits(3.0, Lambda=0.1, K=2.0).heisenberg == 1.0 / 18.0
+    # so does the asymptote of the squeezing optimum, whose divisor has n_T^2
+    assert laws.min_variance_over_r(1e200, 0.1).variance_asymptotic == 0.0
 
 
 def test_underflowed_divisor_reads_inf():
@@ -163,6 +165,13 @@ def test_underflowed_divisor_reads_inf():
     assert laws.qcrb(1e-30, 0.0, K=1e-300) == math.inf
     with pytest.raises(ValueError, match="need n_c > 0 or r > 0"):
         laws.qcrb(0.0, 0.0, K=1e-300)
+    limits = laws.regime_limits(1e-30, 0.1, K=1e-300)
+    assert limits.low_n == limits.heisenberg == limits.loss_floor == math.inf
+    # no loss: the floor is 0 whatever the divisor
+    assert laws.regime_limits(1e-30, 0.0, K=1e-300).loss_floor == 0.0
+    assert laws.sql_variance(1e-30, K=1e-300) == math.inf
+    assert laws.min_variance_over_r(1e-30, 0.1, K=1e-300).variance_asymptotic == math.inf
+    assert laws.scaling_with_d(1e-300, 1, 0.0, K=1e-300) == math.inf
 
 
 def test_regime_limits_lossless_has_no_floor():

@@ -379,6 +379,7 @@ NAN, INF = float("nan"), float("inf")
     ("r", {"r": 400}, None, None),
     ("r", {"topology": "separable", "r": [0.75, 400, 0.75]}, None, None),
     ("K", {"K": 1e200}, None, None),
+    ("mu", {"K": 10**10, "mu": 1e300}, None, None),
 ], ids=["network_r_nan", "network_r_inf", "network_r_negative",
         "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
         "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
@@ -404,7 +405,8 @@ NAN, INF = float("nan"), float("inf")
         "scan_overrides_thetas", "scan_network_alphas_P", "d_scan_weights_pattern",
         "d_scan_weights_list", "alphas_triple", "alphas_single", "grid_d_zero",
         "grid_K_zero", "network_r_past_float_range",
-        "network_r_list_past_float_range", "network_K_past_float_range"])
+        "network_r_list_past_float_range", "network_K_past_float_range",
+        "network_mu_K_squared_past_float_range"])
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)
@@ -1203,8 +1205,12 @@ def test_cli_sensitivity_of_a_separable_network(tmp_path, capsys, network, rs):
     # RuntimeWarning, and the report's range guard names the ratio
     ({"d": 2, "weights": [0.5, 0.5], "alphas": [[1e-170, 0.0]] * 2,
       "P": [0.5, 0.5], "topology": "separable"}, "db_below_sql"),
+    # |alpha_j|^2 overflows to inf: the separable variance reads 0, with no
+    # bare OverflowError, and the same guard names the ratio
+    ({"d": 2, "weights": [0.5, 0.5], "alphas": [[1e200, 0.0]] * 2,
+      "P": [0.5, 0.5], "topology": "separable"}, "db_below_sql"),
 ], ids=["rounding_scale", "weight_sum_squared", "separable_weight_sum_squared",
-        "separable_amplitude_underflow"])
+        "separable_amplitude_underflow", "separable_amplitude_overflow"])
 def test_cli_numerical_failure_exit_code(tmp_path, capsys, network, quantity):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)

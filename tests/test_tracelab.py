@@ -440,9 +440,9 @@ def _spans_in_reading_order(params):
 
 
 def test_block_powers_equal_one_product_per_span(monkeypatch):
-    # at verify's timing each span's bins, read in one product, take the
-    # same kernel as in blocks: 15 of the 6400 band powers changed bits
-    # with blocks of 327 segments, which start the BLAS row groups elsewhere
+    # at verify's timing each span's bins read in one call equal those read
+    # in blocks of 327 segments: a bin's sum does not depend on the segments
+    # read with it
     series = np.random.default_rng(0).standard_normal(tracelab._n_samples(VERIFY))
     read = []
     analyse = tracelab.segment_band_powers
@@ -473,9 +473,7 @@ print(hashlib.sha256(powers.tobytes()).hexdigest())
 def test_long_series_bins_are_read_in_blocks():
     series = np.random.default_rng(5).standard_normal(1_000_123)
     length = 500
-    per_block = tracelab._segments_per_block(length)
-    assert per_block % tracelab._ROW_GROUP == 0
-    step = per_block * length
+    step = tracelab._segments_per_block(length) * length
     assert step <= tracelab._ANALYSIS_BLOCK
     whole = segment_band_powers(series, 50e6, 4e6, 1e5)
     blocks = [segment_band_powers(series[a:a + step], 50e6, 4e6, 1e5)
@@ -484,19 +482,37 @@ def test_long_series_bins_are_read_in_blocks():
     assert whole.tobytes() == np.concatenate(blocks).tobytes()
 
 
+def _openblas_is_dynamic_arch() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, so that
+    OPENBLAS_CORETYPE picks its kernel at load."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "").split()
+
+
 def test_long_series_bins_do_not_depend_on_the_blas_thread_count():
+    # the same digest with one BLAS thread and, where OPENBLAS_CORETYPE can
+    # force a kernel, under the kernels of AVX-512, AVX2 and SSE3 hosts: a
+    # bin read by a BLAS product rounds by the kernel's own order
     env = {key: value for key, value in os.environ.items()
-           if key != "OPENBLAS_NUM_THREADS"}
+           if not key.startswith("OPENBLAS_")}
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    digests = []
-    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+    runs = [{}, {"OPENBLAS_NUM_THREADS": "1"}]
+    if _openblas_is_dynamic_arch():
+        runs += [{"OPENBLAS_CORETYPE": kernel}
+                 for kernel in ("SkylakeX", "Haswell", "Prescott")]
+    digests = {}
+    for extra in runs:
         run = subprocess.run(
             [sys.executable, "-c", _BAND_POWERS_OF_A_LONG_SPAN],
-            env=dict(env, **threads), capture_output=True, text=True, timeout=300)
+            env=dict(env, **extra), capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
-        digests.append(run.stdout)
-    assert digests[0] == digests[1]
+        digests[str(extra)] = run.stdout
+    assert len(set(digests.values())) == 1, digests
+    if len(runs) == 2:
+        pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so "
+                    "OPENBLAS_CORETYPE cannot force a kernel: the kernel runs "
+                    "were skipped")
 
 
 @pytest.mark.parametrize("d, params", [(4, VERIFY), (2, TraceParams())],
@@ -550,7 +566,7 @@ def test_synthesize_and_analyse_holds_one_cycle(peak_bytes):
 ], ids=["verify", "default_timing"])
 def test_synthesize_and_analyse_holds_one_analysis_block(d, params, bound, peak_bytes):
     # one cycle is 5.12 MB at verify's timing and 64 MB at the default
-    # timing; one analysis block of 64 000 samples per channel is 2.05 MB at
+    # timing; one analysis block of 65 400 samples per channel is 2.09 MB at
     # d = 4
     cfg = _lossy_config(d)
     assert peak_bytes(lambda: tracelab.synthesize_and_analyse(
