@@ -21,7 +21,6 @@ from .errors import (
     ScenarioParseError,
     TruncationError,
 )
-from .gaussian import GaussianState, apply_loss, homodyne_moments
 from .laws import (
     db_below_sql,
     gain,
@@ -37,7 +36,6 @@ from .network import (
     NetworkConfig,
     build_network,
     closed_form_variance,
-    noise_matrix,
     qc_cascade,
     response,
     sensitivity_numeric,

@@ -21,10 +21,6 @@ tests keep the vacuum, the squeezer and the two-mode ops as the reference it
 is checked against (``tests/reference_ops.py``).  So a network with one
 squeezer is a 2n x 3 row matrix, and no 2n x 2n matrix is ever stored;
 ``cov`` materializes it on read.
-
-The loss is pure by default: it returns a new state and never mutates its
-input.  With ``inplace=True`` it updates a state its caller owns where it
-stands, with the same arithmetic; ``build_network`` calls it that way.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ import numpy as np
 __all__ = [
     "GaussianState",
     "apply_loss",
-    "homodyne_moments",
 ]
 
 
@@ -74,9 +69,6 @@ class GaussianState:
         """The 2n x 2n covariance matrix, materialized on every read."""
         return _identity_plus(self.U, self.s)
 
-    def copy(self) -> "GaussianState":
-        return GaussianState(self.n_modes, self.rows.copy(), self.s.copy())
-
 
 def _identity_plus(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
     """I + rows diag(s) rows^T, built in the one array it returns."""
@@ -85,49 +77,20 @@ def _identity_plus(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_mode(state: GaussianState, mode: int):
-    if not 0 <= mode < state.n_modes:
-        raise IndexError(f"mode {mode} out of range for {state.n_modes}-mode state")
-
-
-def apply_loss(state: GaussianState, mode: int, eta: float, *,
-               inplace: bool = False) -> GaussianState:
-    """Pure-loss channel of transmission eta on one mode.
+def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
+    """Pure-loss channel of transmission eta on one mode of `state`, applied
+    where the state stands; returns that state.
 
     Mean scales by sqrt(eta); the mode's covariance block maps to
     eta*V + (1-eta)*I and cross covariances scale by sqrt(eta).  Since
     L I L + (1-eta) I_m = I, this is the sqrt(eta) scale of the mode's two
     rows of [mean | U].
-    Pure unless a caller that owns the state passes inplace=True.
     """
-    _check_mode(state, mode)
+    if not 0 <= mode < state.n_modes:
+        raise IndexError(f"mode {mode} out of range for {state.n_modes}-mode state")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    out = state if inplace else state.copy()
     # q and p of a mode are adjacent rows; scale that view where it stands
-    block = out.rows[2 * mode: 2 * mode + 2]
+    block = state.rows[2 * mode: 2 * mode + 2]
     block *= math.sqrt(eta)
-    return out
-
-
-def homodyne_moments(state: GaussianState, modes):
-    """First and second moments of the q quadratures of selected modes.
-
-    Args:
-        modes: mode indices, no duplicates, as a sequence or an integer array.
-
-    Returns:
-        (mean vector, covariance submatrix) restricted to the selection;
-        only that block is materialized.  Read-only: the state is not
-        modified.
-    """
-    modes = np.asarray(modes)
-    if not modes.size:
-        modes = modes.astype(np.intp)  # an empty list reads as floats
-    if len(set(modes.tolist())) != modes.size:
-        raise IndexError("duplicate mode index in homodyne selection")
-    if modes.size and not 0 <= modes.min() <= modes.max() < state.n_modes:
-        for mode in modes:  # raises at the first mode out of range
-            _check_mode(state, mode)
-    sel = 2 * modes  # the q rows
-    return state.mean[sel], _identity_plus(state.U[sel], state.s)
+    return state

@@ -125,10 +125,15 @@ def variance_vs_ns(n_T, n_s, Lambda=0.0, K=1.0):
         raise AllocationError("n_s must be >= 0")
     if hi >= n_T:
         raise AllocationError(f"n_s = {hi} must be < n_T = {n_T}")
-    divisor = K * (n_T - n_s)
-    if not (isinstance(divisor, np.ndarray) or divisor):
-        return math.inf
-    return (varq_from_ns(n_s) + Lambda) / divisor
+    if isinstance(n_s, np.ndarray):
+        # each element as the scalar call reads it: float arithmetic, which
+        # warns of nothing, and `_divide`'s rule where the divisor is 0
+        with np.errstate(all="ignore"):
+            numerator = varq_from_ns(n_s) + Lambda
+            divisor = K * (n_T - n_s)
+            return np.where(divisor != 0, numerator / divisor,
+                            np.where(numerator, np.inf, 0.0))
+    return _divide(varq_from_ns(n_s) + Lambda, K * (n_T - n_s))
 
 
 @dataclass

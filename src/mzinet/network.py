@@ -63,6 +63,7 @@ DARK_THRESHOLD = 1e-12  # relative to the brightest channel's theta = 0 response
 ROUNDING_FACTOR = 4.0
 _EPS = float(np.finfo(float).eps)
 R_MAX = math.log(sys.float_info.max) / 2.0  # the largest r whose e^{2r} is a float
+K_MAX = math.isqrt(int(sys.float_info.max))  # the largest K whose K**2 is a float
 
 
 def _check_squeezing(r: float):
@@ -77,7 +78,8 @@ class NetworkConfig:
 
     Fields:
         d: number of interferometers.
-        K: multipass count (integer in [1, 2**512), so K**2 is a float).
+        K: multipass count, an integer in [1, K_MAX]: K**2 is at most the
+            largest float, compared exactly as integers.
         mu: multipass coefficient; None means the default 1/K.
         r: squeezing strength of the shared resource, in [0, R_MAX].
         alphas: d pairs (|alpha_j|, phi_j) of coherent amplitudes/phases.
@@ -111,8 +113,9 @@ class NetworkConfig:
     def validate(self):
         if self.d < 1:
             raise ConfigError("d", "need at least one interferometer")
-        if not (1 <= self.K < 2**512 and int(self.K) == self.K):
-            raise ConfigError("K", "multipass count must be an integer in [1, 2**512)")
+        if not (1 <= self.K <= K_MAX and int(self.K) == self.K):
+            raise ConfigError("K", "multipass count must be an integer >= 1 "
+                                   "whose square is a float")
         if self.mu is not None and not 0.0 < self.mu < math.inf:
             raise ConfigError("mu", "multipass coefficient must be finite and > 0")
         _check_squeezing(self.r)
@@ -277,8 +280,8 @@ def build_network(config: NetworkConfig) -> g.GaussianState:
     rows[1, :, :, 0] += [(2.0 * mag * math.cos(phi), 2.0 * mag * math.sin(phi))
                          for mag, phi in config.alphas]
     for j in range(d):
-        g.apply_loss(state, j, config.eta_dis, inplace=True)
-        g.apply_loss(state, d + j, config.eta_dis, inplace=True)
+        g.apply_loss(state, j, config.eta_dis)
+        g.apply_loss(state, d + j, config.eta_dis)
     gain = config.signal_gain
     half = [gain * theta / 2.0 for theta in config.thetas]
     c = np.array([math.cos(x) for x in half])
@@ -286,7 +289,7 @@ def build_network(config: NetworkConfig) -> g.GaussianState:
     _interfere(rows, c[:, None, None], s[:, None, None])
     eta_out = config.eta_mzi * config.eta_m ** (2 * config.K - 1)
     for j in range(d):
-        g.apply_loss(state, j, eta_out, inplace=True)
+        g.apply_loss(state, j, eta_out)
     return state
 
 

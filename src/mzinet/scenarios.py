@@ -25,9 +25,10 @@ an unknown key, a missing field or a value that the table refuses raises
 ConfigError naming the field.  The rules across fields are in the code
 that reads the object.
 
-Each scan emits one CSV (atomic write, LF endings, 17-significant-digit
-scientific notation) named <name>_<label>.csv plus a sidecar metadata text
-block <name>_meta.txt, so a name and a label must be plain file-name parts.
+Each scan emits one CSV (LF endings, 17-significant-digit scientific
+notation) named <name>_<label>.csv plus a sidecar metadata text block
+<name>_meta.txt, each written atomically, so a name and a label must be
+plain file-name parts.
 Identical scenario + seed gives byte-identical outputs.
 """
 
@@ -37,7 +38,6 @@ import dataclasses
 import importlib.resources
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -49,7 +49,6 @@ import numpy as np
 from . import laws, optimize, tracelab
 from .errors import AnalysisError, ConfigError, MzinetError, ScenarioParseError
 from .fock import ORACLE_MAX_D, ORACLE_MAX_R, oracle_sensitivity
-from .gaussian import homodyne_moments
 from .network import (
     NetworkConfig,
     _check_squeezing,
@@ -408,15 +407,14 @@ def _format_value(value):
 
 
 def _write_csv(path: Path, axis: str, rows):
-    tmp = path.with_suffix(path.suffix + ".tmp")
     lines = [",".join((axis,) + CSV_COLUMNS)]
     for row in rows:
         cells = [_format_value(row.value)]
         for col in CSV_COLUMNS:
             cells.append(_format_value(getattr(row, col)))
         lines.append(",".join(cells))
-    tmp.write_text("\n".join(lines) + "\n", newline="\n")
-    os.replace(tmp, path)
+    with tracelab._replacing(path) as tmp:
+        tmp.write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def run_scenario(path_or_scenario, out_dir, seed=None):
@@ -472,8 +470,8 @@ def run_scenario(path_or_scenario, out_dir, seed=None):
             "trace calibration: unit-variance white channel reads "
             "rbw/(sample_rate/2) linear; sinusoid amplitude A reads A^2/3"
         )
-    meta_path = out_dir / f"{scenario.name}_meta.txt"
-    meta_path.write_text("\n".join(meta_lines) + "\n", newline="\n")
+    with tracelab._replacing(out_dir / f"{scenario.name}_meta.txt") as tmp:
+        tmp.write_text("\n".join(meta_lines) + "\n", newline="\n")
     return written
 
 
@@ -587,11 +585,9 @@ def _response_check(rng):
     for j in range(cfg.d):
         thetas = list(cfg.thetas)
         thetas[j] += step
-        up, _ = homodyne_moments(build_network(cfg.with_updates(thetas=tuple(thetas))),
-                                 range(cfg.d))
+        up = build_network(cfg.with_updates(thetas=tuple(thetas))).mean[:2 * cfg.d:2]
         thetas[j] -= 2 * step
-        dn, _ = homodyne_moments(build_network(cfg.with_updates(thetas=tuple(thetas))),
-                                 range(cfg.d))
+        dn = build_network(cfg.with_updates(thetas=tuple(thetas))).mean[:2 * cfg.d:2]
         fd = (up - dn) / (2 * step)
         fd[j] -= analytic[j]
         devs.append(np.max(np.abs(fd)) / scale)

@@ -6,8 +6,10 @@ its row matrix and applies the displacements and the interferometers of all
 d nodes as array operations; the ops here start from the vacuum and apply
 one step to one mode or one pair of modes, and the tests check the build
 against a sequence of them.  Each op is pure: it returns a new state (the
-squeezer, like ``gaussian.apply_loss``, also updates a state in place on
-request).
+squeezer also updates a state in place on request), where
+``gaussian.apply_loss`` always scales its argument's rows where they stand.
+``homodyne_moments`` reads the q moments of selected modes, as
+``noise_matrix`` reads them from the built state's measured rows.
 ``qc_cascade`` is the cascade as a loop over the outputs, and
 ``sensitivity_three_arrays`` the engine's variance read from a copied
 kept-channel block and a separate |Gamma|.
@@ -18,7 +20,7 @@ import math
 import numpy as np
 
 from mzinet.errors import InfeasibleSplitError
-from mzinet.gaussian import GaussianState, _check_mode
+from mzinet.gaussian import GaussianState, _identity_plus
 from mzinet.network import (
     PROB_TOL,
     REMAINDER_FLOOR,
@@ -63,6 +65,39 @@ def sensitivity_three_arrays(config) -> float:
     return _significant(variance, scale, x.size)
 
 
+def copy_state(state: GaussianState) -> GaussianState:
+    """A state with its own copies of the rows and weights of `state`."""
+    return GaussianState(state.n_modes, state.rows.copy(), state.s.copy())
+
+
+def _check_mode(state: GaussianState, mode: int):
+    if not 0 <= mode < state.n_modes:
+        raise IndexError(f"mode {mode} out of range for {state.n_modes}-mode state")
+
+
+def homodyne_moments(state: GaussianState, modes):
+    """First and second moments of the q quadratures of selected modes.
+
+    Args:
+        modes: mode indices, no duplicates, as a sequence or an integer array.
+
+    Returns:
+        (mean vector, covariance submatrix) restricted to the selection;
+        only that block is materialized.  Read-only: the state is not
+        modified.
+    """
+    modes = np.asarray(modes)
+    if not modes.size:
+        modes = modes.astype(np.intp)  # an empty list reads as floats
+    if len(set(modes.tolist())) != modes.size:
+        raise IndexError("duplicate mode index in homodyne selection")
+    if modes.size and not 0 <= modes.min() <= modes.max() < state.n_modes:
+        for mode in modes:  # raises at the first mode out of range
+            _check_mode(state, mode)
+    sel = 2 * modes  # the q rows
+    return state.mean[sel], _identity_plus(state.U[sel], state.s)
+
+
 def vacuum_state(n_modes: int) -> GaussianState:
     """n-mode vacuum: zero mean, identity covariance (an empty factor)."""
     if n_modes < 1:
@@ -85,7 +120,7 @@ def apply_squeezer(state: GaussianState, mode: int, r: float, *,
     _check_mode(state, mode)
     if r < 0:
         raise ValueError("squeezing strength r must be >= 0")
-    out = state if inplace else state.copy()
+    out = state if inplace else copy_state(state)
     iq, ip = 2 * mode, 2 * mode + 1
     weights = (math.expm1(-2.0 * r), math.expm1(2.0 * r))
     out.rows[iq] *= math.exp(-r)
@@ -108,7 +143,7 @@ def apply_displacement(state: GaussianState, mode: int, amplitude: float,
     _check_mode(state, mode)
     if amplitude < 0:
         raise ValueError("amplitude must be >= 0 (carry signs in the phase)")
-    out = state.copy()
+    out = copy_state(state)
     out.mean[2 * mode] += 2.0 * amplitude * math.cos(phase)
     out.mean[2 * mode + 1] += 2.0 * amplitude * math.sin(phase)
     return out
@@ -118,7 +153,7 @@ def _apply_two_mode_orthogonal(
     state: GaussianState, mode_i: int, mode_j: int, o11, o12, o21, o22
 ) -> GaussianState:
     """Apply the same 2x2 orthogonal map to the q and p blocks of two modes."""
-    out = state.copy()
+    out = copy_state(state)
     idx = [2 * mode_i, 2 * mode_i + 1, 2 * mode_j, 2 * mode_j + 1]
     s4 = np.array(
         [

@@ -11,6 +11,14 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(mzinet.__path__)
                  if not m.name.startswith("_"))
 
 
+def _surface(module):
+    """The names `from mzinet.<module> import *` binds: its __all__, or every
+    public name of a module without one."""
+    namespace = {}
+    exec(f"from mzinet.{module} import *", namespace)
+    return set(namespace) - {"__builtins__"}
+
+
 def test_every_module_is_checked():
     assert {"gaussian", "network", "laws", "optimize", "fock", "tracelab",
             "scenarios", "cli", "errors"} <= set(MODULES)
@@ -23,9 +31,7 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"mzinet.{name}")
     exported = getattr(module, "__all__", [])
     assert [attr for attr in exported if not hasattr(module, attr)] == []
-    namespace = {}
-    exec(f"from mzinet.{name} import *", namespace)
-    assert set(exported) <= set(namespace)
+    assert set(exported) <= _surface(name)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,3 +91,13 @@ def test_every_imported_name_is_read():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unread += [f"{path.stem}.{name}" for name in sorted(imported - read)]
     assert unread == []
+
+
+def test_every_top_level_name_is_in_its_module_surface():
+    # a name that leaves a module's __all__ must leave the package's
+    # re-exports with it, or it lingers there for tests alone
+    tree = ast.parse((ROOT / "src" / "mzinet" / "__init__.py").read_text())
+    stray = [f"{node.module}.{alias.name}" for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level == 1
+             for alias in node.names if alias.name not in _surface(node.module)]
+    assert stray == []

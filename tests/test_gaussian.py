@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzinet.gaussian import apply_loss, homodyne_moments
+from mzinet.gaussian import apply_loss
 from mzinet.network import noise_matrix, qc_cascade
 from mzinet.scenarios import _random_config
 
@@ -14,6 +14,8 @@ from reference_ops import (
     apply_displacement,
     apply_mzi,
     apply_squeezer,
+    copy_state,
+    homodyne_moments,
     vacuum_state,
 )
 
@@ -168,8 +170,9 @@ def test_mzi_equals_beam_splitter_decomposition():
 
 def test_loss_identity_at_unit_transmission():
     state = apply_squeezer(vacuum_state(1), 0, 0.5)
+    cov = state.cov
     out = apply_loss(state, 0, 1.0)
-    assert np.array_equal(out.cov, state.cov)
+    assert np.array_equal(out.cov, cov)
 
 
 def test_loss_on_squeezed_variance():
@@ -190,8 +193,8 @@ def test_loss_total_restores_vacuum():
 def test_loss_is_exact_affine_map(eta, r):
     state = apply_squeezer(vacuum_state(2), 0, r)
     state = apply_beam_splitter(state, 1, 0, 0.7)
+    expected = state.cov
     out = apply_loss(state, 0, eta)
-    expected = state.cov.copy()
     idx = [0, 1]
     expected[idx, :] *= math.sqrt(eta)
     expected[:, idx] *= math.sqrt(eta)
@@ -205,7 +208,7 @@ def test_loss_never_pushes_eigenvalues_below_vacuum_floor():
     state = apply_beam_splitter(state, 1, 0, 0.5)
     before = np.linalg.eigvalsh(state.cov).min()
     for eta in (0.9, 0.5, 0.1):
-        after = np.linalg.eigvalsh(apply_loss(state, 0, eta).cov).min()
+        after = np.linalg.eigvalsh(apply_loss(copy_state(state), 0, eta).cov).min()
         assert after >= min(before, 1.0) - 1e-12
 
 
@@ -299,14 +302,13 @@ def test_operations_are_pure():
     apply_displacement(state, 0, 1.0, 0.0)
     apply_beam_splitter(state, 0, 1, 0.5)
     apply_mzi(state, 0, 1, 0.7)
-    apply_loss(state, 0, 0.5)
     assert np.array_equal(state.cov, snapshot)
     assert np.array_equal(state.mean, np.zeros(4))
 
 
+# the reference squeezer's knob; the engine's loss is always in place
 INPLACE_OPS = [
     pytest.param(apply_squeezer, (1, 0.4), id="squeezer"),
-    pytest.param(apply_loss, (1, 0.7), id="loss"),
 ]
 
 
@@ -343,6 +345,28 @@ def test_pure_op_leaves_the_callers_views_unchanged(op, args):
     assert mean.tobytes() == mean_bytes and U.tobytes() == U_bytes
     assert not np.shares_memory(pure.rows, given_state.rows)
     assert pure.mean.tobytes() != mean_bytes or pure.U.tobytes() != U_bytes
+
+
+def test_loss_scales_the_mode_rows_of_its_argument():
+    state = _correlated_state()
+    rows, s = state.rows, state.s.copy()
+    expected = rows.copy()
+    expected[2:4] *= math.sqrt(0.7)
+    assert apply_loss(state, 1, 0.7) is state
+    assert state.rows is rows and state.rows.tobytes() == expected.tobytes()
+    assert state.s.tobytes() == s.tobytes()
+
+
+def test_loss_refuses_a_bad_mode_or_eta_and_leaves_the_state():
+    state = _correlated_state()
+    rows = state.rows.copy()
+    for mode in (3, -1):
+        with pytest.raises(IndexError, match=f"^mode {mode} out of range for 3-mode state$"):
+            apply_loss(state, mode, 0.5)
+    for eta in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"^eta must lie in \[0, 1\]$"):
+            apply_loss(state, 0, eta)
+    assert state.rows.tobytes() == rows.tobytes()
 
 
 # --- the dense covariance formulas, as a reference for the factored engine ---
@@ -433,7 +457,7 @@ def test_factored_ops_match_the_dense_formulas_on_random_sequences(rng):
             # squeezers land on mixed and lossy states as the sequence goes on
             op, args = _random_op(rng, n_modes)
             inplace = bool(rng.integers(2))  # drawn for every op: same stream
-            if op in (apply_squeezer, apply_loss):
+            if op is apply_squeezer:
                 state = op(state, *args, inplace=inplace)
             else:
                 state = op(state, *args)

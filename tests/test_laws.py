@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,23 @@ def test_variance_vs_ns_array_equals_scalar_bit_for_bit():
     value = laws.variance_vs_ns(100.0, 50.0, Lambda=0.1, K=2.0)
     assert type(value) is float
     assert value == laws.variance_vs_ns(100.0, np.array([50.0]), Lambda=0.1, K=2.0)[0]
+
+
+def test_variance_vs_ns_array_reads_the_float_range_edge_as_the_scalar_does():
+    # K (n_T - n_s) of 1e-308, 1e-309 (the quotient overflows) and 0 (it
+    # underflows), then n_s^2 past the float range: each element has the
+    # bits of the scalar call, and none warns
+    n_t = 1e-20
+    cases = [(n_t, np.array([0.0, 0.9 * n_t, np.nextafter(n_t, 0.0)]), 1e-288,
+              [False, True, True]),
+             (1e300, np.array([1.0, 1e200, 1e250]), 1e300, [False, False, False])]
+    for n_t, grid, k, inf in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = laws.variance_vs_ns(n_t, grid, Lambda=0.1, K=k)
+        scalar = [laws.variance_vs_ns(n_t, float(x), Lambda=0.1, K=k) for x in grid]
+        assert values.tobytes() == np.array(scalar).tobytes()
+        assert np.isinf(values).tolist() == inf
 
 
 def test_min_variance_over_r_lossless():

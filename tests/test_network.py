@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from mzinet.errors import (
     PrecisionLossError,
 )
 from mzinet.fock import oracle_sensitivity
-from mzinet.gaussian import homodyne_moments
 from mzinet.network import (
+    K_MAX,
     R_MAX,
     REMAINDER_FLOOR,
     NetworkConfig,
@@ -32,6 +33,7 @@ from mzinet.scenarios import _random_config
 from mzinet.tracelab import TraceParams, simulate_joint_noise
 
 import reference_ops as ref
+from reference_ops import homodyne_moments
 
 
 # --- configuration -----------------------------------------------------------
@@ -45,6 +47,17 @@ def test_config_validation_names_fields():
         NetworkConfig(d=1, alphas=((1, 0),), weights=(1,), P=(1,), eta_dis=1.2)
     with pytest.raises(ConfigError, match="K"):
         NetworkConfig(d=1, alphas=((1, 0),), weights=(1,), P=(1,), K=0)
+
+
+def test_config_pass_count_square_is_a_float():
+    # K_MAX**2 is at most the largest float and (K_MAX + 1)**2 is not; the
+    # rule compares integers exactly, so the edge is sharp
+    assert K_MAX**2 <= sys.float_info.max < (K_MAX + 1) ** 2
+    base = dict(d=1, alphas=((1.0, 0.0),), weights=(1.0,), P=(1.0,))
+    assert NetworkConfig(K=K_MAX, **base).enhancement == pytest.approx(K_MAX, rel=1e-15)
+    for K in (K_MAX + 1, 2**512 - 1, float(2**512)):
+        with pytest.raises(ConfigError, match="^K: .* whose square is a float$"):
+            NetworkConfig(K=K, **base)
 
 
 def test_config_enhancement_defaults_to_pass_count():
@@ -224,8 +237,9 @@ def test_build_network_mean_response():
 
 
 def _pure_build(config):
-    """build_network written out with the pure ops, one fresh state per op
-    (the cascade loop and the two-mode ops from the test reference)."""
+    """build_network written out one op at a time: the cascade loop and the
+    pure ops of the test reference, each returning a fresh state, and the
+    engine's loss, which scales the rows of the state it is handed."""
     d = config.d
     state = ref.vacuum_state(2 * d)
     state = ref.apply_squeezer(state, 0, float(config.r))
@@ -356,15 +370,19 @@ def test_noise_matrix_positive_semidefinite(rng):
 
 def test_noise_matrix_is_the_homodyne_covariance_of_the_built_state(rng):
     # noise_matrix reads Gamma from the measured q rows of the state it
-    # builds; the homodyne read of the same state must give the same bytes
+    # builds, and verify's response check reads the q means as every other
+    # row of the mean; the homodyne read of the same state must give the
+    # same bytes
     configs = [_random_config(rng, d_max=8, optimal_p=bool(rng.integers(0, 2)))
                for _ in range(60)]
     configs = [c.with_updates(thetas=tuple(rng.uniform(-0.5, 0.5, c.d))) for c in configs]
     assert {c.d for c in configs} == set(range(1, 9))
     configs.append(configure_optimal(weight_pattern("asym", 257), 1e8, 0.8, eta_dis=0.9))
     for cfg in configs:
-        _, cov = homodyne_moments(build_network(cfg), range(cfg.d))
+        state = build_network(cfg)
+        mean, cov = homodyne_moments(state, range(cfg.d))
         assert noise_matrix(cfg).tobytes() == cov.tobytes(), cfg.d
+        assert state.mean[:2 * cfg.d:2].tobytes() == mean.tobytes(), cfg.d
 
 
 # --- sensitivities -----------------------------------------------------------

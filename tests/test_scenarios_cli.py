@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import replace
@@ -118,6 +119,25 @@ def test_run_scenario_deterministic_bytes(tmp_path):
     (a,) = run_scenario(path, tmp_path / "out1")
     (b,) = run_scenario(path, tmp_path / "out2")
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("target", ["demo_loss.csv", "demo_meta.txt"])
+def test_a_failed_replace_leaves_no_tmp_and_the_old_file(tmp_path, monkeypatch, target):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / target).write_text("old\n")
+    real = os.replace
+
+    def failing(src, dst):
+        if Path(dst).name == target:
+            raise OSError("replace failed")
+        return real(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+    with pytest.raises(OSError, match="replace failed"):
+        run_scenario(_write_scenario(tmp_path), out)
+    assert (out / target).read_text() == "old\n"
+    assert [path.name for path in out.iterdir() if path.suffix == ".tmp"] == []
 
 
 def test_run_scenario_parse_error_no_partial_output(tmp_path):
@@ -380,6 +400,7 @@ NAN, INF = float("nan"), float("inf")
     ("r", {"topology": "separable", "r": [0.75, 400, 0.75]}, None, None),
     ("K", {"K": 1e200}, None, None),
     ("mu", {"K": 10**10, "mu": 1e300}, None, None),
+    ("K", {"K": 2**512 - 1}, None, None),
 ], ids=["network_r_nan", "network_r_inf", "network_r_negative",
         "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
         "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
@@ -406,7 +427,7 @@ NAN, INF = float("nan"), float("inf")
         "d_scan_weights_list", "alphas_triple", "alphas_single", "grid_d_zero",
         "grid_K_zero", "network_r_past_float_range",
         "network_r_list_past_float_range", "network_K_past_float_range",
-        "network_mu_K_squared_past_float_range"])
+        "network_mu_K_squared_past_float_range", "network_K_squared_past_float_range"])
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)
@@ -965,11 +986,15 @@ def test_verify_flags_injected_noise_sign_bug(monkeypatch):
     assert any("oracle" in c.name for c in bad)
 
 
+def _nan_mean(state):
+    state.mean[:] = math.nan
+    return state
+
+
 @pytest.mark.parametrize("module, name, nan_version, check", [
     (scenarios, "sensitivity_numeric", lambda real: lambda cfg: math.nan,
      "engine vs closed form"),
-    (scenarios, "homodyne_moments",
-     lambda real: lambda state, modes: (np.full(len(modes), math.nan), None),
+    (scenarios, "build_network", lambda real: lambda cfg: _nan_mean(real(cfg)),
      "response matrix vs finite differences"),
     (scenarios, "qc_cascade",
      lambda real: lambda p: [(pair, math.nan) for pair, _ in real(p)],
@@ -979,7 +1004,7 @@ def test_verify_flags_injected_noise_sign_bug(monkeypatch):
      "squeezing optimizer vs grid"),
     (laws, "varq_from_ns", lambda real: lambda n_s: math.nan,
      "resource conversion identities"),
-], ids=["sensitivity_numeric", "homodyne_moments", "qc_cascade", "optimize_squeezing",
+], ids=["sensitivity_numeric", "build_network", "qc_cascade", "optimize_squeezing",
         "varq_from_ns"])
 def test_verify_fails_a_nan_variance(monkeypatch, module, name, nan_version, check):
     # max() alone would drop a NaN deviation, and the check would pass
