@@ -80,12 +80,13 @@ def varq_from_ns(n_s):
     if isinstance(n_s, np.ndarray):
         if n_s.min() < 0:
             raise ValueError("n_s must be >= 0")
-        root = np.sqrt(n_s + n_s * n_s)
-    else:
-        if n_s < 0:
-            raise ValueError("n_s must be >= 0")
-        root = math.sqrt(n_s + n_s * n_s)
-    return 1.0 / (1.0 + 2.0 * n_s + 2.0 * root)
+        # n_s^2 past the float range reads inf, as in the scalar's float
+        # arithmetic, without a warning
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + 2.0 * n_s + 2.0 * np.sqrt(n_s + n_s * n_s))
+    if n_s < 0:
+        raise ValueError("n_s must be >= 0")
+    return 1.0 / (1.0 + 2.0 * n_s + 2.0 * math.sqrt(n_s + n_s * n_s))
 
 
 def optimized_variance(n_c, r, Lambda=0.0, K=1.0) -> float:

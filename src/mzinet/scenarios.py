@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import laws, optimize, tracelab
-from .errors import AnalysisError, ConfigError, MzinetError, ScenarioParseError
+from .errors import AnalysisError, ConfigError, FloatRangeError, MzinetError, ScenarioParseError
 from .fock import ORACLE_MAX_D, ORACLE_MAX_R, oracle_sensitivity
 from .network import (
     NetworkConfig,
@@ -272,7 +272,8 @@ def _config_from_spec(spec: dict):
 
 def _expand_grid(grid):
     """The points of a scan grid: a nonempty list as it stands, or the range
-    object read through RANGE."""
+    object read through RANGE, its points and `include` sorted together
+    (a repeated point is left for `optimize._check_grid` to refuse)."""
     if isinstance(grid, list) and grid:
         return list(grid)
     if not isinstance(grid, dict):
@@ -290,7 +291,7 @@ def _expand_grid(grid):
     # 1e-9 relative (values below 1e-12 would collapse to 0)
     rounded = np.round(values, 12)
     values = np.where(abs(rounded - values) <= 1e-9 * abs(values), rounded, values)
-    return sorted(set(values.tolist()) | set(fields["include"]))
+    return sorted([*values.tolist(), *fields["include"]])
 
 
 def load_scenario(path) -> Scenario:
@@ -488,10 +489,15 @@ def reproduce(figure: str, out_dir, seed=None):
 
 
 def photon_flux(power: float, wavelength: float) -> float:
-    """Photon rate of a monochromatic beam: power * wavelength / (h c)."""
+    """Photon rate of a monochromatic beam: power * wavelength / (h c).
+    Raises FloatRangeError when the rate leaves (0, inf)."""
     if power <= 0 or wavelength <= 0:
         raise ValueError("power and wavelength must be > 0")
-    return power * wavelength / (PLANCK * LIGHT_SPEED)
+    flux = power * wavelength / (PLANCK * LIGHT_SPEED)
+    if not 0.0 < flux < math.inf:
+        raise FloatRangeError(f"flux: photon rate of power {power!r} and wavelength "
+                              f"{wavelength!r} out of float range")
+    return flux
 
 
 # ---------------------------------------------------------------------------

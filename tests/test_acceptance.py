@@ -239,23 +239,19 @@ def test_criterion_09_qcrb_saturation():
 
 def test_criterion_10_gain_law():
     start = time.monotonic()
-    lam = 1e-8
-    n_t = 1e-4 / lam  # Heisenberg window
-    realized_low = {}
-    for d in (2, 4, 6):
-        nu = weight_pattern("ave", d)
+    unequal = (0.7, -0.2, 0.1)  # an arbitrary linear combination of the phases
+    realized = {"low": {}, "high": {}}
+    for regime, lam, n_t, vectors in (
+            # Heisenberg window, Lambda n_T = 1e-4
+            ("low", 1e-8, 1e4, [weight_pattern("ave", d) for d in (2, 4, 6)] + [unequal]),
+            ("high", 0.1, 1e6, [weight_pattern("ave", 4), unequal])):  # deep loss floor
         _, ent = optimize_squeezing(n_t, Lambda=lam)
-        sep = separable_min_variance(n_t, Lambda=lam, nu=nu).variance
-        realized = sep / (ent * laws.weight_sum(nu) ** 2)
-        assert realized == pytest.approx(laws.gain(nu, "low"), rel=0.02)
-        realized_low[d] = realized
-    lam, n_t = 0.1, 1e6  # deep loss floor
-    nu = weight_pattern("ave", 4)
-    _, ent = optimize_squeezing(n_t, Lambda=lam)
-    sep = separable_min_variance(n_t, Lambda=lam, nu=nu).variance
-    realized_high = sep / (ent * laws.weight_sum(nu) ** 2)
-    assert realized_high == pytest.approx(laws.gain(nu, "high"), rel=0.02)
+        for nu in vectors:
+            sep = separable_min_variance(n_t, Lambda=lam, nu=nu).variance
+            gain = sep / (ent * laws.weight_sum(nu) ** 2)
+            assert gain == pytest.approx(laws.gain(nu, regime), rel=0.02)
+            realized[regime][f"nu={nu}" if nu is unequal else len(nu)] = gain
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
-    _report(10, f"low-regime gains {realized_low}, "
-                f"high-regime gain {realized_high:.4f}")
+    _report(10, f"low-regime gains {realized['low']}, "
+                f"high-regime gains {realized['high']}")

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +104,32 @@ def test_every_top_level_name_is_in_its_module_surface():
              if isinstance(node, ast.ImportFrom) and node.level == 1
              for alias in node.names if alias.name not in _surface(node.module)]
     assert stray == []
+
+
+def test_the_program_runs_without_scipy():
+    # scipy is not a dependency: a fresh process that imports the package
+    # and its command line and runs the quick verify loads no scipy module
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = ("import sys, mzinet, mzinet.cli\n"
+            "assert mzinet.verify('quick').ok\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def test_no_test_imports_scipy():
+    # the tests' references are solved, not searched with scipy's optimizers
+    found = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {m}" for m in modules if m.partition(".")[0] == "scipy"]
+    assert found == []

@@ -128,6 +128,14 @@ def test_variance_vs_ns_array_reads_the_float_range_edge_as_the_scalar_does():
         scalar = [laws.variance_vs_ns(n_t, float(x), Lambda=0.1, K=k) for x in grid]
         assert values.tobytes() == np.array(scalar).tobytes()
         assert np.isinf(values).tolist() == inf
+    # n_s^2 (from 1e155) and 2 n_s (1e308) past the float range read inf,
+    # so e^{-2r} reads 0
+    grid = np.array([0.0, 1e-300, 1.0, 1e154, 1e155, 1e200, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = laws.varq_from_ns(grid)
+    assert values.tobytes() == np.array([laws.varq_from_ns(float(x)) for x in grid]).tobytes()
+    assert values[-1] == 0.0
 
 
 def test_min_variance_over_r_lossless():

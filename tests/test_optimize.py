@@ -19,7 +19,7 @@ from mzinet.optimize import (
 )
 from mzinet.scenarios import _random_config
 
-from separable_reference import separable_min_variance
+from separable_reference import separable_min_variance, slope
 
 
 # --- allocation --------------------------------------------------------------
@@ -247,6 +247,53 @@ def test_separable_symmetric_weights_split_evenly():
 def test_separable_zero_weight_nodes_get_nothing():
     result = separable_min_variance(100.0, Lambda=0.0, nu=(1.0, 0.0))
     assert result.budgets[1] == 0.0
+
+
+UNEQUAL = (0.7, -0.2, 0.1)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-6, 0.1])
+@pytest.mark.parametrize("budget", [1e-3, 1.0, 1e4])
+def test_separable_slope_is_the_envelope_derivative(budget, lam):
+    # -dV*/db = V*(b) / (b - n_s*(b)), against a central difference
+    h = 1e-6 * budget
+    above, below = (optimize_squeezing(b, Lambda=lam)[1] for b in (budget + h, budget - h))
+    assert slope(budget, lam, 1.0) == pytest.approx((below - above) / (2 * h), rel=1e-6)
+
+
+@pytest.mark.parametrize("n_t, lam, nu", [
+    (10.0, 0.01, (1.0,)),
+    (100.0, 0.0, (1.0, 0.0)),
+    (1000.0, 1e-6, weight_pattern("ave", 4)),
+    (1e4, 1e-8, weight_pattern("ave", 6)),
+    (1e6, 0.1, weight_pattern("ave", 4)),
+    (1e3, 1e-4, UNEQUAL),
+    (1e4, 1e-8, UNEQUAL),
+    (1e6, 0.1, UNEQUAL),
+], ids=["single", "zero_weight", "ave4", "ave6_heisenberg", "ave4_floor",
+        "unequal", "unequal_heisenberg", "unequal_floor"])
+def test_separable_split_meets_the_optimality_condition(n_t, lam, nu):
+    # every weighted node at one marginal nu_j^2 V*/(b_j - n_s*), the
+    # budgets summing to n_T
+    result = separable_min_variance(n_t, Lambda=lam, nu=nu)
+    assert sum(result.budgets) == pytest.approx(n_t, rel=1e-12, abs=0)
+    marginals = [w ** 2 * slope(b, lam, 1.0) for w, b in zip(nu, result.budgets) if w]
+    assert max(marginals) == pytest.approx(min(marginals), rel=1e-9, abs=0)
+
+
+def test_separable_split_is_the_minimum():
+    n_t, lam = 1e3, 1e-4
+    result = separable_min_variance(n_t, Lambda=lam, nu=UNEQUAL)
+    budgets = np.array(result.budgets)
+    rng = np.random.default_rng(20260808)
+    for _ in range(2000):
+        # a feasible step: zero sum, each budget kept positive
+        step = rng.normal(size=budgets.size)
+        step -= step.mean()
+        step *= 10 ** rng.uniform(-6, -0.5) * budgets.min() / np.abs(step).max()
+        moved = sum(w ** 2 * optimize_squeezing(b, Lambda=lam)[1]
+                    for w, b in zip(UNEQUAL, budgets + step))
+        assert moved >= result.variance
 
 
 def test_gain_realization_low_and_high_regime():

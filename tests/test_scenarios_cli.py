@@ -17,6 +17,7 @@ from mzinet.errors import (
     AnalysisError,
     ConfigError,
     DarkResponseError,
+    FloatRangeError,
     ScenarioParseError,
 )
 from mzinet.network import ROUNDING_FACTOR, noise_matrix, response, weight_pattern
@@ -401,6 +402,9 @@ NAN, INF = float("nan"), float("inf")
     ("K", {"K": 1e200}, None, None),
     ("mu", {"K": 10**10, "mu": 1e300}, None, None),
     ("K", {"K": 2**512 - 1}, None, None),
+    ("grid", {}, {"axis": "n_c", "grid": {"start": 100.0, "stop": 100.0, "num": 3}}, None),
+    ("grid", {}, {"axis": "n_c", "grid": {"start": 1.0, "stop": 2.0, "num": 3,
+                                          "include": [1.5]}}, None),
 ], ids=["network_r_nan", "network_r_inf", "network_r_negative",
         "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
         "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
@@ -427,7 +431,8 @@ NAN, INF = float("nan"), float("inf")
         "d_scan_weights_list", "alphas_triple", "alphas_single", "grid_d_zero",
         "grid_K_zero", "network_r_past_float_range",
         "network_r_list_past_float_range", "network_K_past_float_range",
-        "network_mu_K_squared_past_float_range", "network_K_squared_past_float_range"])
+        "network_mu_K_squared_past_float_range", "network_K_squared_past_float_range",
+        "range_grid_collapses", "range_include_repeats_a_point"])
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)
@@ -961,6 +966,9 @@ def test_photon_flux_values():
         photon_flux(0.0, 895e-9)
     with pytest.raises(ValueError):
         photon_flux(1.0, -1.0)
+    for power, wavelength in ((1e308, 1e308), (1e-308, 1e-308)):
+        with pytest.raises(FloatRangeError, match="flux: photon rate"):
+            photon_flux(power, wavelength)
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])  # None: verify's own seed
@@ -1085,8 +1093,16 @@ def test_trace_check_fails_on_a_biased_sampler_variance(monkeypatch):
 def test_cli_flux(capsys):
     code = cli.main(["flux", "--power", "9.6e-3", "--wavelength", "895e-9"])
     assert code == 0
-    out = capsys.readouterr().out.strip()
-    assert float(out) == pytest.approx(4.325e16, rel=1e-3)
+    assert capsys.readouterr().out == "4.3253129548326960e+16\n"
+
+
+@pytest.mark.parametrize("value", ["1e308", "1e-308"], ids=["overflow", "underflow"])
+def test_cli_flux_out_of_float_range(capsys, value):
+    code = cli.main(["flux", "--power", value, "--wavelength", value])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "numerical failure: FloatRangeError: flux: photon rate" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_flux_rejects_nonpositive(capsys):
