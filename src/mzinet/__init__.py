@@ -49,13 +49,7 @@ from .optimize import (
     optimize_squeezing,
     scan,
 )
-from .fock import (
-    FockStateVector,
-    mode_moments,
-    multinomial_split,
-    oracle_sensitivity,
-    squeezed_vacuum_fock,
-)
+from .fock import oracle_sensitivity
 from .tracelab import (
     TraceParams,
     TraceSet,

@@ -84,6 +84,7 @@ def varq_from_ns(n_s):
         # arithmetic, without a warning
         with np.errstate(over="ignore"):
             return 1.0 / (1.0 + 2.0 * n_s + 2.0 * np.sqrt(n_s + n_s * n_s))
+    n_s = float(n_s)  # a numpy scalar overflows as the float does, silently
     if n_s < 0:
         raise ValueError("n_s must be >= 0")
     return 1.0 / (1.0 + 2.0 * n_s + 2.0 * math.sqrt(n_s + n_s * n_s))

@@ -46,9 +46,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import laws, optimize, tracelab
-from .errors import AnalysisError, ConfigError, FloatRangeError, MzinetError, ScenarioParseError
-from .fock import ORACLE_MAX_D, ORACLE_MAX_R, oracle_sensitivity
+from . import fock, laws, optimize, tracelab
+from .errors import (AnalysisError, ConfigError, FloatRangeError, MzinetError, ResourceLimitError,
+                     ScenarioParseError)
+from .fock import oracle_sensitivity
 from .network import (
     NetworkConfig,
     _check_squeezing,
@@ -328,9 +329,11 @@ def _scenario_from_doc(doc: dict) -> Scenario:
             if network.get(name) not in (None, "ave"):
                 raise ConfigError(name, f"no point of a {axis} scan reads it")
         optimize._check_grid(axis, grid)
-        if "oracle" in engines and (cfg.d > ORACLE_MAX_D or cfg.r > ORACLE_MAX_R):
-            raise ConfigError("engines", f"the oracle refuses d > {ORACLE_MAX_D} "
-                                         f"and r > {ORACLE_MAX_R}")
+        if "oracle" in engines:
+            try:
+                fock._cutoff(cfg.d, cfg.r)
+            except ResourceLimitError as exc:
+                raise ConfigError("engines", str(exc)) from exc
         if "trace" in engines and not scenario.trace:
             raise ConfigError("trace", "trace engine needs a trace block")
         scenario.scans.append(ScanSpec(scan["label"] or axis, axis, grid, engines,

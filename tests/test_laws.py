@@ -134,7 +134,10 @@ def test_variance_vs_ns_array_reads_the_float_range_edge_as_the_scalar_does():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = laws.varq_from_ns(grid)
+        # a numpy scalar reads as its float
+        scalars = [laws.varq_from_ns(np.float64(x)) for x in grid[:-1]]
     assert values.tobytes() == np.array([laws.varq_from_ns(float(x)) for x in grid]).tobytes()
+    assert np.array(scalars).tobytes() == values[:-1].tobytes()
     assert values[-1] == 0.0
 
 

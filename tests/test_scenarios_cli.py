@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -186,6 +187,50 @@ def test_run_scenario_oracle_engine_column(tmp_path):
         assert row["status"] == "ok"
         oracle = float(row["variance_oracle"])
         assert oracle == pytest.approx(float(row["variance_numeric"]), rel=1e-6)
+
+
+def test_cli_oracle_scan_of_an_empty_node_warns_nothing(tmp_path):
+    # the 'single' pattern puts no photon on its unweighted node (P_j = 0)
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["network"].update(d=2, r=0.2, n_c=0.5, weights="single")
+    doc["scans"] = [{"label": "empty", "axis": "eta_dis", "grid": [0.9, 1.0],
+                     "engines": ["numeric", "oracle"]}]
+    path = _write_scenario(tmp_path, doc)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "mzinet.cli", "scan", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+    _, rows = _read_csv(Path(run.stdout.split()[0]))
+    for row in rows:
+        assert row["status"] == "ok"
+        assert float(row["variance_oracle"]) == pytest.approx(
+            float(row["variance_numeric"]), rel=1e-6)
+
+
+def test_oracle_scan_of_six_nodes(tmp_path):
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["network"].update(d=6, r=0.3, n_c=0.6)
+    doc["scans"] = [{"label": "six", "axis": "eta_dis", "grid": [0.9, 1.0],
+                     "engines": ["numeric", "oracle"]}]
+    (csv_path,) = run_scenario(_write_scenario(tmp_path, doc), tmp_path / "out")
+    _, rows = _read_csv(csv_path)
+    assert len(rows) == 2
+    for row in rows:
+        assert row["status"] == "ok"
+        assert float(row["variance_oracle"]) == pytest.approx(
+            float(row["variance_numeric"]), rel=1e-6)
+
+
+def test_cli_rejects_an_oracle_network_past_the_size_guard(tmp_path, capsys):
+    # r = 0.4 fits the oracle, but seven nodes would hold 1.1e7 entries
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["network"].update(d=7, r=0.4)
+    doc["scans"][0]["engines"] = ["analytic", "oracle"]
+    _assert_rejected_at_load(tmp_path, capsys, doc, "engines")
 
 
 TRACE_BLOCK = {
