@@ -330,10 +330,7 @@ def _scenario_from_doc(doc: dict) -> Scenario:
                 raise ConfigError(name, f"no point of a {axis} scan reads it")
         optimize._check_grid(axis, grid)
         if "oracle" in engines:
-            try:
-                fock._cutoff(cfg.d, cfg.r)
-            except ResourceLimitError as exc:
-                raise ConfigError("engines", str(exc)) from exc
+            _check_oracle_points(scan["label"] or axis, axis, grid, cfg)
         if "trace" in engines and not scenario.trace:
             raise ConfigError("trace", "trace engine needs a trace block")
         scenario.scans.append(ScanSpec(scan["label"] or axis, axis, grid, engines,
@@ -343,6 +340,24 @@ def _scenario_from_doc(doc: dict) -> Scenario:
     if scenario.trace:
         _trace_block(scenario.trace)
     return scenario
+
+
+def _check_oracle_points(label, axis, grid, base: NetworkConfig):
+    """The oracle's size rule (`fock._cutoff`) on the operating point of each
+    grid value (`optimize._config_for_point`), in grid order: the first
+    point past it raises ConfigError("engines") naming the scan and the
+    value.  A point whose operating point cannot be built is left to its
+    row's status."""
+    for value in grid:
+        try:
+            cfg, _ = optimize._config_for_point(axis, value, base)
+        except MzinetError:
+            continue
+        try:
+            fock._cutoff(cfg.d, cfg.r)
+        except ResourceLimitError as exc:
+            raise ConfigError("engines", f"scan {label!r} at {axis} = {value!r}: "
+                                         f"{exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,11 @@ n_cycles is the samples' whole cycles.  A run is made and read by two
 rules.  The fill rule (`_cycle_filler`) writes any span [a, b) of one
 cycle k: each channel's Philox stream draws its next b - a normals into its
 row, the calling thread drawing one share of the rows and each of the
-run's min(d, cores) - 1 helper threads another, one hand-off per helper
-(each row depends only on its own stream, so the bytes do not depend on
-the thread count), the noise factor mixes the rows in place by column
-blocks, and the drive is added over the span's overlap with the cycle's
-gate span.
+run's min(d, cores) - 1 plain helper threads another, one queued task per
+helper (each row depends only on its own stream, so the bytes do not
+depend on the thread count), the noise factor mixes the rows in place by
+column blocks, and the drive is added over the span's overlap with the
+cycle's gate span.
 `synthesize` applies it to each whole cycle of its d x n output and
 allocates nothing else of that size.  The reading rule (`_read_pieces`)
 walks a run's pieces in time order: each gated or idle span's blocks of
@@ -31,11 +31,13 @@ the gated and over the idle segments of the run as in a Welch periodogram
 block at a time in channel order and reads its bins by einsum, so it runs
 no BLAS and its bits depend neither on the BLAS kernel or thread count nor
 on the blocks; it never builds the series: besides the samples it
-allocates about one block and one band power per segment.
+allocates about one block (at most `_ANALYSIS_BLOCK` = 16 384 samples) and
+one band power per segment.
 `joint_noise_analysis` reads the pieces as views of its traces, and
 `synthesize_and_analyse` fills each piece into one reused buffer of one
 analysis block and reads it before drawing the next, so it returns the
-analysis of the synthesized run, bit for bit, holding one block of samples.
+analysis of the synthesized run, bit for bit, holding one block of samples
+(0.5 MB at d = 4, inside a 2 MiB L2 cache).
 The joint noise is white with variance w^T Gamma w (w_j = nu_j / C_jj),
 which is the engine's `sensitivity_numeric`, and the segments are disjoint,
 so each window's summed bin power, with the gated tone's share of it, is a
@@ -79,7 +81,9 @@ import functools
 import json
 import math
 import os
+import queue
 import struct
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -130,8 +134,10 @@ SINE_POWER_FACTOR = 3.0
 _MIX_BLOCK = 8192
 
 # joint samples per analysis block, rounded down to whole segments: the
-# samples `synthesize_and_analyse` holds per channel
-_ANALYSIS_BLOCK = 1 << 16
+# samples `synthesize_and_analyse` holds per channel (16 200 at verify's
+# timing, 0.5 MB at d = 4; the smallest power of two from 2^12 whose
+# verify --full ran no slower than with 2^16)
+_ANALYSIS_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -230,19 +236,37 @@ def _n_samples(params: TraceParams) -> int:
 
 @contextmanager
 def _draw_pool(d: int):
-    """The helper threads of one run's draws: yields (pool, helpers), with
-    helpers = min(d, cpu count) - 1 threads, none (and no pool) at d = 1 or
-    on one CPU, since the calling thread draws a share itself
-    (`_draw_rows`).  `concurrent.futures` is imported here, so
-    `import mzinet` does not load it."""
-    helpers = min(d, os.cpu_count() or 1) - 1
-    if not helpers:
-        yield None, 0
-        return
-    from concurrent.futures import ThreadPoolExecutor
+    """The helper threads of one run's draws: yields one (tasks, replies)
+    pair of queues per helper, min(d, cpu count) - 1 plain threads, none at
+    d = 1 or on one CPU, since the calling thread draws a share itself
+    (`_draw_rows`).  Each helper draws the tasks it takes until it takes
+    None, which it is sent when the run ends; the run then joins it."""
+    pool = [(queue.SimpleQueue(), queue.SimpleQueue())
+            for _ in range(min(d, os.cpu_count() or 1) - 1)]
+    started = []
+    try:
+        for pair in pool:
+            helper = threading.Thread(target=_draw_helper, args=pair, daemon=True)
+            helper.start()
+            started.append(helper)
+        yield pool
+    finally:
+        for tasks, _ in pool:
+            tasks.put(None)
+        for helper in started:
+            helper.join()
 
-    with ThreadPoolExecutor(helpers) as pool:
-        yield pool, helpers
+
+def _draw_helper(tasks, replies):
+    """Draw each (rngs, rows) task of `tasks` until None, replying with the
+    task's error or None."""
+    for rngs, rows in iter(tasks.get, None):
+        try:
+            _draw_share(rngs, rows)
+        except BaseException as exc:  # handed to the run's thread, which raises it
+            replies.put(exc)
+        else:
+            replies.put(None)
 
 
 def _draw_share(rngs, rows):
@@ -251,22 +275,21 @@ def _draw_share(rngs, rows):
 
 
 def _draw_rows(rngs, samples: np.ndarray, pool):
-    """Fill row j of `samples` with standard normals from rngs[j].  With
-    (pool, helpers) from `_draw_pool` and w = helpers + 1, helper i draws
-    rows i::w as one task and the calling thread draws rows 0::w, so a call
-    costs one hand-off per helper, not one per row.
+    """Fill row j of `samples` with standard normals from rngs[j].  With the
+    helpers' queues `pool` from `_draw_pool` and w = helpers + 1, helper i
+    draws rows i::w as one task and the calling thread draws rows 0::w, so a
+    call costs one hand-off per helper, not one per row.
     `standard_normal(out=...)` releases the GIL while it fills a row, and
     each stream writes only its own row, so the bytes do not depend on the
     thread count.  A row's error is raised here, after every helper has
-    finished."""
-    pool, helpers = pool
-    w = helpers + 1
-    tasks = [pool.submit(_draw_share, rngs[i::w], samples[i::w])
-             for i in range(1, w)]
+    finished, the helpers' in helper order."""
+    w = len(pool) + 1
+    for i, (tasks, _) in enumerate(pool, 1):
+        tasks.put((rngs[i::w], samples[i::w]))
     try:
         _draw_share(rngs[::w], samples[::w])
     finally:
-        errors = [task.exception() for task in tasks]  # waits for each helper
+        errors = [replies.get() for _, replies in pool]  # waits for each helper
     for error in filter(None, errors):
         raise error
 
@@ -544,9 +567,10 @@ def joint_noise_analysis(traces: TraceSet, config: NetworkConfig,
     windows, one block of whole segments of the traces at a time
     (`_read_pieces`, which reads each piece as a view of the traces): y is
     accumulated in channel order and its bins read by einsum, without BLAS,
-    so the bits depend neither on a BLAS kernel nor on its thread count.
-    Besides the traces, the call allocates about one block of y
-    (`_ANALYSIS_BLOCK` samples) and one band power per segment.
+    so the bits depend neither on a BLAS kernel nor on its thread count,
+    nor on the block size.  Besides the traces, the call allocates about one
+    block of y (at most `_ANALYSIS_BLOCK` samples, 131 kB) and one band power
+    per segment.
     The idle noise is referenced to the ideal shot-noise run with the
     traces' timing (`_reference_power`), whose idle power is drawn as one
     window sum from a seed derived from the traces' seed.
@@ -568,8 +592,10 @@ def synthesize_and_analyse(config: NetworkConfig, delta_thetas,
     unread tail) is filled in turn into one reused (d, w) buffer by the fill
     rule (`_cycle_filler`) and read before the next is drawn.  w is one
     analysis block, `_segments_per_block(length) * length` samples (at most
-    `_ANALYSIS_BLOCK` when a segment fits in it), or the cycle if shorter,
-    so the call holds one block of samples, not a cycle or the run."""
+    `_ANALYSIS_BLOCK` when a segment fits in it; 16 200 at verify's timing,
+    0.5 MB at d = 4), or the cycle if shorter, so the call holds one block
+    of samples, not a cycle or the run.  The run's draw helpers
+    (`_draw_pool`) are started once and joined before it returns."""
     with _draw_pool(config.d) as pool:
         fill = _cycle_filler(config, delta_thetas, params, seed, pool)
         weights = _joint_weights(config)

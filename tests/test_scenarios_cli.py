@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -231,6 +232,55 @@ def test_cli_rejects_an_oracle_network_past_the_size_guard(tmp_path, capsys):
     doc["network"].update(d=7, r=0.4)
     doc["scans"][0]["engines"] = ["analytic", "oracle"]
     _assert_rejected_at_load(tmp_path, capsys, doc, "engines")
+
+
+def _fig4_points():
+    """fig4's document, and its n_T grid values with the r of each one's
+    optimal operating point."""
+    doc = json.loads(bundled_scenario_path("fig4").read_text())
+    scenario = load_scenario(bundled_scenario_path("fig4"))
+    base = scenario.base_config()
+    return doc, [(value, optimize._config_for_point("n_T", value, base)[0].r)
+                 for value in scenario.scans[0].grid]
+
+
+def test_oracle_scan_of_fig4_low_intensity_points(tmp_path):
+    # the base network squeezes by r = 0.75, past the oracle's rule, but an
+    # n_T point reads only its own optimal r: the 17 points with r <= 0.4 load
+    doc, points = _fig4_points()
+    low = [value for value, r in points if r <= 0.4]
+    assert len(low) == 17 and doc["network"]["r"] > 0.4
+    doc["scans"] = [{"label": "low", "axis": "n_T", "grid": low,
+                     "engines": ["analytic", "numeric", "oracle"]}]
+    (csv_path,) = run_scenario(_write_scenario(tmp_path, doc), tmp_path / "out")
+    _, rows = _read_csv(csv_path)
+    assert len(rows) == 17
+    for row in rows:
+        assert row["status"] == "ok"
+        assert float(row["variance_oracle"]) == pytest.approx(
+            float(row["variance_numeric"]), rel=1e-6)
+
+
+def test_the_full_fig4_grid_with_the_oracle_is_refused_at_its_first_point_past_the_rule(
+        tmp_path, capsys):
+    doc, points = _fig4_points()
+    first = next(value for value, r in points if r > 0.4)
+    doc["scans"][0]["engines"].append("oracle")
+    _assert_rejected_at_load(tmp_path, capsys, doc, "engines")
+    with pytest.raises(ConfigError, match=re.escape(f"scan 'optimized' at n_T = {first!r}: "
+                                                    "oracle limited to r <= 0.4")):
+        load_scenario(_write_scenario(tmp_path, doc))
+
+
+def test_an_oracle_d_scan_past_the_size_rule_is_refused_at_load(tmp_path, capsys):
+    # r = 0.4 fits the oracle up to d = 6; the base network has d = 3
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["network"]["r"] = 0.4
+    doc["scans"] = [{"label": "nodes", "axis": "d", "grid": [2, 6, 7],
+                     "engines": ["analytic", "oracle"]}]
+    _assert_rejected_at_load(tmp_path, capsys, doc, "engines")
+    with pytest.raises(ConfigError, match="scan 'nodes' at d = 7: split state of d = 7"):
+        load_scenario(_write_scenario(tmp_path, doc))
 
 
 TRACE_BLOCK = {

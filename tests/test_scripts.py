@@ -63,11 +63,20 @@ def test_engine_scaling_default_sizes_start_at_small_d(tmp_path):
 def test_verify_timing_reports_each_check(tmp_path):
     result = _run_script("verify_timing.py", 1, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
-    assert lines[0].split() == ["check", "min_ms", "median_ms"]
-    rows = [line.rsplit(None, 2) for line in lines[1:]]
+    timing, memory = (table.splitlines() for table in result.stdout.split("\n\n"))
+    assert timing[0].split() == ["check", "min_ms", "median_ms"]
+    rows = [line.rsplit(None, 2) for line in timing[1:]]
     assert [name for name, _, _ in rows] == [name for name, *_ in _CHECKS] + ["total"]
     assert all(float(low) <= float(mid) for _, low, mid in rows)
+    # the cold run's resident and peak MB before the first check and after
+    # each; the peak never falls
+    assert memory[0].split() == ["cold", "run", "rss_mb", "peak_mb"]
+    rows = [line.rsplit(None, 2) for line in memory[1:]]
+    assert [name for name, _, _ in rows] == ["start"] + [name for name, *_ in _CHECKS]
+    peaks = [float(peak) for _, _, peak in rows]
+    assert peaks == sorted(peaks) and peaks[0] > 0
+    if os.path.exists("/proc/self/statm"):
+        assert all(float(rss) > 0 for _, rss, _ in rows)
 
 
 def test_figure_diff_names_an_edited_cell(tmp_path):

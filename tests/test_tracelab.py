@@ -284,17 +284,64 @@ def test_synthesize_bytes_do_not_depend_on_the_thread_count(d, cpus, monkeypatch
 
 
 def test_a_failed_row_draw_is_raised(monkeypatch):
-    # two CPUs: one helper draws row 1 and the calling thread rows 0 and 2
+    # two CPUs: one helper draws row 1 and the calling thread rows 0 and 2;
+    # three CPUs: two helpers draw rows 1 and 2 and the calling thread row 0
     class Broken:
         def standard_normal(self, out):
             raise MemoryError("row")
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    for broken in (1, 2):
-        rngs = [np.random.default_rng(j) for j in range(3)]
-        rngs[broken] = Broken()
-        with tracelab._draw_pool(3) as pool, pytest.raises(MemoryError, match="row"):
-            tracelab._draw_rows(rngs, np.empty((3, 16)), pool)
+    threads = threading.active_count()
+    for cpus in (2, 3):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        for broken in (0, 1, 2):
+            rngs = [np.random.default_rng(j) for j in range(3)]
+            rngs[broken] = Broken()
+            with tracelab._draw_pool(3) as pool, pytest.raises(MemoryError, match="row"):
+                assert len(pool) == cpus - 1
+                tracelab._draw_rows(rngs, np.empty((3, 16)), pool)
+            # the run's helpers are joined when it ends, an error or not
+            assert threading.active_count() == threads, (cpus, broken)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_run_joins_its_draw_helpers(cpus, monkeypatch):
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    cfg = _lossy_config(4)
+    threads = threading.active_count()
+    for run in (synthesize, tracelab.synthesize_and_analyse):
+        del started[:]
+        run(cfg, 0.0, FAST, seed=3)
+        # min(d, cpus) - 1 helpers for the whole run, none left after it
+        assert len(started) == cpus - 1, run
+        assert not any(helper.is_alive() for helper in started), run
+        assert threading.active_count() == threads, run
+
+
+_VERIFY_IMPORTS = """
+import sys
+from mzinet.scenarios import verify
+
+assert verify("full").ok
+print("concurrent.futures" in sys.modules)
+"""
+
+
+def test_verify_full_runs_without_concurrent_futures():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _VERIFY_IMPORTS], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-3])
@@ -441,7 +488,7 @@ def _spans_in_reading_order(params):
 
 def test_block_powers_equal_one_product_per_span(monkeypatch):
     # at verify's timing each span's bins read in one call equal those read
-    # in blocks of 327 segments: a bin's sum does not depend on the segments
+    # in blocks of 81 segments: a bin's sum does not depend on the segments
     # read with it
     series = np.random.default_rng(0).standard_normal(tracelab._n_samples(VERIFY))
     read = []
@@ -566,11 +613,24 @@ def test_synthesize_and_analyse_holds_one_cycle(peak_bytes):
 ], ids=["verify", "default_timing"])
 def test_synthesize_and_analyse_holds_one_analysis_block(d, params, bound, peak_bytes):
     # one cycle is 5.12 MB at verify's timing and 64 MB at the default
-    # timing; one analysis block of 65 400 samples per channel is 2.09 MB at
+    # timing; one analysis block of 16 200 samples per channel is 0.52 MB at
     # d = 4
     cfg = _lossy_config(d)
     assert peak_bytes(lambda: tracelab.synthesize_and_analyse(
         cfg, 0.0, params, seed=3)) < bound
+
+
+def test_the_analysis_does_not_depend_on_the_block_size(monkeypatch):
+    # verify's trace check (d = 4): 1.28 M samples per channel, read in
+    # blocks of 20, 81 and 327 segments of 200 samples
+    cfg = _lossy_config(4)
+    traces = synthesize(cfg, 0.0, VERIFY, seed=3)
+    results = set()
+    for block in (1 << 12, 1 << 14, 1 << 16):
+        monkeypatch.setattr(tracelab, "_ANALYSIS_BLOCK", block)
+        results.add(repr(tracelab.synthesize_and_analyse(cfg, 0.0, VERIFY, seed=3)))
+        results.add(repr(joint_noise_analysis(traces, cfg)))
+    assert len(results) == 1, results
 
 
 @pytest.mark.parametrize("d", [1, 4, 6])
