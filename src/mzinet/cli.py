@@ -78,9 +78,7 @@ def _cmd_sensitivity(args):
         # d squeezers: their photons add to the budget, the strongest bounds
         variance = sensitivity_separable(cfg, rs)
         n_T, r = cfg.n_c + sum(math.sinh(x) ** 2 for x in rs), max(rs)
-    nu = cfg.weights
-    report = optimize._point_report(variance, n_T, cfg.n_c, r, cfg.Lambda,
-                                    cfg.enhancement, laws.weight_sum(nu))
+    report = optimize._point_report(cfg, variance, n_T, r)
     # the shared-resource advantage over per-node-optimized sensors is
     # realized in the Heisenberg window and collapses to 1 elsewhere
     gain_regime = "low" if report["regime"] == laws.REGIME_HL else "high"
@@ -90,7 +88,7 @@ def _cmd_sensitivity(args):
         "db_vs_sql": report["db_below_sql"],
         "regime": report["regime"],
         "qcrb_rad2": report["variance_qcrb"],
-        "gain_vs_separable": laws.gain(nu, gain_regime),
+        "gain_vs_separable": laws.gain(cfg.weights, gain_regime),
     }, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -308,6 +308,11 @@ def _interfere(rows, c, s):
     rows += 0.0
 
 
+def _response_scale(config: NetworkConfig) -> float:
+    """sqrt(eta) * g, the working-point response of a unit amplitude."""
+    return math.sqrt(config.eta_total) * config.signal_gain
+
+
 def response(config: NetworkConfig) -> np.ndarray:
     """Responses C_jj = sqrt(eta) * g * |alpha_j| cos(phi_j) cos(g theta_j / 2),
     one per channel: the diagonal of the response matrix C, which has no
@@ -316,10 +321,10 @@ def response(config: NetworkConfig) -> np.ndarray:
     This is the exact derivative of the engine's measured means with respect
     to theta_j (cross-validated against finite differences in the tests).
     """
-    root_eta = math.sqrt(config.eta_total)
+    scale = _response_scale(config)
     gain = config.signal_gain
     return np.array([
-        root_eta * gain * mag * math.cos(phi) * math.cos(gain * theta / 2.0)
+        scale * mag * math.cos(phi) * math.cos(gain * theta / 2.0)
         for (mag, phi), theta in zip(config.alphas, config.thetas)
     ])
 
@@ -338,23 +343,19 @@ def noise_matrix(config: NetworkConfig) -> np.ndarray:
     return g._identity_plus(state.U[:2 * config.d:2], state.s)
 
 
-def active_channels(config: NetworkConfig, response, nu) -> np.ndarray:
+def active_channels(config: NetworkConfig, response) -> np.ndarray:
     """Keep mask of the channels a variance inverts, from the responses C_jj.
 
     The one dark-channel rule of every engine: a channel is dark when
     |C_jj| <= DARK_THRESHOLD times the theta = 0 response of the brightest
     channel, so a fully dark channel is caught even when d = 1.  Dark
-    channels with zero weight are dropped; a weighted dark channel raises
-    DarkResponseError."""
-    full_response = (
-        math.sqrt(config.eta_total)
-        * config.signal_gain
-        * max(mag for mag, _ in config.alphas)
-    )
+    channels with zero weight in `config.weights` are dropped; a weighted
+    dark channel raises DarkResponseError."""
+    full_response = _response_scale(config) * max(mag for mag, _ in config.alphas)
     scale = full_response if full_response > 0 else 1.0
     dark = np.abs(response) <= DARK_THRESHOLD * scale
     if dark.any():
-        bad = np.flatnonzero(dark & (np.asarray(nu, dtype=float) != 0))
+        bad = np.flatnonzero(dark & (np.asarray(config.weights, dtype=float) != 0))
         if bad.size:
             raise DarkResponseError(bad.tolist())
     return ~dark
@@ -365,10 +366,9 @@ def _kept_weights(config: NetworkConfig):
     weights x_j = nu_j / C_jj over the kept channels, the one rule of the
     engine's and the oracle's variance and of the trace estimator; a
     weighted dark channel raises DarkResponseError."""
-    nu = np.asarray(config.weights, dtype=float)
     c_diag = response(config)
-    keep = active_channels(config, c_diag, nu)
-    return nu[keep] / c_diag[keep], keep
+    keep = active_channels(config, c_diag)
+    return np.asarray(config.weights, dtype=float)[keep] / c_diag[keep], keep
 
 
 def sensitivity_numeric(config: NetworkConfig) -> float:
@@ -414,8 +414,7 @@ def _significant(variance: float, scale: float, n: int) -> float:
 def _working_point_response(config: NetworkConfig) -> np.ndarray:
     """|C_jj| at theta = 0 and phi_j in {0, pi}, the operating point of the
     closed forms: sqrt(eta) * g * |alpha_j|."""
-    mags = np.array([mag for mag, _ in config.alphas])
-    return math.sqrt(config.eta_total) * config.signal_gain * mags
+    return _response_scale(config) * np.array([mag for mag, _ in config.alphas])
 
 
 def sensitivity_separable(config: NetworkConfig, rs) -> float:
@@ -428,7 +427,7 @@ def sensitivity_separable(config: NetworkConfig, rs) -> float:
     enhancement; its shared r and split P play no part.
     """
     nu = np.asarray(config.weights, dtype=float)
-    active_channels(config, _working_point_response(config), nu)
+    active_channels(config, _working_point_response(config))
     total = 0.0
     for j in range(config.d):
         if nu[j] == 0.0:
@@ -454,7 +453,7 @@ def closed_form_variance(config: NetworkConfig) -> float:
     nu = np.asarray(config.weights, dtype=float)
     if any(abs(t) > 1e-12 for t in config.thetas):
         raise ConfigError("thetas", "closed form is valid at theta = 0 only")
-    active_channels(config, _working_point_response(config), nu)
+    active_channels(config, _working_point_response(config))
     varq = math.exp(-2.0 * config.r)
     cross = 0.0
     direct = 0.0

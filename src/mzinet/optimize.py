@@ -170,13 +170,14 @@ def _config_for_point(axis, value, base: NetworkConfig):
     return configure_optimal(**inputs), n_s_opt
 
 
-def _point_report(variance, n_total, n_c, r, Lambda, K, scale) -> dict:
-    """The laws' report on one operating point, keyed by ScanRow field: the
-    QCRB, the SQL of a budget of n_total photons, the dB of `variance`
-    below it, and the regime with its three branches.  `variance` is the
-    network's variance, or None for the closed form `optimized_variance`,
-    which the report then holds too.  The laws are per unit weight sum, and
-    each value is scaled here, once, by scale**2 = (sum|nu|)^2."""
+def _point_report(cfg, variance, n_total, r) -> dict:
+    """The laws' report on `cfg` at squeezing r, keyed by ScanRow field: the
+    QCRB, the SQL of a budget of n_total photons, the dB of `variance` below
+    it, and the regime with its three branches.  `variance` is the network's
+    variance, or None for the closed form `optimized_variance`, which the
+    report then holds too.  The laws are per unit weight sum, and each
+    value is scaled here, once, by (sum|nu|)^2."""
+    scale = laws.weight_sum(cfg.weights)
     try:
         factor = scale**2
     except OverflowError:
@@ -185,14 +186,14 @@ def _point_report(variance, n_total, n_c, r, Lambda, K, scale) -> dict:
     report = {}
     if variance is None:
         variance = report["variance_closed_form"] = laws.optimized_variance(
-            n_c, r, Lambda=Lambda, K=K) * factor
-    report["variance_qcrb"] = laws.qcrb(n_c, r, K=K) * factor
+            cfg.n_c, r, Lambda=cfg.Lambda, K=cfg.enhancement) * factor
+    report["variance_qcrb"] = laws.qcrb(cfg.n_c, r, K=cfg.enhancement) * factor
     report["sql"] = laws.sql_variance(n_total, K=1.0) * factor
     ratio = report["sql"] / variance if variance else math.inf  # 0: out of range too
     if not 0.0 < ratio < math.inf:
         raise FloatRangeError(f"db_below_sql: sql {report['sql']!r} / variance {variance!r}")
     report["db_below_sql"] = 10.0 * math.log10(ratio)
-    limits = laws.regime_limits(n_total, Lambda, K=K)
+    limits = laws.regime_limits(n_total, cfg.Lambda, K=cfg.enhancement)
     report.update(regime=limits.active, branch_low=limits.low_n * factor,
                   branch_heisenberg=limits.heisenberg * factor,
                   branch_floor=limits.loss_floor * factor)
@@ -208,9 +209,7 @@ def _evaluate_point(axis, value, base, engines):
             # on the n_T axis the budget is the grid value itself; n_c + n_s
             # is (n_T - n_s) + n_s, which rounds with the split
             n_total = float(value) if axis == "n_T" else cfg.n_T
-            vars(row).update(_point_report(
-                None, n_total, cfg.n_c, cfg.r, cfg.Lambda, cfg.enhancement,
-                laws.weight_sum(cfg.weights)))
+            vars(row).update(_point_report(cfg, None, n_total, cfg.r))
         if "numeric" in engines:
             row.variance_numeric = sensitivity_numeric(cfg)
         if "oracle" in engines:

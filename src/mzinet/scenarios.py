@@ -283,16 +283,18 @@ def _expand_grid(grid):
     start, stop, num = fields["start"], fields["stop"], fields["num"]
     if fields["spacing"] == "log":
         for name in ("start", "stop"):
-            if fields[name] <= 0:
-                raise ConfigError(name, f"log grid needs a value > 0, got {fields[name]!r}")
-        values = np.logspace(math.log10(start), math.log10(stop), num)
+            if not 0 < fields[name] <= 1e308:  # 10.0 ** log10(x) overflows near float max
+                raise ConfigError(name, f"log grid needs 0 < value <= 1e308, got {fields[name]!r}")
+        exponents = np.linspace(math.log10(start), math.log10(stop), num).tolist()
+        values = [10.0 ** x for x in exponents]
     else:
-        values = np.linspace(start, stop, num)
+        values = np.linspace(start, stop, num).tolist()
     # round off last-digit noise, unless that moves a point by more than
-    # 1e-9 relative (values below 1e-12 would collapse to 0)
-    rounded = np.round(values, 12)
-    values = np.where(abs(rounded - values) <= 1e-9 * abs(values), rounded, values)
-    return sorted([*values.tolist(), *fields["include"]])
+    # 1e-9 relative (values below 1e-12 would collapse to 0); Python's pow
+    # and round are correctly rounded on every CPU, numpy's loops are not
+    rounded = [round(x, 12) for x in values]
+    values = [y if abs(y - x) <= 1e-9 * abs(x) else x for x, y in zip(values, rounded)]
+    return sorted([*values, *fields["include"]])
 
 
 def load_scenario(path) -> Scenario:

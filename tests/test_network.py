@@ -436,12 +436,17 @@ def test_one_dark_channel_rule_for_every_engine():
         with pytest.raises(DarkResponseError) as err:
             engine(cfg)
         assert err.value.channels == (1,)
+    # separable sensors are read at their working point, where channel 1 answers
+    assert sensitivity_separable(cfg, (0.3, 0.3)) == pytest.approx(
+        0.25 * 2 * (math.exp(-0.6) + cfg.Lambda) / 0.64, rel=1e-12)
 
 
 def test_unweighted_dark_channel_is_dropped_by_every_engine():
     cfg = _dim_channel_config((1.0, 0.0))
     assert oracle_sensitivity(cfg) == pytest.approx(sensitivity_numeric(cfg),
                                                     rel=1e-6)
+    assert sensitivity_separable(cfg, (0.3, 0.3)) == pytest.approx(
+        (math.exp(-0.6) + cfg.Lambda) / 0.64, rel=1e-12)
     result = simulate_joint_noise(cfg, sensitivity_numeric(cfg), 0.0, DIM_TRACE,
                                   seed=1)
     assert math.isfinite(result.db_below_sql)

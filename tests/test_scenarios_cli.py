@@ -381,6 +381,15 @@ def test_expand_grid_keeps_points_below_the_rounding_quantum():
         0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 
 
+def test_log_grid_points_are_correctly_rounded():
+    # fig3a's grid: 10^16.75 and the stop 10^17 are each one ulp off when
+    # taken from numpy's AVX-512 power loop or its 12-decimal round
+    grid = {"start": 1e15, "stop": 1e17, "num": 9, "spacing": "log"}
+    with mpmath.workdps(60):
+        expected = [float(mpmath.mpf(10) ** x) for x in np.linspace(15, 17, 9).tolist()]
+    assert scenarios._expand_grid(grid) == expected
+
+
 @pytest.mark.parametrize("network, axis, grid", [
     ({"K": 2.7}, "K", [1, 5]),
     ({}, "K", [1, 2.7]),
@@ -449,6 +458,8 @@ NAN, INF = float("nan"), float("inf")
                                            "spacing": "log"}}, None),
     ("stop", {}, {"axis": "n_T", "grid": {"start": 1e2, "stop": -1e4, "num": 3,
                                           "spacing": "log"}}, None),
+    ("stop", {}, {"axis": "n_T", "grid": {"start": 1e2, "stop": 1.7976931348623157e308,
+                                          "num": 3, "spacing": "log"}}, None),
     ("topology", {"topology": "separable"}, None, None),
     ("rbw", {}, None, {"rbw": 0}),
     ("rbw", {}, None, {"rbw": -1e5}),
@@ -511,6 +522,7 @@ NAN, INF = float("nan"), float("inf")
         "weights_string", "P_without_alphas", "alphas_without_P",
         "alphas_string", "thetas_string", "range_start_string",
         "range_include_string", "log_range_start_zero", "log_range_stop_negative",
+        "log_range_stop_float_max",
         "network_topology_separable", "trace_rbw_zero", "trace_rbw_negative",
         "trace_rbw_above_quarter_rate", "grid_n_c_repeat", "grid_K_repeat",
         "grid_weights_repeat", "trace_rbw_segment_fits_no_span",
@@ -924,6 +936,29 @@ def test_every_bundled_figure_runs_quickly(tmp_path):
     assert digests == expected, (
         "figure outputs moved; new digests:\n"
         + json.dumps(digests, indent=2, sort_keys=True))
+
+
+def test_bundled_figures_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
+    """The seven figures reproduced with numpy's dispatched SIMD loops
+    switched off (NPY_DISABLE_CPU_FEATURES, numpy >= 2) hash to the same
+    fingerprint as the committed one."""
+    from numpy._core import _multiarray_umath as umath
+
+    targets = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    if not targets:
+        pytest.skip("numpy dispatches to no CPU feature beyond its baseline here")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = ("import sys\nfrom mzinet.scenarios import FIGURES, reproduce\n"
+              "for figure in FIGURES:\n    reproduce(figure, f'{sys.argv[1]}/{figure}')")
+    run = subprocess.run([sys.executable, "-W", "error", "-c", script, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert (run.returncode, run.stderr) == (0, "")
+    digests = {}
+    for path in sorted(tmp_path.glob("*/*")):
+        digests.update(_figure_digests(path))
+    assert digests == json.loads(FINGERPRINT.read_text())
 
 
 # worst errors over the 340 rows when these bounds were set: closed form
