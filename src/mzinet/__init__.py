@@ -43,7 +43,6 @@ from .network import (
     weight_pattern,
 )
 from .optimize import (
-    Allocation,
     configure_optimal,
     optimal_allocation,
     optimize_squeezing,

@@ -9,6 +9,9 @@ Conventions used throughout:
   this equals the pass count, so callers can pass K directly.
 * A divisor K n that underflows to 0 gives inf, the float range's edge,
   not a ZeroDivisionError (`_divide`); the caller's range guard reports it.
+* The split laws `varq_from_ns` and `variance_vs_ns` take n_s as a number
+  or an array by one path: one float64 conversion, one numpy expression.
+  A number in gives a float out, an array in gives the array out.
 * Every variance law is per unit weight sum: for the weights nu of the
   estimated combination nu . theta it scales by ``(sum_j |nu_j|)**2``,
   which the caller applies once (`optimize._point_report`).  `gain` alone
@@ -74,20 +77,16 @@ def varq_from_ns(n_s):
     e^{-2r} = 1 + 2 n_s - 2 sqrt(n_s + n_s^2).
 
     Evaluated as 1 / (1 + 2 n_s + 2 sqrt(n_s + n_s^2)), the same quantity
-    without the catastrophic cancellation at large n_s.  n_s is a float or
-    an ndarray; an array is evaluated elementwise with the same operations
-    in the same order, so each element has the bits of the scalar result."""
-    if isinstance(n_s, np.ndarray):
-        if n_s.min() < 0:
-            raise ValueError("n_s must be >= 0")
-        # n_s^2 past the float range reads inf, as in the scalar's float
-        # arithmetic, without a warning
-        with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + 2.0 * n_s + 2.0 * np.sqrt(n_s + n_s * n_s))
-    n_s = float(n_s)  # a numpy scalar overflows as the float does, silently
-    if n_s < 0:
+    without the catastrophic cancellation at large n_s.  n_s is a number
+    or an array, read as float64: a number gives a float, an array the
+    array of values.  n_s^2 past the float range reads inf, so e^{-2r}
+    reads 0, without a warning."""
+    x = np.asarray(n_s, dtype=float)
+    if x.min() < 0:
         raise ValueError("n_s must be >= 0")
-    return 1.0 / (1.0 + 2.0 * n_s + 2.0 * math.sqrt(n_s + n_s * n_s))
+    with np.errstate(over="ignore"):
+        value = 1.0 / (1.0 + 2.0 * x + 2.0 * np.sqrt(x + x * x))
+    return value if x.ndim else float(value)
 
 
 def optimized_variance(n_c, r, Lambda=0.0, K=1.0) -> float:
@@ -112,30 +111,25 @@ def variance_vs_ns(n_T, n_s, Lambda=0.0, K=1.0):
 
         (1 + 2 n_s - 2 sqrt(n_s + n_s^2) + Lambda) / (K (n_T - n_s))
 
-    n_s is a float or an ndarray of splits; an array gives the array of
-    variances, each element bit-identical to the scalar call.  Raises
-    AllocationError when any n_s is negative or NaN, or when n_s >= n_T (no
-    coherent photons left); the divergence as n_s -> n_T is therefore
-    reported as a typed error, never as a raw infinity.
+    n_s is a number or an array of splits, read as `varq_from_ns` reads it.
+    A divisor that underflows to 0 reads as `_divide` reads it, and nothing
+    warns.  Raises AllocationError when any n_s is negative or NaN, or when
+    n_s >= n_T (no coherent photons left); the divergence as n_s -> n_T is
+    therefore reported as a typed error, never as a raw infinity.
     """
-    # min and max of an array carry a NaN, so one comparison each covers it
-    if isinstance(n_s, np.ndarray):
-        lo, hi = n_s.min(), n_s.max()
-    else:
-        lo = hi = n_s
+    x = np.asarray(n_s, dtype=float)
+    # min and max carry a NaN, so one comparison each covers it
+    lo, hi = x.min(), x.max()
     if not 0.0 <= lo:
         raise AllocationError("n_s must be >= 0")
     if hi >= n_T:
         raise AllocationError(f"n_s = {hi} must be < n_T = {n_T}")
-    if isinstance(n_s, np.ndarray):
-        # each element as the scalar call reads it: float arithmetic, which
-        # warns of nothing, and `_divide`'s rule where the divisor is 0
-        with np.errstate(all="ignore"):
-            numerator = varq_from_ns(n_s) + Lambda
-            divisor = K * (n_T - n_s)
-            return np.where(divisor != 0, numerator / divisor,
-                            np.where(numerator, np.inf, 0.0))
-    return _divide(varq_from_ns(n_s) + Lambda, K * (n_T - n_s))
+    numerator = varq_from_ns(x) + Lambda
+    with np.errstate(all="ignore"):
+        divisor = K * (n_T - x)
+        value = np.where(divisor != 0, numerator / divisor,
+                         np.where(numerator, np.inf, 0.0))
+    return value if x.ndim else float(value)
 
 
 @dataclass

@@ -21,7 +21,6 @@ from .network import (
 )
 
 __all__ = [
-    "Allocation",
     "optimal_allocation",
     "configure_optimal",
     "optimize_squeezing",
@@ -29,17 +28,10 @@ __all__ = [
     "scan",
 ]
 
-@dataclass
-class Allocation:
-    """Optimal coherent intensities and splitting for a weight vector."""
-
-    alphas: tuple           # (magnitude, phase) per node, phase in {0, pi}
-    P: tuple                # splitting probabilities, P_j = |nu_j| / sum|nu|
-
-
-def optimal_allocation(nu, n_c) -> Allocation:
+def optimal_allocation(nu, n_c):
     """Lagrangian optimum: |alpha_j|^2 = n_c |nu_j|/sum|nu|, P_j = |nu_j|/sum|nu|,
-    phi_j = 0 for nu_j >= 0 else pi."""
+    phi_j = 0 for nu_j >= 0 else pi.  Returns (alphas, P): the (magnitude,
+    phase) pair of each node and the splitting probabilities, as tuples."""
     nu = np.asarray(nu, dtype=float)
     scale = laws.weight_sum(nu)
     if scale == 0.0:
@@ -51,22 +43,22 @@ def optimal_allocation(nu, n_c) -> Allocation:
         (math.sqrt(n_c * fj), 0.0 if nuj >= 0 else math.pi)
         for fj, nuj in zip(frac, nu.tolist())
     )
-    return Allocation(alphas=alphas, P=tuple(frac))
+    return alphas, tuple(frac)
 
 
 def configure_optimal(nu, n_c, r, K=1, mu=None, eta_dis=1.0, eta_mzi=1.0,
                       eta_m=1.0, thetas=()) -> NetworkConfig:
     """NetworkConfig with the optimal allocation for the given weights."""
-    alloc = optimal_allocation(nu, n_c)
+    alphas, P = optimal_allocation(nu, n_c)
     return NetworkConfig(
         d=len(nu),
         r=r,
         K=K,
         mu=mu,
-        alphas=alloc.alphas,
+        alphas=alphas,
         thetas=thetas,
         weights=nu,
-        P=alloc.P,
+        P=P,
         eta_dis=eta_dis,
         eta_mzi=eta_mzi,
         eta_m=eta_m,
@@ -144,6 +136,8 @@ class ScanRow:
 
 
 SCAN_AXES = ("n_c", "eta_dis", "K", "d", "n_T", "weights")
+# the engines a scan runs on each point; a scenario adds its trace engine
+ENGINES = ("numeric", "analytic", "oracle")
 
 
 def _config_for_point(axis, value, base: NetworkConfig):
@@ -221,12 +215,6 @@ def _evaluate_point(axis, value, base, engines):
     return row
 
 
-def _check_axis(axis):
-    """A scan axis must be one of SCAN_AXES."""
-    if axis not in SCAN_AXES:
-        raise ConfigError("axis", f"unknown scan axis {axis!r}")
-
-
 def _number(name: str, value) -> float:
     """value as a float; anything but a number raises ConfigError(name).
     JSON true and false are not numbers, although Python's bool is an int."""
@@ -286,11 +274,16 @@ def scan(axis, grid, base: NetworkConfig,
          engines=("analytic", "numeric")) -> list:
     """Evaluate a grid of operating points; one ScanRow per grid value.
 
-    A grid that `_check_grid` refuses raises ConfigError before any row is
-    computed; then rows are evaluated and returned in grid order, and
-    per-point failures are recorded in the row status.
+    An unknown axis or engine, or a grid that `_check_grid` refuses, raises
+    ConfigError before any row is computed; then rows are evaluated and
+    returned in grid order, and per-point failures are recorded in the row
+    status.
     """
     grid = list(grid)
-    _check_axis(axis)
+    if axis not in SCAN_AXES:
+        raise ConfigError("axis", f"unknown scan axis {axis!r}")
+    for name in engines:
+        if name not in ENGINES:
+            raise ConfigError("engines", f"unknown scan engine {name!r}")
     _check_grid(axis, grid)
     return [_evaluate_point(axis, v, base, engines) for v in grid]

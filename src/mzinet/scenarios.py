@@ -85,8 +85,6 @@ LIGHT_SPEED = 299792458.0
 # a scan row's fields after its grid value and its operating point, in order
 CSV_COLUMNS = tuple(column.name for column in dataclasses.fields(optimize.ScanRow))[2:]
 
-ENGINES = ("numeric", "analytic", "oracle", "trace")
-
 
 @dataclass
 class ScanSpec:
@@ -201,7 +199,7 @@ SCAN = {
     "label": (_file_part, ""),  # "": the axis
     "axis": (_one_of(*optimize.SCAN_AXES), REQUIRED),
     "grid": (lambda name, grid: _expand_grid(grid), REQUIRED),
-    "engines": (_list_of(_one_of(*ENGINES)), ("analytic",)),
+    "engines": (_list_of(_one_of(*optimize.ENGINES, "trace")), ("analytic",)),
     "overrides": (_object, {}),
 }
 RANGE = {
@@ -462,7 +460,8 @@ def run_scenario(path_or_scenario, out_dir, seed=None):
              if any("trace" in spec.engines for spec in scenario.scans) else None)
     for scan_index, spec in enumerate(scenario.scans):
         base = scenario.base_config(spec.overrides)
-        rows = optimize.scan(spec.axis, spec.grid, base, engines=spec.engines)
+        rows = optimize.scan(spec.axis, spec.grid, base,
+                             engines=[name for name in spec.engines if name != "trace"])
         if "trace" in spec.engines:
             for row_index, row in enumerate(rows):
                 if row.status != "ok":

@@ -237,12 +237,15 @@ def _n_samples(params: TraceParams) -> int:
 @contextmanager
 def _draw_pool(d: int):
     """The helper threads of one run's draws: yields one (tasks, replies)
-    pair of queues per helper, min(d, cpu count) - 1 plain threads, none at
+    pair of queues per helper, min(d, cpus) - 1 plain threads, none at
     d = 1 or on one CPU, since the calling thread draws a share itself
-    (`_draw_rows`).  Each helper draws the tasks it takes until it takes
-    None, which it is sent when the run ends; the run then joins it."""
-    pool = [(queue.SimpleQueue(), queue.SimpleQueue())
-            for _ in range(min(d, os.cpu_count() or 1) - 1)]
+    (`_draw_rows`).  cpus counts the CPUs this process may run on (its
+    affinity, where the platform has one), not the machine's.  Each helper
+    draws the tasks it takes until it takes None, which it is sent when the
+    run ends; the run then joins it."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    pool = [(queue.SimpleQueue(), queue.SimpleQueue()) for _ in range(min(d, cpus) - 1)]
     started = []
     try:
         for pair in pool:

@@ -632,6 +632,21 @@ def test_closed_form_requires_working_point():
         closed_form_variance(cfg)
 
 
+def test_closed_form_leaves_out_unweighted_nodes_and_needs_real_amplitudes():
+    # an unweighted node adds no term, dark (the optimal allocation) or
+    # bright, and the engine agrees; a phase off {0, pi} is refused
+    cfg = configure_optimal((0.6, 0.0, -0.4), 100.0, 0.5, eta_dis=0.9)
+    assert cfg.alphas[1] == (0.0, 0.0)
+    bright = cfg.with_updates(alphas=(cfg.alphas[0], (5.0, 0.0), cfg.alphas[2]),
+                              P=(0.4, 0.3, 0.3))
+    for config in (cfg, bright):
+        assert closed_form_variance(config) == pytest.approx(
+            sensitivity_numeric(config), rel=1e-12)
+    tilted = cfg.with_updates(alphas=cfg.alphas[:2] + ((cfg.alphas[2][0], 1.0),))
+    with pytest.raises(ConfigError, match="alphas: closed form needs phi_j in"):
+        closed_form_variance(tilted)
+
+
 def test_opposite_rotation_sign_flips_response_not_variance():
     # the opposite interferometer generator sign is the engine run at -theta:
     # measured means (hence C) negate, the noise matrix is even in theta,

@@ -26,25 +26,25 @@ from separable_reference import separable_min_variance, slope
 
 
 def test_allocation_uniform_weights():
-    alloc = optimal_allocation(weight_pattern("ave", 6), 60.0)
-    mags = [m for m, _ in alloc.alphas]
+    alphas, P = optimal_allocation(weight_pattern("ave", 6), 60.0)
+    mags = [m for m, _ in alphas]
     assert mags == pytest.approx([math.sqrt(10)] * 6)
-    assert alloc.P == pytest.approx([1 / 6] * 6)
+    assert P == pytest.approx([1 / 6] * 6)
     assert sum(m**2 for m in mags) == pytest.approx(60.0, rel=1e-9)
 
 
 def test_allocation_signed_weights():
-    alloc = optimal_allocation((0.5, -0.5), 100.0)
-    assert [m**2 for m, _ in alloc.alphas] == pytest.approx([50.0, 50.0])
-    assert [ph for _, ph in alloc.alphas] == [0.0, math.pi]
-    assert alloc.P == pytest.approx([0.5, 0.5])
+    alphas, P = optimal_allocation((0.5, -0.5), 100.0)
+    assert [m**2 for m, _ in alphas] == pytest.approx([50.0, 50.0])
+    assert [ph for _, ph in alphas] == [0.0, math.pi]
+    assert P == pytest.approx([0.5, 0.5])
 
 
 def test_allocation_single_weight_takes_all_power():
-    alloc = optimal_allocation(weight_pattern("single", 4), 100.0)
-    assert alloc.alphas[0][0] ** 2 == pytest.approx(100.0)
-    assert alloc.P[0] == 1.0
-    assert all(m == 0.0 for m, _ in alloc.alphas[1:])
+    alphas, P = optimal_allocation(weight_pattern("single", 4), 100.0)
+    assert alphas[0][0] ** 2 == pytest.approx(100.0)
+    assert P[0] == 1.0
+    assert all(m == 0.0 for m, _ in alphas[1:])
 
 
 def test_allocation_rejects_zero_weights():
@@ -70,9 +70,9 @@ def test_allocation_perturbation_never_improves():
 
 def test_allocation_saturates_cauchy_schwarz():
     nu = np.array([0.4, -0.35, 0.25])
-    alloc = optimal_allocation(nu, 25.0)
-    mags = np.array([m for m, _ in alloc.alphas])
-    p = np.array(alloc.P)
+    alphas, P = optimal_allocation(nu, 25.0)
+    mags = np.array([m for m, _ in alphas])
+    p = np.array(P)
     lhs = float(np.sum(np.abs(nu) * np.sqrt(p) / mags)) ** 2
     rhs = float(np.sum(nu**2 / mags**2))
     assert abs(lhs - rhs) <= 1e-12 * rhs
@@ -340,6 +340,19 @@ def test_scan_requires_monotone_grid():
         scan("eta_dis", [0.5, 0.9, 0.7], base)
     with pytest.raises(ConfigError):
         scan("eta_dis", [], base)
+
+
+@pytest.mark.parametrize("axis, engines, message", [
+    ("n_c", ("numerc",), "engines: unknown scan engine 'numerc'"),
+    ("n_c", ("analytic", "trace"), "engines: unknown scan engine 'trace'"),
+    ("n_cc", ("analytic",), "axis: unknown scan axis 'n_cc'"),
+], ids=["misspelled_engine", "trace_engine", "unknown_axis"])
+def test_scan_refuses_an_axis_or_engine_it_does_not_run(axis, engines, message):
+    # an engine name scan does not run would leave every row "ok" with its
+    # cells empty; the trace engine runs in run_scenario, on scan's rows
+    base = configure_optimal(weight_pattern("ave", 2), 100.0, 0.3)
+    with pytest.raises(ConfigError, match=message):
+        scan(axis, [10.0, 100.0], base, engines=engines)
 
 
 def test_scan_d_axis_keeps_per_node_power():

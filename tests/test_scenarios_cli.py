@@ -312,6 +312,33 @@ def test_trace_row_past_the_float_range_fails_by_name(tmp_path):
         "error:AnalysisError: the mean band power of the gated window is inf", "ok"]
 
 
+def test_a_point_that_builds_no_network_fails_its_row_only(tmp_path, monkeypatch):
+    # n_c = -5 builds no operating point: the loader's oracle size check
+    # leaves it to its row, whose status names the error, and the trace
+    # engine runs on the row that passed only
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["scans"] = [{"label": "oracle", "axis": "n_c", "grid": [-5.0, 1.0],
+                     "engines": ["oracle"], "overrides": {"r": 0.3}},
+                    {"label": "mc", "axis": "n_c", "grid": [-5.0, 1e4],
+                     "engines": ["analytic", "trace"]}]
+    doc["trace"] = TRACE_BLOCK
+    traced = []
+    run_trace_point = scenarios._run_trace_point
+
+    def counted(row, trace, row_seed):
+        traced.append(row.value)
+        return run_trace_point(row, trace, row_seed)
+
+    monkeypatch.setattr(scenarios, "_run_trace_point", counted)
+    written = run_scenario(load_scenario(_write_scenario(tmp_path, doc)), tmp_path / "o")
+    oracle_rows, mc_rows = (_read_csv(path)[1] for path in written)
+    for rows, engine_column in ((oracle_rows, "variance_oracle"), (mc_rows, "snr_db_mc")):
+        assert [row["status"] for row in rows] == [
+            "error:AllocationError: n_c must be > 0", "ok"]
+        assert rows[0][engine_column] == "" and rows[1][engine_column] != ""
+    assert traced == [1e4]
+
+
 def test_trace_row_status_only_for_typed_errors(tmp_path, monkeypatch):
     path = _trace_scenario(tmp_path)
 
@@ -511,6 +538,15 @@ NAN, INF = float("nan"), float("inf")
     ("grid", {}, {"axis": "n_c", "grid": {"start": 100.0, "stop": 100.0, "num": 3}}, None),
     ("grid", {}, {"axis": "n_c", "grid": {"start": 1.0, "stop": 2.0, "num": 3,
                                           "include": [1.5]}}, None),
+    ("alphas", {"alphas": [[90.0, 0.0], [30.0, 0.0]], "P": [0.2, 0.4, 0.4]}, None, None),
+    ("P", {"alphas": [[90.0, 0.0], [30.0, 0.0], [30.0, 0.0]], "P": [0.5, 0.5]}, None, None),
+    ("thetas", {"thetas": [0.1, 0.2]}, None, None),
+    ("P", {"alphas": [[90.0, 0.0], [30.0, 0.0], [30.0, 0.0]], "P": [0.6, 0.6, -0.2]},
+     None, None),
+    ("alphas", {"alphas": [[90.0, 0.0], [-30.0, 0.0], [30.0, 0.0]], "P": [0.2, 0.4, 0.4]},
+     None, None),
+    ("mu", {"mu": 0}, None, None),
+    ("mu", {"mu": -0.5}, None, None),
 ], ids=["network_r_nan", "network_r_inf", "network_r_negative",
         "network_eta_nan", "network_eta_above_one", "network_n_c_nan",
         "grid_nan", "grid_inf", "range_grid_nan", "grid_unknown_pattern",
@@ -539,7 +575,10 @@ NAN, INF = float("nan"), float("inf")
         "grid_K_zero", "network_r_past_float_range",
         "network_r_list_past_float_range", "network_K_past_float_range",
         "network_mu_K_squared_past_float_range", "network_K_squared_past_float_range",
-        "range_grid_collapses", "range_include_repeats_a_point"])
+        "range_grid_collapses", "range_include_repeats_a_point",
+        "network_alphas_short", "network_P_short", "network_thetas_short",
+        "network_P_negative", "network_amplitude_negative", "network_mu_zero",
+        "network_mu_negative"])
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, field, network, scan, trace):
     doc = json.loads(json.dumps(SCENARIO))
     doc["network"].update(network)

@@ -99,3 +99,19 @@ def test_figure_diff_names_an_edited_cell(tmp_path):
     assert "  sql: 1, largest relative move 0.5" in report
     assert "fig5b/fig5b_meta.txt: differs" in report
     assert report[-1] == "moved cells per column: sql 1"
+
+
+def test_line_coverage_lists_the_lines_a_test_leaves_unrun(tmp_path):
+    test = ROOT / "tests" / "test_laws.py"
+    result = _run_script("line_coverage.py", f"{test}::test_variance_vs_ns_half_split",
+                         "-q", "-p", "no:cacheprovider", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    *listed, summary = result.stdout.splitlines()
+    listed = [line for line in listed if line.startswith("src/mzinet/")]
+    laws_lines = [line.split(": ", 1)[1] for line in listed
+                  if line.startswith("src/mzinet/laws.py:")]
+    # the test runs both split laws to their end, but exhausts no budget
+    assert "return value if x.ndim else float(value)" not in laws_lines
+    assert 'raise AllocationError(f"n_s = {hi} must be < n_T = {n_T}")' in laws_lines
+    missed, total = map(int, summary.removesuffix(" executable lines not run").split(" of "))
+    assert len(listed) == missed < total

@@ -261,6 +261,13 @@ def test_a_cycle_of_one_sample_past_whole_mix_blocks_equals_the_whole_product(d)
         assert samples.tobytes() == expected.tobytes()
 
 
+def _allow_cpus(monkeypatch, cpus):
+    """Let this process run on `cpus` CPUs, as `_draw_pool` counts them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_synthesize_bytes_do_not_depend_on_the_thread_count(d, cpus, monkeypatch):
@@ -271,7 +278,7 @@ def test_synthesize_bytes_do_not_depend_on_the_thread_count(d, cpus, monkeypatch
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    _allow_cpus(monkeypatch, cpus)
     monkeypatch.setattr(threading, "Thread", CountedThread)
     cfg = configure_optimal(weight_pattern("asym", d), 1e8, 0.5, eta_dis=0.95)
     delta = np.linspace(-2e-3, 3e-3, d)
@@ -283,6 +290,27 @@ def test_synthesize_bytes_do_not_depend_on_the_thread_count(d, cpus, monkeypatch
     assert samples.tobytes() == expected.tobytes()
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+def test_a_process_pinned_to_one_cpu_starts_no_draw_helper(monkeypatch):
+    # a machine of four CPUs, of which this process may use one (taskset,
+    # cpusets): a helper could not draw beside the calling thread
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    cfg = configure_optimal(weight_pattern("asym", 4), 1e8, 0.5, eta_dis=0.95)
+    delta = np.linspace(-2e-3, 3e-3, 4)
+    samples = synthesize(cfg, delta, FAST, seed=44).samples
+    assert started == []
+    assert samples.tobytes() == _whole_product_synthesis(cfg, delta, FAST, 44).tobytes()
+
+
 def test_a_failed_row_draw_is_raised(monkeypatch):
     # two CPUs: one helper draws row 1 and the calling thread rows 0 and 2;
     # three CPUs: two helpers draw rows 1 and 2 and the calling thread row 0
@@ -292,7 +320,7 @@ def test_a_failed_row_draw_is_raised(monkeypatch):
 
     threads = threading.active_count()
     for cpus in (2, 3):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        _allow_cpus(monkeypatch, cpus)
         for broken in (0, 1, 2):
             rngs = [np.random.default_rng(j) for j in range(3)]
             rngs[broken] = Broken()
@@ -312,7 +340,7 @@ def test_a_run_joins_its_draw_helpers(cpus, monkeypatch):
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    _allow_cpus(monkeypatch, cpus)
     monkeypatch.setattr(threading, "Thread", CountedThread)
     cfg = _lossy_config(4)
     threads = threading.active_count()
@@ -572,12 +600,15 @@ def test_joint_noise_analysis_holds_no_joint_series(d, params, peak_bytes):
 
 
 @pytest.mark.parametrize("driven", [False, True], ids=["undriven", "driven"])
-@pytest.mark.parametrize("params", [FAST, VERIFY, dataclasses.replace(FAST, n_cycles=1)],
-                         ids=["fast", "verify", "one_cycle"])
+@pytest.mark.parametrize("params", [FAST, VERIFY, dataclasses.replace(FAST, n_cycles=1),
+                                    GATE_CASES[2]],
+                         ids=["fast", "verify", "one_cycle", "unread_tails"])
 @pytest.mark.parametrize("d", [1, 3, 4])
 def test_synthesize_and_analyse_equals_the_analysis_of_the_whole_run(d, params, driven):
     # FAST's cycle (80 000 samples) is no multiple of _MIX_BLOCK, so each
-    # cycle ends on a short mix block
+    # cycle ends on a short mix block; GATE_CASES[2]'s idle spans of 17 391
+    # samples end on a 231-sample tail past their last 330-sample segment,
+    # which the run synthesizes and the analysis does not read
     cfg = _lossy_config(d)
     delta = np.linspace(-2e-3, 3e-3, d) if driven else 0.0
     whole = joint_noise_analysis(synthesize(cfg, delta, params, seed=11 + d), cfg)
@@ -1136,6 +1167,23 @@ def test_trace_file_truncation_guards(tmp_path):
     with pytest.raises(AnalysisError) as err:
         read_trace(path)
     assert str(path) in str(err.value) and "shorter than one cycle" in str(err.value)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    (1, 2, "unsupported trace version 2"),
+    (2, 3, "trace payload inconsistent with 3 channels"),
+    (2, 0, "trace payload inconsistent with 0 channels"),
+], ids=["unknown_version", "channels_not_dividing_payload", "no_channels"])
+def test_trace_header_must_match_its_version_and_payload(tmp_path, field, value, message):
+    # a two-channel run of 640 000 samples, read with another header field
+    path = write_trace(tmp_path / "run.mztr", synthesize(_ideal_config(), 0.0, FAST, seed=3))
+    data = bytearray(path.read_bytes())
+    fields = list(tracelab._HEADER.unpack_from(data))
+    fields[field] = value
+    tracelab._HEADER.pack_into(data, 0, *fields)
+    path.write_bytes(bytes(data))
+    with pytest.raises(AnalysisError, match=message):
+        read_trace(path)
 
 
 @pytest.mark.parametrize("gate, message", [
