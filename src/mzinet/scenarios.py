@@ -225,12 +225,12 @@ NETWORK = {
     "thetas": (_finites, None),
     "n_c": (_any, None),  # read only without alphas and P
 }
-TRACE = {
-    "sample_rate": (_finite, tracelab.DEFAULT_SAMPLE_RATE),
-    "cycle": (_finite, tracelab.DEFAULT_CYCLE),
+TRACE = {  # the timing's values are checked by TraceParams
+    "sample_rate": (_number, tracelab.DEFAULT_SAMPLE_RATE),
+    "cycle": (_number, tracelab.DEFAULT_CYCLE),
     "gate": (_pair("[t_on, t_off]"), tracelab.DEFAULT_GATE),
     "n_cycles": (_integer, 1),
-    "drive_freq": (_finite, tracelab.DEFAULT_DRIVE),
+    "drive_freq": (_number, tracelab.DEFAULT_DRIVE),
     "delta_theta": (_finite, 1e-7),
     "rbw": (_finite, tracelab.DEFAULT_RBW),
 }
@@ -695,7 +695,7 @@ def _trace_noise_deviation(rng):
     Draws one series seed per r, then `_TRACE_SAMPLER_RUNS` sampler seeds
     per r.  Only the r = 0.75 series is synthesized and analysed, one
     analysis block at a time (`tracelab.synthesize_and_analyse`, which holds
-    4 x 65 400 samples, not the 4 x 1.28 M of the run): it is the most
+    one 4 x 16 200 block, 0.5 MB, not the 4 x 1.28 M of the run): it is the most
     squeezed point, where Gamma's off-diagonal mixing matters most, and the
     only check of the correlated per-channel path; the two unused seeds keep
     its seed at the same place in the generator's stream.  At every r the

@@ -69,23 +69,22 @@ kernel is read-only, a refused rbw or layout raises on every call, and a
 plan is built by the same operations as a per-call build, so the bits do
 not depend on whether it was cached.
 
-Trace file layout (little endian): magic "MZTR", version u32, d u32,
-sample_rate f64, duration f64 (derived, n_samples / sample_rate, and not
-read), gate 2*f64, seed u64, then channel-major f64 samples.  Cycle length
-and drive frequency travel in a JSON sidecar.
+Trace file layout (little endian, version 2): magic "MZTR", version u32,
+d u32, sample_rate f64, cycle f64, gate 2*f64, drive_freq f64, seed u64
+(60 bytes), then channel-major f64 samples.  The header holds the whole
+timing except the cycle count, which is the payload's whole cycles.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 import queue
 import struct
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +113,7 @@ __all__ = [
 ]
 
 MAGIC = b"MZTR"
-VERSION = 1
+VERSION = 2
 
 # experimental timing defaults: 80 ms cycle, drive gated 30-50 ms, 4 MHz tone
 DEFAULT_SAMPLE_RATE = 50e6
@@ -149,11 +148,17 @@ class TraceParams:
     drive_freq: float = DEFAULT_DRIVE
 
     def __post_init__(self):
+        """The one check of a timing, for the scenario loader, `read_trace`
+        and Python callers: each refusal is a ValueError naming its field."""
         object.__setattr__(self, "gate", tuple(float(g) for g in self.gate))
+        for name in ("sample_rate", "cycle", "drive_freq"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not (isinstance(self.n_cycles, (int, np.integer)) and self.n_cycles >= 1):
+            raise ValueError(f"n_cycles must be an integer >= 1, got {self.n_cycles!r}")
         if self.sample_rate < 5.0 * self.drive_freq:
             raise ValueError("sample_rate must be >= 5x the drive frequency")
-        if self.n_cycles < 1:
-            raise ValueError("n_cycles must be >= 1")
         n = _cycle_samples(self)
         lo, hi = (_whole_samples("gate", edge, self.sample_rate) for edge in self.gate)
         if not 0 <= lo < hi <= n:
@@ -765,7 +770,7 @@ def simulate_joint_noise(config: NetworkConfig, variance: float,
 # ---------------------------------------------------------------------------
 # trace files
 
-_HEADER = struct.Struct("<4sII d d d d Q")
+_HEADER = struct.Struct("<4sII5dQ")
 
 
 @contextmanager
@@ -781,39 +786,28 @@ def _replacing(path: Path):
 
 
 def write_trace(path, traces: TraceSet):
-    """Write `traces` to `path` and its cycle, drive and cycle count to the
-    `.meta.json` sidecar, each through a temporary file; the header's
-    duration is the derived n_samples / sample_rate."""
+    """Write `traces` to `path`, one file holding the samples and their whole
+    timing, through a temporary file."""
     path = Path(path)
     params = traces.params
-    header = _HEADER.pack(
-        MAGIC, VERSION, traces.d, params.sample_rate,
-        traces.n_samples / params.sample_rate, *params.gate, traces.seed,
-    )
+    header = _HEADER.pack(MAGIC, VERSION, traces.d, params.sample_rate, params.cycle,
+                          *params.gate, params.drive_freq, traces.seed)
     with _replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(traces.samples, dtype="<f8").data)
-    meta = {
-        "cycle": params.cycle,
-        "drive_freq": params.drive_freq,
-        "n_cycles": params.n_cycles,
-    }
-    with _replacing(Path(str(path) + ".meta.json")) as tmp:
-        tmp.write_text(json.dumps(meta, sort_keys=True) + "\n")
     return path
 
 
 def read_trace(path) -> TraceSet:
-    """The traces of `path` and its sidecar, with one `TraceParams` whose
-    n_cycles is the payload's whole cycles; the payload is kept in full and
-    the derived duration and cycle count are not read.  A malformed file or
-    sidecar, a timing `TraceParams` refuses or a payload shorter than one
-    cycle raises AnalysisError naming the file."""
+    """The traces of `path`, with one `TraceParams` built from its header
+    alone, whose n_cycles is the payload's whole cycles; the payload is kept
+    in full.  A malformed file, a timing `TraceParams` refuses or a payload
+    shorter than one cycle raises AnalysisError naming the file."""
     path = Path(path)
     with open(path, "rb") as fh:
         try:
-            magic, version, d, sample_rate, _, g0, g1, seed = _HEADER.unpack(
-                fh.read(_HEADER.size))
+            magic, version, d, sample_rate, cycle, g0, g1, drive_freq, seed = (
+                _HEADER.unpack(fh.read(_HEADER.size)))
         except struct.error as exc:
             raise AnalysisError(f"truncated trace header in {path}") from exc
         if magic != MAGIC:
@@ -830,32 +824,13 @@ def read_trace(path) -> TraceSet:
         samples = np.empty((d, count // d), dtype="<f8")
         if fh.readinto(samples.data.cast("B")) != size:
             raise AnalysisError(f"truncated trace payload in {path}")
-    # the cycle and the drive travel only in the sidecar: without it the
-    # gate windows and the analysed bin are unknown
-    meta_path = Path(str(path) + ".meta.json")
     try:
-        meta = json.loads(meta_path.read_text())
+        params = TraceParams(sample_rate=sample_rate, cycle=cycle, gate=(g0, g1),
+                             drive_freq=drive_freq)
     except ValueError as exc:
-        raise AnalysisError(f"trace sidecar {meta_path} is not JSON: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise AnalysisError(f"trace sidecar {meta_path} is not a JSON object")
-    for key in ("cycle", "drive_freq"):
-        value = meta.get(key)
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not 0.0 < value < math.inf):
-            raise AnalysisError(f"trace sidecar {meta_path} has no number "
-                                f"{key!r} > 0, got {value!r}")
-    # the header's rate and gate with the sidecar's cycle and drive, over
-    # the payload's whole cycles: the timing that `TraceParams` accepts
-    try:
-        cycle = _whole_samples("cycle", meta["cycle"], sample_rate)
-        if samples.shape[1] < cycle:
-            raise AnalysisError(f"trace payload in {path} is shorter than one cycle: "
-                                f"{samples.shape[1]} of {cycle} samples")
-        # a rate that TraceParams refuses may leave a cycle no sample
-        params = TraceParams(sample_rate=sample_rate, cycle=float(meta["cycle"]),
-                             gate=(g0, g1), n_cycles=samples.shape[1] // max(cycle, 1),
-                             drive_freq=float(meta["drive_freq"]))
-    except ValueError as exc:
-        raise AnalysisError(f"trace {path} with sidecar {meta_path}: {exc}") from exc
-    return TraceSet(samples, params, seed)
+        raise AnalysisError(f"trace {path}: {exc}") from exc
+    n = _cycle_samples(params)
+    if samples.shape[1] < n:
+        raise AnalysisError(f"trace payload in {path} is shorter than one cycle: "
+                            f"{samples.shape[1]} of {n} samples")
+    return TraceSet(samples, replace(params, n_cycles=samples.shape[1] // n), seed)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzinet import laws
-from mzinet.errors import AllocationError
+from mzinet import laws, optimize, scenarios
+from mzinet.errors import AllocationError, ConfigError
 from mzinet.network import NetworkConfig
 
 
@@ -316,3 +316,33 @@ def test_sensitivity_report_consistency():
         assert 10 * math.log10(sql / variance) == pytest.approx(
             laws.db_below_sql(r, lam), abs=1e-9)
         assert variance >= laws.qcrb(1e4, r, K=K) * factor - 1e-12
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: laws.optimized_variance(0.0, 0.5), AllocationError, "n_c must be > 0"),
+    (lambda: laws.optimized_variance(1e4, 0.5, Lambda=-0.1), ValueError, "Lambda must be >= 0"),
+    (lambda: laws.optimized_variance(1e4, 0.5, K=0), ValueError, "K must be > 0"),
+    (lambda: laws.min_variance_over_r(0.0), AllocationError, "n_T must be > 0"),
+    (lambda: laws.regime_limits(-1.0), AllocationError, "n_T must be > 0"),
+    (lambda: laws.sql_variance(0.0), AllocationError, "n_T must be > 0"),
+    (lambda: laws.qcrb(-1.0, 0.5), ValueError, "n_c must be >= 0"),
+    (lambda: laws.qcrb(0.0, 0.0), ValueError, "need n_c > 0 or r > 0"),
+    (lambda: laws.gain((1.0, 1.0), regime="mid"), ValueError, "regime must be"),
+    (lambda: laws.scaling_with_d(1e4, 0, 0.5), ValueError, "d must be >= 1"),
+    (lambda: laws.scaling_with_d(0.0, 2, 0.5), AllocationError, "n_c_per_node must be > 0"),
+    (lambda: laws.db_below_sql(-0.1), ValueError, "r and Lambda must be >= 0"),
+    (lambda: laws.varq_from_ns(-1.0), ValueError, "n_s must be >= 0"),
+    (lambda: optimize.optimize_squeezing(1e4, Lambda=-0.1), AllocationError,
+     "Lambda must be >= 0"),
+    (lambda: optimize.optimize_squeezing(1e4, K=0), AllocationError, "K must be > 0"),
+    (lambda: scenarios.reproduce("fig9", "unwritten"), ConfigError, "figure: unknown figure"),
+    (lambda: scenarios.verify("slow"), ConfigError, "level: level must be"),
+], ids=["optimized_variance_n_c", "optimized_variance_Lambda", "optimized_variance_K", "min_variance_over_r_n_T",
+        "regime_limits_n_T", "sql_variance_n_T", "qcrb_n_c", "qcrb_no_light",
+        "gain_regime", "scaling_with_d_d", "scaling_with_d_n_c", "db_below_sql_r",
+        "varq_from_ns_n_s", "optimize_squeezing_Lambda", "optimize_squeezing_K",
+        "reproduce_figure", "verify_level"])
+def test_public_functions_refuse_their_bad_arguments(call, error, message):
+    # argument refusals that no loader check or law caller reaches first
+    with pytest.raises(error, match=message):
+        call()

@@ -62,6 +62,20 @@ def _read_csv(path):
     return header, rows
 
 
+def test_an_infinite_value_of_an_ok_row_is_an_empty_cell(tmp_path):
+    # at r = 0 and n_c = 1e-170, n_T^2 underflows to 0, so the Heisenberg
+    # branch 1/(K n_T^2) is inf: the row stays ok and the cell is left empty
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["network"]["r"] = 0.0
+    doc["scans"] = [{"label": "tiny", "axis": "n_c", "grid": [1e-170],
+                     "engines": ["analytic"]}]
+    (path,) = run_scenario(_write_scenario(tmp_path, doc), tmp_path / "out")
+    assert path.read_text().splitlines()[1] == (
+        "9.9999999999999998e-171,,1.1350584610157761e+170,,1.0000000000000002e+170,"
+        "1.0000000000000002e+170,-5.5018230377344857e-01,low-n,,1.1350584610157761e+170,"
+        ",1.3505846101577593e+169,,,ok")
+
+
 def test_run_scenario_writes_expected_columns(tmp_path):
     path = _write_scenario(tmp_path)
     written = run_scenario(path, tmp_path / "out")
@@ -1564,23 +1578,6 @@ def test_cli_trace_analyze_rejects_channel_count_mismatch(tmp_path, capsys):
             "have 6") in capsys.readouterr().err
 
 
-def test_cli_trace_analyze_needs_the_sidecar(tmp_path, capsys):
-    path = _write_scenario(tmp_path, _trace_doc(3))
-    code = cli.main(["trace", "synth", "--config", str(path),
-                     "--out", str(tmp_path / "t"), "--seed", "5"])
-    assert code == 0
-    trace_path = capsys.readouterr().out.strip()
-    sidecar = Path(trace_path + ".meta.json")
-    sidecar.unlink()
-    code = cli.main(["trace", "analyze", "--trace", trace_path,
-                     "--config", str(path)])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert "configuration error" in captured.err
-    assert str(sidecar) in captured.err
-    assert captured.out == ""
-
-
 def test_cli_trace_analyze_names_a_window_without_power(tmp_path, capsys):
     path = _write_scenario(tmp_path, _trace_doc(2))
     params = scenarios._trace_block(load_scenario(path).trace).params
@@ -1593,28 +1590,46 @@ def test_cli_trace_analyze_names_a_window_without_power(tmp_path, capsys):
                                        "band power of the gated window is 0.0\n")
 
 
-@pytest.mark.parametrize("text, named", [
-    ("[0.001, 4000000.0]", "not a JSON object"),
-    ('{"cycle": 0.001, "drive_freq": 4e6', "not JSON"),
-    ('{"cycle": 0.001, "drive_freq": true}', "'drive_freq'"),
-    ('{"cycle": 0, "drive_freq": 4e6}', "'cycle'"),
-], ids=["list", "malformed", "drive_bool", "cycle_zero"])
-def test_cli_trace_analyze_names_a_bad_sidecar(tmp_path, capsys, text, named):
+@pytest.mark.parametrize("field, value, message", [
+    (4, 0.0, "cycle must be finite and > 0, got 0.0"),
+    (7, -4e6, "drive_freq must be finite and > 0, got -4000000.0"),
+], ids=["cycle_zero", "drive_negative"])
+def test_cli_trace_analyze_names_a_bad_header(tmp_path, capsys, field, value, message):
     path = _write_scenario(tmp_path, _trace_doc(3))
     code = cli.main(["trace", "synth", "--config", str(path),
                      "--out", str(tmp_path / "t"), "--seed", "5"])
     assert code == 0
     trace_path = capsys.readouterr().out.strip()
-    sidecar = Path(trace_path + ".meta.json")
-    sidecar.write_text(text)
+    data = bytearray(Path(trace_path).read_bytes())
+    fields = list(tracelab._HEADER.unpack_from(data))
+    fields[field] = value
+    tracelab._HEADER.pack_into(data, 0, *fields)
+    Path(trace_path).write_bytes(bytes(data))
     code = cli.main(["trace", "analyze", "--trace", trace_path,
                      "--config", str(path)])
     captured = capsys.readouterr()
     assert code == 3
-    assert captured.err.startswith(f"numerical failure: AnalysisError: trace "
-                                   f"sidecar {sidecar} ")
-    assert named in captured.err
+    assert captured.err == (f"numerical failure: AnalysisError: trace "
+                            f"{trace_path}: {message}\n")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("trace, message", [
+    ({"drive_freq": 0}, "drive_freq must be finite and > 0, got 0.0"),
+    ({"drive_freq": -4e6}, "drive_freq must be finite and > 0, got -4000000.0"),
+    ({"cycle": -8e-3}, "cycle must be finite and > 0, got -0.008"),
+], ids=["drive_zero", "drive_negative", "cycle_negative"])
+def test_cli_refuses_a_timing_trace_params_refuses_at_load(tmp_path, capsys, trace,
+                                                          message):
+    # fig2 with no tone ran to ok rows: the timing's one check is TraceParams
+    doc = json.loads(bundled_scenario_path("fig2").read_text())
+    doc["trace"].update(trace)
+    path = _write_scenario(tmp_path, doc)
+    out = tmp_path / "o"
+    code = cli.main(["scan", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: trace: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("named, trace", [

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import json
 import math
 import os
 import re
@@ -12,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzinet import laws, network, scenarios, tracelab
 from mzinet.errors import AnalysisError, ConfigError, DarkResponseError
@@ -73,6 +74,23 @@ def test_trace_params_validation():
         TraceParams(gate=(3e-3, 90e-3))
     with pytest.raises(ValueError):
         TraceParams(n_cycles=0)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"drive_freq": math.nan}, "drive_freq must be finite and > 0, got nan"),
+    ({"drive_freq": 0.0}, "drive_freq must be finite and > 0, got 0.0"),
+    ({"sample_rate": math.nan}, "sample_rate must be finite and > 0, got nan"),
+    ({"sample_rate": math.inf}, "sample_rate must be finite and > 0, got inf"),
+    ({"cycle": -8e-3}, "cycle must be finite and > 0, got -0.008"),
+    ({"n_cycles": 1.5}, "n_cycles must be an integer >= 1, got 1.5"),
+    ({"n_cycles": 0}, "n_cycles must be an integer >= 1, got 0"),
+], ids=["drive_nan", "drive_zero", "rate_nan", "rate_inf", "cycle_negative",
+        "n_cycles_fraction", "n_cycles_zero"])
+def test_trace_params_names_the_field_it_refuses(fields, message):
+    # a NaN drive used to pass every comparison and fail in the bin kernel
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(FAST, **fields)
+    assert str(err.value) == message
 
 
 def test_cycle_is_a_whole_number_of_samples():
@@ -153,15 +171,15 @@ def test_driven_analysis_is_pinned():
 
 
 def test_trace_file_bytes_are_pinned(tmp_path):
-    # the pinned noise streams above, written as a trace file: any change to
-    # the header, the payload or the sidecar moves a digest
+    # the pinned noise streams above, written as a trace file: the payload
+    # is their bytes, and any change to the header moves its digest
     cfg = configure_optimal(weight_pattern("ave", 3), 1e6, 0.5, eta_dis=0.95)
     path = write_trace(tmp_path / "run.mztr", synthesize(cfg, 1e-6, FAST, seed=7))
-    digests = [hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in (path, tmp_path / "run.mztr.meta.json")]
-    assert digests == [
-        "5247de11c1042babe8459b245c102c95eeb12c5c9369818b10be3213b59c52e1",
-        "79262a2a7e66db862e17897f2c956b19056a78bc8ce74753c1a939713e237d70"]
+    data = path.read_bytes()
+    assert [hashlib.sha256(part).hexdigest()
+            for part in (data[:tracelab._HEADER.size], data[tracelab._HEADER.size:])] == [
+        "72bef2e7a5363e64ed5ed078e6d21c61f74722efeaa2636e20f6de6aa3972a28",
+        "7b4440c7d6621334c6b7538e27088fd5cf4485704b3071e78f1358944675cc1f"]
 
 
 def test_synthesize_vacuum_floor_variance():
@@ -1070,49 +1088,30 @@ def test_trace_file_round_trip(tmp_path):
     assert np.array_equal(loaded.samples, traces.samples)
 
 
-def test_trace_file_is_not_read_without_its_sidecar(tmp_path):
-    path = write_trace(tmp_path / "run.mztr", synthesize(_ideal_config(), 0.0, FAST, seed=3))
-    sidecar = tmp_path / "run.mztr.meta.json"
-    sidecar.unlink()
-    with pytest.raises(FileNotFoundError) as err:
-        read_trace(path)
-    assert err.value.filename == str(sidecar)
+@st.composite
+def _trace_sets(draw):
+    """TraceSets of 1-3 channels at short timings that TraceParams accepts:
+    whole-sample cycles and gates at any rate, and a payload of n_cycles
+    whole cycles plus part of one more."""
+    rate = draw(st.floats(1e3, 1e9))
+    n = draw(st.integers(2, 400))
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo + 1, n))
+    params = TraceParams(sample_rate=rate, cycle=n / rate, gate=(lo / rate, hi / rate),
+                         n_cycles=draw(st.integers(1, 3)),
+                         drive_freq=rate * draw(st.floats(1e-3, 0.19)))
+    shape = (draw(st.integers(1, 3)), n * params.n_cycles + draw(st.integers(0, n - 1)))
+    samples = np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal(shape)
+    return TraceSet(samples, params, draw(st.integers(0, 2**64 - 1)))
 
 
-@pytest.mark.parametrize("missing", [True, False], ids=["missing", "null"])
-@pytest.mark.parametrize("key", ["cycle", "drive_freq"])
-def test_trace_sidecar_needs_cycle_and_drive(tmp_path, key, missing):
-    path = write_trace(tmp_path / "run.mztr", synthesize(_ideal_config(), 0.0, FAST, seed=3))
-    sidecar = tmp_path / "run.mztr.meta.json"
-    meta = json.loads(sidecar.read_text())
-    if missing:
-        del meta[key]
-    else:
-        meta[key] = None
-    sidecar.write_text(json.dumps(meta))
-    with pytest.raises(AnalysisError, match=key):
-        read_trace(path)
-
-
-@pytest.mark.parametrize("text, field", [
-    ('{"cycle": 0.004, "drive_freq": 4e6', "not JSON"),
-    ('[0.004, 4000000.0]', "not a JSON object"),
-    ('{"cycle": 0.004, "drive_freq": true}', "drive_freq"),
-    ('{"cycle": false, "drive_freq": 4e6}', "cycle"),
-    ('{"cycle": 0, "drive_freq": 4e6}', "cycle"),
-    ('{"cycle": 0.004, "drive_freq": -4e6}', "drive_freq"),
-    ('{"cycle": NaN, "drive_freq": 4e6}', "cycle"),
-    ('{"cycle": 0.004, "drive_freq": Infinity}', "drive_freq"),
-    ('{"cycle": 0.00400001, "drive_freq": 4e6}', "cycle"),
-], ids=["malformed", "list", "drive_bool", "cycle_bool", "cycle_zero",
-        "drive_negative", "cycle_nan", "drive_inf", "cycle_not_whole_samples"])
-def test_trace_sidecar_must_be_an_object_of_positive_timing(tmp_path, text, field):
-    path = write_trace(tmp_path / "run.mztr", synthesize(_ideal_config(), 0.0, FAST, seed=3))
-    sidecar = tmp_path / "run.mztr.meta.json"
-    sidecar.write_text(text)
-    with pytest.raises(AnalysisError) as err:
-        read_trace(path)
-    assert str(sidecar) in str(err.value) and field in str(err.value)
+@settings(deadline=None, max_examples=60)
+@given(traces=_trace_sets())
+def test_trace_file_round_trip_of_any_accepted_timing(tmp_path_factory, traces):
+    loaded = read_trace(write_trace(tmp_path_factory.mktemp("trace") / "run.mztr", traces))
+    assert loaded.params == traces.params
+    assert loaded.seed == traces.seed
+    assert np.array_equal(loaded.samples, traces.samples)
 
 
 def test_trace_file_round_trip_holds_one_copy_of_the_samples(tmp_path, peak_bytes):
@@ -1133,7 +1132,7 @@ def test_failed_trace_write_leaves_no_partial_file(tmp_path):
         write_trace(path, bad)
     with pytest.raises(ValueError):
         write_trace(tmp_path / "fresh.mztr", bad)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.mztr", "run.mztr.meta.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.mztr"]
     assert np.array_equal(read_trace(path).samples, good.samples)
 
 
@@ -1160,30 +1159,34 @@ def test_trace_file_truncation_guards(tmp_path):
     # cycle: a TraceSet cannot hold that, so the file is written here
     path = tmp_path / "short_cycle.mztr"
     path.write_bytes(tracelab._HEADER.pack(tracelab.MAGIC, tracelab.VERSION, 2, 2e7,
-                                           79_999 / 2e7, *FAST.gate, 3)
+                                           FAST.cycle, *FAST.gate, 4e6, 3)
                      + np.zeros((2, 79_999)).tobytes())
-    Path(str(path) + ".meta.json").write_text(json.dumps(
-        {"cycle": FAST.cycle, "drive_freq": 4e6, "n_cycles": 0}))
     with pytest.raises(AnalysisError) as err:
         read_trace(path)
     assert str(path) in str(err.value) and "shorter than one cycle" in str(err.value)
 
 
+def _with_header_fields(tmp_path, start, *values):
+    """A two-channel FAST run of 320 000 samples per channel written as a
+    trace file, with header fields start, start + 1, ... set to values."""
+    path = write_trace(tmp_path / "run.mztr", synthesize(_ideal_config(), 0.0, FAST, seed=3))
+    data = bytearray(path.read_bytes())
+    fields = list(tracelab._HEADER.unpack_from(data))
+    fields[start:start + len(values)] = values
+    tracelab._HEADER.pack_into(data, 0, *fields)
+    path.write_bytes(bytes(data))
+    return path
+
+
 @pytest.mark.parametrize("field, value, message", [
-    (1, 2, "unsupported trace version 2"),
+    (1, 1, "unsupported trace version 1"),
     (2, 3, "trace payload inconsistent with 3 channels"),
     (2, 0, "trace payload inconsistent with 0 channels"),
 ], ids=["unknown_version", "channels_not_dividing_payload", "no_channels"])
 def test_trace_header_must_match_its_version_and_payload(tmp_path, field, value, message):
-    # a two-channel run of 640 000 samples, read with another header field
-    path = write_trace(tmp_path / "run.mztr", synthesize(_ideal_config(), 0.0, FAST, seed=3))
-    data = bytearray(path.read_bytes())
-    fields = list(tracelab._HEADER.unpack_from(data))
-    fields[field] = value
-    tracelab._HEADER.pack_into(data, 0, *fields)
-    path.write_bytes(bytes(data))
+    # a version-1 file kept its cycle and drive in a sidecar: it is refused
     with pytest.raises(AnalysisError, match=message):
-        read_trace(path)
+        read_trace(_with_header_fields(tmp_path, field, value))
 
 
 @pytest.mark.parametrize("gate, message", [
@@ -1192,12 +1195,23 @@ def test_trace_header_must_match_its_version_and_payload(tmp_path, field, value,
     ((1.2e-3, 2.00001e-3), "gate must be a whole number of samples"),
 ], ids=["reversed", "outside_the_cycle", "not_whole_samples"])
 def test_trace_header_gate_is_the_timing_trace_params_accepts(tmp_path, gate, message):
-    path = write_trace(tmp_path / "run.mztr", synthesize(_ideal_config(), 0.0, FAST, seed=3))
-    data = bytearray(path.read_bytes())
-    fields = list(tracelab._HEADER.unpack_from(data))
-    fields[5:7] = gate
-    tracelab._HEADER.pack_into(data, 0, *fields)
-    path.write_bytes(bytes(data))
+    path = _with_header_fields(tmp_path, 5, *gate)
     with pytest.raises(AnalysisError) as err:
         read_trace(path)
     assert str(path) in str(err.value) and message in str(err.value)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    (4, 0.0, "cycle must be finite and > 0, got 0.0"),
+    (4, math.nan, "cycle must be finite and > 0, got nan"),
+    (4, 0.00400001, "cycle must be a whole number of samples"),
+    (7, -4e6, "drive_freq must be finite and > 0, got -4000000.0"),
+    (7, math.inf, "drive_freq must be finite and > 0, got inf"),
+    (3, 0.0, "sample_rate must be finite and > 0, got 0.0"),
+], ids=["cycle_zero", "cycle_nan", "cycle_not_whole_samples", "drive_negative",
+        "drive_inf", "rate_zero"])
+def test_trace_header_timing_is_checked_by_trace_params(tmp_path, field, value, message):
+    path = _with_header_fields(tmp_path, field, value)
+    with pytest.raises(AnalysisError) as err:
+        read_trace(path)
+    assert str(err.value).startswith(f"trace {path}: {message}")
